@@ -4,8 +4,8 @@
 //!
 //! Besides the Criterion-timed kernels, this bench re-emits the `multivm`
 //! scenario's `Scale::Bench` report as JSON (`BENCH_multivm.json`, or
-//! `$HATRIC_BENCH_MULTIVM_JSON` / legacy `$HATRIC_BENCH_JSON` if set) so
-//! the repository accumulates a perf trajectory for the host subsystem.
+//! `$HATRIC_BENCH_MULTIVM_JSON` if set) so the repository accumulates a
+//! perf trajectory for the host subsystem.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hatric_bench::{collect_records, multivm_quick_params, skip_tables, write_baseline};

@@ -98,9 +98,8 @@ pub fn collect_records(name: &str, print: bool) -> ScenarioReport {
 }
 
 /// Path of a registered scenario's trajectory/baseline JSON:
-/// `$HATRIC_BENCH_<STEM>_JSON` if set (e.g. `HATRIC_BENCH_MIGRATION_JSON`;
-/// the multi-VM scenario also honours the legacy `$HATRIC_BENCH_JSON`), or
-/// `BENCH_<stem>.json` at the workspace root (cargo runs bench binaries
+/// `$HATRIC_BENCH_<STEM>_JSON` if set (e.g. `HATRIC_BENCH_MIGRATION_JSON`),
+/// or `BENCH_<stem>.json` at the workspace root (cargo runs bench binaries
 /// with `crates/bench` as their working directory, so the root is reached
 /// via `CARGO_MANIFEST_DIR`).  The bench writers and the `bench_check`
 /// gate both resolve through here so they can never point at different
@@ -114,11 +113,6 @@ pub fn baseline_path(name: &str) -> Option<String> {
     let env_key = format!("HATRIC_BENCH_{}_JSON", stem.to_uppercase());
     if let Ok(path) = std::env::var(&env_key) {
         return Some(path);
-    }
-    if stem == "multivm" {
-        if let Ok(path) = std::env::var("HATRIC_BENCH_JSON") {
-            return Some(path);
-        }
     }
     Some(format!(
         "{}/../../BENCH_{stem}.json",

@@ -3,8 +3,8 @@
 //! A [`ChurnStream`] expands a seed into a fixed schedule of
 //! [`ChurnEvent`]s *before* the cluster runs — the stream is data, not a
 //! live random source, so a scenario's churn is byte-identical for any
-//! thread count and both engine backends, and tests can fuzz over streams
-//! by fuzzing the generator inputs.
+//! thread count, and tests can fuzz over streams by fuzzing the generator
+//! inputs.
 
 use serde::{Deserialize, Serialize};
 

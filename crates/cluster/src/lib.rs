@@ -41,7 +41,7 @@
 //! [`Cluster::set_faults`] arms a deterministic
 //! [`FaultClock`] of typed fault events, all
 //! keyed to epoch boundaries (sim-time, never wall-clock, so fault runs
-//! stay byte-identical across thread counts and engine backends):
+//! stay byte-identical across thread counts):
 //!
 //! * **Host crash** — the host drops out at the epoch boundary; every
 //!   migration touching it aborts (source resumes its VM, destination

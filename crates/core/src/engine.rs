@@ -23,14 +23,6 @@
 //! `parallel_determinism` integration test enforces over every registered
 //! scenario.
 //!
-//! The slice-executor contract is the [`EngineBackend`] trait: this
-//! module's phased engine ([`EngineState`]) is one implementation, and the
-//! sibling [`crate::engine_mp`] module provides a message-passing actor
-//! variant ([`crate::engine_mp::MessageEngine`]) built from the same
-//! phase helpers and effect types, so the two can only differ in
-//! orchestration — the `engine_conformance` integration test proves them
-//! byte-identical.  [`EngineKind`] selects between them.
-//!
 //! Two deliberate model relaxations make the split possible (both are
 //! slice-granular, i.e. they defer cross-VM visibility to the barrier, and
 //! both are documented in `docs/ARCHITECTURE.md`):
@@ -279,53 +271,35 @@ impl FramePool {
 /// overlays and interleave cursors.
 #[derive(Debug)]
 pub struct EngineState {
-    pub(crate) pools: Vec<FramePool>,
-    pub(crate) pendings: Vec<DramPending>,
+    pools: Vec<FramePool>,
+    pendings: Vec<DramPending>,
     /// Per-VM round-robin cursor of the [`NumaPolicy::Interleaved`]
     /// placement (the serial path keeps one global cursor; a shared cursor
     /// cannot be advanced from concurrent workers, so the engine interleaves
     /// per VM instead).
-    pub(crate) interleave: Vec<usize>,
+    interleave: Vec<usize>,
     /// Lazily created persistent workers (`threads - 1` of them; the
     /// calling thread always executes one share itself).
-    pub(crate) pool: Option<WorkerPool>,
+    pool: Option<WorkerPool>,
     /// Reusable commit-phase buffers (cleared each slice — the hot loop
     /// allocates nothing in steady state).
-    pub(crate) commit: CommitScratch,
+    commit: CommitScratch,
     /// Recycled per-unit effect logs (their `Vec` capacities are the
     /// largest per-slice allocation; reusing them keeps the steady-state
     /// slice loop allocation-free).
-    pub(crate) effects_pool: Vec<UnitEffects>,
+    effects_pool: Vec<UnitEffects>,
     /// Wall-clock totals per engine phase (never read by model code).
-    pub(crate) profiler: PhaseProfiler,
+    profiler: PhaseProfiler,
 }
 
-/// Reusable buffers of the commit phase — the component inboxes: one queue
-/// per LLC bank, the DRAM device queue, the serial committer's queue, and
-/// the seq → slot map effect replay charges against.
+/// Reusable buffers of the commit phase.
 #[derive(Debug, Default)]
-pub(crate) struct CommitScratch {
-    pub(crate) bank_queues: Vec<Vec<(u64, SharedCacheOp)>>,
-    pub(crate) mem_queue: Vec<MemoryBooking>,
-    pub(crate) serial_queue: Vec<(u64, usize, SerialEffect)>,
-    pub(crate) seq_slots: Vec<u32>,
-    pub(crate) privs: Vec<(u64, hatric_cache::PrivEffect)>,
-}
-
-impl CommitScratch {
-    /// Re-arms the buffers for a slice on a hierarchy with `bank_count`
-    /// banks (capacities are retained — the hot loop allocates nothing in
-    /// steady state).
-    pub(crate) fn reset(&mut self, bank_count: usize) {
-        self.bank_queues.resize_with(bank_count, Vec::new);
-        for queue in &mut self.bank_queues {
-            queue.clear();
-        }
-        self.mem_queue.clear();
-        self.serial_queue.clear();
-        self.seq_slots.clear();
-        self.privs.clear();
-    }
+struct CommitScratch {
+    bank_queues: Vec<Vec<(u64, SharedCacheOp)>>,
+    mem_queue: Vec<MemoryBooking>,
+    serial_queue: Vec<(u64, usize, SerialEffect)>,
+    seq_slots: Vec<u32>,
+    privs: Vec<(u64, hatric_cache::PrivEffect)>,
 }
 
 impl EngineState {
@@ -354,122 +328,10 @@ impl EngineState {
 
     /// Makes sure the persistent worker pool exists with at least
     /// `threads - 1` workers.
-    pub(crate) fn ensure_pool(&mut self, threads: usize) {
+    fn ensure_pool(&mut self, threads: usize) {
         let want = threads.saturating_sub(1);
         if self.pool.as_ref().is_none_or(|p| p.workers() < want) {
             self.pool = Some(WorkerPool::new(want));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The slice-executor contract
-// ---------------------------------------------------------------------------
-
-/// The slice-executor contract a consolidated host drives: execute one
-/// scheduler slice against the shared platform and the per-VM state, and
-/// expose wall-clock phase totals for telemetry.
-///
-/// Every backend must be **deterministic and thread-count invariant**:
-/// for a fixed configuration, reports are byte-identical across backends
-/// and across any `threads ≥ 1` (the `parallel_determinism` and
-/// `engine_conformance` integration tests enforce both properties).
-pub trait EngineBackend: std::fmt::Debug + Send {
-    /// Executes one scheduler slice (see [`run_slice_parallel`] for the
-    /// contract on `placements`, `slice_accesses` and `threads`).
-    fn run_slice(
-        &mut self,
-        platform: &mut Platform,
-        vms: &mut [VmInstance],
-        drivers: &mut [WorkloadDriver],
-        placements: &[Placement],
-        slice_accesses: u64,
-        threads: usize,
-    );
-
-    /// Wall-clock time spent per engine phase plus the number of slices
-    /// executed.  Purely observational — the model never reads it.
-    fn phase_totals(&self) -> &PhaseTotals;
-}
-
-impl EngineBackend for EngineState {
-    fn run_slice(
-        &mut self,
-        platform: &mut Platform,
-        vms: &mut [VmInstance],
-        drivers: &mut [WorkloadDriver],
-        placements: &[Placement],
-        slice_accesses: u64,
-        threads: usize,
-    ) {
-        run_slice_parallel(
-            platform,
-            vms,
-            drivers,
-            placements,
-            slice_accesses,
-            threads,
-            self,
-        );
-    }
-
-    fn phase_totals(&self) -> &PhaseTotals {
-        self.profiler.totals()
-    }
-}
-
-/// Selects which interchangeable [`EngineBackend`] a host runs.  Both
-/// backends produce byte-identical reports for any configuration and
-/// thread count; the knob exists for cross-validation and for comparing
-/// their orchestration overheads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The phased simulate → commit executor of [`run_slice_parallel`].
-    #[default]
-    Sliced,
-    /// The actor-style message-passing executor,
-    /// [`crate::engine_mp::MessageEngine`].
-    MessagePassing,
-}
-
-impl EngineKind {
-    /// Short CLI/report label: `sliced` or `mp` (both are accepted back by
-    /// the [`std::str::FromStr`] impl).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Sliced => "sliced",
-            EngineKind::MessagePassing => "mp",
-        }
-    }
-
-    /// Builds a fresh backend of this kind for a host with `num_vms` VM
-    /// slots on `sockets` sockets.
-    #[must_use]
-    pub fn build(self, num_vms: usize, sockets: usize) -> Box<dyn EngineBackend> {
-        match self {
-            EngineKind::Sliced => Box::new(EngineState::new(num_vms, sockets)),
-            EngineKind::MessagePassing => {
-                Box::new(crate::engine_mp::MessageEngine::new(num_vms, sockets))
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sliced" | "phased" => Ok(EngineKind::Sliced),
-            "mp" | "message-passing" | "message_passing" => Ok(EngineKind::MessagePassing),
-            other => Err(format!("unknown engine `{other}` (sliced|mp)")),
         }
     }
 }
@@ -480,7 +342,7 @@ impl std::str::FromStr for EngineKind {
 
 /// Deferred translation-coherence work on a physical CPU another unit owns.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RemoteTarget {
+struct RemoteTarget {
     cpu: CpuId,
     action: TargetAction,
     vm_exit: bool,
@@ -494,11 +356,9 @@ pub(crate) struct RemoteTarget {
     remap_ordinal: u64,
 }
 
-/// One deferred shared-state mutation, applied at the slice barrier (and
-/// doubling as the message payload of the message-passing engine — shared
-/// payload types are what pin the two backends to one semantics).
+/// One deferred shared-state mutation, applied at the slice barrier.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Effect {
+enum Effect {
     /// An LLC/directory op (replayed via `CacheHierarchy::apply_op`).
     Cache(SharedCacheOp),
     /// A DRAM/link booking (replayed via `MemorySystem::apply_booking`).
@@ -511,9 +371,9 @@ pub(crate) enum Effect {
 
 /// Everything one unit's simulate phase produced.
 #[derive(Debug)]
-pub(crate) struct UnitEffects {
-    pub(crate) slot: usize,
-    pub(crate) effects: Vec<Effect>,
+struct UnitEffects {
+    slot: usize,
+    effects: Vec<Effect>,
     energy: EnergyTally,
     cache_stats: CacheStatsDelta,
     /// Scratch buffer `simulate_read`/`simulate_write` push into before the
@@ -675,7 +535,7 @@ fn unit_step(
     asid: hatric_types::AddressSpaceId,
     access: Access,
 ) {
-    task.vm.bump_accesses();
+    task.vm.count_access();
     charge(task, p, u64::from(access.compute_cycles));
     let vm_id = task.vm.id();
     let gvp = access.gvp;
@@ -1330,7 +1190,7 @@ fn apply_target_action(
 
 /// The non-bank effects of the seq-ordered serial pass.
 #[derive(Debug)]
-pub(crate) enum SerialEffect {
+enum SerialEffect {
     Observe(GuestFrame),
     Remote(RemoteTarget),
 }
@@ -1356,13 +1216,24 @@ fn commit_effects(
     profiler: &mut PhaseProfiler,
 ) {
     for unit in effects.iter_mut() {
-        apply_unit_tallies(platform, unit);
+        platform.caches.apply_stats_delta(&unit.cache_stats);
+        unit.energy.apply_to(&mut platform.energy);
+        // Slot-ordered trace merge — the same canonical order as the
+        // energy tallies, so sink contents are thread-count invariant.
+        if let Some(sink) = platform.trace.as_mut() {
+            for event in unit.trace.drain(..) {
+                sink.record(event);
+            }
+        } else {
+            unit.trace.clear();
+        }
     }
 
     // Partition by destination, assigning each effect its global seq (slot
     // order is the canonical commit order).  All buffers are reused across
     // slices.
-    scratch.reset(platform.caches.bank_count());
+    let bank_count = platform.caches.bank_count();
+    scratch.bank_queues.resize_with(bank_count, Vec::new);
     let CommitScratch {
         bank_queues,
         mem_queue,
@@ -1370,94 +1241,36 @@ fn commit_effects(
         seq_slots,
         privs,
     } = scratch;
+    for queue in bank_queues.iter_mut() {
+        queue.clear();
+    }
+    mem_queue.clear();
+    serial_queue.clear();
+    seq_slots.clear();
+    privs.clear();
     let mut seq: u64 = 0;
     for unit in effects.iter() {
         for effect in &unit.effects {
-            route_effect(
-                platform,
-                bank_queues,
-                mem_queue,
-                serial_queue,
-                seq,
-                unit.slot,
-                effect,
-            );
+            match effect {
+                Effect::Cache(op) => {
+                    bank_queues[platform.caches.bank_of(op.line())].push((seq, *op));
+                }
+                Effect::Mem(booking) => mem_queue.push(*booking),
+                Effect::Observe { gpp } => {
+                    serial_queue.push((seq, unit.slot, SerialEffect::Observe(*gpp)));
+                }
+                Effect::Remote(target) => {
+                    serial_queue.push((seq, unit.slot, SerialEffect::Remote(*target)));
+                }
+            }
             seq_slots.push(unit.slot as u32);
             seq += 1;
         }
     }
 
-    replay_banks(
-        platform,
-        threads,
-        pool,
-        bank_queues,
-        mem_queue,
-        privs,
-        profiler,
-    );
-    serial_pass(platform, vms, privs, serial_queue, seq_slots, profiler);
-}
-
-/// Applies one unit's private tallies: private-cache stat deltas, the
-/// energy tally, and the slot-ordered trace merge (the same canonical
-/// order as the energy tallies, so sink contents are thread-count — and
-/// backend — invariant).
-pub(crate) fn apply_unit_tallies(platform: &mut Platform, unit: &mut UnitEffects) {
-    platform.caches.apply_stats_delta(&unit.cache_stats);
-    unit.energy.apply_to(&mut platform.energy);
-    if let Some(sink) = platform.trace.as_mut() {
-        for event in unit.trace.drain(..) {
-            sink.record(event);
-        }
-    } else {
-        unit.trace.clear();
-    }
-}
-
-/// Routes one effect, stamped with its global `seq`, to the component that
-/// consumes it: LLC/directory ops to their geometry bank's queue, DRAM
-/// bookings to the device queue, observations and remote coherence work to
-/// the serial committer's queue.  Both backends route through this one
-/// function, so the destination of an effect can never diverge.
-pub(crate) fn route_effect(
-    platform: &Platform,
-    bank_queues: &mut [Vec<(u64, SharedCacheOp)>],
-    mem_queue: &mut Vec<MemoryBooking>,
-    serial_queue: &mut Vec<(u64, usize, SerialEffect)>,
-    seq: u64,
-    slot: usize,
-    effect: &Effect,
-) {
-    match effect {
-        Effect::Cache(op) => {
-            bank_queues[platform.caches.bank_of(op.line())].push((seq, *op));
-        }
-        Effect::Mem(booking) => mem_queue.push(*booking),
-        Effect::Observe { gpp } => {
-            serial_queue.push((seq, slot, SerialEffect::Observe(*gpp)));
-        }
-        Effect::Remote(target) => {
-            serial_queue.push((seq, slot, SerialEffect::Remote(*target)));
-        }
-    }
-}
-
-/// The parallel replay phase: bank replays + DRAM bookings.  Bank replays
-/// read no private or device state, so any worker↔bank assignment yields
-/// the same result; the bank count never depends on `threads`.  On return,
-/// `privs` holds every deferred private-cache effect sorted into the one
-/// canonical global-seq order.
-pub(crate) fn replay_banks(
-    platform: &mut Platform,
-    threads: usize,
-    pool: Option<&WorkerPool>,
-    bank_queues: &[Vec<(u64, SharedCacheOp)>],
-    mem_queue: &[MemoryBooking],
-    privs: &mut Vec<(u64, hatric_cache::PrivEffect)>,
-    profiler: &mut PhaseProfiler,
-) {
-    let bank_count = bank_queues.len();
+    // Parallel phase: bank replays + DRAM bookings.  Bank replays read no
+    // private or device state, so any worker↔bank assignment yields the
+    // same result; the bank count never depends on `threads`.
     let eager = platform.caches.config().eager_pt_directory_update;
     {
         let banks = platform.caches.banks_mut();
@@ -1528,23 +1341,13 @@ pub(crate) fn replay_banks(
             }
         }
     }
+    let serial_start = Instant::now();
     // Per-bank emission order is already seq-ascending; a stable sort
     // merges the banks into the one canonical order.
     privs.sort_by_key(|(s, _)| *s);
-}
 
-/// The serial committer: walks priv effects and remote/observe effects
-/// merged by global seq, applying everything that touches private pairs,
-/// VM counters or translation structures.
-pub(crate) fn serial_pass(
-    platform: &mut Platform,
-    vms: &mut [VmInstance],
-    privs: &[(u64, hatric_cache::PrivEffect)],
-    serial_queue: &[(u64, usize, SerialEffect)],
-    seq_slots: &[u32],
-    profiler: &mut PhaseProfiler,
-) {
-    let serial_start = Instant::now();
+    // Serial pass: walk priv effects and remote/observe effects merged by
+    // global seq.
     let mut p = 0usize;
     let mut r = 0usize;
     while p < privs.len() || r < serial_queue.len() {
@@ -1669,7 +1472,7 @@ fn commit_remote_target(
 /// so a pool holding `min(2 × accesses, quota remaining)` frames can never
 /// run dry for first-touch); off-chip refill is bounded by the per-slice
 /// demand estimate.
-pub(crate) fn refill_pools(
+fn refill_pools(
     platform: &mut Platform,
     vms: &[VmInstance],
     units: &[(usize, Vec<Placement>)],
@@ -1775,58 +1578,9 @@ pub fn run_slice_parallel(
     threads: usize,
     state: &mut EngineState,
 ) {
-    let units = group_units(placements);
-    if units.is_empty() {
-        return;
-    }
-
-    let refill_start = Instant::now();
-    refill_pools(platform, vms, &units, state, slice_accesses);
-    state
-        .profiler
-        .record(EnginePhase::PoolRefill, refill_start.elapsed());
-    if threads > 1 {
-        state.ensure_pool(threads);
-    }
-
-    let simulate_start = Instant::now();
-    let mut effects = simulate_phase(
-        platform,
-        vms,
-        drivers,
-        &units,
-        slice_accesses,
-        threads,
-        state,
-    );
-    state
-        .profiler
-        .record(EnginePhase::Simulate, simulate_start.elapsed());
-
-    let EngineState {
-        pool,
-        commit,
-        profiler,
-        ..
-    } = state;
-    commit_effects(
-        platform,
-        vms,
-        &mut effects,
-        threads,
-        pool.as_ref(),
-        commit,
-        profiler,
-    );
-    state.profiler.record_slice();
-    state.effects_pool.extend(effects);
-}
-
-/// Groups a slice's placements into per-VM units: one `(slot, placements)`
-/// entry per scheduled VM slot (ascending), preserving the scheduler's
-/// placement order within each unit — the canonical commit order is
-/// `(vm slot, emission order)`.
-pub(crate) fn group_units(placements: &[Placement]) -> Vec<(usize, Vec<Placement>)> {
+    // Group placements into units by VM slot (ascending), preserving the
+    // scheduler's placement order within each unit — the canonical commit
+    // order is (vm slot, emission order).
     let mut units: Vec<(usize, Vec<Placement>)> = Vec::new();
     let mut slots: Vec<usize> = placements.iter().map(|p| p.vm_slot).collect();
     slots.sort_unstable();
@@ -1839,23 +1593,16 @@ pub(crate) fn group_units(placements: &[Placement]) -> Vec<(usize, Vec<Placement
             .collect();
         units.push((slot, unit));
     }
-    units
-}
+    if units.is_empty() {
+        return;
+    }
 
-/// The simulate phase: runs each unit (exclusively owning its VM, driver,
-/// CPUs and per-slot engine resources) against the frozen slice-start
-/// snapshot of the shared state, on up to `threads` OS threads.  Returns
-/// the per-unit effect logs **in ascending slot order** — the canonical
-/// order both backends commit in.
-pub(crate) fn simulate_phase(
-    platform: &mut Platform,
-    vms: &mut [VmInstance],
-    drivers: &mut [WorkloadDriver],
-    units: &[(usize, Vec<Placement>)],
-    slice_accesses: u64,
-    threads: usize,
-    state: &mut EngineState,
-) -> Vec<UnitEffects> {
+    let refill_start = Instant::now();
+    refill_pools(platform, vms, &units, state, slice_accesses);
+    let refill_elapsed = refill_start.elapsed();
+    if threads > 1 {
+        state.ensure_pool(threads);
+    }
     // Split the engine state into its disjoint parts so the per-slot
     // resources can be lent to the unit tasks while the worker pool stays
     // usable from this thread.
@@ -1864,10 +1611,12 @@ pub(crate) fn simulate_phase(
         pendings,
         interleave,
         pool,
+        commit,
         effects_pool,
-        ..
+        profiler,
     } = state;
     let pool = pool.as_ref();
+    profiler.record(EnginePhase::PoolRefill, refill_elapsed);
 
     let unit_slots: Vec<usize> = units.iter().map(|(slot, _)| *slot).collect();
     // Map each pCPU to the unit that owns it this slice.
@@ -1880,7 +1629,8 @@ pub(crate) fn simulate_phase(
         }
     }
 
-    {
+    let simulate_start = Instant::now();
+    let mut effects: Vec<UnitEffects> = {
         let (cache_shared, pairs) = platform.caches.split_simulate();
         let occupied: Vec<CpuId> = platform
             .occupancy
@@ -2018,5 +1768,11 @@ pub(crate) fn simulate_phase(
                 flat
             }
         }
-    }
+    };
+
+    profiler.record(EnginePhase::Simulate, simulate_start.elapsed());
+
+    commit_effects(platform, vms, &mut effects, threads, pool, commit, profiler);
+    profiler.record_slice();
+    effects_pool.extend(effects);
 }

@@ -51,7 +51,6 @@
 pub mod config;
 pub mod driver;
 pub mod engine;
-pub mod engine_mp;
 pub mod experiments;
 pub mod metrics;
 pub mod platform;
@@ -62,8 +61,7 @@ pub use config::{
     CoherenceMechanismExt, LatencyConfig, MemoryMode, PagingKnobs, SystemConfig, DEFAULT_SEED,
 };
 pub use driver::WorkloadDriver;
-pub use engine::{run_slice_parallel, EngineBackend, EngineKind, EngineState, WorkerPool};
-pub use engine_mp::MessageEngine;
+pub use engine::{run_slice_parallel, EngineState, WorkerPool};
 pub use experiments::{ExperimentParams, RunSpec};
 pub use metrics::{
     CoherenceActivity, FaultActivity, HostReport, InterferenceActivity, MigrationStats,

@@ -434,7 +434,7 @@ impl Platform {
         asid: hatric_types::AddressSpaceId,
         access: Access,
     ) {
-        vms[slot].bump_accesses();
+        vms[slot].count_access();
         self.charge_occupant(vms, cpu, u64::from(access.compute_cycles));
         let vm_id = vms[slot].id();
         let gvp = access.gvp;

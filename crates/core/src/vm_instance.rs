@@ -303,7 +303,7 @@ impl VmInstance {
         &mut self.causal
     }
 
-    pub(crate) fn bump_accesses(&mut self) {
+    pub(crate) fn count_access(&mut self) {
         self.accesses += 1;
     }
 
@@ -396,7 +396,7 @@ mod tests {
         let mem = memory();
         let mut vm = instance(0, &mem);
         vm.charge(VcpuId::new(0), 100);
-        vm.bump_accesses();
+        vm.count_access();
         let gvp = hatric_types::GuestVirtPage::new(7);
         vm.guest_pt_mut().map(gvp, GuestFrame::new(7));
         vm.reset_measurements();

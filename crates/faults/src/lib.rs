@@ -6,7 +6,7 @@
 //! [`FaultEvent`]s *before* the cluster runs — exactly the
 //! `ChurnStream` discipline from `hatric-cluster`: the schedule is data,
 //! not a live random source, so a fault storm is byte-identical for any
-//! worker-thread count and both slice-engine backends.  Faults fire from
+//! worker-thread count.  Faults fire from
 //! simulated epochs, never wall-clock.
 //!
 //! The event taxonomy covers the failure modes a live-migration fleet
@@ -20,7 +20,8 @@
 //!   source is still in pre-copy (blackout); drops are re-sent.
 //! * **DRAM brownout** — a transient service-latency multiplier on a
 //!   host's memory devices, applied through the existing leaky-bucket
-//!   queueing path so both engine backends observe identical timing.
+//!   queueing path so the serial pipeline and the slice engine observe
+//!   identical timing.
 //! * **Stuck pre-copy** — the source's copy rounds stall for a few
 //!   epochs, feeding the cluster's non-convergence escalation timeout.
 //!

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hatric::{EngineKind, MemoryMode, NumaConfig, PagingKnobs, SystemConfig, DEFAULT_SEED};
+use hatric::{MemoryMode, NumaConfig, PagingKnobs, SystemConfig, DEFAULT_SEED};
 use hatric_coherence::{CoherenceMechanism, DesignVariant};
 use hatric_hypervisor::{NumaPolicy, SchedPolicy};
 use hatric_migration::HostEvent;
@@ -221,12 +221,6 @@ pub struct HostConfig {
     /// are bit-identical for any value ≥ 1 (the phased simulate → commit
     /// engine is deterministic by construction); `1` runs the units inline.
     pub threads: usize,
-    /// Which slice-executor backend runs the host: the phased
-    /// [`EngineKind::Sliced`] engine (default) or the message-passing
-    /// [`EngineKind::MessagePassing`] actor variant.  Reports are
-    /// byte-identical between the two for any configuration — the knob
-    /// exists for cross-validation and orchestration-overhead comparison.
-    pub engine: EngineKind,
     /// Master random seed (per-VM workload seeds derive from it).
     pub seed: u64,
     /// The co-located VMs, indexed by slot.
@@ -254,7 +248,6 @@ impl HostConfig {
             sched: SchedPolicy::Pinned,
             slice_accesses: 50,
             threads: 1,
-            engine: EngineKind::Sliced,
             seed: DEFAULT_SEED,
             vms: Vec::new(),
             events: Vec::new(),
@@ -321,13 +314,6 @@ impl HostConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Returns a copy running on the given slice-executor backend.
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -549,13 +535,6 @@ impl HostConfigBuilder {
         self
     }
 
-    /// Sets the slice-executor backend.
-    #[must_use]
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
     /// Sets the master seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -708,24 +687,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.threads, 4);
-    }
-
-    #[test]
-    fn engine_knob_defaults_to_sliced_and_round_trips() {
-        assert_eq!(HostConfig::scaled(4, 256).engine, EngineKind::Sliced);
-        let cfg = HostConfig::builder(4, 256)
-            .engine(EngineKind::MessagePassing)
-            .vm(VmSpec::victim(1, 64))
-            .build()
-            .unwrap();
-        assert_eq!(cfg.engine, EngineKind::MessagePassing);
-        assert_eq!(
-            "mp".parse::<EngineKind>().unwrap(),
-            EngineKind::MessagePassing
-        );
-        assert_eq!("sliced".parse::<EngineKind>().unwrap(), EngineKind::Sliced);
-        assert!("warp".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::MessagePassing.to_string(), "mp");
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! degrade both as the concurrent-migration count grows, HATRIC holds
 //! both near the ideal-coherence bound.
 
-use hatric::EngineKind;
 use hatric_cluster::{
     ChurnStream, Cluster, ClusterParams, ClusterReport, MigrationMode, PlacementPolicy,
     ScheduledMigration,
@@ -56,9 +55,6 @@ pub struct ClusterChurnParams {
     /// byte-identical for any value).  Per-host slice engines run
     /// single-threaded — the fleet is the parallelism axis here.
     pub threads: usize,
-    /// Per-host slice-executor backend (results are byte-identical
-    /// between the two).
-    pub engine: EngineKind,
     /// Mean epochs between churn events (0 disables churn).
     pub churn_period: u64,
     /// Pre-copy link bandwidth in pages per slice.
@@ -87,7 +83,6 @@ impl ClusterChurnParams {
             slice_accesses: 40,
             seed: hatric::DEFAULT_SEED,
             threads: 1,
-            engine: EngineKind::Sliced,
             churn_period: 10,
             copy_pages_per_slice: 64,
             throttle_after_rounds: 3,
@@ -111,7 +106,6 @@ impl ClusterChurnParams {
             slice_accesses: 25,
             seed: 0x7e57,
             threads: 1,
-            engine: EngineKind::Sliced,
             churn_period: 6,
             copy_pages_per_slice: 48,
             throttle_after_rounds: 3,
@@ -144,7 +138,6 @@ impl ClusterChurnParams {
             .with_sched(SchedPolicy::RoundRobin)
             .with_slice_accesses(self.slice_accesses)
             .with_threads(1)
-            .with_engine(self.engine)
             .with_seed(self.seed.wrapping_add(0x5eed * (host as u64 + 1)));
         for _ in 0..self.vm_slots() {
             cfg = cfg.with_vm(VmSpec::victim(self.vm_vcpus, quota));

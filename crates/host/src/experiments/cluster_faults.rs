@@ -15,7 +15,7 @@
 //! blackouts, DRAM brownouts and stalls across the fleet.
 //!
 //! Everything is keyed to epochs, so the whole faulted run stays
-//! byte-identical across thread counts and engine backends.  The headline
+//! byte-identical across thread counts.  The headline
 //! comparison: under the *same* fault storm, HATRIC must recover no
 //! slower than software shootdowns — aggregate victim slowdown and the
 //! p99 of recovery downtime (migration blackouts ∪ restart windows) both

@@ -12,15 +12,8 @@
 //! `BENCH_scale.json` *and* asserts that rows differing only in their
 //! thread count carry identical model metrics; the timing columns are
 //! machine-dependent and never gated.
-//!
-//! Every sweep point additionally re-runs under the message-passing
-//! engine ([`hatric::MessageEngine`]): the run panics if the two backends'
-//! reports differ, and the MP wall clock lands in its own ungated timing
-//! columns so the committed benchmark carries a side-by-side per-engine
-//! comparison.
 
 use hatric::metrics::HostReport;
-use hatric::EngineKind;
 use hatric_coherence::CoherenceMechanism;
 use hatric_hypervisor::SchedPolicy;
 use hatric_workloads::WorkloadKind;
@@ -150,28 +143,19 @@ pub struct HostScaleRow {
     /// The full host report (bit-identical across `threads` for a fixed
     /// `vcpus`).
     pub report: HostReport,
-    /// Wall-clock milliseconds of the run under the phased (sliced)
-    /// engine (machine-dependent, ungated).
+    /// Wall-clock milliseconds of the run (machine-dependent, ungated).
     pub elapsed_ms: f64,
     /// Measured accesses per wall-clock second (machine-dependent,
     /// ungated) — the speedup axis.
     pub accesses_per_sec: f64,
-    /// Wall-clock milliseconds of the same point under the
-    /// message-passing engine (machine-dependent, ungated).
-    pub mp_elapsed_ms: f64,
-    /// Message-passing engine accesses per wall-clock second
-    /// (machine-dependent, ungated).
-    pub mp_accesses_per_sec: f64,
 }
 
-/// Runs the sweep: every vCPU point × every thread point, each point under
-/// both slice-engine backends.
+/// Runs the sweep: every vCPU point × every thread point.
 ///
 /// # Panics
 ///
 /// Panics if a derived host configuration is invalid (it never is for the
-/// built-in parameter sets), or if the message-passing engine's report
-/// diverges from the phased engine's — the engines' conformance contract.
+/// built-in parameter sets).
 #[must_use]
 pub fn run(params: &HostScaleParams) -> Vec<HostScaleRow> {
     let mut rows = Vec::new();
@@ -182,25 +166,12 @@ pub fn run(params: &HostScaleParams) -> Vec<HostScaleRow> {
                 params.warmup_slices,
                 params.measured_slices,
             );
-            let timed_mp = crate::experiments::run_host_timed(
-                params
-                    .host_config(vcpus, threads)
-                    .with_engine(EngineKind::MessagePassing),
-                params.warmup_slices,
-                params.measured_slices,
-            );
-            assert_eq!(
-                timed.report, timed_mp.report,
-                "v{vcpus}_t{threads}: the message-passing engine must match the phased engine"
-            );
             rows.push(HostScaleRow {
                 vcpus,
                 threads,
                 report: timed.report,
                 elapsed_ms: timed.elapsed_ms,
                 accesses_per_sec: timed.accesses_per_sec,
-                mp_elapsed_ms: timed_mp.elapsed_ms,
-                mp_accesses_per_sec: timed_mp.accesses_per_sec,
             });
         }
     }

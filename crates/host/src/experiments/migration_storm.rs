@@ -21,7 +21,6 @@
 //!   ideal-coherence bound.
 
 use hatric::metrics::HostReport;
-use hatric::EngineKind;
 use hatric_coherence::CoherenceMechanism;
 use hatric_hypervisor::SchedPolicy;
 use hatric_migration::{BalloonParams, HostEvent, MigrationParams};
@@ -54,9 +53,6 @@ pub struct MigrationStormParams {
     /// Worker threads of the parallel slice engine (results are
     /// bit-identical for any value; only wall clock changes).
     pub threads: usize,
-    /// Slice-executor backend (results are byte-identical between the
-    /// two; only orchestration changes).
-    pub engine: EngineKind,
     /// Pre-copy link bandwidth in pages per slice.
     pub copy_pages_per_slice: u64,
     /// Stop-and-copy once a round leaves at most this many dirty pages.
@@ -88,7 +84,6 @@ impl MigrationStormParams {
             sched: SchedPolicy::RoundRobin,
             seed: hatric::DEFAULT_SEED,
             threads: 1,
-            engine: EngineKind::Sliced,
             copy_pages_per_slice: 64,
             dirty_page_threshold: 16,
             max_rounds: 8,
@@ -112,7 +107,6 @@ impl MigrationStormParams {
             sched: SchedPolicy::RoundRobin,
             seed: 0x7e57,
             threads: 1,
-            engine: EngineKind::Sliced,
             copy_pages_per_slice: 48,
             dirty_page_threshold: 24,
             max_rounds: 6,
@@ -157,7 +151,6 @@ impl MigrationStormParams {
             .with_sched(self.sched)
             .with_slice_accesses(self.slice_accesses)
             .with_threads(self.threads)
-            .with_engine(self.engine)
             .with_seed(self.seed)
             .with_vm(VmSpec::victim(self.migrant_vcpus, migrant_quota));
         for _ in 0..self.victims {

@@ -11,7 +11,6 @@
 //! slowdown collapses to (near) the ideal bound.
 
 use hatric::metrics::HostReport;
-use hatric::EngineKind;
 use hatric_coherence::CoherenceMechanism;
 use hatric_hypervisor::SchedPolicy;
 
@@ -43,9 +42,6 @@ pub struct MultiVmParams {
     /// Worker threads of the parallel slice engine (results are
     /// bit-identical for any value; only wall clock changes).
     pub threads: usize,
-    /// Slice-executor backend (results are byte-identical between the
-    /// two; only orchestration changes).
-    pub engine: EngineKind,
     /// Aggressor workload scale as a fraction of its die-stacked quota.
     /// The aggressor's footprint is `footprint_vs_fast() ×` this scale, so
     /// raising the factor raises its paging — and remap — rate while
@@ -71,7 +67,6 @@ impl MultiVmParams {
             sched: SchedPolicy::RoundRobin,
             seed: hatric::DEFAULT_SEED,
             threads: 1,
-            engine: EngineKind::Sliced,
             aggressor_footprint_factor: 1.0,
         }
     }
@@ -98,7 +93,6 @@ impl MultiVmParams {
             sched: SchedPolicy::RoundRobin,
             seed: 0x7e57,
             threads: 1,
-            engine: EngineKind::Sliced,
             aggressor_footprint_factor: 1.0,
         }
     }
@@ -118,7 +112,6 @@ impl MultiVmParams {
             .with_sched(self.sched)
             .with_slice_accesses(self.slice_accesses)
             .with_threads(self.threads)
-            .with_engine(self.engine)
             .with_seed(self.seed)
             .with_vm(aggressor);
         for _ in 0..self.victims {

@@ -31,7 +31,7 @@
 //! memory traffic — socket-local.
 
 use hatric::metrics::HostReport;
-use hatric::{EngineKind, NumaConfig};
+use hatric::NumaConfig;
 use hatric_coherence::CoherenceMechanism;
 use hatric_hypervisor::{NumaPolicy, SchedPolicy};
 
@@ -71,9 +71,6 @@ pub struct NumaContentionParams {
     /// Worker threads of the parallel slice engine (results are
     /// bit-identical for any value; only wall clock changes).
     pub threads: usize,
-    /// Slice-executor backend (results are byte-identical between the
-    /// two; only orchestration changes).
-    pub engine: EngineKind,
     /// Aggressor workload scale as a fraction of its die-stacked quota.
     pub aggressor_footprint_factor: f64,
 }
@@ -98,7 +95,6 @@ impl NumaContentionParams {
             sched: SchedPolicy::RoundRobin,
             seed: hatric::DEFAULT_SEED,
             threads: 1,
-            engine: EngineKind::Sliced,
             aggressor_footprint_factor: 1.0,
         }
     }
@@ -120,7 +116,6 @@ impl NumaContentionParams {
             sched: SchedPolicy::RoundRobin,
             seed: 0x7e57,
             threads: 1,
-            engine: EngineKind::Sliced,
             aggressor_footprint_factor: 1.0,
         }
     }
@@ -166,7 +161,6 @@ impl NumaContentionParams {
             .with_sched(self.sched)
             .with_slice_accesses(self.slice_accesses)
             .with_threads(self.threads)
-            .with_engine(self.engine)
             .with_seed(self.seed)
             .with_vm(aggressor);
         for i in 0..self.victims {

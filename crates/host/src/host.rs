@@ -3,7 +3,9 @@
 
 use hatric::metrics::{HostReport, MigrationStats, SimReport};
 use hatric::telemetry::{track, CounterTimeline, PhaseTotals, TraceEvent, TraceSink};
-use hatric::{EngineBackend, Platform, VmInstance, VmPagingParams, WorkloadDriver};
+use hatric::{
+    run_slice_parallel, EngineState, Platform, VmInstance, VmPagingParams, WorkloadDriver,
+};
 use hatric_hypervisor::{Placement, Scheduler, VmConfig};
 use hatric_memory::MemoryKind;
 use hatric_migration::{
@@ -43,10 +45,9 @@ pub struct ConsolidatedHost {
     /// with `current_slice` after the context switch — no per-slice
     /// allocation).
     next_slice_buf: Vec<Placement>,
-    /// The slice-executor backend ([`HostConfig::engine`] picks the
-    /// phased or the message-passing implementation; both are
-    /// byte-identical in their reports).
-    engine: Box<dyn EngineBackend>,
+    /// The slice engine's persistent state (frame pools, DRAM pending
+    /// overlays, worker pool, phase profiler).
+    engine: EngineState,
     slices_run: u64,
     /// Events not yet started (a migration due while another is in flight
     /// is deferred until the slot frees up).
@@ -134,7 +135,7 @@ impl ConsolidatedHost {
         };
         let pending_events = config.events.clone();
         let vm_active = vec![true; config.vms.len()];
-        let engine = config.engine.build(config.vms.len(), config.numa.sockets);
+        let engine = EngineState::new(config.vms.len(), config.numa.sockets);
         Ok(Self {
             config,
             platform,
@@ -343,14 +344,15 @@ impl ConsolidatedHost {
             .then(|| self.platform.cycles_per_cpu()[0]);
         // Simulate the slice's VM shards (on `config.threads` workers) and
         // commit their effect logs at the barrier — bit-identical for any
-        // thread count and either engine backend.
-        self.engine.run_slice(
+        // thread count.
+        run_slice_parallel(
             &mut self.platform,
             &mut self.vms,
             &mut self.drivers,
             &placements,
             self.config.slice_accesses,
             self.config.threads,
+            &mut self.engine,
         );
         self.next_slice_buf = std::mem::replace(&mut self.current_slice, placements);
         self.advance_events();
@@ -914,26 +916,6 @@ mod tests {
     fn oversubscription_shares_cpus_between_vms() {
         let host = tiny_host(CoherenceMechanism::Software);
         assert!(host.config().is_oversubscribed());
-    }
-
-    #[test]
-    fn message_engine_report_is_byte_identical_to_sliced() {
-        let cfg = HostConfig::scaled(4, 512)
-            .with_mechanism(CoherenceMechanism::Hatric)
-            .with_sched(SchedPolicy::RoundRobin)
-            .with_vm(VmSpec::aggressor(2, 256))
-            .with_vm(VmSpec::victim(2, 128));
-        let sliced = ConsolidatedHost::new(cfg.clone())
-            .expect("valid config")
-            .run(60, 120);
-        let mp = ConsolidatedHost::new(cfg.with_engine(hatric::EngineKind::MessagePassing))
-            .expect("valid config")
-            .run(60, 120);
-        assert_eq!(
-            format!("{sliced:?}"),
-            format!("{mp:?}"),
-            "the two engine backends must agree byte-for-byte"
-        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use scenario::{Params, Scale, Scenario, ScenarioReport};
 pub use hatric::metrics::{
     HostReport, InterferenceActivity, MigrationStats, NumaActivity, SimReport,
 };
-pub use hatric::{EngineKind, LinkConfig, NumaConfig};
+pub use hatric::{LinkConfig, NumaConfig};
 pub use hatric_coherence::CoherenceMechanism;
 pub use hatric_hypervisor::{NumaPolicy, Placement, SchedPolicy, Scheduler};
 pub use hatric_migration::{BalloonParams, HostEvent, MigrationParams, MigrationPhase};

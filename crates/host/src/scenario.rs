@@ -904,7 +904,6 @@ impl MultivmScenario {
             sched: SchedPolicy::RoundRobin,
             seed: params.u64("seed")?,
             threads: params.usize("threads")?,
-            engine: params.parsed("engine")?,
             aggressor_footprint_factor: 1.0,
         })
     }
@@ -933,7 +932,6 @@ impl Scenario for MultivmScenario {
             .with("slice_accesses", base.slice_accesses)
             .with("seed", base.seed)
             .with("threads", base.threads)
-            .with("engine", base.engine)
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
@@ -1062,7 +1060,6 @@ impl MigrationStormScenario {
             sched: SchedPolicy::RoundRobin,
             seed: params.u64("seed")?,
             threads: params.usize("threads")?,
-            engine: params.parsed("engine")?,
             copy_pages_per_slice: params.u64("copy_pages_per_slice")?,
             dirty_page_threshold: params.u64("dirty_page_threshold")?,
             max_rounds: params.u32("max_rounds")?,
@@ -1098,7 +1095,6 @@ impl Scenario for MigrationStormScenario {
             .with("max_rounds", base.max_rounds)
             .with("page_copy_cycles", base.page_copy_cycles)
             .with("threads", base.threads)
-            .with("engine", base.engine)
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
@@ -1227,7 +1223,6 @@ impl NumaContentionScenario {
             sched: SchedPolicy::RoundRobin,
             seed: params.u64("seed")?,
             threads: params.usize("threads")?,
-            engine: params.parsed("engine")?,
             aggressor_footprint_factor: params.f64("aggressor_footprint_factor")?,
         })
     }
@@ -1260,7 +1255,6 @@ impl Scenario for NumaContentionScenario {
                 base.aggressor_footprint_factor,
             )
             .with("threads", base.threads)
-            .with("engine", base.engine)
     }
 
     /// # Panics
@@ -1484,13 +1478,12 @@ impl Scenario for HostScaleScenario {
                 "host_disrupted_cycles",
                 row.report.host.interference.disrupted_cycles,
             );
-            // Each point also ran under the message-passing engine (its
-            // report asserted equal inside `host_scale::run`); its wall
-            // clock lands in ungated side-by-side timing columns.
-            let timed = timing_columns(built, &row.report, row.elapsed_ms, row.accesses_per_sec)
-                .ratio("mp_elapsed_ms", row.mp_elapsed_ms)
-                .ratio("mp_accesses_per_sec", row.mp_accesses_per_sec);
-            report.push(timed);
+            report.push(timing_columns(
+                built,
+                &row.report,
+                row.elapsed_ms,
+                row.accesses_per_sec,
+            ));
         }
         Ok(report)
     }
@@ -1589,7 +1582,6 @@ impl ClusterChurnScenario {
             slice_accesses: params.u64("slice_accesses")?,
             seed: params.u64("seed")?,
             threads: params.usize("threads")?,
-            engine: params.parsed("engine")?,
             churn_period: params.u64("churn_period")?,
             copy_pages_per_slice: params.u64("copy_pages_per_slice")?,
             throttle_after_rounds: params.u32("throttle_after_rounds")?,
@@ -1600,6 +1592,21 @@ impl ClusterChurnScenario {
     /// Validates a sizing without building the fleet (slot-count and
     /// capacity invariants surface as typed errors, not panics).
     fn validate(base: &ClusterChurnParams) -> Result<(), ConfigError> {
+        // `Cluster::new` asserts on all three; reject them here instead.
+        for (key, value) in [
+            ("hosts", base.hosts as u64),
+            ("epoch_slices", base.epoch_slices),
+        ] {
+            if value == 0 {
+                return Err(ConfigError::BadValue {
+                    key: key.to_string(),
+                    value: "0 (must be nonzero)".to_string(),
+                });
+            }
+        }
+        if base.threads == 0 {
+            return Err(ConfigError::ZeroThreads);
+        }
         for host in 0..base.hosts {
             base.host_config(host, CoherenceMechanism::Software)
                 .validate()?;
@@ -1638,7 +1645,6 @@ impl Scenario for ClusterChurnScenario {
             .with("throttle_after_rounds", base.throttle_after_rounds)
             .with("policy", base.policy.label())
             .with("threads", base.threads)
-            .with("engine", base.engine)
     }
 
     /// # Panics
@@ -1871,7 +1877,6 @@ impl Scenario for ClusterFaultsScenario {
             .with("throttle_after_rounds", base.throttle_after_rounds)
             .with("policy", base.policy.label())
             .with("threads", base.threads)
-            .with("engine", base.engine)
             .with("fault_seed", p.fault_seed)
             .with("fault_period", p.fault_period)
             .with("crash_after_epochs", p.crash_after_epochs)

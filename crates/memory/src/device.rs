@@ -91,7 +91,8 @@ pub struct MemoryDevice {
     /// Transient service-latency multiplier × 100 (`100` = nominal).
     /// Fault injection raises it during a DRAM brownout; every deposit —
     /// serial or planned — goes through [`MemoryDevice::effective_service`]
-    /// so both slice-engine backends observe the same degraded timing.
+    /// so the serial pipeline and the slice engine observe the same
+    /// degraded timing.
     service_multiplier_x100: u64,
 }
 

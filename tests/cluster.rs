@@ -3,9 +3,8 @@
 //! Three invariants, per the cluster design:
 //!
 //! 1. **Byte-identical fleets** — a `ClusterReport` is byte-identical
-//!    for any worker-thread count ({1, 2, 4}) and for both per-host
-//!    slice-executor backends (`sliced` and `mp`).  All cross-host
-//!    coupling is serialized at epoch boundaries, so the fleet's shape
+//!    for any worker-thread count ({1, 2, 4}).  All cross-host coupling
+//!    is serialized at epoch boundaries, so the fleet's shape
 //!    of parallelism must never leak into results.  The scenario layer
 //!    gets the same treatment through the registry (reusing the
 //!    `tests/common` timing-stripping helpers), which also covers the
@@ -25,7 +24,7 @@ use common::strip_timing;
 use hatric_cluster::PlacementPolicy;
 use hatric_host::experiments::ClusterChurnParams;
 use hatric_host::scenario::{find, Params, Scale};
-use hatric_host::{CoherenceMechanism, EngineKind};
+use hatric_host::CoherenceMechanism;
 
 /// A tighter sizing than [`ClusterChurnParams::quick`] for the sweeps
 /// that run many fleets.
@@ -58,26 +57,16 @@ fn fleet_fingerprint(params: &ClusterChurnParams, migrations: usize) -> String {
 #[test]
 fn cluster_report_is_byte_identical_across_threads_and_engines() {
     let reference = fleet_fingerprint(&tiny(), 2);
-    for engine in [EngineKind::Sliced, EngineKind::MessagePassing] {
-        for threads in [1usize, 2, 4] {
-            let params = ClusterChurnParams {
-                threads,
-                engine,
-                ..tiny()
-            };
-            let run = fleet_fingerprint(&params, 2);
-            assert_eq!(
-                run, reference,
-                "fleet diverged at threads={threads} engine={engine}"
-            );
-        }
+    for threads in [1usize, 2, 4] {
+        let params = ClusterChurnParams { threads, ..tiny() };
+        let run = fleet_fingerprint(&params, 2);
+        assert_eq!(run, reference, "fleet diverged at threads={threads}");
     }
 }
 
 /// The same invariant one layer up: the registered scenario's report JSON
 /// (the artifact `bench_check` gates) must be byte-identical across the
-/// worker-thread counts once wall-clock columns are stripped.  The
-/// engine axis at this layer is swept by `tests/engine_conformance.rs`.
+/// worker-thread counts once wall-clock columns are stripped.
 #[test]
 fn cluster_churn_scenario_report_is_thread_invariant() {
     let scenario = find("cluster_churn").expect("cluster_churn is registered");

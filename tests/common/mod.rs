@@ -12,19 +12,12 @@
 use hatric_host::diff::{diff_reports, DiffOptions};
 use hatric_host::scenario::{Row, ScenarioReport};
 use hatric_host::{
-    BalloonParams, CoherenceMechanism, ConsolidatedHost, EngineKind, HostConfig, HostEvent,
-    HostReport, MigrationParams, NumaConfig, NumaPolicy, SchedPolicy, VmSpec,
+    BalloonParams, CoherenceMechanism, ConsolidatedHost, HostConfig, HostEvent, HostReport,
+    MigrationParams, NumaConfig, NumaPolicy, SchedPolicy, VmSpec,
 };
 
 /// Keys whose values are wall-clock measurements (never deterministic).
-/// The `mp_`-prefixed pair comes first so the plain keys' post-strip
-/// sanity check cannot be confused by the longer names.
-pub const TIMING_KEYS: [&str; 4] = [
-    "mp_elapsed_ms",
-    "mp_accesses_per_sec",
-    "elapsed_ms",
-    "accesses_per_sec",
-];
+pub const TIMING_KEYS: [&str; 2] = ["elapsed_ms", "accesses_per_sec"];
 
 /// Strips the timing fields from a report's JSON text: the records are
 /// single-line flat objects, so dropping the `"key":value` pairs (and the
@@ -50,7 +43,7 @@ pub fn strip_timing(json: &str) -> String {
 }
 
 /// The `(label, mechanism)` keys of a report's rows, sorted — the shape
-/// comparison round-trip and conformance tests align rows on.
+/// comparison round-trip tests align rows on.
 pub fn sorted_row_keys(report: &ScenarioReport) -> Vec<String> {
     let mut keys: Vec<String> = report
         .rows
@@ -62,7 +55,7 @@ pub fn sorted_row_keys(report: &ScenarioReport) -> Vec<String> {
 }
 
 /// A randomized-but-valid consolidated-host draw: the knobs the
-/// determinism and engine-conformance property tests fuzz over.
+/// determinism property tests fuzz over.
 #[derive(Debug, Clone)]
 pub struct RandomHostSpec {
     /// Physical CPUs per socket.
@@ -85,8 +78,6 @@ pub struct RandomHostSpec {
     pub with_migration: bool,
     /// Slice-engine worker threads.
     pub threads: usize,
-    /// Slice-executor backend.
-    pub engine: EngineKind,
     /// Enable the sim-time trace sink (must not move a model metric).
     pub tracing: bool,
     /// Enable counter-timeline sampling at interval 1 (likewise inert).
@@ -131,7 +122,6 @@ impl RandomHostSpec {
             .with_sched(sched)
             .with_slice_accesses(self.slice_accesses)
             .with_threads(self.threads)
-            .with_engine(self.engine)
             .with_seed(self.seed);
         for (slot, &vcpus) in self.vm_vcpus.iter().enumerate() {
             let spec = if slot == 0 {
@@ -179,12 +169,6 @@ impl RandomHostSpec {
     /// Returns a copy running on `threads` workers.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Returns a copy running under `engine`.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 }

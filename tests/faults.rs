@@ -5,8 +5,8 @@
 //! 1. **Deterministic storms** — the `cluster_faults` storm (host crash
 //!    mid-migration, bounded retry, forced post-copy escalation, seeded
 //!    background link/DRAM faults) produces a byte-identical
-//!    `ClusterReport` across worker-thread counts {1, 2, 4} and both
-//!    slice-executor backends, at the committed Bench scale.  Faults
+//!    `ClusterReport` across worker-thread counts {1, 2, 4}, at the
+//!    committed Bench scale.  Faults
 //!    fire from sim-time, never wall-clock, so the fleet's shape of
 //!    parallelism must never leak into a faulted run.
 //! 2. **Abort rolls back to pristine** — a migration that stalls from its
@@ -29,7 +29,7 @@ use hatric_cluster::{
     MigrationMode, ScheduledMigration,
 };
 use hatric_host::experiments::{ClusterChurnParams, ClusterFaultsParams};
-use hatric_host::{CoherenceMechanism, ConsolidatedHost, EngineKind, MigrationParams};
+use hatric_host::{CoherenceMechanism, ConsolidatedHost, MigrationParams};
 use hatric_migration::ReceiverParams;
 
 /// Runs the engineered fault storm and renders the fleet report in full
@@ -44,7 +44,7 @@ fn storm_fingerprint(params: &ClusterFaultsParams) -> String {
 /// The acceptance contract: at the committed Bench scale, with the fixed
 /// fault seed, the storm injects at least one host crash and two
 /// migration aborts, and the `ClusterReport` is byte-identical across
-/// worker-thread counts {1, 2, 4} and both engine backends.
+/// worker-thread counts {1, 2, 4}.
 #[test]
 fn bench_scale_fault_storm_is_byte_identical_across_threads_and_engines() {
     let base = ClusterFaultsParams::default_scale();
@@ -61,20 +61,17 @@ fn bench_scale_fault_storm_is_byte_identical_across_threads_and_engines() {
         reference_report.recovery.migrations_aborted
     );
     let reference = format!("{reference_report:#?}");
-    for engine in [EngineKind::Sliced, EngineKind::MessagePassing] {
-        for threads in [1usize, 2, 4] {
-            if engine == base.base.engine && threads == base.base.threads {
-                continue; // that is the reference run itself
-            }
-            let mut params = base;
-            params.base.threads = threads;
-            params.base.engine = engine;
-            assert_eq!(
-                storm_fingerprint(&params),
-                reference,
-                "faulted fleet diverged at threads={threads} engine={engine}"
-            );
+    for threads in [1usize, 2, 4] {
+        if threads == base.base.threads {
+            continue; // that is the reference run itself
         }
+        let mut params = base;
+        params.base.threads = threads;
+        assert_eq!(
+            storm_fingerprint(&params),
+            reference,
+            "faulted fleet diverged at threads={threads}"
+        );
     }
 }
 
@@ -139,7 +136,6 @@ fn random_host(seed: u64, ordinal: usize) -> ConsolidatedHost {
         with_balloon: false,
         with_migration: false,
         threads: 1,
-        engine: EngineKind::Sliced,
         tracing: false,
         timeline: false,
         seed: seed ^ (0x5eed * (ordinal as u64 + 1)),

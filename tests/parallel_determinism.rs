@@ -4,7 +4,7 @@
 //! Every registered scenario runs at `Scale::Smoke` with `threads` ∈
 //! {1, 2, 4}; the resulting `ScenarioReport` JSON must be byte-identical
 //! once the machine-dependent wall-clock columns (`elapsed_ms`,
-//! `accesses_per_sec` and their `mp_` twins) are stripped.  A property
+//! `accesses_per_sec`) are stripped.  A property
 //! test then hammers the same invariant over randomized host
 //! configurations — vCPU/pCPU counts, sockets, mechanisms, schedulers,
 //! balloon events, in-flight migrations, tracing and counter-timeline
@@ -17,7 +17,6 @@ use proptest::prelude::*;
 
 use common::{divergence_summary, strip_timing, RandomHostSpec};
 use hatric_host::scenario::{registry, Params, Scale};
-use hatric_host::EngineKind;
 
 #[test]
 fn every_scenario_is_byte_identical_across_thread_counts() {
@@ -121,7 +120,6 @@ proptest! {
             with_balloon: with_balloon == 1,
             with_migration: with_migration == 1,
             threads: 1,
-            engine: EngineKind::Sliced,
             tracing: tracing == 1,
             timeline: timeline == 1,
             seed,

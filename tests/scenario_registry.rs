@@ -121,15 +121,14 @@ fn parameter_overrides_reach_the_run_and_unknown_keys_do_not() {
         .run(&Params::new().with("measured", 800), Scale::Smoke)
         .unwrap();
     assert!(!report.rows.is_empty());
-    let err = scenario
-        .run(&Params::new().with("measurd", 800), Scale::Smoke)
-        .unwrap_err();
-    assert_eq!(
-        err,
-        ConfigError::UnknownParam {
-            key: "measurd".into()
-        }
-    );
+    // A misspelt key, and a key no scenario declares.
+    for (name, key, value) in [("xen", "measurd", "800"), ("multivm", "engine", "mp")] {
+        let err = find(name)
+            .unwrap()
+            .run(&Params::new().with(key, value), Scale::Smoke)
+            .unwrap_err();
+        assert_eq!(err, ConfigError::UnknownParam { key: key.into() });
+    }
 }
 
 #[test]
@@ -151,4 +150,18 @@ fn invalid_override_values_are_typed_errors_not_panics() {
         .run(&Params::new().with("num_pcpus", 0), Scale::Smoke)
         .unwrap_err();
     assert_eq!(err, ConfigError::ZeroPcpus);
+    // Fleet sizings `Cluster::new` would assert on are rejected up front.
+    for name in ["cluster_churn", "cluster_faults"] {
+        let scenario = find(name).unwrap();
+        for key in ["hosts", "epoch_slices", "threads"] {
+            let err = scenario
+                .run(&Params::new().with(key, 0), Scale::Smoke)
+                .unwrap_err();
+            let typed = match key {
+                "threads" => err == ConfigError::ZeroThreads,
+                _ => matches!(&err, ConfigError::BadValue { key: k, .. } if k == key),
+            };
+            assert!(typed, "{name} {key}=0: unexpected {err:?}");
+        }
+    }
 }
