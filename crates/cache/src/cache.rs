@@ -1,4 +1,5 @@
-//! A set-associative private cache (tags + MESI state only).
+//! A set-associative cache (tags + MESI state only): the private L1 and L2
+//! of every CPU, and each LLC bank slice.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,16 +43,22 @@ impl PrivateCacheConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Way {
     line: CacheLineAddr,
     state: MesiState,
 }
 
 /// A private, set-associative, LRU cache tracking line tags and MESI state.
+///
+/// The ways live in one flat `sets × ways` array: set *s* owns slots
+/// `s·ways ..`, of which the first `len[s]` are valid and kept MRU-first.
 #[derive(Debug, Clone)]
 pub struct PrivateCache {
-    sets: Vec<Vec<Way>>,
+    /// `sets × ways` slots; set `s` occupies `slots[s * ways..][..lens[s]]`.
+    slots: Vec<Way>,
+    /// Valid lines per set.
+    lens: Vec<u32>,
     ways: usize,
     stats: RatioStat,
 }
@@ -66,34 +73,65 @@ impl PrivateCache {
     pub fn new(config: PrivateCacheConfig) -> Self {
         let sets = config.sets();
         assert!(sets > 0, "cache must have at least one set");
+        assert!(u32::try_from(config.ways).is_ok(), "too many ways");
+        let empty = Way {
+            line: CacheLineAddr::default(),
+            state: MesiState::Invalid,
+        };
         Self {
-            sets: vec![Vec::with_capacity(config.ways); sets],
+            slots: vec![empty; sets * config.ways],
+            lens: vec![0; sets],
             ways: config.ways,
             stats: RatioStat::new(),
         }
     }
 
+    /// The set of `line`: a mask when the set count is a power of two,
+    /// `%` otherwise (the same index either way).
     fn set_index(&self, line: CacheLineAddr) -> usize {
-        (line.index() as usize) % self.sets.len()
+        let sets = self.lens.len();
+        let index = line.index() as usize;
+        if sets.is_power_of_two() {
+            index & (sets - 1)
+        } else {
+            index % sets
+        }
+    }
+
+    /// The valid ways of `line`'s set.
+    fn set(&self, line: CacheLineAddr) -> &[Way] {
+        let set = self.set_index(line);
+        let base = set * self.ways;
+        &self.slots[base..base + self.lens[set] as usize]
+    }
+
+    /// The set index of `line`, that set's whole (valid and free) slot
+    /// range, and its valid count.
+    fn set_mut(&mut self, line: CacheLineAddr) -> (usize, &mut [Way], usize) {
+        let set = self.set_index(line);
+        let base = set * self.ways;
+        let len = self.lens[set] as usize;
+        (set, &mut self.slots[base..base + self.ways], len)
     }
 
     /// Looks up a line, promoting it to MRU.  Records hit/miss statistics.
     pub fn lookup(&mut self, line: CacheLineAddr) -> Option<MesiState> {
-        let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|w| w.line == line);
-        self.stats.record(pos.is_some());
-        let pos = pos?;
-        let way = self.sets[set].remove(pos);
-        let state = way.state;
-        self.sets[set].insert(0, way);
-        Some(state)
+        let (_, ways, len) = self.set_mut(line);
+        let Some(pos) = ways[..len].iter().position(|w| w.line == line) else {
+            self.stats.miss();
+            return None;
+        };
+        let way = ways[pos];
+        ways.copy_within(..pos, 1);
+        ways[0] = way;
+        self.stats.hit();
+        Some(way.state)
     }
 
     /// Probes a line without recency or statistics effects.
     #[must_use]
     pub fn probe(&self, line: CacheLineAddr) -> Option<MesiState> {
-        let set = (line.index() as usize) % self.sets.len();
-        self.sets[set]
+        self.set(line)
             .iter()
             .find(|w| w.line == line)
             .map(|w| w.state)
@@ -101,8 +139,8 @@ impl PrivateCache {
 
     /// Changes the MESI state of a present line; returns `false` if absent.
     pub fn set_state(&mut self, line: CacheLineAddr, state: MesiState) -> bool {
-        let set = self.set_index(line);
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.line == line) {
+        let (_, ways, len) = self.set_mut(line);
+        if let Some(way) = ways[..len].iter_mut().find(|w| w.line == line) {
             way.state = state;
             true
         } else {
@@ -117,35 +155,40 @@ impl PrivateCache {
         line: CacheLineAddr,
         state: MesiState,
     ) -> Option<(CacheLineAddr, MesiState)> {
-        let set = self.set_index(line);
-        if let Some(pos) = self.sets[set].iter().position(|w| w.line == line) {
-            self.sets[set].remove(pos);
+        let (set, ways, len) = self.set_mut(line);
+        let (shift, victim) = match ways[..len].iter().position(|w| w.line == line) {
+            Some(pos) => (pos, None),
+            None if len == ways.len() => (len - 1, Some(ways[len - 1])),
+            None => (len, None),
+        };
+        ways.copy_within(..shift, 1);
+        ways[0] = Way { line, state };
+        if shift == len {
+            self.lens[set] += 1;
         }
-        self.sets[set].insert(0, Way { line, state });
-        if self.sets[set].len() > self.ways {
-            self.sets[set].pop().map(|w| (w.line, w.state))
-        } else {
-            None
-        }
+        victim.map(|w| (w.line, w.state))
     }
 
     /// Removes a line (coherence invalidation); returns its state if present.
     pub fn invalidate(&mut self, line: CacheLineAddr) -> Option<MesiState> {
-        let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|w| w.line == line)?;
-        Some(self.sets[set].remove(pos).state)
+        let (set, ways, len) = self.set_mut(line);
+        let pos = ways[..len].iter().position(|w| w.line == line)?;
+        let state = ways[pos].state;
+        ways.copy_within(pos + 1..len, pos);
+        self.lens[set] -= 1;
+        Some(state)
     }
 
     /// Number of valid lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 
     /// Returns `true` if the cache holds no lines.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lens.iter().all(|&n| n == 0)
     }
 
     /// Hit/miss statistics.
@@ -163,6 +206,8 @@ impl PrivateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
 
     fn line(n: u64) -> CacheLineAddr {
         CacheLineAddr::new(n * CACHE_LINE_BYTES)
@@ -200,6 +245,121 @@ mod tests {
         cache.lookup(line(0));
         let victim = cache.fill(line(4), MesiState::Shared);
         assert_eq!(victim, Some((line(2), MesiState::Shared)));
+    }
+
+    /// The pre-flat layout — one heap `Vec` per set, LRU by `remove` +
+    /// `insert(0)` — kept as the reference the flat arrays must match.
+    struct Reference {
+        sets: Vec<Vec<(CacheLineAddr, MesiState)>>,
+        ways: usize,
+        stats: RatioStat,
+    }
+
+    impl Reference {
+        fn new(config: PrivateCacheConfig) -> Self {
+            Self {
+                sets: vec![Vec::new(); config.sets()],
+                ways: config.ways,
+                stats: RatioStat::new(),
+            }
+        }
+
+        fn set(&mut self, line: CacheLineAddr) -> &mut Vec<(CacheLineAddr, MesiState)> {
+            let len = self.sets.len();
+            &mut self.sets[(line.index() as usize) % len]
+        }
+
+        fn lookup(&mut self, line: CacheLineAddr) -> Option<MesiState> {
+            let set = self.set(line);
+            let pos = set.iter().position(|w| w.0 == line);
+            if let Some(pos) = pos {
+                let way = set.remove(pos);
+                set.insert(0, way);
+            }
+            self.stats.record(pos.is_some());
+            pos.map(|_| self.set(line)[0].1)
+        }
+
+        fn probe(&mut self, line: CacheLineAddr) -> Option<MesiState> {
+            self.set(line).iter().find(|w| w.0 == line).map(|w| w.1)
+        }
+
+        fn set_state(&mut self, line: CacheLineAddr, state: MesiState) -> bool {
+            match self.set(line).iter_mut().find(|w| w.0 == line) {
+                Some(way) => {
+                    way.1 = state;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn fill(
+            &mut self,
+            line: CacheLineAddr,
+            state: MesiState,
+        ) -> Option<(CacheLineAddr, MesiState)> {
+            let ways = self.ways;
+            let set = self.set(line);
+            if let Some(pos) = set.iter().position(|w| w.0 == line) {
+                set.remove(pos);
+            }
+            set.insert(0, (line, state));
+            if set.len() > ways {
+                set.pop()
+            } else {
+                None
+            }
+        }
+
+        fn invalidate(&mut self, line: CacheLineAddr) -> Option<MesiState> {
+            let set = self.set(line);
+            let pos = set.iter().position(|w| w.0 == line)?;
+            Some(set.remove(pos).1)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random operation sequences on small geometries (including 3 and
+        /// 6 sets, which select by `%` rather than a mask) return the same
+        /// values, victims, lengths and statistics as the reference.
+        #[test]
+        fn matches_the_vec_of_vecs_reference(
+            geometry in 0usize..5,
+            ops in proptest::collection::vec((0u8..12, 0u64..48, 0u8..3), 0..400),
+        ) {
+            let (sets, ways) = [(3, 2), (4, 2), (6, 4), (1, 8), (8, 1)][geometry];
+            let config = PrivateCacheConfig {
+                capacity_bytes: (sets * ways) as u64 * CACHE_LINE_BYTES,
+                ways,
+            };
+            let mut flat = PrivateCache::new(config);
+            let mut reference = Reference::new(config);
+            for (op, n, s) in ops {
+                let (l, state) = (line(n), [MesiState::Modified, MesiState::Exclusive, MesiState::Shared][s as usize]);
+                match op {
+                    0..=3 => prop_assert_eq!(flat.lookup(l), reference.lookup(l)),
+                    4 => prop_assert_eq!(flat.probe(l), reference.probe(l)),
+                    5 | 6 => prop_assert_eq!(flat.set_state(l, state), reference.set_state(l, state)),
+                    7..=9 => prop_assert_eq!(flat.fill(l, state), reference.fill(l, state)),
+                    _ => prop_assert_eq!(flat.invalidate(l), reference.invalidate(l)),
+                }
+                let contents: Vec<(CacheLineAddr, MesiState)> =
+                    reference.sets.iter().flatten().copied().collect();
+                prop_assert_eq!(flat.len(), contents.len());
+                for (l, state) in contents {
+                    prop_assert_eq!(flat.probe(l), Some(state));
+                }
+                prop_assert_eq!(flat.stats(), reference.stats);
+            }
+            // Same recency order: draining each set by fills of fresh lines
+            // evicts the same victims in the same order.
+            for n in 1_000..1_000 + (sets * ways) as u64 {
+                prop_assert_eq!(flat.fill(line(n), MesiState::Shared), reference.fill(line(n), MesiState::Shared));
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! translation structures), which the hierarchy layer performs.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
@@ -83,9 +84,12 @@ impl SharerSet {
 
     /// All CPUs in the set, ascending.
     pub fn iter(&self) -> impl Iterator<Item = CpuId> + '_ {
-        (0..64u32)
-            .filter(|i| (self.0 >> i) & 1 == 1)
-            .map(CpuId::new)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let cpu = (bits != 0).then(|| CpuId::new(bits.trailing_zeros()))?;
+            bits &= bits - 1;
+            Some(cpu)
+        })
     }
 
     /// Set difference: CPUs in `self` but not equal to `cpu`.
@@ -262,6 +266,21 @@ impl CoherenceDirectory {
         entry.last_touch = clock;
     }
 
+    /// Touches `line`'s entry, allocating it if absent, with one map probe.
+    /// Returns the entry and whether it was allocated.
+    fn touch_or_allocate(&mut self, line: CacheLineAddr) -> (&mut DirectoryEntry, bool) {
+        self.clock += 1;
+        let (entry, allocated) = match self.entries.entry(line) {
+            Entry::Occupied(entry) => (entry.into_mut(), false),
+            Entry::Vacant(entry) => {
+                self.stats.allocations.incr();
+                (entry.insert(DirectoryEntry::default()), true)
+            }
+        };
+        Self::touch(entry, self.clock);
+        (entry, allocated)
+    }
+
     /// Records that `cpu` read `line`.  Allocates an entry if needed and
     /// returns ownership-downgrade information plus any capacity victim.
     pub fn note_read(
@@ -269,14 +288,7 @@ impl CoherenceDirectory {
         line: CacheLineAddr,
         cpu: CpuId,
     ) -> (ReadNote, Option<(CacheLineAddr, DirectoryEntry)>) {
-        self.clock += 1;
-        let clock = self.clock;
-        let allocated = !self.entries.contains_key(&line);
-        if allocated {
-            self.stats.allocations.incr();
-        }
-        let entry = self.entries.entry(line).or_default();
-        Self::touch(entry, clock);
+        let (entry, allocated) = self.touch_or_allocate(line);
         let downgraded_owner = match entry.owner {
             Some(owner) if owner != cpu => {
                 entry.owner = None;
@@ -305,21 +317,14 @@ impl CoherenceDirectory {
         line: CacheLineAddr,
         cpu: CpuId,
     ) -> (WriteNote, Option<(CacheLineAddr, DirectoryEntry)>) {
-        self.clock += 1;
-        let clock = self.clock;
-        let allocated = !self.entries.contains_key(&line);
-        if allocated {
-            self.stats.allocations.incr();
-        }
-        let entry = self.entries.entry(line).or_default();
-        Self::touch(entry, clock);
+        let (entry, allocated) = self.touch_or_allocate(line);
         let targets = entry.sharers.without(cpu);
         let pt_kind = entry.pt_kind();
+        entry.sharers = SharerSet::only(cpu);
+        entry.owner = Some(cpu);
         if pt_kind.is_some() {
             self.stats.pt_writes.incr();
         }
-        entry.sharers = SharerSet::only(cpu);
-        entry.owner = Some(cpu);
         let note = WriteNote {
             invalidate_targets: targets,
             pt_kind,
@@ -343,18 +348,26 @@ impl CoherenceDirectory {
         }
     }
 
-    /// Removes `cpu` from the sharer list of `line` (eager update on private
-    /// cache eviction — used for non-page-table lines, and for page-table
-    /// lines only in the Fig. 12 "EGR-dir-update" ablation).
-    pub fn remove_sharer(&mut self, line: CacheLineAddr, cpu: CpuId) {
-        if let Some(entry) = self.entries.get_mut(&line) {
-            entry.sharers.remove(cpu);
-            if entry.owner == Some(cpu) {
-                entry.owner = None;
-            }
-            if entry.sharers.is_empty() && entry.pt_kind().is_none() {
-                self.entries.remove(&line);
-            }
+    /// Records that `cpu`'s private caches evicted `line`.  The CPU leaves
+    /// the sharer list (eager update) unless the line holds page-table
+    /// entries: those keep it, since the CPU's translation structures may
+    /// still cache translations from the line (HATRIC's lazy policy,
+    /// Fig. 6), except in the Fig. 12 "EGR-dir-update" ablation
+    /// (`eager_pt`).  A plain line left without sharers is dropped.
+    pub fn note_private_eviction(&mut self, line: CacheLineAddr, cpu: CpuId, eager_pt: bool) {
+        let Some(entry) = self.entries.get_mut(&line) else {
+            return;
+        };
+        let is_pt = entry.pt_kind().is_some();
+        if is_pt && !eager_pt {
+            return;
+        }
+        entry.sharers.remove(cpu);
+        if entry.owner == Some(cpu) {
+            entry.owner = None;
+        }
+        if entry.sharers.is_empty() && !is_pt {
+            self.entries.remove(&line);
         }
     }
 
@@ -451,6 +464,28 @@ mod tests {
         assert_eq!(dir.stats().evictions.get() as usize, victims);
     }
 
+    /// Pins the capacity-eviction victims.  The sampled eviction picks its
+    /// victim in `HashMap` iteration order, which std does not promise to
+    /// keep (it depends on `DefaultHasher` and the table layout); if a
+    /// toolchain changes either, every gated baseline drifts, and this test
+    /// names the cause.
+    #[test]
+    fn eviction_victims_are_pinned() {
+        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 16 });
+        let mut victims = Vec::new();
+        for i in 0..64u64 {
+            let (_, victim) = dir.note_read(line(i * 37 % 41), CpuId::new((i % 4) as u32));
+            victims.extend(victim.map(|(l, _)| l.index()));
+        }
+        assert_eq!(
+            victims,
+            [
+                0, 29, 21, 17, 13, 9, 5, 1, 30, 14, 34, 10, 22, 6, 2, 39, 35, 31, 27, 19, 11, 7, 3,
+                40, 36, 23, 32, 28, 24, 20, 16, 12, 8, 0, 29, 21, 17, 13, 9, 5, 1, 34
+            ]
+        );
+    }
+
     #[test]
     fn lazy_demotion_removes_sharer() {
         let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded());
@@ -465,12 +500,16 @@ mod tests {
     fn remove_sharer_drops_untracked_plain_lines() {
         let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded());
         dir.note_read(line(9), CpuId::new(0));
-        dir.remove_sharer(line(9), CpuId::new(0));
+        dir.note_private_eviction(line(9), CpuId::new(0), false);
         assert!(dir.entry(line(9)).is_none());
-        // Page-table lines are retained even with no sharers.
+        // Page-table lines keep the sharer lazily...
         dir.note_read(line(10), CpuId::new(0));
         dir.mark_pt(line(10), PtKind::Guest);
-        dir.remove_sharer(line(10), CpuId::new(0));
+        dir.note_private_eviction(line(10), CpuId::new(0), false);
+        assert!(dir.is_sharer(line(10), CpuId::new(0)));
+        // ...and are retained even with no sharers when updated eagerly.
+        dir.note_private_eviction(line(10), CpuId::new(0), true);
+        assert!(!dir.is_sharer(line(10), CpuId::new(0)));
         assert!(dir.entry(line(10)).is_some());
     }
 }

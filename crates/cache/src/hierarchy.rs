@@ -427,12 +427,13 @@ impl PrivatePair {
 pub struct CacheBank {
     llc: PrivateCache,
     directory: CoherenceDirectory,
-    /// Total bank count (the stride of this bank's line population).  Lines
-    /// routed to bank *b* all have `index ≡ b (mod bank_count)`, so the
-    /// bank's internal set index uses the *folded* index `index / count` —
-    /// without the fold, only `1/count` of the bank's sets would ever be
-    /// reachable (the index's low bits are constant within a bank).
-    fold: u64,
+    /// log2 of the total bank count (the stride of this bank's line
+    /// population; bank counts are powers of two).  Lines routed to bank
+    /// *b* all have `index ≡ b (mod bank_count)`, so the bank's internal set
+    /// index uses the *folded* index `index / count` — without the fold,
+    /// only `1/count` of the bank's sets would ever be reachable (the
+    /// index's low bits are constant within a bank).
+    fold_shift: u32,
     /// Bank-side statistics (LLC hits, DRAM accesses, invalidations sent,
     /// pt-line writes, back-invalidations, victim writebacks).  Summed over
     /// banks — integer counters, so the summation order is irrelevant.
@@ -440,10 +441,10 @@ pub struct CacheBank {
 }
 
 impl CacheBank {
-    /// The bank-internal key of `line`: the folded index (`index / fold`),
-    /// a bijection within the bank's line population.
+    /// The bank-internal key of `line`: the folded index
+    /// (`index / bank_count`), a bijection within the bank's line population.
     fn llc_key(&self, line: CacheLineAddr) -> CacheLineAddr {
-        CacheLineAddr::new((line.index() / self.fold) * 64)
+        CacheLineAddr::new((line.index() >> self.fold_shift) * 64)
     }
 
     /// Whether this bank's LLC slice holds `line` (no recency effects).
@@ -575,16 +576,10 @@ impl CacheBank {
                 if dirty {
                     self.stats.writebacks.incr();
                 }
-                let is_pt = self
-                    .directory
-                    .entry(line)
-                    .map(|e| e.pt_kind().is_some())
-                    .unwrap_or(false);
                 // Lazy sharer updates for page-table lines (HATRIC, Fig. 6);
                 // eager for everything else or when the ablation flag is set.
-                if !is_pt || eager_pt_directory_update {
-                    self.directory.remove_sharer(line, cpu);
-                }
+                self.directory
+                    .note_private_eviction(line, cpu, eager_pt_directory_update);
             }
             SharedCacheOp::MarkPt { line, kind } => {
                 self.directory.mark_pt(line, kind);
@@ -625,8 +620,6 @@ impl CacheBank {
 #[derive(Debug, Clone)]
 pub struct SharedCache {
     banks: Vec<CacheBank>,
-    /// Total LLC sets across banks (the line → bank mapping's modulus).
-    llc_sets: usize,
     eager_pt_directory_update: bool,
     /// Statistics fed by the private side (L1/L2 ratios, spurious
     /// invalidations, downgrade writebacks) — everything a bank replay
@@ -636,7 +629,9 @@ pub struct SharedCache {
 
 impl SharedCache {
     /// The largest power-of-two bank count ≤ 16 that divides the set count
-    /// (falling back towards 1 for tiny test geometries).
+    /// (falling back towards 1 for tiny test geometries).  Because it
+    /// divides the set count, a line's bank is its set index mod the bank
+    /// count, i.e. its line index's low bits.
     fn bank_count_for(sets: usize) -> usize {
         let mut banks = 16usize;
         while banks > 1 && (!sets.is_multiple_of(banks) || sets / banks == 0) {
@@ -648,7 +643,7 @@ impl SharedCache {
     /// Which bank `line` belongs to.
     #[must_use]
     pub fn bank_of(&self, line: CacheLineAddr) -> usize {
-        (line.index() as usize % self.llc_sets) % self.banks.len()
+        line.index() as usize & (self.banks.len() - 1)
     }
 
     /// Number of banks (fixed by geometry).
@@ -675,6 +670,9 @@ pub struct CacheHierarchy {
     private: Vec<PrivatePair>,
     shared: SharedCache,
     config: CacheHierarchyConfig,
+    /// The private effects of the op being replayed serially, reused
+    /// across ops.
+    priv_scratch: Vec<(u64, PrivEffect)>,
 }
 
 impl CacheHierarchy {
@@ -701,7 +699,7 @@ impl CacheHierarchy {
                     capacity_bytes: config.llc_bytes / bank_count as u64,
                     ways: config.llc_ways,
                 }),
-                fold: bank_count as u64,
+                fold_shift: bank_count.trailing_zeros(),
                 directory: CoherenceDirectory::new(DirectoryConfig {
                     // A bounded directory splits its capacity across banks
                     // (at least one entry per bank — `0` means unbounded
@@ -719,11 +717,11 @@ impl CacheHierarchy {
             private,
             shared: SharedCache {
                 banks,
-                llc_sets,
                 eager_pt_directory_update: config.eager_pt_directory_update,
                 stats: CacheStatsSnapshot::default(),
             },
             config,
+            priv_scratch: Vec::new(),
         }
     }
 
@@ -961,7 +959,8 @@ impl CacheHierarchy {
     fn apply_serial(&mut self, op: &SharedCacheOp) -> (BankOutcome, CommitOutcome) {
         let eager = self.shared.eager_pt_directory_update;
         let bank = self.shared.bank_of(op.line());
-        let mut privs: Vec<(u64, PrivEffect)> = Vec::new();
+        let mut privs = std::mem::take(&mut self.priv_scratch);
+        privs.clear();
         let bank_outcome = self.shared.banks[bank].apply_op(op, 0, eager, &mut privs);
         let mut commit = CommitOutcome::default();
         for (_, effect) in &privs {
@@ -972,6 +971,7 @@ impl CacheHierarchy {
                 commit.spurious_sharers.add(spurious);
             }
         }
+        self.priv_scratch = privs;
         (bank_outcome, commit)
     }
 

@@ -51,7 +51,7 @@ impl MmuCacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 struct PscKey {
     vm: VmId,
     asid: AddressSpaceId,
@@ -60,7 +60,7 @@ struct PscKey {
 }
 
 /// A paging-structure cache entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MmuCacheEntry {
     /// System-physical frame of the guest page-table node at `level - 1`.
     pub node_spp: SystemFrame,
@@ -160,7 +160,7 @@ impl MmuCache {
     /// many were removed.
     pub fn invalidate_cotag(&mut self, cotag: CoTag) -> u64 {
         self.entries
-            .invalidate_matching(|_, e| e.nested_cotag == cotag || e.guest_cotag == cotag)
+            .invalidate_matching(|_, e| (e.nested_cotag == cotag) | (e.guest_cotag == cotag))
     }
 
     /// Flushes entries belonging to `vm`; returns how many.

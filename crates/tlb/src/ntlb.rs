@@ -36,14 +36,14 @@ impl NestedTlbConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 struct NestedKey {
     vm: VmId,
     gpp: GuestFrame,
 }
 
 /// A cached GPP → SPP translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NestedTlbEntry {
     /// The system-physical frame backing the guest-physical frame.
     pub spp: SystemFrame,

@@ -11,7 +11,7 @@ use hatric_types::{
 
 use crate::mmu_cache::{MmuCache, MmuCacheConfig, MmuCacheEntry, MmuCacheHit};
 use crate::ntlb::{NestedTlb, NestedTlbConfig, NestedTlbEntry};
-use crate::tlb::{Tlb, TlbConfig, TlbEntry};
+use crate::tlb::{Tlb, TlbConfig, TlbEntry, TlbKey};
 
 /// Sizes of every translation structure on one CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -177,22 +177,24 @@ impl TranslationStructures {
     }
 
     /// Looks up a data translation in the L1 then L2 TLB.  An L2 hit is
-    /// promoted into L1.
+    /// promoted into L1.  The key is hashed once for both levels.
     pub fn lookup_data(
         &mut self,
         vm: VmId,
         asid: AddressSpaceId,
         gvp: GuestVirtPage,
     ) -> Option<DataLookup> {
-        if let Some(entry) = self.l1.lookup(vm, asid, gvp) {
+        let key = TlbKey { vm, asid, gvp };
+        let hash = Tlb::hash(&key);
+        if let Some(entry) = self.l1.lookup_hashed(&key, hash) {
             return Some(DataLookup {
                 spp: entry.spp,
                 level: TlbLevel::L1,
                 writable: entry.writable,
             });
         }
-        if let Some(entry) = self.l2.lookup(vm, asid, gvp) {
-            if let Some((victim_gvp, victim)) = self.l1.fill(vm, asid, gvp, entry) {
+        if let Some(entry) = self.l2.lookup_hashed(&key, hash) {
+            if let Some((victim_gvp, victim)) = self.l1.fill_hashed(key, hash, entry) {
                 // L1 victims are written back into L2 (exclusive-ish policy
                 // keeps the victim visible at the next level).
                 self.l2.fill(vm, asid, victim_gvp, victim);
@@ -207,7 +209,8 @@ impl TranslationStructures {
     }
 
     /// Fills the TLBs with a data translation from a completed walk (or from
-    /// a bare-metal fill when `guest_pte_addr` is `None`).
+    /// a bare-metal fill when `guest_pte_addr` is `None`).  The key is
+    /// hashed once for both levels.
     pub fn fill_data(
         &mut self,
         vm: VmId,
@@ -223,10 +226,12 @@ impl TranslationStructures {
             guest_cotag: guest_pte_addr.map(|a| self.cotag(a)),
             writable: true,
         };
-        if let Some((victim_gvp, victim)) = self.l1.fill(vm, asid, gvp, entry) {
+        let key = TlbKey { vm, asid, gvp };
+        let hash = Tlb::hash(&key);
+        if let Some((victim_gvp, victim)) = self.l1.fill_hashed(key, hash, entry) {
             self.l2.fill(vm, asid, victim_gvp, victim);
         }
-        self.l2.fill(vm, asid, gvp, entry);
+        self.l2.fill_hashed(key, hash, entry);
     }
 
     fn ntlb_translate(
@@ -279,7 +284,7 @@ impl TranslationStructures {
             None => 4,
         };
 
-        for (idx, step) in walk.guest_steps.iter().enumerate() {
+        for step in &walk.guest_steps {
             if step.level > start_level {
                 continue;
             }
@@ -297,7 +302,6 @@ impl TranslationStructures {
                 );
             }
             refs.push(step.guest_pte_addr);
-            let _ = idx;
         }
 
         // Final nested walk for the data frame.
@@ -311,25 +315,23 @@ impl TranslationStructures {
 
         // Fill the paging-structure cache: an entry at level L points at the
         // guest node of level L-1, whose location the walk just established.
-        for step in &walk.guest_steps {
-            if step.level == 1 {
-                continue;
-            }
-            // The node at `step.level - 1` is the table the *next* guest step
-            // reads; its system frame is that step's table segment result.
-            if let Some(next) = walk.guest_steps.iter().find(|s| s.level == step.level - 1) {
-                self.mmu.fill(
-                    vm,
-                    asid,
-                    walk.gvp,
-                    step.level,
-                    MmuCacheEntry {
-                        node_spp: next.table_segment.spp,
-                        nested_cotag: self.cotag(next.table_segment.leaf_pte_addr()),
-                        guest_cotag: self.cotag(step.guest_pte_addr),
-                    },
-                );
-            }
+        // The node at `step.level - 1` is the table the *next* guest step
+        // reads (steps run gL4 .. gL1); its system frame is that step's table
+        // segment result.
+        for pair in walk.guest_steps.windows(2) {
+            let (step, next) = (&pair[0], &pair[1]);
+            debug_assert_eq!(next.level + 1, step.level, "guest steps run gL4 .. gL1");
+            self.mmu.fill(
+                vm,
+                asid,
+                walk.gvp,
+                step.level,
+                MmuCacheEntry {
+                    node_spp: next.table_segment.spp,
+                    nested_cotag: self.cotag(next.table_segment.leaf_pte_addr()),
+                    guest_cotag: self.cotag(step.guest_pte_addr),
+                },
+            );
         }
 
         // Finally fill the TLBs with the requested translation.

@@ -46,7 +46,7 @@ impl TlbConfig {
 
 /// The lookup key of a TLB entry: translations are private to a VM and a
 /// guest address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TlbKey {
     /// Owning virtual machine.
     pub vm: VmId,
@@ -57,7 +57,7 @@ pub struct TlbKey {
 }
 
 /// A cached GVP → SPP translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbEntry {
     /// System-physical frame the page maps to.
     pub spp: SystemFrame,
@@ -103,7 +103,18 @@ impl Tlb {
         gvp: GuestVirtPage,
     ) -> Option<TlbEntry> {
         let key = TlbKey { vm, asid, gvp };
-        let result = self.entries.lookup(&key).copied();
+        self.lookup_hashed(&key, Self::hash(&key))
+    }
+
+    /// The set-selection hash of `key`, shared by every TLB level so a
+    /// two-level lookup or fill hashes once.
+    pub(crate) fn hash(key: &TlbKey) -> u64 {
+        SetAssoc::<TlbKey, TlbEntry>::hash_key(key)
+    }
+
+    /// [`Tlb::lookup`] with a precomputed [`Tlb::hash`].
+    pub(crate) fn lookup_hashed(&mut self, key: &TlbKey, hash: u64) -> Option<TlbEntry> {
+        let result = self.entries.lookup_hashed(hash, key).copied();
         self.stats.record(result.is_some());
         result
     }
@@ -122,8 +133,19 @@ impl Tlb {
         gvp: GuestVirtPage,
         entry: TlbEntry,
     ) -> Option<(GuestVirtPage, TlbEntry)> {
+        let key = TlbKey { vm, asid, gvp };
+        self.fill_hashed(key, Self::hash(&key), entry)
+    }
+
+    /// [`Tlb::fill`] with a precomputed [`Tlb::hash`].
+    pub(crate) fn fill_hashed(
+        &mut self,
+        key: TlbKey,
+        hash: u64,
+        entry: TlbEntry,
+    ) -> Option<(GuestVirtPage, TlbEntry)> {
         self.entries
-            .insert(TlbKey { vm, asid, gvp }, entry)
+            .insert_hashed(hash, key, entry)
             .map(|(k, v)| (k.gvp, v))
     }
 
@@ -138,7 +160,7 @@ impl Tlb {
     /// coherence-message path.
     pub fn invalidate_cotag(&mut self, cotag: CoTag) -> u64 {
         self.entries
-            .invalidate_matching(|_, e| e.nested_cotag == cotag || e.guest_cotag == Some(cotag))
+            .invalidate_matching(|_, e| (e.nested_cotag == cotag) | (e.guest_cotag == Some(cotag)))
     }
 
     /// Flushes every entry belonging to `vm`; returns the number flushed.
