@@ -2,7 +2,8 @@
 //!
 //! One generic loop over the scenario registry: every scenario with a
 //! committed baseline (`Scenario::baseline_stem`) is re-run at
-//! `Scale::Bench` — the exact scale and seeds the benches use — and its
+//! `Scale::Bench` — the exact scale and seeds the baselines were recorded
+//! at — and its
 //! gated metrics (`Scenario::gated_metrics`, smaller-is-better) are
 //! compared against the committed `BENCH_*.json` by the same diff engine
 //! the `scenarios diff` observatory exposes
@@ -21,13 +22,15 @@
 //! for intentional model changes, which must re-commit the JSON files when
 //! they move a metric past it.  The gate fails closed: a fresh row with no
 //! committed baseline (missing/corrupt JSON, renamed sweep point) is an
-//! error too — re-run the benches and commit the regenerated files.
+//! error too — regenerate the baseline with
+//! `scenarios run <name> --scale bench --json BENCH_<stem>.json` and
+//! commit it.
 //!
 //! Run with: `cargo run --release -p hatric-bench --bin bench_check`
 
-use hatric_bench::{baseline_path, collect_records};
+use hatric_bench::baseline_path;
 use hatric_host::diff::{diff_reports, DiffOptions, MetricDelta};
-use hatric_host::scenario::{registry, ScenarioReport};
+use hatric_host::scenario::{registry, Params, Scale, ScenarioReport};
 
 /// Allowed relative regression before the gate fails.
 const TOLERANCE: f64 = 0.10;
@@ -76,7 +79,11 @@ fn main() {
         let Some(path) = baseline_path(scenario.name()) else {
             continue; // table-only scenario, nothing committed to gate
         };
-        let report = collect_records(scenario.name(), false);
+        let report = scenario
+            .run(&Params::new(), Scale::Bench)
+            .unwrap_or_else(|err| {
+                panic!("{}: default parameters are valid: {err}", scenario.name())
+            });
         if scenario.name() == "host_scale" {
             thread_drift += check_thread_determinism(&report);
         }
@@ -158,8 +165,9 @@ fn main() {
             .map(|stem| format!("BENCH_{stem}.json"))
             .collect();
         eprintln!(
-            "bench_check: {} row(s) have no committed baseline — regenerate the \
-             scenario benches with `cargo bench -p hatric-bench` and commit {}",
+            "bench_check: {} row(s) have no committed baseline — regenerate them \
+             with `scenarios run <name> --scale bench --json BENCH_<stem>.json` \
+             and commit {}",
             missing.len(),
             baselines.join(" / ")
         );

@@ -185,60 +185,50 @@ fn run(args: &[String]) -> Result<(), String> {
         // The writer layer — not Scenario::run — appends the ungated
         // environment metadata, so run() output stays byte-identical
         // whether or not it is being written to disk.
-        let threads = hatric_host::scenario::resolve_params(scenario, &overrides, scale)
+        let threads = scenario
+            .resolve(&overrides, scale)
             .ok()
-            .and_then(|p| p.get("threads").and_then(|v| v.parse::<u64>().ok()));
+            .and_then(|p| p.u64("threads").ok());
         let body = append_meta_record(&report.to_json(), &bench_meta_json(threads));
         std::fs::write(&path, body).map_err(|err| format!("cannot write {path}: {err}"))?;
         println!("wrote {} rows to {path}", report.rows.len());
     }
     if let Some(path) = trace {
-        match scenario.trace_run(&overrides, scale) {
-            None => {
-                return Err(format!(
-                    "--trace: scenario `{}` has no traced configuration",
-                    scenario.name()
-                ));
-            }
-            Some(Err(err)) => return Err(format!("--trace: {err}")),
-            Some(Ok(trace_json)) => {
-                let dropped = trace_dropped_spans(&trace_json);
-                std::fs::write(&path, trace_json)
-                    .map_err(|err| format!("cannot write {path}: {err}"))?;
-                println!("wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)");
-                if dropped > 0 {
-                    eprintln!(
-                        "warning: the trace ring wrapped — {dropped} oldest span(s) were \
-                         dropped before export (see droppedSpans in the file's metadata)"
-                    );
-                }
-            }
+        let trace_json = scenario
+            .trace_run(&overrides, scale)
+            .map_err(|err| format!("--trace: {err}"))?;
+        let dropped = trace_dropped_spans(&trace_json);
+        std::fs::write(&path, trace_json).map_err(|err| format!("cannot write {path}: {err}"))?;
+        println!("wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)");
+        if dropped > 0 {
+            eprintln!(
+                "warning: the trace ring wrapped — {dropped} oldest span(s) were \
+                 dropped before export (see droppedSpans in the file's metadata)"
+            );
         }
     }
     if let Some(path) = timeline {
-        match scenario.timeline_run(&overrides, scale) {
-            None => {
-                return Err(format!(
+        let recorded = scenario
+            .timeline_run(&overrides, scale)
+            .map_err(|err| format!("--timeline: {err}"))?
+            .ok_or_else(|| {
+                format!(
                     "--timeline: scenario `{}` has no host commit barrier to sample \
                      (host scenarios only)",
                     scenario.name()
-                ));
-            }
-            Some(Err(err)) => return Err(format!("--timeline: {err}")),
-            Some(Ok(recorded)) => {
-                std::fs::write(&path, recorded.export_chrome_counters())
-                    .map_err(|err| format!("cannot write {path}: {err}"))?;
-                let csv_path = csv_sibling(&path);
-                std::fs::write(&csv_path, recorded.export_csv())
-                    .map_err(|err| format!("cannot write {csv_path}: {err}"))?;
-                println!(
-                    "wrote {} timeline samples × {} series to {path} (Chrome counters) \
-                     and {csv_path} (CSV)",
-                    recorded.len(),
-                    recorded.series().len()
-                );
-            }
-        }
+                )
+            })?;
+        std::fs::write(&path, recorded.export_chrome_counters())
+            .map_err(|err| format!("cannot write {path}: {err}"))?;
+        let csv_path = csv_sibling(&path);
+        std::fs::write(&csv_path, recorded.export_csv())
+            .map_err(|err| format!("cannot write {csv_path}: {err}"))?;
+        println!(
+            "wrote {} timeline samples × {} series to {path} (Chrome counters) \
+             and {csv_path} (CSV)",
+            recorded.len(),
+            recorded.series().len()
+        );
     }
     Ok(())
 }

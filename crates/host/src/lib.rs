@@ -21,7 +21,7 @@
 //!   from victim VMs, disruptive events received, and victim slowdown
 //!   versus the ideal-coherence bound.
 //! * [`experiments::multivm`] packages the aggressor/victim experiment the
-//!   `multivm_interference` bench and the `consolidated_host` example run.
+//!   `multivm` scenario and the `consolidated_host` example run.
 //! * The [`scenario`] layer is the **single entry point to every
 //!   experiment**: a [`scenario::Scenario`] trait + static
 //!   [`scenario::registry`], a uniform [`scenario::ScenarioReport`] schema

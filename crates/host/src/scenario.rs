@@ -16,7 +16,11 @@
 //!   recorded at) and `Full` (longer steady state).
 //! * [`Params`] is an ordered key→value map of the scenario's tunable
 //!   sizing, serialisable and overridable from the `scenarios` CLI; unknown
-//!   keys are rejected with a typed [`ConfigError`].
+//!   keys are rejected with a typed [`ConfigError`].  Each scenario family
+//!   declares its keys once, in one parameter table over its typed sizing
+//!   (`sizing!`), which both renders the defaults and parses overrides.
+//! * [`Probe`] is the one representative run a scenario's traces and
+//!   counter timelines magnify ([`Scenario::probe`]).
 //! * [`ScenarioReport`] is the one output schema: labelled
 //!   `(config, mechanism) → metrics` [`Row`]s whose JSON form is exactly
 //!   the `BENCH_*.json` format the benches have always committed — the
@@ -34,13 +38,14 @@
 //! ```
 
 use hatric::experiments::{
-    execute_traced, fig10, fig11, fig2, fig7, fig8, fig9, xen, ExperimentParams, RunSpec,
+    execute_traced, fig10, fig11, fig12, fig13, fig2, fig7, fig8, fig9, xen, ExperimentParams,
+    RunSpec,
 };
 use hatric::metrics::HostReport;
 use hatric::telemetry::{global_phase_totals, CounterTimeline, EnginePhase};
 use hatric::{PagingKnobs, WorkloadKind};
-use hatric_cluster::PlacementPolicy;
-use hatric_coherence::CoherenceMechanism;
+use hatric_cluster::{Cluster, ClusterReport, PlacementPolicy};
+use hatric_coherence::{CoherenceMechanism, DesignVariant};
 use hatric_hypervisor::{NumaPolicy, SchedPolicy};
 use hatric_types::ConfigError;
 
@@ -148,23 +153,6 @@ impl Params {
         &self.entries
     }
 
-    /// Overlays `overrides` onto `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::UnknownParam`] if an override key is not part
-    /// of this parameter set — every scenario pre-populates its full key
-    /// set, so an unknown key is a typo, not a new knob.
-    pub fn apply(&mut self, overrides: &Params) -> Result<(), ConfigError> {
-        for (key, value) in &overrides.entries {
-            if self.get(key).is_none() {
-                return Err(ConfigError::UnknownParam { key: key.clone() });
-            }
-            self.set(key, value);
-        }
-        Ok(())
-    }
-
     /// Parses `key` as a `u64`.
     ///
     /// # Errors
@@ -172,37 +160,6 @@ impl Params {
     /// [`ConfigError::UnknownParam`] if the key is absent,
     /// [`ConfigError::BadValue`] if it does not parse.
     pub fn u64(&self, key: &str) -> Result<u64, ConfigError> {
-        self.parsed(key)
-    }
-
-    /// Parses `key` as a `usize`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Params::u64`].
-    pub fn usize(&self, key: &str) -> Result<usize, ConfigError> {
-        self.parsed(key)
-    }
-
-    /// Parses `key` as an `f64`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Params::u64`].
-    pub fn f64(&self, key: &str) -> Result<f64, ConfigError> {
-        self.parsed(key)
-    }
-
-    /// Parses `key` as a `u32`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Params::u64`].
-    pub fn u32(&self, key: &str) -> Result<u32, ConfigError> {
-        self.parsed(key)
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, ConfigError> {
         let value = self.get(key).ok_or_else(|| ConfigError::UnknownParam {
             key: key.to_string(),
         })?;
@@ -586,12 +543,374 @@ pub fn record_field<'a>(record: &'a [(String, String)], key: &str) -> Option<&'a
 }
 
 // ---------------------------------------------------------------------------
+// Parameter tables
+// ---------------------------------------------------------------------------
+
+/// One typed field of a sizing, as its parameter table sees it: rendered
+/// into a [`Params`] value and parsed back out of one.
+trait Field {
+    fn render(&self) -> String;
+
+    /// Parses `text` into `self`; returns `false`, leaving `self` as it
+    /// was, if `text` does not parse.
+    fn assign(&mut self, text: &str) -> bool;
+}
+
+macro_rules! parsed_fields {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn render(&self) -> String {
+                self.to_string()
+            }
+
+            fn assign(&mut self, text: &str) -> bool {
+                text.parse().map(|value| *self = value).is_ok()
+            }
+        }
+    )*};
+}
+
+parsed_fields!(u32, u64, usize, f64);
+
+impl Field for PlacementPolicy {
+    fn render(&self) -> String {
+        self.label().to_string()
+    }
+
+    fn assign(&mut self, text: &str) -> bool {
+        PlacementPolicy::parse(text)
+            .map(|policy| *self = policy)
+            .is_ok()
+    }
+}
+
+/// A scenario family's typed sizing together with its one parameter table:
+/// the ordered list of keys, each bound to the field of the same name.
+/// [`Scenario::default_params`] renders the table from the sizing at a
+/// [`Scale`]; parsing overlays a [`Params`] onto that same sizing, so the
+/// key list, the defaults and the parser cannot drift apart.
+trait Sizing: Sized {
+    /// The sizing at [`Scale::Smoke`].
+    fn smoke() -> Self;
+
+    /// The sizing at [`Scale::Bench`].
+    fn bench() -> Self;
+
+    /// The sizing at [`Scale::Full`].
+    fn full() -> Self {
+        doubled(Self::bench())
+    }
+
+    /// The warmup and measured phase lengths.
+    fn phases(&mut self) -> [&mut u64; 2];
+
+    /// Visits every parameter, key and typed field, in key order.
+    fn table(&mut self, visit: &mut dyn FnMut(&'static str, &mut dyn Field));
+
+    /// Rejects sizings the runners would panic on.
+    fn validate(&self) -> Result<(), ConfigError> {
+        Ok(())
+    }
+
+    fn render(mut self) -> Params {
+        let mut params = Params::new();
+        self.table(&mut |key, field| params.set(key, field.render()));
+        params
+    }
+
+    /// The sizing at `scale` with `overrides` applied and validated.
+    fn parse(overrides: &Params, scale: Scale) -> Result<Self, ConfigError> {
+        let mut sizing = match scale {
+            Scale::Smoke => Self::smoke(),
+            Scale::Bench => Self::bench(),
+            Scale::Full => Self::full(),
+        };
+        for (key, value) in overrides.entries() {
+            let mut parsed = None;
+            sizing.table(&mut |k, field| {
+                if k == key {
+                    parsed = Some(field.assign(value));
+                }
+            });
+            match parsed {
+                None => return Err(ConfigError::UnknownParam { key: key.clone() }),
+                Some(false) => {
+                    return Err(ConfigError::BadValue {
+                        key: key.clone(),
+                        value: value.clone(),
+                    })
+                }
+                Some(true) => {}
+            }
+        }
+        sizing.validate()?;
+        Ok(sizing)
+    }
+}
+
+/// `sizing` with its warmup and measured phases doubled: [`Scale::Full`]
+/// keeps the Bench machine, so Full numbers stay comparable to the
+/// committed bench-scale ones, and only lengthens the steady state.
+fn doubled<S: Sizing>(mut sizing: S) -> S {
+    for phase in sizing.phases() {
+        *phase *= 2;
+    }
+    sizing
+}
+
+/// Declares a [`Sizing`]: its Smoke and Bench constructors, its phase
+/// fields, optionally a nested sizing whose table comes first
+/// (`extends`) and a validation fn, then its own keys in order.
+macro_rules! sizing {
+    (
+        $ty:ty {
+            smoke: $smoke:expr,
+            bench: $bench:expr,
+            $(full: $full:expr,)?
+            phases: [$($warmup:ident).+, $($measured:ident).+],
+            $(extends: $inner:ident,)?
+            $(validate: $validate:expr,)?
+            table: [$($key:ident),* $(,)?] $(,)?
+        }
+    ) => {
+        impl Sizing for $ty {
+            fn smoke() -> Self {
+                $smoke
+            }
+
+            fn bench() -> Self {
+                $bench
+            }
+
+            $(fn full() -> Self {
+                $full
+            })?
+
+            fn phases(&mut self) -> [&mut u64; 2] {
+                [&mut self.$($warmup).+, &mut self.$($measured).+]
+            }
+
+            fn table(&mut self, visit: &mut dyn FnMut(&'static str, &mut dyn Field)) {
+                $(self.$inner.table(visit);)?
+                $(visit(stringify!($key), &mut self.$key);)*
+            }
+
+            $(fn validate(&self) -> Result<(), ConfigError> {
+                let validate: fn(&Self) -> Result<(), ConfigError> = $validate;
+                validate(self)
+            })?
+        }
+    };
+}
+
+sizing! {
+    MultiVmParams {
+        smoke: MultiVmParams::quick(),
+        bench: MultiVmParams::default_scale(),
+        phases: [warmup_slices, measured_slices],
+        table: [
+            num_pcpus, fast_pages, aggressor_vcpus, victims, victim_vcpus,
+            warmup_slices, measured_slices, slice_accesses, seed, threads,
+        ],
+    }
+}
+
+sizing! {
+    MigrationStormParams {
+        smoke: MigrationStormParams::quick(),
+        bench: MigrationStormParams::default_scale(),
+        phases: [warmup_slices, measured_slices],
+        table: [
+            num_pcpus, fast_pages, migrant_vcpus, victims, victim_vcpus,
+            warmup_slices, measured_slices, slice_accesses, seed,
+            copy_pages_per_slice, dirty_page_threshold, max_rounds,
+            page_copy_cycles, threads,
+        ],
+    }
+}
+
+sizing! {
+    NumaContentionParams {
+        smoke: NumaContentionParams::quick(),
+        bench: NumaContentionParams::default_scale(),
+        phases: [warmup_slices, measured_slices],
+        table: [
+            num_pcpus, fast_pages, aggressor_vcpus, victims, victim_vcpus,
+            warmup_slices, measured_slices, slice_accesses, seed,
+            aggressor_footprint_factor, threads,
+        ],
+    }
+}
+
+sizing! {
+    HostScaleParams {
+        smoke: HostScaleParams::quick(),
+        bench: HostScaleParams::default_scale(),
+        phases: [warmup_slices, measured_slices],
+        table: [
+            vcpus_min, vcpus_max, threads_max, fast_pages_per_vcpu,
+            warmup_slices, measured_slices, slice_accesses, seed,
+        ],
+    }
+}
+
+sizing! {
+    ClusterChurnParams {
+        smoke: ClusterChurnParams::quick(),
+        bench: ClusterChurnParams::default_scale(),
+        phases: [warmup_epochs, measured_epochs],
+        validate: validate_fleet,
+        table: [
+            hosts, num_pcpus, fast_pages, active_vms, spare_slots, vm_vcpus,
+            epoch_slices, warmup_epochs, measured_epochs, slice_accesses, seed,
+            churn_period, copy_pages_per_slice, throttle_after_rounds, policy,
+            threads,
+        ],
+    }
+}
+
+sizing! {
+    ClusterFaultsParams {
+        smoke: ClusterFaultsParams::quick(),
+        bench: ClusterFaultsParams::default_scale(),
+        phases: [base.warmup_epochs, base.measured_epochs],
+        extends: base,
+        validate: validate_storm,
+        table: [
+            fault_seed, fault_period, crash_after_epochs, stall_epochs,
+            stall_timeout_epochs, max_retries, retry_backoff_epochs,
+            restart_penalty_cycles,
+        ],
+    }
+}
+
+sizing! {
+    ExperimentParams {
+        smoke: ExperimentParams::quick(),
+        bench: fig_bench_params(),
+        phases: [warmup, measured],
+        validate: validate_figure,
+        table: [vcpus, fast_pages, warmup, measured, seed],
+    }
+}
+
+/// The Fig. 10 sizing: the figure family's plus the number of SPEC mixes.
+struct Fig10Params {
+    base: ExperimentParams,
+    mixes: usize,
+}
+
+sizing! {
+    Fig10Params {
+        smoke: Fig10Params { base: ExperimentParams::smoke(), mixes: 3 },
+        bench: Fig10Params { base: ExperimentParams::bench(), mixes: 12 },
+        full: Fig10Params { mixes: 20, ..doubled(Self::bench()) },
+        phases: [base.warmup, base.measured],
+        extends: base,
+        validate: |params: &Self| validate_figure(&params.base),
+        table: [mixes],
+    }
+}
+
+/// The sizing the figure scenarios run at [`Scale::Bench`]: smaller than
+/// [`ExperimentParams::default_scale`] so a bench-scale figure stays under
+/// a few minutes, larger than [`ExperimentParams::quick`] for steady state.
+fn fig_bench_params() -> ExperimentParams {
+    ExperimentParams {
+        vcpus: 16,
+        fast_pages: 1_024,
+        warmup: 1_500,
+        measured: 2_500,
+        seed: hatric::DEFAULT_SEED,
+    }
+}
+
+/// A workload needs at least one thread, so a VM needs at least one vCPU.
+fn validate_figure(params: &ExperimentParams) -> Result<(), ConfigError> {
+    if params.vcpus == 0 {
+        return Err(ConfigError::ZeroVcpus { slot: None });
+    }
+    Ok(())
+}
+
+/// Validates a fleet sizing without building the fleet: `Cluster::new`
+/// asserts on zero hosts, epoch slices or threads, and every host must
+/// pass host validation.
+fn validate_fleet(params: &ClusterChurnParams) -> Result<(), ConfigError> {
+    for (key, value) in [
+        ("hosts", params.hosts as u64),
+        ("epoch_slices", params.epoch_slices),
+    ] {
+        if value == 0 {
+            return Err(ConfigError::BadValue {
+                key: key.to_string(),
+                value: "0 (must be nonzero)".to_string(),
+            });
+        }
+    }
+    if params.threads == 0 {
+        return Err(ConfigError::ZeroThreads);
+    }
+    for host in 0..params.hosts {
+        params
+            .host_config(host, CoherenceMechanism::Software)
+            .validate()?;
+    }
+    Ok(())
+}
+
+/// Validates a fault-storm sizing: the engineered storm needs four hosts.
+fn validate_storm(params: &ClusterFaultsParams) -> Result<(), ConfigError> {
+    if params.base.hosts < 4 {
+        return Err(ConfigError::BadValue {
+            key: "hosts".to_string(),
+            value: format!(
+                "{} (the engineered fault storm needs at least four hosts)",
+                params.base.hosts
+            ),
+        });
+    }
+    validate_fleet(&params.base)
+}
+
+// ---------------------------------------------------------------------------
 // The Scenario trait and registry
 // ---------------------------------------------------------------------------
 
+/// The one representative run of a scenario that `--trace` and
+/// `--timeline` magnify (see [`Scenario::probe`]).
+pub enum Probe {
+    /// One consolidated host run.
+    Host {
+        /// The host to build (validated when the probe runs).
+        config: HostConfig,
+        /// Warmup slices.
+        warmup: u64,
+        /// Measured slices.
+        measured: u64,
+    },
+    /// One fleet run.
+    Fleet {
+        /// The fleet, built and ready to run.
+        cluster: Box<Cluster<ConsolidatedHost>>,
+        /// Warmup epochs.
+        warmup: u64,
+        /// Measured epochs.
+        measured: u64,
+    },
+    /// One single-VM [`hatric::System`] run.
+    System {
+        /// The workload, mechanism and machine variant.
+        spec: RunSpec,
+        /// The sizing.
+        params: ExperimentParams,
+    },
+}
+
 /// One experiment, as a uniform, registry-discoverable unit: a name, a
-/// one-line claim, a declarative parameter set per [`Scale`], and a runner
-/// that yields a [`ScenarioReport`].
+/// one-line claim, a declarative parameter set per [`Scale`], a runner
+/// that yields a [`ScenarioReport`], and the one run its traces and
+/// timelines magnify.
 pub trait Scenario: Sync {
     /// Registry name (what `scenarios run <name>` takes).
     fn name(&self) -> &'static str;
@@ -599,10 +918,23 @@ pub trait Scenario: Sync {
     /// The one-line claim this scenario demonstrates.
     fn describe(&self) -> &'static str;
 
+    /// The effective parameters of a run at `scale`: `params` parsed onto
+    /// the scenario's typed sizing and rendered back as its full key set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::UnknownParam`] for keys the scenario does not
+    /// accept, [`ConfigError::BadValue`] for values that do not parse, and
+    /// the validation error of a sizing the runners cannot run.
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError>;
+
     /// The full parameter set at `scale` — every key this scenario accepts,
     /// with its default value.  Overrides outside this key set are rejected
     /// by [`Scenario::run`].
-    fn default_params(&self, scale: Scale) -> Params;
+    fn default_params(&self, scale: Scale) -> Params {
+        self.resolve(&Params::new(), scale)
+            .expect("default parameters are valid")
+    }
 
     /// Runs the scenario with `params` overlaid on the defaults at `scale`.
     ///
@@ -612,37 +944,94 @@ pub trait Scenario: Sync {
     /// overrides or a parameter combination that fails host validation.
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError>;
 
-    /// Runs **one representative traced configuration** of this scenario
-    /// (with `params` overlaid on the defaults at `scale`) and returns the
-    /// Chrome trace-event JSON — what `scenarios run <name> --trace out.json`
-    /// writes.  The default is `None` for scenarios with nothing to trace;
-    /// every registered scenario overrides it (host scenarios through their
-    /// [`ConsolidatedHost`], figure scenarios through the single-VM
-    /// [`hatric::System`]).
+    /// The **one representative configuration** of this scenario (with
+    /// `params` overlaid on the defaults at `scale`) that
+    /// [`Scenario::trace_run`] and [`Scenario::timeline_run`] execute.
     ///
-    /// Scenarios trace a single sweep point under one mechanism (software
+    /// Scenarios probe a single sweep point under one mechanism (software
     /// shootdowns where the sweep includes them, for the richest remap →
     /// IPI fan-out → ack lifecycles) rather than re-running the whole
     /// matrix: a trace is a magnifying glass, not a report.
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let _ = (params, scale);
-        None
+    ///
+    /// # Errors
+    ///
+    /// As for [`Scenario::run`].
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError>;
+
+    /// Runs the [`Scenario::probe`] with sim-time tracing enabled and
+    /// returns the Chrome trace-event JSON — what `scenarios run <name>
+    /// --trace out.json` writes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Scenario::run`].
+    fn trace_run(&self, params: &Params, scale: Scale) -> Result<String, ConfigError> {
+        let trace = match self.probe(params, scale)? {
+            Probe::Host {
+                config,
+                warmup,
+                measured,
+            } => {
+                let mut host = validated_host(config)?;
+                host.enable_tracing(TRACE_CAPACITY);
+                host.run(warmup, measured);
+                host.export_trace()
+            }
+            Probe::Fleet {
+                mut cluster,
+                warmup,
+                measured,
+            } => {
+                cluster.enable_tracing(TRACE_CAPACITY);
+                cluster.run(warmup, measured);
+                cluster.export_trace()
+            }
+            Probe::System { spec, params } => {
+                Some(execute_traced(&spec, &params, TRACE_CAPACITY).1)
+            }
+        };
+        Ok(trace.expect("tracing was enabled above"))
     }
 
-    /// Runs **one representative configuration** with the commit-barrier
-    /// counter sampler enabled and returns its [`CounterTimeline`] — what
-    /// `scenarios run <name> --timeline out.json` exports as Chrome counter
-    /// events plus a CSV sibling.  The default is `None`: the sampler hooks
-    /// the consolidated host's commit barrier, so scenarios built on the
-    /// single-VM [`hatric::System`] (`fig2`, `fig7`, `fig8`, `fig9`,
-    /// `fig10`, `xen`) have no timeline to sample.
+    /// Runs the [`Scenario::probe`] with the commit-barrier counter sampler
+    /// enabled and returns its [`CounterTimeline`] — what `scenarios run
+    /// <name> --timeline out.json` exports as Chrome counter events plus a
+    /// CSV sibling.  The warmup phase is sampled too, then discarded with
+    /// the other warmup measurements, so the timeline covers exactly the
+    /// measured phase.  `None` for [`Probe::System`] scenarios: the single-VM
+    /// [`hatric::System`] has no commit barrier to sample.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Scenario::run`].
     fn timeline_run(
         &self,
         params: &Params,
         scale: Scale,
-    ) -> Option<Result<CounterTimeline, ConfigError>> {
-        let _ = (params, scale);
-        None
+    ) -> Result<Option<CounterTimeline>, ConfigError> {
+        let timeline = match self.probe(params, scale)? {
+            Probe::Host {
+                config,
+                warmup,
+                measured,
+            } => {
+                let mut host = validated_host(config)?;
+                host.enable_timeline((measured / TIMELINE_TARGET_SAMPLES).max(1));
+                host.run(warmup, measured);
+                host.timeline().cloned()
+            }
+            Probe::Fleet {
+                mut cluster,
+                warmup,
+                measured,
+            } => {
+                cluster.enable_timeline((measured / FLEET_TIMELINE_TARGET_SAMPLES).max(1));
+                cluster.run(warmup, measured);
+                cluster.timeline().cloned()
+            }
+            Probe::System { .. } => return Ok(None),
+        };
+        Ok(Some(timeline.expect("the timeline was enabled above")))
     }
 
     /// Stem of this scenario's committed baseline trajectory
@@ -675,6 +1064,8 @@ pub fn registry() -> &'static [&'static dyn Scenario] {
         &Fig9Scenario,
         &Fig10Scenario,
         &Fig11Scenario,
+        &Fig12Scenario,
+        &Fig13Scenario,
         &XenScenario,
     ];
     REGISTRY
@@ -706,29 +1097,12 @@ pub fn catalog_markdown() -> String {
     out
 }
 
-/// Resolves the effective parameters of a scenario run: the scenario's
-/// defaults at `scale` with `overrides` applied.
-///
-/// # Errors
-///
-/// Returns [`ConfigError::UnknownParam`] for override keys the scenario
-/// does not accept.
-pub fn resolve_params(
-    scenario: &dyn Scenario,
-    overrides: &Params,
-    scale: Scale,
-) -> Result<Params, ConfigError> {
-    let mut params = scenario.default_params(scale);
-    params.apply(overrides)?;
-    Ok(params)
-}
-
 fn mechanism_label(mechanism: CoherenceMechanism) -> String {
     format!("{mechanism:?}")
 }
 
 // ---------------------------------------------------------------------------
-// Shared row plumbing, tracing and bench metadata
+// Shared row plumbing, probe runs and bench metadata
 // ---------------------------------------------------------------------------
 
 /// Appends the row tail every host scenario shares: the machine-dependent
@@ -784,46 +1158,20 @@ fn attribution_columns(row: Row, report: &HostReport) -> Row {
 /// spare.
 const TRACE_CAPACITY: usize = 1 << 16;
 
-/// Runs `config` with sim-time tracing enabled and returns the Chrome
-/// trace-event JSON document ([`Scenario::trace_run`]'s workhorse).
-fn traced_host_run(config: HostConfig, warmup: u64, measured: u64) -> Result<String, ConfigError> {
-    config.validate()?;
-    let mut host = ConsolidatedHost::new(config).expect("the configuration was just validated");
-    host.enable_tracing(TRACE_CAPACITY);
-    host.run(warmup, measured);
-    Ok(host.export_trace().expect("tracing was enabled above"))
-}
-
-/// Samples a timeline run targets roughly this many points across its
+/// Samples a host timeline run targets roughly this many points across its
 /// measured phase, independent of scale — enough resolution to see phase
 /// structure, few enough that the export stays small.
 const TIMELINE_TARGET_SAMPLES: u64 = 256;
 
-/// Runs `config` with commit-barrier counter sampling enabled and returns
-/// the recorded timeline ([`Scenario::timeline_run`]'s workhorse).  The
-/// warmup phase is sampled too, then discarded with the other warmup
-/// measurements, so the timeline covers exactly the measured slices.
-fn timeline_host_run(
-    config: HostConfig,
-    warmup: u64,
-    measured: u64,
-) -> Result<CounterTimeline, ConfigError> {
-    config.validate()?;
-    let mut host = ConsolidatedHost::new(config).expect("the configuration was just validated");
-    host.enable_timeline((measured / TIMELINE_TARGET_SAMPLES).max(1));
-    host.run(warmup, measured);
-    Ok(host
-        .timeline()
-        .expect("the timeline was enabled above")
-        .clone())
-}
+/// The same target for a fleet timeline, which samples once per epoch at
+/// most: a fleet's measured phase counts epochs, not slices.
+const FLEET_TIMELINE_TARGET_SAMPLES: u64 = 64;
 
-/// Runs one traced single-VM figure configuration and returns the Chrome
-/// trace-event JSON (the [`Scenario::trace_run`] workhorse of the figure
-/// scenarios, mirroring [`traced_host_run`] for [`hatric::System`] runs).
-fn traced_system_run(spec: &RunSpec, params: &ExperimentParams) -> String {
-    let (_report, trace) = execute_traced(spec, params, TRACE_CAPACITY);
-    trace
+/// Builds the host of a [`Probe::Host`], surfacing an invalid
+/// configuration as a typed error.
+fn validated_host(config: HostConfig) -> Result<ConsolidatedHost, ConfigError> {
+    config.validate()?;
+    Ok(ConsolidatedHost::new(config).expect("the configuration was just validated"))
 }
 
 /// Renders the ungated environment-metadata record the JSON writers append
@@ -853,9 +1201,8 @@ pub fn bench_meta_json(threads: Option<u64>) -> String {
 
 /// Splices a flat `meta` record (e.g. [`bench_meta_json`] output) into a
 /// [`ScenarioReport::to_json`] document as its trailing record.  Applied
-/// only at the writer layer — `scenarios run --json` and the bench
-/// baseline writer — so `Scenario::run` output itself stays byte-identical
-/// with and without metadata.
+/// only at the writer layer — `scenarios run --json` — so `Scenario::run`
+/// output itself stays byte-identical with and without metadata.
 #[must_use]
 pub fn append_meta_record(json: &str, meta: &str) -> String {
     match json.rfind("\n]") {
@@ -877,38 +1224,6 @@ pub struct MultivmScenario;
 /// while the aggressor's footprint-to-quota ratio grows.
 const PRESSURE_SWEEP: [(&str, f64); 3] = [("mild", 0.4), ("moderate", 1.0), ("severe", 2.0)];
 
-impl MultivmScenario {
-    fn base(scale: Scale) -> MultiVmParams {
-        match scale {
-            Scale::Smoke => MultiVmParams::quick(),
-            Scale::Bench => MultiVmParams::default_scale(),
-            Scale::Full => {
-                let mut p = MultiVmParams::default_scale();
-                p.warmup_slices *= 2;
-                p.measured_slices *= 2;
-                p
-            }
-        }
-    }
-
-    fn typed(params: &Params) -> Result<MultiVmParams, ConfigError> {
-        Ok(MultiVmParams {
-            num_pcpus: params.usize("num_pcpus")?,
-            fast_pages: params.u64("fast_pages")?,
-            aggressor_vcpus: params.usize("aggressor_vcpus")?,
-            victims: params.usize("victims")?,
-            victim_vcpus: params.usize("victim_vcpus")?,
-            warmup_slices: params.u64("warmup_slices")?,
-            measured_slices: params.u64("measured_slices")?,
-            slice_accesses: params.u64("slice_accesses")?,
-            sched: SchedPolicy::RoundRobin,
-            seed: params.u64("seed")?,
-            threads: params.usize("threads")?,
-            aggressor_footprint_factor: 1.0,
-        })
-    }
-}
-
 impl Scenario for MultivmScenario {
     fn name(&self) -> &'static str {
         "multivm"
@@ -919,24 +1234,12 @@ impl Scenario for MultivmScenario {
          software shootdowns"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        let base = Self::base(scale);
-        Params::new()
-            .with("num_pcpus", base.num_pcpus)
-            .with("fast_pages", base.fast_pages)
-            .with("aggressor_vcpus", base.aggressor_vcpus)
-            .with("victims", base.victims)
-            .with("victim_vcpus", base.victim_vcpus)
-            .with("warmup_slices", base.warmup_slices)
-            .with("measured_slices", base.measured_slices)
-            .with("slice_accesses", base.slice_accesses)
-            .with("seed", base.seed)
-            .with("threads", base.threads)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(MultiVmParams::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = Self::typed(&merged)?;
+        let base = MultiVmParams::parse(params, scale)?;
         // Validate every sweep point up front so a bad parameter
         // combination surfaces as a typed error, not a panic mid-sweep.
         for (_, factor) in PRESSURE_SWEEP {
@@ -969,39 +1272,15 @@ impl Scenario for MultivmScenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                // The severe sweep point under software shootdowns: the
-                // most remap traffic the scenario generates.
-                let point = base.with_aggressor_footprint_factor(2.0);
-                traced_host_run(
-                    point.host_config(CoherenceMechanism::Software),
-                    point.warmup_slices,
-                    point.measured_slices,
-                )
-            });
-        Some(traced)
-    }
-
-    fn timeline_run(
-        &self,
-        params: &Params,
-        scale: Scale,
-    ) -> Option<Result<CounterTimeline, ConfigError>> {
-        let timeline = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                // The same severe software point the trace magnifies.
-                let point = base.with_aggressor_footprint_factor(2.0);
-                timeline_host_run(
-                    point.host_config(CoherenceMechanism::Software),
-                    point.warmup_slices,
-                    point.measured_slices,
-                )
-            });
-        Some(timeline)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The severe sweep point under software shootdowns: the most remap
+        // traffic the scenario generates.
+        let point = MultiVmParams::parse(params, scale)?.with_aggressor_footprint_factor(2.0);
+        Ok(Probe::Host {
+            config: point.host_config(CoherenceMechanism::Software),
+            warmup: point.warmup_slices,
+            measured: point.measured_slices,
+        })
     }
 
     fn baseline_stem(&self) -> Option<&'static str> {
@@ -1022,50 +1301,14 @@ impl Scenario for MultivmScenario {
 /// every mechanism.
 pub struct MigrationStormScenario;
 
-impl MigrationStormScenario {
-    fn base(scale: Scale) -> MigrationStormParams {
-        match scale {
-            Scale::Smoke => MigrationStormParams::quick(),
-            Scale::Bench => MigrationStormParams::default_scale(),
-            Scale::Full => {
-                let mut p = MigrationStormParams::default_scale();
-                p.warmup_slices *= 2;
-                p.measured_slices *= 2;
-                p
-            }
-        }
-    }
-
-    /// Balloon size of the `with_balloon` sweep point.  At bench scale 300
-    /// pages squeeze victim 1 well below its ~307-page footprint, producing
-    /// a sustained post-balloon remap storm; the smoke host is a quarter
-    /// the size, so the balloon shrinks with it.
-    fn balloon_pages(scale: Scale) -> u64 {
-        match scale {
-            Scale::Smoke => 64,
-            Scale::Bench | Scale::Full => 300,
-        }
-    }
-
-    fn typed(params: &Params) -> Result<MigrationStormParams, ConfigError> {
-        Ok(MigrationStormParams {
-            num_pcpus: params.usize("num_pcpus")?,
-            fast_pages: params.u64("fast_pages")?,
-            migrant_vcpus: params.usize("migrant_vcpus")?,
-            victims: params.usize("victims")?,
-            victim_vcpus: params.usize("victim_vcpus")?,
-            warmup_slices: params.u64("warmup_slices")?,
-            measured_slices: params.u64("measured_slices")?,
-            slice_accesses: params.u64("slice_accesses")?,
-            sched: SchedPolicy::RoundRobin,
-            seed: params.u64("seed")?,
-            threads: params.usize("threads")?,
-            copy_pages_per_slice: params.u64("copy_pages_per_slice")?,
-            dirty_page_threshold: params.u64("dirty_page_threshold")?,
-            max_rounds: params.u32("max_rounds")?,
-            page_copy_cycles: params.u64("page_copy_cycles")?,
-            balloon_pages: 0,
-        })
+/// Balloon size of the `with_balloon` sweep point.  At bench scale 300
+/// pages squeeze victim 1 well below its ~307-page footprint, producing a
+/// sustained post-balloon remap storm; the smoke host is a quarter the
+/// size, so the balloon shrinks with it.
+fn balloon_pages(scale: Scale) -> u64 {
+    match scale {
+        Scale::Smoke => 64,
+        Scale::Bench | Scale::Full => 300,
     }
 }
 
@@ -1078,37 +1321,21 @@ impl Scenario for MigrationStormScenario {
         "live-migration downtime and bystander slowdown collapse under HATRIC"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        let base = Self::base(scale);
-        Params::new()
-            .with("num_pcpus", base.num_pcpus)
-            .with("fast_pages", base.fast_pages)
-            .with("migrant_vcpus", base.migrant_vcpus)
-            .with("victims", base.victims)
-            .with("victim_vcpus", base.victim_vcpus)
-            .with("warmup_slices", base.warmup_slices)
-            .with("measured_slices", base.measured_slices)
-            .with("slice_accesses", base.slice_accesses)
-            .with("seed", base.seed)
-            .with("copy_pages_per_slice", base.copy_pages_per_slice)
-            .with("dirty_page_threshold", base.dirty_page_threshold)
-            .with("max_rounds", base.max_rounds)
-            .with("page_copy_cycles", base.page_copy_cycles)
-            .with("threads", base.threads)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(MigrationStormParams::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = Self::typed(&merged)?;
-        // The sweep the `migration_downtime` bench committed as its
-        // baseline: plain pre-copy, a slow-link variant (more rounds,
-        // bigger residue) and a migration with a concurrent balloon.
+        let base = MigrationStormParams::parse(params, scale)?;
+        // The committed baseline's sweep: plain pre-copy, a slow-link
+        // variant (more rounds, bigger residue) and a migration with a
+        // concurrent balloon.
         let sweep = [
             ("precopy", base),
             ("slow_link", base.with_copy_pages_per_slice(24)),
             (
                 "with_balloon",
-                base.with_balloon_pages(Self::balloon_pages(scale)),
+                base.with_balloon_pages(balloon_pages(scale)),
             ),
         ];
         // Validate every sweep point up front so a bad parameter
@@ -1139,41 +1366,17 @@ impl Scenario for MigrationStormScenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                // The plain pre-copy storm under software shootdowns: the
-                // full lifecycle — write-protect remap fan-outs each round,
-                // then the stop-and-copy downtime burst — in one track set.
-                traced_host_run(
-                    base.host_config(CoherenceMechanism::Software),
-                    base.warmup_slices,
-                    base.measured_slices,
-                )
-            });
-        Some(traced)
-    }
-
-    fn timeline_run(
-        &self,
-        params: &Params,
-        scale: Scale,
-    ) -> Option<Result<CounterTimeline, ConfigError>> {
-        let timeline = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                // The plain pre-copy storm under software shootdowns: the
-                // dirty-page gauge drains round by round while the
-                // shootdown-target gauge spikes with each write-protect
-                // fan-out.
-                timeline_host_run(
-                    base.host_config(CoherenceMechanism::Software),
-                    base.warmup_slices,
-                    base.measured_slices,
-                )
-            });
-        Some(timeline)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The plain pre-copy storm under software shootdowns: the full
+        // lifecycle — write-protect remap fan-outs each round, then the
+        // stop-and-copy downtime burst — in one track set, while the
+        // dirty-page gauge drains round by round.
+        let base = MigrationStormParams::parse(params, scale)?;
+        Ok(Probe::Host {
+            config: base.host_config(CoherenceMechanism::Software),
+            warmup: base.warmup_slices,
+            measured: base.measured_slices,
+        })
     }
 
     fn baseline_stem(&self) -> Option<&'static str> {
@@ -1194,40 +1397,6 @@ impl Scenario for MigrationStormScenario {
 /// plus a socket-affine counterpoint configuration.
 pub struct NumaContentionScenario;
 
-impl NumaContentionScenario {
-    fn base(scale: Scale) -> NumaContentionParams {
-        match scale {
-            Scale::Smoke => NumaContentionParams::quick(),
-            Scale::Bench => NumaContentionParams::default_scale(),
-            Scale::Full => {
-                let mut p = NumaContentionParams::default_scale();
-                p.warmup_slices *= 2;
-                p.measured_slices *= 2;
-                p
-            }
-        }
-    }
-
-    fn typed(params: &Params) -> Result<NumaContentionParams, ConfigError> {
-        Ok(NumaContentionParams {
-            num_pcpus: params.usize("num_pcpus")?,
-            sockets: 1,
-            fast_pages: params.u64("fast_pages")?,
-            aggressor_vcpus: params.usize("aggressor_vcpus")?,
-            victims: params.usize("victims")?,
-            victim_vcpus: params.usize("victim_vcpus")?,
-            warmup_slices: params.u64("warmup_slices")?,
-            measured_slices: params.u64("measured_slices")?,
-            slice_accesses: params.u64("slice_accesses")?,
-            numa_policy: NumaPolicy::Interleaved,
-            sched: SchedPolicy::RoundRobin,
-            seed: params.u64("seed")?,
-            threads: params.usize("threads")?,
-            aggressor_footprint_factor: params.f64("aggressor_footprint_factor")?,
-        })
-    }
-}
-
 impl Scenario for NumaContentionScenario {
     fn name(&self) -> &'static str {
         "numa_contention"
@@ -1238,42 +1407,25 @@ impl Scenario for NumaContentionScenario {
          ratio rises"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        let base = Self::base(scale);
-        Params::new()
-            .with("num_pcpus", base.num_pcpus)
-            .with("fast_pages", base.fast_pages)
-            .with("aggressor_vcpus", base.aggressor_vcpus)
-            .with("victims", base.victims)
-            .with("victim_vcpus", base.victim_vcpus)
-            .with("warmup_slices", base.warmup_slices)
-            .with("measured_slices", base.measured_slices)
-            .with("slice_accesses", base.slice_accesses)
-            .with("seed", base.seed)
-            .with(
-                "aggressor_footprint_factor",
-                base.aggressor_footprint_factor,
-            )
-            .with("threads", base.threads)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(NumaContentionParams::parse(params, scale)?.render())
     }
 
     /// # Panics
     ///
     /// A *default-parameter* run at [`Scale::Bench`] or [`Scale::Full`]
-    /// (what the bench and the `bench_check` CI gate execute) asserts the
-    /// scenario's headline claim (HATRIC's victim slowdown never exceeds
-    /// software's; the software-vs-HATRIC gap widens strictly monotonically
-    /// across the interleaved series) and panics if a model change broke
-    /// it.  Runs with parameter overrides are user-driven exploration and
-    /// skip the claim check — an overridden machine is allowed to weaken
-    /// the storm.
+    /// (what the `bench_check` CI gate executes) asserts the scenario's
+    /// headline claim (HATRIC's victim slowdown never exceeds software's;
+    /// the software-vs-HATRIC gap widens strictly monotonically across the
+    /// interleaved series) and panics if a model change broke it.  Runs
+    /// with parameter overrides are user-driven exploration and skip the
+    /// claim check — an overridden machine is allowed to weaken the storm.
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = Self::typed(&merged)?;
-        // The socket sweep the `numa_contention` bench committed as its
-        // baseline: capacity and CPU count fixed while the socket count —
-        // and the interleaved remote-access ratio — rises, then a
-        // socket-affine configuration clawing the software penalty back.
+        let base = NumaContentionParams::parse(params, scale)?;
+        // The committed baseline's socket sweep: capacity and CPU count
+        // fixed while the socket count — and the interleaved remote-access
+        // ratio — rises, then a socket-affine configuration clawing the
+        // software penalty back.
         let sweep = [
             ("uma", base),
             ("numa2", base.with_sockets(2)),
@@ -1349,40 +1501,15 @@ impl Scenario for NumaContentionScenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                // The two-socket interleaved point under software
-                // shootdowns: cross-socket invalidation acks dominate.
-                let point = base.with_sockets(2);
-                traced_host_run(
-                    point.host_config(CoherenceMechanism::Software),
-                    point.warmup_slices,
-                    point.measured_slices,
-                )
-            });
-        Some(traced)
-    }
-
-    fn timeline_run(
-        &self,
-        params: &Params,
-        scale: Scale,
-    ) -> Option<Result<CounterTimeline, ConfigError>> {
-        let timeline = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                // The same two-socket interleaved software point the trace
-                // magnifies.
-                let point = base.with_sockets(2);
-                timeline_host_run(
-                    point.host_config(CoherenceMechanism::Software),
-                    point.warmup_slices,
-                    point.measured_slices,
-                )
-            });
-        Some(timeline)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The two-socket interleaved point under software shootdowns:
+        // cross-socket invalidation acks dominate.
+        let point = NumaContentionParams::parse(params, scale)?.with_sockets(2);
+        Ok(Probe::Host {
+            config: point.host_config(CoherenceMechanism::Software),
+            warmup: point.warmup_slices,
+            measured: point.measured_slices,
+        })
     }
 
     fn baseline_stem(&self) -> Option<&'static str> {
@@ -1405,34 +1532,6 @@ impl Scenario for NumaContentionScenario {
 /// the wall-clock speedup multithreading buys on the running machine.
 pub struct HostScaleScenario;
 
-impl HostScaleScenario {
-    fn base(scale: Scale) -> HostScaleParams {
-        match scale {
-            Scale::Smoke => HostScaleParams::quick(),
-            Scale::Bench => HostScaleParams::default_scale(),
-            Scale::Full => {
-                let mut p = HostScaleParams::default_scale();
-                p.warmup_slices *= 2;
-                p.measured_slices *= 2;
-                p
-            }
-        }
-    }
-
-    fn typed(params: &Params) -> Result<HostScaleParams, ConfigError> {
-        Ok(HostScaleParams {
-            vcpus_min: params.usize("vcpus_min")?,
-            vcpus_max: params.usize("vcpus_max")?,
-            threads_max: params.usize("threads_max")?,
-            fast_pages_per_vcpu: params.u64("fast_pages_per_vcpu")?,
-            warmup_slices: params.u64("warmup_slices")?,
-            measured_slices: params.u64("measured_slices")?,
-            slice_accesses: params.u64("slice_accesses")?,
-            seed: params.u64("seed")?,
-        })
-    }
-}
-
 impl Scenario for HostScaleScenario {
     fn name(&self) -> &'static str {
         "host_scale"
@@ -1443,22 +1542,12 @@ impl Scenario for HostScaleScenario {
          and scales simulator throughput with them"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        let base = Self::base(scale);
-        Params::new()
-            .with("vcpus_min", base.vcpus_min)
-            .with("vcpus_max", base.vcpus_max)
-            .with("threads_max", base.threads_max)
-            .with("fast_pages_per_vcpu", base.fast_pages_per_vcpu)
-            .with("warmup_slices", base.warmup_slices)
-            .with("measured_slices", base.measured_slices)
-            .with("slice_accesses", base.slice_accesses)
-            .with("seed", base.seed)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(HostScaleParams::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = Self::typed(&merged)?;
+        let base = HostScaleParams::parse(params, scale)?;
         for vcpus in base.vcpu_points() {
             base.host_config(vcpus, 1).validate()?;
         }
@@ -1488,39 +1577,15 @@ impl Scenario for HostScaleScenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                // The largest machine at the full thread count: one traced
-                // run showing the HATRIC host the sweep peaks at.
-                let vcpus = base.vcpus_max;
-                traced_host_run(
-                    base.host_config(vcpus, base.threads_max),
-                    base.warmup_slices,
-                    base.measured_slices,
-                )
-            });
-        Some(traced)
-    }
-
-    fn timeline_run(
-        &self,
-        params: &Params,
-        scale: Scale,
-    ) -> Option<Result<CounterTimeline, ConfigError>> {
-        let timeline = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                // The same peak machine the trace magnifies.
-                let vcpus = base.vcpus_max;
-                timeline_host_run(
-                    base.host_config(vcpus, base.threads_max),
-                    base.warmup_slices,
-                    base.measured_slices,
-                )
-            });
-        Some(timeline)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The largest machine at the full thread count: the HATRIC host
+        // the sweep peaks at.
+        let base = HostScaleParams::parse(params, scale)?;
+        Ok(Probe::Host {
+            config: base.host_config(base.vcpus_max, base.threads_max),
+            warmup: base.warmup_slices,
+            measured: base.measured_slices,
+        })
     }
 
     fn baseline_stem(&self) -> Option<&'static str> {
@@ -1545,74 +1610,21 @@ pub struct ClusterChurnScenario;
 /// of simultaneously in-flight inter-host migrations grows.
 const MIGRATION_SWEEP: [(&str, usize); 3] = [("mig1", 1), ("mig2", 2), ("mig4", 4)];
 
-impl ClusterChurnScenario {
-    fn base(scale: Scale) -> ClusterChurnParams {
-        match scale {
-            Scale::Smoke => ClusterChurnParams::quick(),
-            Scale::Bench => ClusterChurnParams::default_scale(),
-            Scale::Full => {
-                let mut p = ClusterChurnParams::default_scale();
-                p.warmup_epochs *= 2;
-                p.measured_epochs *= 2;
-                p
-            }
-        }
-    }
-
-    fn typed(params: &Params) -> Result<ClusterChurnParams, ConfigError> {
-        let policy_label = params
-            .get("policy")
-            .ok_or_else(|| ConfigError::UnknownParam {
-                key: "policy".to_string(),
-            })?;
-        let policy = PlacementPolicy::parse(policy_label).map_err(|_| ConfigError::BadValue {
-            key: "policy".to_string(),
-            value: policy_label.to_string(),
-        })?;
-        Ok(ClusterChurnParams {
-            hosts: params.usize("hosts")?,
-            num_pcpus: params.usize("num_pcpus")?,
-            fast_pages: params.u64("fast_pages")?,
-            active_vms: params.usize("active_vms")?,
-            spare_slots: params.usize("spare_slots")?,
-            vm_vcpus: params.usize("vm_vcpus")?,
-            epoch_slices: params.u64("epoch_slices")?,
-            warmup_epochs: params.u64("warmup_epochs")?,
-            measured_epochs: params.u64("measured_epochs")?,
-            slice_accesses: params.u64("slice_accesses")?,
-            seed: params.u64("seed")?,
-            threads: params.usize("threads")?,
-            churn_period: params.u64("churn_period")?,
-            copy_pages_per_slice: params.u64("copy_pages_per_slice")?,
-            throttle_after_rounds: params.u32("throttle_after_rounds")?,
-            policy,
-        })
-    }
-
-    /// Validates a sizing without building the fleet (slot-count and
-    /// capacity invariants surface as typed errors, not panics).
-    fn validate(base: &ClusterChurnParams) -> Result<(), ConfigError> {
-        // `Cluster::new` asserts on all three; reject them here instead.
-        for (key, value) in [
-            ("hosts", base.hosts as u64),
-            ("epoch_slices", base.epoch_slices),
-        ] {
-            if value == 0 {
-                return Err(ConfigError::BadValue {
-                    key: key.to_string(),
-                    value: "0 (must be nonzero)".to_string(),
-                });
-            }
-        }
-        if base.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        for host in 0..base.hosts {
-            base.host_config(host, CoherenceMechanism::Software)
-                .validate()?;
-        }
-        Ok(())
-    }
+/// The fleet-wide row tail: the timing/latency/attribution columns ride on
+/// a host-shaped view of the fleet aggregate, so the column set matches
+/// the host scenarios exactly.
+fn fleet_timing_columns(
+    row: Row,
+    report: &ClusterReport,
+    elapsed_ms: f64,
+    accesses_per_sec: f64,
+) -> Row {
+    let fleet_view = HostReport {
+        per_vm: Vec::new(),
+        host: report.aggregate.clone(),
+        migration: report.migration,
+    };
+    timing_columns(row, &fleet_view, elapsed_ms, accesses_per_sec)
 }
 
 impl Scenario for ClusterChurnScenario {
@@ -1626,25 +1638,8 @@ impl Scenario for ClusterChurnScenario {
          with every added migration"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        let base = Self::base(scale);
-        Params::new()
-            .with("hosts", base.hosts)
-            .with("num_pcpus", base.num_pcpus)
-            .with("fast_pages", base.fast_pages)
-            .with("active_vms", base.active_vms)
-            .with("spare_slots", base.spare_slots)
-            .with("vm_vcpus", base.vm_vcpus)
-            .with("epoch_slices", base.epoch_slices)
-            .with("warmup_epochs", base.warmup_epochs)
-            .with("measured_epochs", base.measured_epochs)
-            .with("slice_accesses", base.slice_accesses)
-            .with("seed", base.seed)
-            .with("churn_period", base.churn_period)
-            .with("copy_pages_per_slice", base.copy_pages_per_slice)
-            .with("throttle_after_rounds", base.throttle_after_rounds)
-            .with("policy", base.policy.label())
-            .with("threads", base.threads)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ClusterChurnParams::parse(params, scale)?.render())
     }
 
     /// # Panics
@@ -1657,9 +1652,7 @@ impl Scenario for ClusterChurnScenario {
     /// concurrent-migration count — and panics if a model change broke
     /// it.  Runs with parameter overrides skip the claim check.
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = Self::typed(&merged)?;
-        Self::validate(&base)?;
+        let base = ClusterChurnParams::parse(params, scale)?;
         let assert_claim = scale != Scale::Smoke && params.entries().is_empty();
         let mut report = ScenarioReport::new(self.name());
         let mut software_slowdowns = Vec::new();
@@ -1718,17 +1711,9 @@ impl Scenario for ClusterChurnScenario {
                         "cluster_runtime_cycles",
                         row.report.aggregate.runtime_cycles(),
                     );
-                // The timing/latency/attribution tail rides on a host-shaped
-                // view of the fleet aggregate, so the column set matches the
-                // other host scenarios exactly.
-                let fleet_view = HostReport {
-                    per_vm: Vec::new(),
-                    host: row.report.aggregate.clone(),
-                    migration: row.report.migration,
-                };
-                report.push(timing_columns(
+                report.push(fleet_timing_columns(
                     built,
-                    &fleet_view,
+                    &row.report,
                     row.elapsed_ms,
                     row.accesses_per_sec,
                 ));
@@ -1744,44 +1729,17 @@ impl Scenario for ClusterChurnScenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                Self::validate(&base)?;
-                // The four-migration software point: page streams land on
-                // every host's hypervisor track, one trace process per host.
-                let mut cluster =
-                    base.build_cluster(CoherenceMechanism::Software, 4.min(base.hosts));
-                cluster.enable_tracing(TRACE_CAPACITY);
-                cluster.run(base.warmup_epochs, base.measured_epochs);
-                Ok(cluster.export_trace().expect("tracing was enabled above"))
-            });
-        Some(traced)
-    }
-
-    fn timeline_run(
-        &self,
-        params: &Params,
-        scale: Scale,
-    ) -> Option<Result<CounterTimeline, ConfigError>> {
-        let timeline = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|base| {
-                Self::validate(&base)?;
-                // The same four-migration software point, sampled at epoch
-                // granularity: in-flight migrations, fleet activity and
-                // per-host load.
-                let mut cluster =
-                    base.build_cluster(CoherenceMechanism::Software, 4.min(base.hosts));
-                cluster.enable_timeline((base.measured_epochs / 64).max(1));
-                cluster.run(base.warmup_epochs, base.measured_epochs);
-                Ok(cluster
-                    .timeline()
-                    .expect("the timeline was enabled above")
-                    .clone())
-            });
-        Some(timeline)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The four-migration software point: page streams land on every
+        // host's hypervisor track, one trace process per host; the
+        // timeline samples in-flight migrations, fleet activity and
+        // per-host load at epoch granularity.
+        let base = ClusterChurnParams::parse(params, scale)?;
+        Ok(Probe::Fleet {
+            cluster: Box::new(base.build_cluster(CoherenceMechanism::Software, 4.min(base.hosts))),
+            warmup: base.warmup_epochs,
+            measured: base.measured_epochs,
+        })
     }
 
     fn baseline_stem(&self) -> Option<&'static str> {
@@ -1802,49 +1760,6 @@ impl Scenario for ClusterChurnScenario {
 /// victim slowdown and recovery-downtime p99 never exceed software's.
 pub struct ClusterFaultsScenario;
 
-impl ClusterFaultsScenario {
-    fn base(scale: Scale) -> ClusterFaultsParams {
-        match scale {
-            Scale::Smoke => ClusterFaultsParams::quick(),
-            Scale::Bench => ClusterFaultsParams::default_scale(),
-            Scale::Full => {
-                let mut p = ClusterFaultsParams::default_scale();
-                p.base.warmup_epochs *= 2;
-                p.base.measured_epochs *= 2;
-                p
-            }
-        }
-    }
-
-    fn typed(params: &Params) -> Result<ClusterFaultsParams, ConfigError> {
-        Ok(ClusterFaultsParams {
-            base: ClusterChurnScenario::typed(params)?,
-            fault_seed: params.u64("fault_seed")?,
-            fault_period: params.u64("fault_period")?,
-            crash_after_epochs: params.u64("crash_after_epochs")?,
-            stall_epochs: params.u64("stall_epochs")?,
-            stall_timeout_epochs: params.u64("stall_timeout_epochs")?,
-            max_retries: params.u32("max_retries")?,
-            retry_backoff_epochs: params.u64("retry_backoff_epochs")?,
-            restart_penalty_cycles: params.u64("restart_penalty_cycles")?,
-        })
-    }
-
-    /// Validates a sizing without building the fleet.
-    fn validate(params: &ClusterFaultsParams) -> Result<(), ConfigError> {
-        if params.base.hosts < 4 {
-            return Err(ConfigError::BadValue {
-                key: "hosts".to_string(),
-                value: format!(
-                    "{} (the engineered fault storm needs at least four hosts)",
-                    params.base.hosts
-                ),
-            });
-        }
-        ClusterChurnScenario::validate(&params.base)
-    }
-}
-
 impl Scenario for ClusterFaultsScenario {
     fn name(&self) -> &'static str {
         "cluster_faults"
@@ -1857,34 +1772,8 @@ impl Scenario for ClusterFaultsScenario {
          downtime p99"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        let p = Self::base(scale);
-        let base = p.base;
-        Params::new()
-            .with("hosts", base.hosts)
-            .with("num_pcpus", base.num_pcpus)
-            .with("fast_pages", base.fast_pages)
-            .with("active_vms", base.active_vms)
-            .with("spare_slots", base.spare_slots)
-            .with("vm_vcpus", base.vm_vcpus)
-            .with("epoch_slices", base.epoch_slices)
-            .with("warmup_epochs", base.warmup_epochs)
-            .with("measured_epochs", base.measured_epochs)
-            .with("slice_accesses", base.slice_accesses)
-            .with("seed", base.seed)
-            .with("churn_period", base.churn_period)
-            .with("copy_pages_per_slice", base.copy_pages_per_slice)
-            .with("throttle_after_rounds", base.throttle_after_rounds)
-            .with("policy", base.policy.label())
-            .with("threads", base.threads)
-            .with("fault_seed", p.fault_seed)
-            .with("fault_period", p.fault_period)
-            .with("crash_after_epochs", p.crash_after_epochs)
-            .with("stall_epochs", p.stall_epochs)
-            .with("stall_timeout_epochs", p.stall_timeout_epochs)
-            .with("max_retries", p.max_retries)
-            .with("retry_backoff_epochs", p.retry_backoff_epochs)
-            .with("restart_penalty_cycles", p.restart_penalty_cycles)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ClusterFaultsParams::parse(params, scale)?.render())
     }
 
     /// # Panics
@@ -1897,9 +1786,7 @@ impl Scenario for ClusterFaultsScenario {
     /// software's under the identical storm — and panics if a model
     /// change broke it.  Runs with parameter overrides skip the check.
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let typed = Self::typed(&merged)?;
-        Self::validate(&typed)?;
+        let typed = ClusterFaultsParams::parse(params, scale)?;
         let assert_claim = scale != Scale::Smoke && params.entries().is_empty();
         let rows = cluster_faults::run(&typed);
         if assert_claim {
@@ -1985,14 +1872,9 @@ impl Scenario for ClusterFaultsScenario {
                     "cluster_runtime_cycles",
                     row.report.aggregate.runtime_cycles(),
                 );
-            let fleet_view = HostReport {
-                per_vm: Vec::new(),
-                host: row.report.aggregate.clone(),
-                migration: row.report.migration,
-            };
-            report.push(timing_columns(
+            report.push(fleet_timing_columns(
                 built,
-                &fleet_view,
+                &row.report,
                 row.elapsed_ms,
                 row.accesses_per_sec,
             ));
@@ -2000,43 +1882,18 @@ impl Scenario for ClusterFaultsScenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|typed| {
-                Self::validate(&typed)?;
-                // The software run: fault spans (crash, blackout, brownout,
-                // stall) land on every host's hypervisor track alongside
-                // the migration page streams they disrupt.
-                let mut cluster = typed.build_cluster(CoherenceMechanism::Software);
-                cluster.enable_tracing(TRACE_CAPACITY);
-                cluster.run(typed.base.warmup_epochs, typed.base.measured_epochs);
-                Ok(cluster.export_trace().expect("tracing was enabled above"))
-            });
-        Some(traced)
-    }
-
-    fn timeline_run(
-        &self,
-        params: &Params,
-        scale: Scale,
-    ) -> Option<Result<CounterTimeline, ConfigError>> {
-        let timeline = resolve_params(self, params, scale)
-            .and_then(|merged| Self::typed(&merged))
-            .and_then(|typed| {
-                Self::validate(&typed)?;
-                // The same software run sampled at epoch granularity: the
-                // in-flight count collapsing at the crash, fleet activity
-                // dipping through the restart windows.
-                let mut cluster = typed.build_cluster(CoherenceMechanism::Software);
-                cluster.enable_timeline((typed.base.measured_epochs / 64).max(1));
-                cluster.run(typed.base.warmup_epochs, typed.base.measured_epochs);
-                Ok(cluster
-                    .timeline()
-                    .expect("the timeline was enabled above")
-                    .clone())
-            });
-        Some(timeline)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The software run: fault spans (crash, blackout, brownout, stall)
+        // land on every host's hypervisor track alongside the migration
+        // page streams they disrupt; the timeline shows the in-flight
+        // count collapsing at the crash and fleet activity dipping through
+        // the restart windows.
+        let typed = ClusterFaultsParams::parse(params, scale)?;
+        Ok(Probe::Fleet {
+            cluster: Box::new(typed.build_cluster(CoherenceMechanism::Software)),
+            warmup: typed.base.warmup_epochs,
+            measured: typed.base.measured_epochs,
+        })
     }
 
     fn baseline_stem(&self) -> Option<&'static str> {
@@ -2052,55 +1909,15 @@ impl Scenario for ClusterFaultsScenario {
 }
 
 // ---------------------------------------------------------------------------
-// Core-figure scenarios (fig9, xen)
+// Figure scenarios (single-VM System runs)
 // ---------------------------------------------------------------------------
 
-/// The sizing the benchmark harness regenerates figure tables at: smaller
-/// than [`ExperimentParams::default_scale`] so `cargo bench` stays under a
-/// few minutes, larger than [`ExperimentParams::quick`] for steady state.
-#[must_use]
-pub fn fig_bench_params() -> ExperimentParams {
-    ExperimentParams {
-        vcpus: 16,
-        fast_pages: 1_024,
-        warmup: 1_500,
-        measured: 2_500,
-        seed: hatric::DEFAULT_SEED,
-    }
-}
-
-fn fig_base(scale: Scale) -> ExperimentParams {
-    match scale {
-        Scale::Smoke => ExperimentParams::quick(),
-        Scale::Bench => fig_bench_params(),
-        // Same machine as Bench, longer steady state — Full numbers stay
-        // comparable to the committed bench-scale figures.
-        Scale::Full => {
-            let mut p = fig_bench_params();
-            p.warmup *= 2;
-            p.measured *= 2;
-            p
-        }
-    }
-}
-
-fn fig_default_params(scale: Scale) -> Params {
-    let base = fig_base(scale);
-    Params::new()
-        .with("vcpus", base.vcpus)
-        .with("fast_pages", base.fast_pages)
-        .with("warmup", base.warmup)
-        .with("measured", base.measured)
-        .with("seed", base.seed)
-}
-
-fn fig_typed(params: &Params) -> Result<ExperimentParams, ConfigError> {
-    Ok(ExperimentParams {
-        vcpus: params.usize("vcpus")?,
-        fast_pages: params.u64("fast_pages")?,
-        warmup: params.u64("warmup")?,
-        measured: params.u64("measured")?,
-        seed: params.u64("seed")?,
+/// The [`Probe::System`] run of a figure scenario: `spec` at the figure
+/// family's sizing.
+fn figure_probe(params: &Params, scale: Scale, spec: RunSpec) -> Result<Probe, ConfigError> {
+    Ok(Probe::System {
+        spec,
+        params: ExperimentParams::parse(params, scale)?,
     })
 }
 
@@ -2120,13 +1937,12 @@ impl Scenario for Fig2Scenario {
          paging win (Fig. 2)"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        fig_default_params(scale)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ExperimentParams::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = fig_typed(&merged)?;
+        let base = ExperimentParams::parse(params, scale)?;
         let mut report = ScenarioReport::new(self.name());
         for fig_row in fig2::run(&base) {
             for (mechanism, runtime) in [
@@ -2144,19 +1960,14 @@ impl Scenario for Fig2Scenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| fig_typed(&merged))
-            .map(|base| {
-                // The curr-best bar of the first workload: paged memory
-                // under software shootdowns, where the figure's forfeited
-                // win comes from.
-                traced_system_run(
-                    &RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software),
-                    &base,
-                )
-            });
-        Some(traced)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The curr-best bar of the first workload: paged memory under
+        // software shootdowns, where the figure's forfeited win comes from.
+        figure_probe(
+            params,
+            scale,
+            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software),
+        )
     }
 }
 
@@ -2175,13 +1986,12 @@ impl Scenario for Fig7Scenario {
         "HATRIC's benefit grows with the vCPU count (Fig. 7)"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        fig_default_params(scale)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ExperimentParams::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = fig_typed(&merged)?;
+        let base = ExperimentParams::parse(params, scale)?;
         let sweep: Vec<usize> = fig7::VCPU_SWEEP
             .iter()
             .copied()
@@ -2207,18 +2017,14 @@ impl Scenario for Fig7Scenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| fig_typed(&merged))
-            .map(|base| {
-                // The software bar at the scenario's full vCPU count: the
-                // widest shootdown fan-outs of the sweep.
-                traced_system_run(
-                    &RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software),
-                    &base,
-                )
-            });
-        Some(traced)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The software bar at the scenario's full vCPU count: the widest
+        // shootdown fan-outs of the sweep.
+        figure_probe(
+            params,
+            scale,
+            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software),
+        )
     }
 }
 
@@ -2237,13 +2043,12 @@ impl Scenario for Fig8Scenario {
          smartest (Fig. 8)"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        fig_default_params(scale)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ExperimentParams::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = fig_typed(&merged)?;
+        let base = ExperimentParams::parse(params, scale)?;
         let mut report = ScenarioReport::new(self.name());
         for fig_row in fig8::run(&base) {
             let label = format!("{}/{}", fig_row.workload, fig_row.policy);
@@ -2259,21 +2064,16 @@ impl Scenario for Fig8Scenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| fig_typed(&merged))
-            .map(|base| {
-                // The software bar under the most sophisticated paging
-                // policy (migration daemon + prefetching): the remap rate
-                // the smarter policies buy their wins with.
-                let knobs = PagingKnobs::fig8_sweep()[2];
-                traced_system_run(
-                    &RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software)
-                        .with_paging(knobs),
-                    &base,
-                )
-            });
-        Some(traced)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The software bar under the most sophisticated paging policy
+        // (migration daemon + prefetching): the remap rate the smarter
+        // policies buy their wins with.
+        figure_probe(
+            params,
+            scale,
+            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software)
+                .with_paging(PagingKnobs::fig8_sweep()[2]),
+        )
     }
 }
 
@@ -2292,13 +2092,12 @@ impl Scenario for Fig9Scenario {
          (Fig. 9)"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        fig_default_params(scale)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ExperimentParams::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = fig_typed(&merged)?;
+        let base = ExperimentParams::parse(params, scale)?;
         let mut report = ScenarioReport::new(self.name());
         for fig_row in fig9::run(&base) {
             let label = format!("{}/{}x", fig_row.workload, fig_row.scale);
@@ -2314,20 +2113,15 @@ impl Scenario for Fig9Scenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| fig_typed(&merged))
-            .map(|base| {
-                // The software bar at the largest structure multiplier:
-                // the flushes the figure shows bigger structures cannot
-                // absorb.
-                traced_system_run(
-                    &RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software)
-                        .with_structure_scale(4),
-                    &base,
-                )
-            });
-        Some(traced)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The software bar at the largest structure multiplier: the
+        // flushes the figure shows bigger structures cannot absorb.
+        figure_probe(
+            params,
+            scale,
+            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software)
+                .with_structure_scale(4),
+        )
     }
 }
 
@@ -2346,19 +2140,12 @@ impl Scenario for Fig10Scenario {
          HATRIC fixes throughput and fairness (Fig. 10)"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        let mixes = match scale {
-            Scale::Smoke => 3,
-            Scale::Bench => 12,
-            Scale::Full => 20,
-        };
-        fig_default_params(scale).with("mixes", mixes)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(Fig10Params::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = fig_typed(&merged)?;
-        let mixes = merged.usize("mixes")?;
+        let Fig10Params { base, mixes } = Fig10Params::parse(params, scale)?;
         let mut report = ScenarioReport::new(self.name());
         for fig_row in fig10::run(&base, mixes) {
             let label = format!("mix{}", fig_row.mix);
@@ -2376,18 +2163,13 @@ impl Scenario for Fig10Scenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| fig_typed(&merged))
-            .map(|base| {
-                // One software-coherence run standing in for a mix member:
-                // the imprecise-targeting flushes the mixes suffer from.
-                traced_system_run(
-                    &RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software),
-                    &base,
-                )
-            });
-        Some(traced)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // One software-coherence run standing in for a mix member: the
+        // imprecise-targeting flushes the mixes suffer from.
+        Ok(Probe::System {
+            spec: RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software),
+            params: Fig10Params::parse(params, scale)?.base,
+        })
     }
 }
 
@@ -2407,13 +2189,12 @@ impl Scenario for Fig11Scenario {
         "HATRIC wins performance and energy; 2-byte co-tags suffice (Fig. 11)"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        fig_default_params(scale)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ExperimentParams::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = fig_typed(&merged)?;
+        let base = ExperimentParams::parse(params, scale)?;
         let mut report = ScenarioReport::new(self.name());
         for point in fig11::run_scatter(&base) {
             report.push(
@@ -2433,20 +2214,109 @@ impl Scenario for Fig11Scenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| fig_typed(&merged))
-            .map(|base| {
-                // The paper's chosen design point: HATRIC with 2-byte
-                // co-tags, whose invalidation traffic the energy model
-                // charges for.
-                traced_system_run(
-                    &RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Hatric)
-                        .with_cotag_bytes(2),
-                    &base,
-                )
-            });
-        Some(traced)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // The paper's chosen design point: HATRIC with 2-byte co-tags,
+        // whose invalidation traffic the energy model charges for.
+        figure_probe(
+            params,
+            scale,
+            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Hatric).with_cotag_bytes(2),
+        )
+    }
+}
+
+/// The Fig. 12 scenario (`fig12`): the coherence-directory design ablation
+/// — eager directory updates, fine-grained tracking, an unbounded
+/// directory and all three combined, against baseline HATRIC — as mean
+/// runtime and energy over the big-memory suite, normalised to software
+/// coherence.
+pub struct Fig12Scenario;
+
+impl Scenario for Fig12Scenario {
+    fn name(&self) -> &'static str {
+        "fig12"
+    }
+
+    fn describe(&self) -> &'static str {
+        "the baseline directory design is the sweet spot (Fig. 12)"
+    }
+
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ExperimentParams::parse(params, scale)?.render())
+    }
+
+    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
+        let base = ExperimentParams::parse(params, scale)?;
+        let mut report = ScenarioReport::new(self.name());
+        for fig_row in fig12::run(&base) {
+            report.push(
+                Row::new("config", &fig_row.variant, "Hatric")
+                    .ratio("runtime_vs_software", fig_row.runtime_ratio)
+                    .ratio("energy_vs_software", fig_row.energy_ratio),
+            );
+        }
+        Ok(report)
+    }
+
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // Every directory alternative at once: eager sharer updates,
+        // fine-grained tracking and no back-invalidations.
+        figure_probe(
+            params,
+            scale,
+            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Hatric)
+                .with_variant(DesignVariant::AllCombined),
+        )
+    }
+}
+
+/// The Fig. 13 scenario (`fig13`): HATRIC against UNITD++ (UNITD upgraded
+/// with virtualization support and directory integration) and software
+/// coherence, per workload, as runtime and energy normalised to the
+/// no-HBM run.
+pub struct Fig13Scenario;
+
+impl Scenario for Fig13Scenario {
+    fn name(&self) -> &'static str {
+        "fig13"
+    }
+
+    fn describe(&self) -> &'static str {
+        "HATRIC beats UNITD++'s TLB-only selective invalidation (Fig. 13)"
+    }
+
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ExperimentParams::parse(params, scale)?.render())
+    }
+
+    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
+        let base = ExperimentParams::parse(params, scale)?;
+        let mut report = ScenarioReport::new(self.name());
+        for fig_row in fig13::run(&base) {
+            for (mechanism, runtime, energy) in [
+                ("Software", fig_row.sw_runtime, fig_row.sw_energy),
+                ("UnitdPlusPlus", fig_row.unitd_runtime, fig_row.unitd_energy),
+                ("Hatric", fig_row.hatric_runtime, fig_row.hatric_energy),
+            ] {
+                report.push(
+                    Row::new("config", &fig_row.workload, mechanism)
+                        .ratio("runtime_vs_nohbm", runtime)
+                        .ratio("energy_vs_nohbm", energy),
+                );
+            }
+        }
+        Ok(report)
+    }
+
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // UNITD++, the hardware contender: its reverse-lookup CAM
+        // invalidates TLB entries selectively, but MMU caches and nested
+        // TLBs are not covered and must be flushed.
+        figure_probe(
+            params,
+            scale,
+            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::UnitdPlusPlus),
+        )
     }
 }
 
@@ -2463,13 +2333,12 @@ impl Scenario for XenScenario {
         "the mechanism generalises from KVM to Xen (Sec. 6)"
     }
 
-    fn default_params(&self, scale: Scale) -> Params {
-        fig_default_params(scale)
+    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
+        Ok(ExperimentParams::parse(params, scale)?.render())
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let merged = resolve_params(self, params, scale)?;
-        let base = fig_typed(&merged)?;
+        let base = ExperimentParams::parse(params, scale)?;
         let mut report = ScenarioReport::new(self.name());
         for xen_row in xen::run(&base) {
             report.push(
@@ -2486,20 +2355,16 @@ impl Scenario for XenScenario {
         Ok(report)
     }
 
-    fn trace_run(&self, params: &Params, scale: Scale) -> Option<Result<String, ConfigError>> {
-        let traced = resolve_params(self, params, scale)
-            .and_then(|merged| fig_typed(&merged))
-            .map(|base| {
-                // Xen's software translation coherence on the first of the
-                // paper's Xen workloads: the costlier shootdown path the
-                // generality claim is measured against.
-                traced_system_run(
-                    &RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::SoftwareXen)
-                        .with_hypervisor(hatric::HypervisorKind::Xen),
-                    &base,
-                )
-            });
-        Some(traced)
+    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        // Xen's software translation coherence on the first of the paper's
+        // Xen workloads: the costlier shootdown path the generality claim
+        // is measured against.
+        figure_probe(
+            params,
+            scale,
+            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::SoftwareXen)
+                .with_hypervisor(hatric::HypervisorKind::Xen),
+        )
     }
 }
 
@@ -2525,6 +2390,8 @@ mod tests {
                 "fig9",
                 "fig10",
                 "fig11",
+                "fig12",
+                "fig13",
                 "xen"
             ]
         );
@@ -2646,28 +2513,30 @@ mod tests {
     #[test]
     fn every_scenario_traces_and_only_host_scenarios_sample_timelines() {
         for scenario in registry() {
-            // Every registered scenario advertises a traced configuration,
-            // and all of them surface the unknown-param error through it.
-            assert_eq!(
-                scenario
-                    .trace_run(&Params::new().with("bogus", 1), Scale::Smoke)
-                    .map(|r| r.is_err()),
-                Some(true),
-                "{}: trace_run availability/override validation",
+            // Every registered scenario probes one configuration, and both
+            // instruments surface the unknown-param error through it.
+            let bogus = Params::new().with("bogus", 1);
+            assert!(
+                scenario.trace_run(&bogus, Scale::Smoke).is_err(),
+                "{}: trace_run override validation",
+                scenario.name()
+            );
+            assert!(
+                scenario.timeline_run(&bogus, Scale::Smoke).is_err(),
+                "{}: timeline_run override validation",
                 scenario.name()
             );
             // The counter sampler hooks the consolidated host's commit
-            // barrier, so only host scenarios expose a timeline.
+            // barrier, so only host and fleet probes sample a timeline.
             let expects_timeline = !matches!(
                 scenario.name(),
-                "fig2" | "fig7" | "fig8" | "fig9" | "fig10" | "fig11" | "xen"
+                "fig2" | "fig7" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "fig13" | "xen"
             );
+            let probe = scenario.probe(&Params::new(), Scale::Smoke).unwrap();
             assert_eq!(
-                scenario
-                    .timeline_run(&Params::new().with("bogus", 1), Scale::Smoke)
-                    .map(|r| r.is_err()),
-                expects_timeline.then_some(true),
-                "{}: timeline_run availability/override validation",
+                !matches!(probe, Probe::System { .. }),
+                expects_timeline,
+                "{}: timeline availability",
                 scenario.name()
             );
         }
@@ -2693,6 +2562,25 @@ mod tests {
             assert_eq!(Scale::parse(scale.label()), Some(scale));
         }
         assert_eq!(Scale::parse("gigantic"), None);
+    }
+
+    #[test]
+    fn full_scale_doubles_the_bench_phases() {
+        for scenario in registry() {
+            let bench = scenario.default_params(Scale::Bench);
+            let full = scenario.default_params(Scale::Full);
+            assert_eq!(full.entries().len(), bench.entries().len());
+            for ((key, b), (full_key, f)) in bench.entries().iter().zip(full.entries()) {
+                assert_eq!(key, full_key, "{}: key order", scenario.name());
+                let phase = key.starts_with("warmup") || key.starts_with("measured");
+                let expected = match key.as_str() {
+                    _ if phase => (b.parse::<u64>().unwrap() * 2).to_string(),
+                    "mixes" => "20".to_string(),
+                    _ => b.clone(),
+                };
+                assert_eq!(f, &expected, "{}: {key} at full scale", scenario.name());
+            }
+        }
     }
 
     #[test]

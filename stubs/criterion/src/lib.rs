@@ -5,7 +5,7 @@
 //! then run in batches until a time budget is spent, and the harness prints
 //! `group/name ... <ns>/iter over <n> iters`. There are no statistical
 //! analyses, plots or baselines — just honest medians-of-batches, enough to
-//! eyeball regressions and to drive the JSON emission in `hatric-bench`.
+//! eyeball regressions.
 
 use std::time::{Duration, Instant};
 

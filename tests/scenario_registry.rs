@@ -129,6 +129,32 @@ fn parameter_overrides_reach_the_run_and_unknown_keys_do_not() {
             .unwrap_err();
         assert_eq!(err, ConfigError::UnknownParam { key: key.into() });
     }
+    // Every key is wired to its own field: a changed valid value survives
+    // parse → render, lands under that key and moves no other.
+    for scenario in registry() {
+        for scale in [Scale::Smoke, Scale::Bench, Scale::Full] {
+            let defaults = scenario.default_params(scale);
+            for (key, value) in defaults.entries() {
+                let changed = match value.as_str() {
+                    "least_loaded" => "affinity".to_string(),
+                    number => match number.parse::<u64>() {
+                        Ok(n) => (n + 1).to_string(),
+                        Err(_) => format!("{}", number.parse::<f64>().unwrap() + 0.5),
+                    },
+                };
+                let resolved = scenario
+                    .resolve(&Params::new().with(key, &changed), scale)
+                    .unwrap_or_else(|err| panic!("{} {key}={changed}: {err}", scenario.name()));
+                assert_eq!(
+                    resolved,
+                    defaults.clone().with(key, &changed),
+                    "{} at {}: {key}",
+                    scenario.name(),
+                    scale.label()
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -162,6 +188,40 @@ fn invalid_override_values_are_typed_errors_not_panics() {
                 _ => matches!(&err, ConfigError::BadValue { key: k, .. } if k == key),
             };
             assert!(typed, "{name} {key}=0: unexpected {err:?}");
+        }
+    }
+    // A figure workload needs at least one thread: zero vCPUs is a typed
+    // error from the run and the trace alike, not a panic in the suite.
+    for scenario in registry() {
+        if scenario.default_params(Scale::Smoke).get("vcpus").is_none() {
+            continue;
+        }
+        let zero = Params::new().with("vcpus", 0);
+        let expected = ConfigError::ZeroVcpus { slot: None };
+        assert_eq!(scenario.run(&zero, Scale::Smoke).unwrap_err(), expected);
+        assert_eq!(
+            scenario.trace_run(&zero, Scale::Smoke).unwrap_err(),
+            expected
+        );
+    }
+    // Every key of every scenario rejects an unparseable value by name.
+    for scenario in registry() {
+        for scale in [Scale::Smoke, Scale::Bench, Scale::Full] {
+            for (key, _) in scenario.default_params(scale).entries() {
+                let err = scenario
+                    .run(&Params::new().with(key, "x"), scale)
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    ConfigError::BadValue {
+                        key: key.clone(),
+                        value: "x".into()
+                    },
+                    "{} at {}",
+                    scenario.name(),
+                    scale.label()
+                );
+            }
         }
     }
 }

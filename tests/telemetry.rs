@@ -164,7 +164,6 @@ fn scenario_trace_run_emits_migration_spans() {
     let scenario = find("migration_storm").expect("migration_storm is registered");
     let traced = scenario
         .trace_run(&Params::new(), Scale::Smoke)
-        .expect("migration_storm supports tracing")
         .expect("smoke trace run succeeds");
     for expected in ["remap_software", "precopy_round", "stop_and_copy", "slice"] {
         assert!(
@@ -177,8 +176,7 @@ fn scenario_trace_run_emits_migration_spans() {
     let fig_trace = find("fig9")
         .expect("fig9 is registered")
         .trace_run(&Params::new(), Scale::Smoke)
-        .expect("fig9 traces through the System")
-        .expect("smoke trace run succeeds");
+        .expect("fig9 traces through the System");
     assert!(fig_trace.starts_with("{\"traceEvents\":["));
     assert!(fig_trace.contains("\"name\":\"remap_software\""));
 }
@@ -336,14 +334,15 @@ fn scenario_timeline_run_is_host_only_and_samples() {
     let scenario = find("migration_storm").expect("migration_storm is registered");
     let timeline = scenario
         .timeline_run(&Params::new(), Scale::Smoke)
-        .expect("host scenarios sample timelines")
-        .expect("smoke timeline run succeeds");
+        .expect("smoke timeline run succeeds")
+        .expect("host scenarios sample timelines");
     assert!(!timeline.is_empty());
     assert_eq!(timeline.series(), ConsolidatedHost::TIMELINE_SERIES);
     // The figure scenarios have no host commit barrier to sample at.
     assert!(find("fig9")
         .expect("fig9 is registered")
         .timeline_run(&Params::new(), Scale::Smoke)
+        .expect("fig9 parameters are valid")
         .is_none());
 }
 
