@@ -123,7 +123,8 @@ fn bench_caches(c: &mut Criterion) {
     });
     group.bench_function("cache_read_serial_at_directory_capacity", |b| {
         // One CPU streams fresh lines through a directory smaller than its
-        // private caches, so every read allocates an entry and evicts one
+        // private caches (16 banks of four 16-way sets), so once every set
+        // is full each read allocates an entry and evicts one
         // (back-invalidating the victim line).
         let mut caches = CacheHierarchy::new(CacheHierarchyConfig {
             directory: DirectoryConfig { max_entries: 1024 },
@@ -147,7 +148,7 @@ fn bench_directory(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro_directory");
     group.bench_function("directory_note_read_evicting", |b| {
         // A full directory noting reads of fresh lines: each allocates and
-        // evicts the least recently touched of 8 sampled entries.
+        // evicts the least recently touched entry of its 16-way set.
         let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 4096 });
         let mut n = 0u64;
         let mut note = move || {

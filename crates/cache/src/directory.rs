@@ -7,14 +7,13 @@
 //! *pseudo-specific* (they do not distinguish private caches from
 //! translation structures), exactly as Sec. 4.2 describes.
 //!
-//! Capacity is bounded; evicting a directory entry requires
-//! back-invalidating the line in every sharer (and, with HATRIC, in their
-//! translation structures), which the hierarchy layer performs.
-
-use std::collections::hash_map::DefaultHasher;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+//! Like the sparse directories real processors build, it is
+//! set-associative: `min(16, max_entries)` ways per set and
+//! `ceil(max_entries / ways)` sets, selected by a Fibonacci hash of the
+//! line index.  Allocating into a full set evicts the set's least recently
+//! touched entry; evicting a directory entry requires back-invalidating
+//! the line in every sharer (and, with HATRIC, in their translation
+//! structures), which the hierarchy layer performs.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,11 +21,12 @@ use hatric_types::{CacheLineAddr, Counter, CpuId};
 
 use crate::line::PtKind;
 
-/// Deterministic hashing for the entry map: capacity eviction samples the
-/// map's iteration order, and `RandomState` would make two otherwise
-/// identical simulations evict different victims.  The simulator promises
-/// bit-identical results for a fixed seed, so the directory must too.
-type DeterministicState = BuildHasherDefault<DefaultHasher>;
+/// Associativity of a directory with at least this many entries.
+const MAX_WAYS: usize = 16;
+
+/// 2^64 / φ: multiplying by it spreads the line index over the high bits,
+/// including the bits a bank's constant low index bits would leave unused.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A set of CPUs, stored as a 64-bit mask.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,7 +133,8 @@ impl DirectoryEntry {
 /// Directory sizing and behaviour knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirectoryConfig {
-    /// Maximum number of tracked lines; `0` means unbounded (the Fig. 12
+    /// Maximum number of tracked lines, rounded up to whole sets of
+    /// `min(16, max_entries)` ways; `0` means unbounded (the Fig. 12
     /// "No-back-inv" idealisation).
     pub max_entries: usize,
 }
@@ -175,11 +176,29 @@ pub struct DirectoryStats {
     pub lazy_demotions: Counter,
 }
 
-/// The directory proper.
+/// The directory proper: a flat `sets × ways` table.
+///
+/// Set *s* owns slots `s·ways ..`, of which the first `lens[s]` are valid
+/// (in no particular order: victims are chosen by recency stamp).  The
+/// table starts at the odd part of its full set count and doubles when an
+/// allocation finds its set full.  Because the set index is a fastrange
+/// reduction, doubling splits set *s* into sets *2s* and *2s + 1*, so a
+/// bounded directory holds exactly what the full-size table would, and
+/// only evicts once it has reached its full size.  An unbounded directory
+/// never stops doubling.
 #[derive(Debug, Clone)]
 pub struct CoherenceDirectory {
-    entries: HashMap<CacheLineAddr, DirectoryEntry, DeterministicState>,
-    config: DirectoryConfig,
+    /// The line of each slot; set `s` occupies `lines[s * ways..][..lens[s]]`.
+    lines: Vec<CacheLineAddr>,
+    /// The entry of each slot, parallel to `lines`.
+    entries: Vec<DirectoryEntry>,
+    /// Valid slots per set.
+    lens: Vec<u32>,
+    ways: usize,
+    /// Set count of the full-size table (`usize::MAX` when unbounded).
+    max_sets: usize,
+    /// Valid slots in all.
+    occupied: usize,
     clock: u64,
     stats: DirectoryStats,
 }
@@ -208,9 +227,20 @@ impl CoherenceDirectory {
     /// Creates an empty directory.
     #[must_use]
     pub fn new(config: DirectoryConfig) -> Self {
+        let (ways, max_sets, sets) = if config.max_entries == 0 {
+            (MAX_WAYS, usize::MAX, 1)
+        } else {
+            let ways = config.max_entries.min(MAX_WAYS);
+            let max_sets = config.max_entries.div_ceil(ways);
+            (ways, max_sets, max_sets >> max_sets.trailing_zeros())
+        };
         Self {
-            entries: HashMap::default(),
-            config,
+            lines: vec![CacheLineAddr::default(); sets * ways],
+            entries: vec![DirectoryEntry::default(); sets * ways],
+            lens: vec![0; sets],
+            ways,
+            max_sets,
+            occupied: 0,
             clock: 0,
             stats: DirectoryStats::default(),
         }
@@ -219,19 +249,20 @@ impl CoherenceDirectory {
     /// Number of tracked lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.occupied
     }
 
     /// Whether the directory tracks no lines.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.occupied == 0
     }
 
     /// Read-only view of an entry.
     #[must_use]
     pub fn entry(&self, line: CacheLineAddr) -> Option<&DirectoryEntry> {
-        self.entries.get(&line)
+        self.slot(self.set_index(line), line)
+            .map(|slot| &self.entries[slot])
     }
 
     /// Accumulated statistics.
@@ -240,45 +271,84 @@ impl CoherenceDirectory {
         self.stats
     }
 
-    /// If over capacity, selects and removes a victim entry.  Returns the
-    /// victim so the hierarchy can perform back-invalidations.
-    fn evict_if_needed(
-        &mut self,
-        protect: CacheLineAddr,
-    ) -> Option<(CacheLineAddr, DirectoryEntry)> {
-        if self.config.max_entries == 0 || self.entries.len() <= self.config.max_entries {
-            return None;
-        }
-        // Sample a handful of entries and evict the least recently touched.
-        let victim = self
-            .entries
+    /// The set of `line`: fastrange over a Fibonacci hash of its index.
+    fn set_index(&self, line: CacheLineAddr) -> usize {
+        let hash = line.index().wrapping_mul(FIBONACCI);
+        ((u128::from(hash) * self.lens.len() as u128) >> 64) as usize
+    }
+
+    /// The slot holding `line` in `set`, if any.
+    fn slot(&self, set: usize, line: CacheLineAddr) -> Option<usize> {
+        let base = set * self.ways;
+        self.lines[base..base + self.lens[set] as usize]
             .iter()
-            .filter(|(l, _)| **l != protect)
-            .take(8)
-            .min_by_key(|(_, e)| e.last_touch)
-            .map(|(l, _)| *l)?;
-        let entry = self.entries.remove(&victim)?;
-        self.stats.evictions.incr();
-        Some((victim, entry))
+            .position(|&l| l == line)
+            .map(|way| base + way)
     }
 
-    fn touch(entry: &mut DirectoryEntry, clock: u64) {
-        entry.last_touch = clock;
-    }
-
-    /// Touches `line`'s entry, allocating it if absent, with one map probe.
-    /// Returns the entry and whether it was allocated.
-    fn touch_or_allocate(&mut self, line: CacheLineAddr) -> (&mut DirectoryEntry, bool) {
-        self.clock += 1;
-        let (entry, allocated) = match self.entries.entry(line) {
-            Entry::Occupied(entry) => (entry.into_mut(), false),
-            Entry::Vacant(entry) => {
-                self.stats.allocations.incr();
-                (entry.insert(DirectoryEntry::default()), true)
+    /// Doubles the set count, moving every entry in slot order.
+    fn grow(&mut self) {
+        let sets = self.lens.len() * 2;
+        let lines = std::mem::replace(
+            &mut self.lines,
+            vec![CacheLineAddr::default(); sets * self.ways],
+        );
+        let entries = std::mem::replace(
+            &mut self.entries,
+            vec![DirectoryEntry::default(); sets * self.ways],
+        );
+        let lens = std::mem::replace(&mut self.lens, vec![0; sets]);
+        for (set, &len) in lens.iter().enumerate() {
+            let base = set * self.ways;
+            for old in base..base + len as usize {
+                let set = self.set_index(lines[old]);
+                let slot = set * self.ways + self.lens[set] as usize;
+                self.lines[slot] = lines[old];
+                self.entries[slot] = entries[old];
+                self.lens[set] += 1;
             }
+        }
+    }
+
+    /// Touches `line`'s entry, allocating it if absent: a full set grows
+    /// the table if it is below full size, or else gives up its least
+    /// recently touched entry.  Returns the entry's slot, whether it was
+    /// allocated, and the evicted victim, which the hierarchy must
+    /// back-invalidate.
+    fn touch_or_allocate(
+        &mut self,
+        line: CacheLineAddr,
+    ) -> (usize, bool, Option<(CacheLineAddr, DirectoryEntry)>) {
+        self.clock += 1;
+        let mut set = self.set_index(line);
+        if let Some(slot) = self.slot(set, line) {
+            self.entries[slot].last_touch = self.clock;
+            return (slot, false, None);
+        }
+        while self.lens[set] as usize == self.ways && self.lens.len() < self.max_sets {
+            self.grow();
+            set = self.set_index(line);
+        }
+        self.stats.allocations.incr();
+        let base = set * self.ways;
+        let len = self.lens[set] as usize;
+        let (slot, victim) = if len < self.ways {
+            self.lens[set] += 1;
+            self.occupied += 1;
+            (base + len, None)
+        } else {
+            let slot = (base..base + len)
+                .min_by_key(|&slot| self.entries[slot].last_touch)
+                .expect("a full set has ways");
+            self.stats.evictions.incr();
+            (slot, Some((self.lines[slot], self.entries[slot])))
         };
-        Self::touch(entry, self.clock);
-        (entry, allocated)
+        self.lines[slot] = line;
+        self.entries[slot] = DirectoryEntry {
+            last_touch: self.clock,
+            ..DirectoryEntry::default()
+        };
+        (slot, true, victim)
     }
 
     /// Records that `cpu` read `line`.  Allocates an entry if needed and
@@ -288,7 +358,8 @@ impl CoherenceDirectory {
         line: CacheLineAddr,
         cpu: CpuId,
     ) -> (ReadNote, Option<(CacheLineAddr, DirectoryEntry)>) {
-        let (entry, allocated) = self.touch_or_allocate(line);
+        let (slot, allocated, victim) = self.touch_or_allocate(line);
+        let entry = &mut self.entries[slot];
         let downgraded_owner = match entry.owner {
             Some(owner) if owner != cpu => {
                 entry.owner = None;
@@ -306,7 +377,6 @@ impl CoherenceDirectory {
             downgraded_owner,
             allocated,
         };
-        let victim = self.evict_if_needed(line);
         (note, victim)
     }
 
@@ -317,7 +387,8 @@ impl CoherenceDirectory {
         line: CacheLineAddr,
         cpu: CpuId,
     ) -> (WriteNote, Option<(CacheLineAddr, DirectoryEntry)>) {
-        let (entry, allocated) = self.touch_or_allocate(line);
+        let (slot, allocated, victim) = self.touch_or_allocate(line);
+        let entry = &mut self.entries[slot];
         let targets = entry.sharers.without(cpu);
         let pt_kind = entry.pt_kind();
         entry.sharers = SharerSet::only(cpu);
@@ -330,22 +401,25 @@ impl CoherenceDirectory {
             pt_kind,
             allocated,
         };
-        let victim = self.evict_if_needed(line);
         (note, victim)
     }
 
     /// Marks a line as holding page-table entries of the given kind.  Done
     /// by the hardware walker when it first fills translations from the line
-    /// (i.e. when the PTE's accessed bit was clear).
-    pub fn mark_pt(&mut self, line: CacheLineAddr, kind: PtKind) {
-        self.clock += 1;
-        let clock = self.clock;
-        let entry = self.entries.entry(line).or_default();
-        Self::touch(entry, clock);
+    /// (i.e. when the PTE's accessed bit was clear).  Marking an untracked
+    /// line allocates its entry, so it returns any capacity victim.
+    pub fn mark_pt(
+        &mut self,
+        line: CacheLineAddr,
+        kind: PtKind,
+    ) -> Option<(CacheLineAddr, DirectoryEntry)> {
+        let (slot, _, victim) = self.touch_or_allocate(line);
+        let entry = &mut self.entries[slot];
         match kind {
             PtKind::Nested => entry.npt = true,
             PtKind::Guest => entry.gpt = true,
         }
+        victim
     }
 
     /// Records that `cpu`'s private caches evicted `line`.  The CPU leaves
@@ -355,9 +429,11 @@ impl CoherenceDirectory {
     /// Fig. 6), except in the Fig. 12 "EGR-dir-update" ablation
     /// (`eager_pt`).  A plain line left without sharers is dropped.
     pub fn note_private_eviction(&mut self, line: CacheLineAddr, cpu: CpuId, eager_pt: bool) {
-        let Some(entry) = self.entries.get_mut(&line) else {
+        let set = self.set_index(line);
+        let Some(slot) = self.slot(set, line) else {
             return;
         };
+        let entry = &mut self.entries[slot];
         let is_pt = entry.pt_kind().is_some();
         if is_pt && !eager_pt {
             return;
@@ -367,7 +443,12 @@ impl CoherenceDirectory {
             entry.owner = None;
         }
         if entry.sharers.is_empty() && !is_pt {
-            self.entries.remove(&line);
+            // The set's last valid slot fills the hole.
+            let last = set * self.ways + self.lens[set] as usize - 1;
+            self.lines[slot] = self.lines[last];
+            self.entries[slot] = self.entries[last];
+            self.lens[set] -= 1;
+            self.occupied -= 1;
         }
     }
 
@@ -375,8 +456,8 @@ impl CoherenceDirectory {
     /// spurious invalidation (the line was neither in its caches nor in its
     /// translation structures).
     pub fn demote_after_spurious(&mut self, line: CacheLineAddr, cpu: CpuId) {
-        if let Some(entry) = self.entries.get_mut(&line) {
-            entry.sharers.remove(cpu);
+        if let Some(slot) = self.slot(self.set_index(line), line) {
+            self.entries[slot].sharers.remove(cpu);
             self.stats.lazy_demotions.incr();
         }
     }
@@ -384,16 +465,15 @@ impl CoherenceDirectory {
     /// Whether `cpu` is currently listed as a sharer of `line`.
     #[must_use]
     pub fn is_sharer(&self, line: CacheLineAddr, cpu: CpuId) -> bool {
-        self.entries
-            .get(&line)
-            .map(|e| e.sharers.contains(cpu))
-            .unwrap_or(false)
+        self.entry(line).is_some_and(|e| e.sharers.contains(cpu))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
 
     fn line(n: u64) -> CacheLineAddr {
         CacheLineAddr::new(n * 64)
@@ -464,26 +544,280 @@ mod tests {
         assert_eq!(dir.stats().evictions.get() as usize, victims);
     }
 
-    /// Pins the capacity-eviction victims.  The sampled eviction picks its
-    /// victim in `HashMap` iteration order, which std does not promise to
-    /// keep (it depends on `DefaultHasher` and the table layout); if a
-    /// toolchain changes either, every gated baseline drifts, and this test
-    /// names the cause.
+    #[test]
+    fn full_set_evicts_its_least_recently_touched_entry() {
+        // Four entries form one 4-way set.
+        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 4 });
+        for i in 0..4 {
+            dir.note_read(line(i), CpuId::new(0));
+        }
+        dir.note_write(line(0), CpuId::new(1));
+        dir.mark_pt(line(1), PtKind::Guest);
+        let (_, victim) = dir.note_read(line(9), CpuId::new(2));
+        assert_eq!(victim.map(|(l, _)| l), Some(line(2)));
+        let (_, victim) = dir.note_read(line(10), CpuId::new(2));
+        assert_eq!(victim.map(|(l, _)| l), Some(line(3)));
+    }
+
+    /// Pins the capacity-eviction victims of a 3-set, 16-way directory, so
+    /// that a change to the set index or the victim choice (either moves
+    /// every gated baseline) fails here first and names the cause.
     #[test]
     fn eviction_victims_are_pinned() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 16 });
+        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 48 });
         let mut victims = Vec::new();
-        for i in 0..64u64 {
-            let (_, victim) = dir.note_read(line(i * 37 % 41), CpuId::new((i % 4) as u32));
+        for i in 0..160u64 {
+            let (_, victim) =
+                dir.note_read(line((i * i + 7 * i) % 127), CpuId::new((i % 4) as u32));
             victims.extend(victim.map(|(l, _)| l.index()));
         }
         assert_eq!(
             victims,
             [
-                0, 29, 21, 17, 13, 9, 5, 1, 30, 14, 34, 10, 22, 6, 2, 39, 35, 31, 27, 19, 11, 7, 3,
-                40, 36, 23, 32, 28, 24, 20, 16, 12, 8, 0, 29, 21, 17, 13, 9, 5, 1, 34
+                8, 71, 30, 98, 6, 17, 43, 40, 0, 76, 27, 113, 18, 84, 87, 92, 108, 37, 100, 119,
+                20, 56, 77, 83, 118, 99, 63, 5, 125
             ]
         );
+    }
+
+    #[test]
+    fn marking_a_line_into_a_full_set_evicts() {
+        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 2 });
+        dir.note_read(line(1), CpuId::new(0));
+        dir.note_read(line(1), CpuId::new(3));
+        dir.mark_pt(line(1), PtKind::Nested);
+        dir.note_read(line(2), CpuId::new(1));
+        let (l, entry) = dir
+            .mark_pt(line(3), PtKind::Guest)
+            .expect("full set evicts");
+        assert_eq!(l, line(1));
+        assert_eq!(entry.pt_kind(), Some(PtKind::Nested));
+        assert_eq!(
+            entry.sharers.iter().collect::<Vec<_>>(),
+            [CpuId::new(0), CpuId::new(3)]
+        );
+        assert_eq!(dir.len(), 2);
+        assert_eq!(
+            dir.entry(line(3)).and_then(DirectoryEntry::pt_kind),
+            Some(PtKind::Guest)
+        );
+        // Marking a tracked line allocates nothing.
+        assert_eq!(dir.mark_pt(line(2), PtKind::Nested), None);
+    }
+
+    #[test]
+    fn len_never_exceeds_capacity() {
+        for max_entries in [1, 4, 16, 20, 64] {
+            let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries });
+            let capacity = max_entries.div_ceil(max_entries.min(16)) * max_entries.min(16);
+            for i in 0..400u64 {
+                let l = line(i * 7919 % 1009);
+                let cpu = CpuId::new((i % 5) as u32);
+                match i % 3 {
+                    0 => drop(dir.note_read(l, cpu)),
+                    1 => drop(dir.note_write(l, cpu)),
+                    _ => drop(dir.mark_pt(l, PtKind::Nested)),
+                }
+                assert!(dir.len() <= capacity, "{} > {capacity}", dir.len());
+            }
+            assert_eq!(
+                dir.len() as u64,
+                dir.stats().allocations.get() - dir.stats().evictions.get()
+            );
+        }
+    }
+
+    #[test]
+    fn unbounded_directory_never_evicts() {
+        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded());
+        for i in 0..5_000u64 {
+            assert_eq!(dir.note_read(line(i * 16 + 3), CpuId::new(0)).1, None);
+            assert_eq!(dir.mark_pt(line(i * 16 + 7), PtKind::Guest), None);
+        }
+        assert_eq!(dir.len(), 10_000);
+        assert!(dir.is_sharer(line(3), CpuId::new(0)));
+        assert!(dir.is_sharer(line(4_999 * 16 + 3), CpuId::new(0)));
+    }
+
+    /// A fixed-geometry reference: one `Vec` per set at the full set count
+    /// (a single unlimited set when unbounded), victims found by scanning
+    /// for the oldest stamp.
+    struct Reference {
+        sets: Vec<Vec<(CacheLineAddr, DirectoryEntry)>>,
+        ways: usize,
+        clock: u64,
+    }
+
+    type Victim = Option<(CacheLineAddr, DirectoryEntry)>;
+
+    impl Reference {
+        fn new(max_entries: usize) -> Self {
+            let (sets, ways) = match max_entries {
+                0 => (1, usize::MAX),
+                n => (n.div_ceil(n.min(16)), n.min(16)),
+            };
+            Self {
+                sets: vec![Vec::new(); sets],
+                ways,
+                clock: 0,
+            }
+        }
+
+        fn set(&self, line: CacheLineAddr) -> usize {
+            let hash = u128::from(line.index().wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            ((hash * self.sets.len() as u128) >> 64) as usize
+        }
+
+        fn get(&mut self, line: CacheLineAddr) -> Option<&mut DirectoryEntry> {
+            let set = self.set(line);
+            self.sets[set]
+                .iter_mut()
+                .find(|(l, _)| *l == line)
+                .map(|(_, e)| e)
+        }
+
+        fn touch(&mut self, line: CacheLineAddr) -> (&mut DirectoryEntry, bool, Victim) {
+            self.clock += 1;
+            let (clock, ways, set) = (self.clock, self.ways, self.set(line));
+            let set = &mut self.sets[set];
+            if let Some(pos) = set.iter().position(|(l, _)| *l == line) {
+                set[pos].1.last_touch = clock;
+                return (&mut set[pos].1, false, None);
+            }
+            let victim = (set.len() == ways).then(|| {
+                let oldest = (0..set.len()).min_by_key(|&i| set[i].1.last_touch).unwrap();
+                set.remove(oldest)
+            });
+            set.push((
+                line,
+                DirectoryEntry {
+                    last_touch: clock,
+                    ..DirectoryEntry::default()
+                },
+            ));
+            (&mut set.last_mut().unwrap().1, true, victim)
+        }
+
+        fn note_read(&mut self, line: CacheLineAddr, cpu: CpuId) -> (ReadNote, Victim) {
+            let (entry, allocated, victim) = self.touch(line);
+            let downgraded_owner = entry.owner.filter(|&owner| owner != cpu);
+            if downgraded_owner.is_some() {
+                entry.owner = None;
+            }
+            entry.sharers.add(cpu);
+            if allocated {
+                entry.owner = Some(cpu);
+            }
+            let note = ReadNote {
+                downgraded_owner,
+                allocated,
+            };
+            (note, victim)
+        }
+
+        fn note_write(&mut self, line: CacheLineAddr, cpu: CpuId) -> (WriteNote, Victim) {
+            let (entry, allocated, victim) = self.touch(line);
+            let note = WriteNote {
+                invalidate_targets: entry.sharers.without(cpu),
+                pt_kind: entry.pt_kind(),
+                allocated,
+            };
+            entry.sharers = SharerSet::only(cpu);
+            entry.owner = Some(cpu);
+            (note, victim)
+        }
+
+        fn mark_pt(&mut self, line: CacheLineAddr, kind: PtKind) -> Victim {
+            let (entry, _, victim) = self.touch(line);
+            match kind {
+                PtKind::Nested => entry.npt = true,
+                PtKind::Guest => entry.gpt = true,
+            }
+            victim
+        }
+
+        fn note_private_eviction(&mut self, line: CacheLineAddr, cpu: CpuId, eager_pt: bool) {
+            let Some(entry) = self.get(line) else {
+                return;
+            };
+            let is_pt = entry.pt_kind().is_some();
+            if is_pt && !eager_pt {
+                return;
+            }
+            entry.sharers.remove(cpu);
+            if entry.owner == Some(cpu) {
+                entry.owner = None;
+            }
+            if entry.sharers.is_empty() && !is_pt {
+                let set = self.set(line);
+                self.sets[set].retain(|(l, _)| *l != line);
+            }
+        }
+
+        fn demote_after_spurious(&mut self, line: CacheLineAddr, cpu: CpuId) {
+            if let Some(entry) = self.get(line) {
+                entry.sharers.remove(cpu);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random operation sequences over a bank-like line population
+        /// (constant low index bits) return the same notes and victims as
+        /// the fixed-geometry reference and hold the same entries, at
+        /// capacities that fill one set, split evenly into sets, leave the
+        /// last set short (20), span many sets (1024), or never evict.
+        #[test]
+        fn matches_the_vec_of_vecs_reference(
+            capacity in 0usize..5,
+            ops in proptest::collection::vec((0u8..12, 0u64..4096, 0u32..6), 200..3000),
+        ) {
+            let (max_entries, lines) = [(4, 12), (8, 24), (20, 60), (1024, 1200), (0, 600)][capacity];
+            let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries });
+            let mut reference = Reference::new(max_entries);
+            let mut evictions = 0;
+            for (i, &(op, n, c)) in ops.iter().enumerate() {
+                let (l, cpu) = (line((n % lines) * 16 + 5), CpuId::new(c));
+                match op {
+                    0..=3 => {
+                        let (note, victim) = dir.note_read(l, cpu);
+                        evictions += usize::from(victim.is_some());
+                        prop_assert_eq!((note, victim), reference.note_read(l, cpu));
+                    }
+                    4..=6 => {
+                        let (note, victim) = dir.note_write(l, cpu);
+                        evictions += usize::from(victim.is_some());
+                        prop_assert_eq!((note, victim), reference.note_write(l, cpu));
+                    }
+                    7 | 8 => {
+                        let kind = if c % 2 == 0 { PtKind::Nested } else { PtKind::Guest };
+                        let victim = dir.mark_pt(l, kind);
+                        evictions += usize::from(victim.is_some());
+                        prop_assert_eq!(victim, reference.mark_pt(l, kind));
+                    }
+                    9 | 10 => {
+                        dir.note_private_eviction(l, cpu, op == 10);
+                        reference.note_private_eviction(l, cpu, op == 10);
+                    }
+                    _ => {
+                        dir.demote_after_spurious(l, cpu);
+                        reference.demote_after_spurious(l, cpu);
+                    }
+                }
+                prop_assert_eq!(dir.len(), reference.sets.iter().map(Vec::len).sum::<usize>());
+                if i % 64 == 0 {
+                    for &(l, entry) in reference.sets.iter().flatten() {
+                        prop_assert_eq!(dir.entry(l), Some(&entry));
+                    }
+                }
+            }
+            for &(l, entry) in reference.sets.iter().flatten() {
+                prop_assert_eq!(dir.entry(l), Some(&entry));
+            }
+            prop_assert_eq!(dir.stats().evictions.get() as usize, evictions);
+        }
     }
 
     #[test]

@@ -582,7 +582,8 @@ impl CacheBank {
                     .note_private_eviction(line, cpu, eager_pt_directory_update);
             }
             SharedCacheOp::MarkPt { line, kind } => {
-                self.directory.mark_pt(line, kind);
+                let victim = self.directory.mark_pt(line, kind);
+                self.push_victim(victim, seq, priv_out);
             }
             SharedCacheOp::DemoteSharer { cpu, line } => {
                 self.directory.demote_after_spurious(line, cpu);
@@ -1039,10 +1040,17 @@ impl CacheHierarchy {
 
     /// Marks a line as holding page-table entries of the given kind (done by
     /// the hardware walker when it fills translation structures from a line
-    /// whose accessed bit was clear).
-    pub fn mark_pt_line(&mut self, line: CacheLineAddr, kind: PtKind) {
-        let bank = self.shared.bank_of(line);
-        self.shared.banks[bank].directory.mark_pt(line, kind);
+    /// whose accessed bit was clear).  Returns the directory entry the
+    /// marking evicted, if any: its sharers were back-invalidated in their
+    /// private caches, and callers must back-invalidate translation
+    /// structures for page-table lines.
+    pub fn mark_pt_line(
+        &mut self,
+        line: CacheLineAddr,
+        kind: PtKind,
+    ) -> Vec<(CacheLineAddr, SharerSet, Option<PtKind>)> {
+        let (_, commit) = self.apply_serial(&SharedCacheOp::MarkPt { line, kind });
+        commit.back_invalidated
     }
 
     /// Lazily demotes `cpu` from `line`'s sharer list after the translation
@@ -1245,6 +1253,29 @@ mod tests {
         }
         assert!(saw_back_invalidation);
         assert!(h.stats().back_invalidations.get() > 0);
+    }
+
+    #[test]
+    fn marking_a_pt_line_back_invalidates_the_victim() {
+        // One directory entry per bank: marking a second line of a bank
+        // evicts the first.
+        let mut h = CacheHierarchy::new(CacheHierarchyConfig {
+            directory: DirectoryConfig { max_entries: 16 },
+            ..small_hierarchy(2).config
+        });
+        assert_eq!(h.bank_count(), 16);
+        h.read(CpuId::new(0), line(3));
+        h.read(CpuId::new(1), line(3));
+        assert!(h.mark_pt_line(line(3), PtKind::Nested).is_empty());
+        let back = h.mark_pt_line(line(19), PtKind::Guest);
+        let mut sharers = SharerSet::only(CpuId::new(0));
+        sharers.add(CpuId::new(1));
+        assert_eq!(back, [(line(3), sharers, Some(PtKind::Nested))]);
+        assert!(!h.cpu_holds_line(CpuId::new(0), line(3)));
+        assert!(!h.cpu_holds_line(CpuId::new(1), line(3)));
+        assert!(!h.is_sharer(line(3), CpuId::new(0)));
+        assert_eq!(h.stats().back_invalidations.get(), 2);
+        assert_eq!(h.directory_len(), 1);
     }
 
     #[test]

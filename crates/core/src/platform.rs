@@ -492,10 +492,10 @@ impl Platform {
         if accessed_clear {
             // The walker informs the directory that this line now feeds
             // translation structures (Sec. 4.2).
-            self.caches
-                .mark_pt_line(walk.nested_leaf_pte_addr().cache_line(), PtKind::Nested);
-            self.caches
-                .mark_pt_line(walk.guest_leaf_pte_addr().cache_line(), PtKind::Guest);
+            let nested = walk.nested_leaf_pte_addr().cache_line();
+            self.mark_pt_line(vms, slot, nested, PtKind::Nested);
+            let guest = walk.guest_leaf_pte_addr().cache_line();
+            self.mark_pt_line(vms, slot, guest, PtKind::Guest);
             self.energy.record(EnergyEvent::DirectoryAccess, 1);
         }
         let assist = self.structures[cpu.index()].service_miss(vm_id, asid, &walk, accessed_clear);
@@ -1103,6 +1103,19 @@ impl Platform {
             let extra = ((plan.targets.len() as f64) * extra_factor).ceil() as u64;
             self.energy.record(EnergyEvent::DirectoryAccess, extra);
         }
+    }
+
+    /// Marks `line` as holding page-table entries in the directory and
+    /// back-invalidates whatever entry the marking evicted.
+    pub(crate) fn mark_pt_line(
+        &mut self,
+        vms: &mut [VmInstance],
+        slot: usize,
+        line: CacheLineAddr,
+        kind: PtKind,
+    ) {
+        let back = self.caches.mark_pt_line(line, kind);
+        self.handle_back_invalidations(vms, slot, &back);
     }
 
     fn handle_back_invalidations(

@@ -252,6 +252,52 @@ mod tests {
         system.run(&mut driver, 2_000, 2_000)
     }
 
+    /// A page-table line the walker's marking evicts from the directory
+    /// takes the translations filled from it out of its sharers' TLBs.
+    #[test]
+    fn marking_evicts_pt_lines_out_of_translation_structures() {
+        use hatric_cache::PtKind;
+        use hatric_types::{CacheLineAddr, GuestVirtPage, SystemFrame};
+
+        let mut system = System::new(tiny_config(CoherenceMechanism::Hatric)).unwrap();
+        let (vm, asid, gvp) = (VmId::new(0), AddressSpaceId::new(0), GuestVirtPage::new(7));
+        let pte = SystemPhysAddr::new(0x40_0000);
+        let pt_line = pte.cache_line();
+        let vms = std::slice::from_mut(&mut system.vm);
+        let platform = &mut system.platform;
+        for cpu in [CpuId::new(0), CpuId::new(1)] {
+            platform.caches.read(cpu, pt_line);
+            platform.structures[cpu.index()].fill_data(
+                vm,
+                asid,
+                gvp,
+                SystemFrame::new(9),
+                pte,
+                None,
+            );
+        }
+        platform.mark_pt_line(vms, 0, pt_line, PtKind::Nested);
+        // Mark further lines of the same bank until one evicts the PT line.
+        let banks = platform.caches.bank_count() as u64;
+        let mut n = 0;
+        while platform.caches.is_sharer(pt_line, CpuId::new(0)) {
+            n += 1;
+            assert!(n < 1 << 16, "the directory never evicted the PT line");
+            let line = CacheLineAddr::new((pt_line.index() + n * banks) * 64);
+            platform.mark_pt_line(vms, 0, line, PtKind::Guest);
+        }
+        for cpu in 0..2 {
+            assert!(platform.structures[cpu]
+                .lookup_data(vm, asid, gvp)
+                .is_none());
+            assert!(!platform
+                .caches
+                .cpu_holds_line(CpuId::new(cpu as u32), pt_line));
+        }
+        // Each sharer lost its L1 and L2 TLB copies.
+        assert_eq!(vms[0].coherence_mut().back_invalidated_entries, 4);
+    }
+
     #[test]
     fn software_run_produces_shootdown_activity() {
         let report = run(CoherenceMechanism::Software);
