@@ -17,8 +17,8 @@ use hatric_host::scenario::find;
 /// targets with `crates/bench` as their working directory, so the root is
 /// reached via `CARGO_MANIFEST_DIR`).
 ///
-/// Returns `None` for scenarios without a committed baseline (the figure
-/// scenarios).
+/// Returns `None` for an unregistered scenario or one without a committed
+/// baseline.
 #[must_use]
 pub fn baseline_path(name: &str) -> Option<String> {
     let stem = find(name)?.baseline_stem()?;

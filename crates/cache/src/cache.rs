@@ -1,15 +1,13 @@
 //! A set-associative cache (tags + MESI state only): the private L1 and L2
 //! of every CPU, and each LLC bank slice.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::consts::CACHE_LINE_BYTES;
 use hatric_types::{CacheLineAddr, RatioStat};
 
 use crate::line::MesiState;
 
 /// Geometry of a private cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrivateCacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,

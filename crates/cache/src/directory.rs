@@ -15,8 +15,6 @@
 //! the line in every sharer (and, with HATRIC, in their translation
 //! structures), which the hierarchy layer performs.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{CacheLineAddr, Counter, CpuId};
 
 use crate::line::PtKind;
@@ -29,7 +27,7 @@ const MAX_WAYS: usize = 16;
 const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A set of CPUs, stored as a 64-bit mask.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharerSet(u64);
 
 impl SharerSet {
@@ -101,7 +99,7 @@ impl SharerSet {
 }
 
 /// One coherence-directory entry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectoryEntry {
     /// CPUs that may hold a copy of the line (in caches *or* translation
     /// structures — the directory is pseudo-specific).
@@ -131,7 +129,7 @@ impl DirectoryEntry {
 }
 
 /// Directory sizing and behaviour knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectoryConfig {
     /// Maximum number of tracked lines, rounded up to whole sets of
     /// `min(16, max_entries)` ways; `0` means unbounded (the Fig. 12
@@ -164,7 +162,7 @@ impl Default for DirectoryConfig {
 }
 
 /// Statistics kept by the directory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectoryStats {
     /// Entries allocated.
     pub allocations: Counter,

@@ -11,8 +11,6 @@
 //!   mutation as a [`SharedCacheOp`]; at the slice barrier the ops are
 //!   replayed in canonical order via [`CacheHierarchy::apply_op`].
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{CacheLineAddr, Counter, CpuId, RatioStat};
 
 use crate::cache::{PrivateCache, PrivateCacheConfig};
@@ -20,7 +18,7 @@ use crate::directory::{CoherenceDirectory, DirectoryConfig, DirectoryEntry, Shar
 use crate::line::{MesiState, PtKind};
 
 /// Which level of the hierarchy satisfied an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitLevel {
     /// Private L1 cache.
     L1,
@@ -33,7 +31,7 @@ pub enum HitLevel {
 }
 
 /// Geometry of the whole hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheHierarchyConfig {
     /// Number of CPUs (private cache pairs).
     pub num_cpus: usize,
@@ -99,7 +97,7 @@ pub struct WriteOutcome {
 }
 
 /// Aggregate statistics for the hierarchy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStatsSnapshot {
     /// L1 hit/miss across all CPUs.
     pub l1: RatioStat,

@@ -1,9 +1,7 @@
 //! Cache-line coherence states and page-table line classification.
 
-use serde::{Deserialize, Serialize};
-
 /// MESI coherence states for lines in private caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MesiState {
     /// Modified: this CPU holds the only, dirty copy.
     Modified,
@@ -35,7 +33,7 @@ impl MesiState {
 ///
 /// The coherence directory records this with two bits per entry so that
 /// writes to such lines can be relayed to translation structures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PtKind {
     /// The line holds guest page-table entries.
     Guest,

@@ -6,10 +6,8 @@
 //! thread count, and tests can fuzz over streams by fuzzing the generator
 //! inputs.
 
-use serde::{Deserialize, Serialize};
-
 /// One churn event, due at the start of `epoch`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnEvent {
     /// Epoch (0-based, counted over the whole run including warmup) at
     /// whose boundary the event fires.
@@ -19,7 +17,7 @@ pub struct ChurnEvent {
 }
 
 /// The kinds of churn the cluster reacts to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnKind {
     /// A VM arrives; the placement policy picks the host (the arrival's
     /// `home` is its affinity hint) and the lowest free slot there.

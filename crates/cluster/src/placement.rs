@@ -1,13 +1,11 @@
 //! Where new and migrating VMs land.
 
-use serde::{Deserialize, Serialize};
-
 /// Picks the host a VM arrival (or a migration destination) lands on.
 ///
 /// Both policies are pure functions of `(loads, free slots, home)` with
 /// host-index tie-breaks, so placement is deterministic for a
 /// deterministic churn stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// The host with the fewest scheduled vCPUs that still has a free
     /// slot (ties broken by lowest host index).

@@ -1,11 +1,9 @@
 //! The cluster's merged view of a run.
 
-use serde::{Deserialize, Serialize};
-
 use hatric::metrics::{HostReport, MigrationStats, SimReport};
 
 /// What happened to one inter-host migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationOutcome {
     /// Source host index.
     pub src_host: usize,
@@ -40,7 +38,7 @@ pub struct MigrationOutcome {
 
 /// One crash-driven VM cold restart: the host died, the placement policy
 /// re-placed the VM elsewhere with its dirty state lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartOutcome {
     /// Host that crashed.
     pub from_host: usize,
@@ -60,7 +58,7 @@ pub struct RestartOutcome {
 /// Fleet-level recovery metrics accumulated over the whole run (warmup
 /// included — like the migration ledger, recovery is about the fleet's
 /// lifetime, not the measured window).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Hosts taken down by `HostCrash` faults.
     pub host_crashes: u64,
@@ -97,7 +95,7 @@ pub struct RecoveryStats {
 /// fleet-wide critical path.  The reconciliation contract — aggregate
 /// fields equal the field-wise sum over `per_host` — is enforced by the
 /// `tests/cluster.rs` reconciliation test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// One report per host, in host-index order.
     pub per_host: Vec<HostReport>,

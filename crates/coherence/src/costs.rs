@@ -6,10 +6,8 @@
 //! repopulated by 24-reference two-dimensional walks (charged by the timing
 //! model when the misses actually happen, not here).
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle costs used by the coherence planners.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoherenceCosts {
     /// Initiator-side cost of setting up and issuing an IPI broadcast.
     pub ipi_initiate_cycles: u64,

@@ -1,11 +1,9 @@
 //! The coherence plan a protocol produces for one page-table modification.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{CpuId, VmId};
 
 /// What a target CPU must do to its translation structures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetAction {
     /// Flush the TLBs, MMU cache and nested TLB completely (software path).
     FlushAll,
@@ -20,7 +18,7 @@ pub enum TargetAction {
 }
 
 /// The work one target CPU performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TargetPlan {
     /// The target CPU.
     pub cpu: CpuId,
@@ -33,7 +31,7 @@ pub struct TargetPlan {
 }
 
 /// The complete plan for one page-table modification.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CoherencePlan {
     /// The VM whose nested page table the plan is for (copied from the
     /// [`crate::RemapContext`]; the executor cross-checks it against the

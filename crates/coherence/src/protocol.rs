@@ -1,7 +1,5 @@
 //! The translation-coherence protocol implementations.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_cache::SharerSet;
 use hatric_types::{CpuId, VmId};
 
@@ -46,7 +44,7 @@ impl RemapContext {
 
 /// Identifies a translation-coherence mechanism (used in configuration and
 /// reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceMechanism {
     /// Software shootdowns as performed by KVM today.
     Software,

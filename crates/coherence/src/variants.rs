@@ -1,9 +1,7 @@
 //! Coherence-directory design variants (the Fig. 12 ablation).
 
-use serde::{Deserialize, Serialize};
-
 /// The directory-design options Sec. 4.2 discusses and Fig. 12 evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DesignVariant {
     /// Baseline HATRIC: lazy sharer updates, pseudo-specific line-grain
     /// tracking, a bounded dual-grain directory with back-invalidations.

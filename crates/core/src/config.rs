@@ -1,7 +1,5 @@
 //! System configuration: everything needed to build a [`crate::System`].
 
-use serde::{Deserialize, Serialize};
-
 use hatric_coherence::{CoherenceCosts, CoherenceMechanism, DesignVariant};
 use hatric_energy::EnergyParams;
 use hatric_hypervisor::{HypervisorKind, NumaPolicy, PagingPolicyKind};
@@ -31,7 +29,7 @@ impl CoherenceMechanismExt for CoherenceMechanism {
 }
 
 /// How the two-level memory is used (the three Fig. 2 operating points).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryMode {
     /// Only off-chip DRAM exists (`no-hbm`): nothing to page, nothing to
     /// keep translation-coherent beyond ordinary OS activity.
@@ -51,7 +49,7 @@ pub enum MemoryMode {
 /// let lat = LatencyConfig::haswell_like();
 /// assert!(lat.l1_hit < lat.l2_hit && lat.l2_hit < lat.llc_hit);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// L1 data-cache hit.
     pub l1_hit: u64,
@@ -95,7 +93,7 @@ impl Default for LatencyConfig {
 /// assert!(best.migration_daemon && best.prefetch_pages > 0);
 /// assert_eq!(PagingKnobs::default(), best);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PagingKnobs {
     /// Victim-selection policy.
     pub policy: PagingPolicyKind,
@@ -161,7 +159,7 @@ impl Default for PagingKnobs {
 /// assert!(cfg.validate().is_ok());
 /// assert_eq!(cfg.fast_capacity_pages(), 1_024);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Number of physical CPUs.
     pub num_cpus: usize,

@@ -1,6 +1,4 @@
-//! Shared machinery for the per-figure experiment runners.
-
-use serde::{Deserialize, Serialize};
+//! The single-VM run every figure of the paper is made of.
 
 use hatric_coherence::{CoherenceMechanism, DesignVariant};
 use hatric_hypervisor::HypervisorKind;
@@ -15,7 +13,7 @@ use crate::system::System;
 /// long the traces are.  All figures use the same scaling so their results
 /// are comparable; tests use [`ExperimentParams::quick`] and the benchmark
 /// harness uses [`ExperimentParams::default_scale`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentParams {
     /// vCPUs of the VM (and physical CPUs of the machine).
     pub vcpus: usize,
@@ -225,13 +223,6 @@ pub fn execute_mix(
     let workload = MixWorkload::build(mix.clone(), params.fast_pages, params.seed);
     let mut driver = WorkloadDriver::from(workload);
     system.run(&mut driver, params.warmup, params.measured)
-}
-
-/// Formats a ratio as the paper's figures do (runtime normalised to a
-/// baseline of 1.0).
-#[must_use]
-pub fn fmt_norm(value: f64) -> String {
-    format!("{value:.3}")
 }
 
 #[cfg(test)]

@@ -1,33 +1,19 @@
-//! Experiment runners: one module per table/figure of the paper's
-//! evaluation (Sec. 6), plus the Xen generality study.
+//! Single-VM experiment runs: the building block of the paper's evaluation
+//! (Sec. 6).
 //!
-//! Every runner takes an [`ExperimentParams`] describing the (scaled-down)
-//! machine and trace length, executes the required set of simulations, and
-//! returns plain data rows that the benchmark harness (`hatric-bench`) and
-//! the examples print as tables mirroring the paper's figures.
+//! [`ExperimentParams`] sizes the (scaled-down) machine and the traces, and
+//! a [`RunSpec`] names everything else one run varies: workload, mechanism,
+//! memory mode, paging policy, structure sizes, co-tag width, directory
+//! design and hypervisor.  The figures themselves are data: the `FIGURES`
+//! table of `hatric_host::scenario` sweeps these runs into report rows
+//! (`scenarios run fig2` … `scenarios run xen`).
 //!
-//! | Paper figure | Runner |
+//! | Runner | Runs |
 //! |---|---|
-//! | Fig. 2 (paging potential vs software coherence) | [`fig2::run`] |
-//! | Fig. 7 (vCPU scaling) | [`fig7::run`] |
-//! | Fig. 8 (paging-policy sweep) | [`fig8::run`] |
-//! | Fig. 9 (translation-structure sizes) | [`fig9::run`] |
-//! | Fig. 10 (multiprogrammed mixes) | [`fig10::run`] |
-//! | Fig. 11 left (performance-energy scatter) | [`fig11::run_scatter`] |
-//! | Fig. 11 right (co-tag size sweep) | [`fig11::run_cotag_sweep`] |
-//! | Fig. 12 (directory-design ablation) | [`fig12::run`] |
-//! | Fig. 13 (UNITD++ comparison) | [`fig13::run`] |
-//! | Sec. 6 Xen results | [`xen::run`] |
+//! | [`execute`] | one workload under one [`RunSpec`] |
+//! | [`execute_traced`] | the same, with sim-time tracing, plus its Chrome trace |
+//! | [`execute_mix`] | one multiprogrammed SPEC mix (Fig. 10) |
 
 pub mod common;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig2;
-pub mod fig7;
-pub mod fig8;
-pub mod fig9;
-pub mod xen;
 
 pub use common::{execute, execute_mix, execute_traced, ExperimentParams, RunSpec};

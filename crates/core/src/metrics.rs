@@ -1,8 +1,6 @@
 //! Simulation reports: runtime, coherence activity, paging activity, cache
 //! and translation statistics, and energy.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_cache::CacheStatsSnapshot;
 use hatric_energy::EnergyReport;
 use hatric_hypervisor::PagingStats;
@@ -10,7 +8,7 @@ use hatric_telemetry::{CausalLedger, LatencyStats};
 use hatric_tlb::TranslationStatsSnapshot;
 
 /// Translation-coherence activity observed during a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoherenceActivity {
     /// Nested-page-table entries modified (page remaps).
     pub remaps: u64,
@@ -61,7 +59,7 @@ impl CoherenceActivity {
 /// translation-structure flush or a coherence-induced VM exit.  Co-tag
 /// invalidations are serviced by the translation-structure port without
 /// stalling the pipeline and are not counted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InterferenceActivity {
     /// Cycles stolen from this VM's vCPUs by *other* VMs' translation
     /// coherence (flushes and VM exits charged while this VM occupied the
@@ -92,7 +90,7 @@ impl InterferenceActivity {
 /// the axis the `numa_contention` experiment sweeps: software shootdowns
 /// whose flushes force victims to refill translations through a congested
 /// inter-socket link lose ground to HATRIC as the ratio rises.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NumaActivity {
     /// DRAM line accesses served by the accessing CPU's own socket.
     pub local_dram_accesses: u64,
@@ -144,7 +142,7 @@ impl NumaActivity {
 }
 
 /// Demand-paging activity observed during a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultActivity {
     /// Demand faults on non-resident pages (each causes a VM exit).
     pub demand_faults: u64,
@@ -169,7 +167,7 @@ impl FaultActivity {
 /// Live-migration and ballooning activity observed during a run
 /// (hypervisor-driven remap storms beyond die-stacked paging — Sec. 7's
 /// future-work scenarios, modeled by the `hatric-migration` crate).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationStats {
     /// Live migrations that began (entered pre-copy).
     pub migrations_started: u64,
@@ -246,7 +244,7 @@ impl MigrationStats {
 }
 
 /// The result of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     /// Cycles consumed by each physical CPU during the measured phase.
     pub cycles_per_cpu: Vec<u64>,
@@ -347,7 +345,7 @@ impl SimReport {
 /// host aggregate carries the per-physical-CPU cycle counters and the shared
 /// cache/translation/energy statistics, with activity counters summed over
 /// the VMs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HostReport {
     /// One report per VM, indexed by VM slot.
     pub per_vm: Vec<SimReport>,

@@ -27,10 +27,8 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use serde::{Deserialize, Serialize};
-
 /// Microarchitectural events that consume dynamic energy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum EnergyEvent {
     /// A TLB lookup (L1 or L2).
@@ -71,7 +69,7 @@ pub enum EnergyEvent {
 }
 
 /// Per-event dynamic energies (picojoules) and leakage (milliwatts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Dynamic energy of a TLB lookup, pJ.
     pub tlb_lookup_pj: f64,
@@ -210,7 +208,7 @@ impl Default for EnergyParams {
 }
 
 /// A finished energy accounting for one simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyReport {
     /// Dynamic energy in nanojoules.
     pub dynamic_nj: f64,

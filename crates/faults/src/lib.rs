@@ -28,14 +28,12 @@
 //! A [`FaultClock`] replays a validated schedule in epoch order; the
 //! cluster pops due events at each boundary.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::ConfigError;
 
 use std::collections::VecDeque;
 
 /// One fault, due at the start of `epoch`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Epoch (0-based, counted over the whole run including warmup) at
     /// whose boundary the fault fires.
@@ -45,7 +43,7 @@ pub struct FaultEvent {
 }
 
 /// The kinds of fault the cluster reacts to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The host dies at the epoch boundary and never comes back: its
     /// VMs are cold-restarted elsewhere (dirty state lost) and any
@@ -122,7 +120,7 @@ impl FaultKind {
 }
 
 /// Relative draw weights for the fault classes a [`FaultPlan`] emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultWeights {
     /// Weight of [`FaultKind::HostCrash`].
     pub crash: u64,
@@ -164,7 +162,7 @@ fn splitmix64(state: &mut u64) {
 }
 
 /// Expands a seed into a deterministic fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Master seed.
     pub seed: u64,

@@ -1,8 +1,6 @@
 //! Configuration of a consolidated host: the shared platform plus one
 //! [`VmSpec`] per co-located virtual machine.
 
-use serde::{Deserialize, Serialize};
-
 use hatric::{MemoryMode, NumaConfig, PagingKnobs, SystemConfig, DEFAULT_SEED};
 use hatric_coherence::{CoherenceMechanism, DesignVariant};
 use hatric_hypervisor::{NumaPolicy, SchedPolicy};
@@ -21,7 +19,7 @@ use hatric_workloads::WorkloadKind;
 /// assert!(!victim.expects_paging());
 /// assert_eq!(victim.home_socket, 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmSpec {
     /// Number of vCPUs (one guest thread each).
     pub vcpus: usize,
@@ -192,7 +190,7 @@ impl VmSpecBuilder {
 /// assert!(cfg.validate().is_ok());
 /// assert_eq!(cfg.total_vcpus(), 4);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostConfig {
     /// Number of physical CPUs the VMs share.
     pub num_pcpus: usize,

@@ -37,13 +37,10 @@
 //! assert_eq!(report.scenario, "multivm");
 //! ```
 
-use hatric::experiments::{
-    execute_traced, fig10, fig11, fig12, fig13, fig2, fig7, fig8, fig9, xen, ExperimentParams,
-    RunSpec,
-};
-use hatric::metrics::HostReport;
+use hatric::experiments::{execute, execute_mix, execute_traced, ExperimentParams, RunSpec};
+use hatric::metrics::{HostReport, SimReport};
 use hatric::telemetry::{global_phase_totals, CounterTimeline, EnginePhase};
-use hatric::{PagingKnobs, WorkloadKind};
+use hatric::{HypervisorKind, MemoryMode, PagingKnobs, SpecMix, SystemConfig, WorkloadKind};
 use hatric_cluster::{Cluster, ClusterReport, PlacementPolicy};
 use hatric_coherence::{CoherenceMechanism, DesignVariant};
 use hatric_hypervisor::{NumaPolicy, SchedPolicy};
@@ -825,11 +822,13 @@ fn fig_bench_params() -> ExperimentParams {
     }
 }
 
-/// A workload needs at least one thread, so a VM needs at least one vCPU.
+/// A workload needs at least one thread, so a VM needs at least one vCPU,
+/// and the machine the sizing scales to must be one the simulator builds.
 fn validate_figure(params: &ExperimentParams) -> Result<(), ConfigError> {
     if params.vcpus == 0 {
         return Err(ConfigError::ZeroVcpus { slot: None });
     }
+    SystemConfig::scaled(params.vcpus, params.fast_pages).validate()?;
     Ok(())
 }
 
@@ -1058,15 +1057,15 @@ pub fn registry() -> &'static [&'static dyn Scenario] {
         &HostScaleScenario,
         &ClusterChurnScenario,
         &ClusterFaultsScenario,
-        &Fig2Scenario,
-        &Fig7Scenario,
-        &Fig8Scenario,
-        &Fig9Scenario,
-        &Fig10Scenario,
-        &Fig11Scenario,
-        &Fig12Scenario,
-        &Fig13Scenario,
-        &XenScenario,
+        &FIGURES[0],
+        &FIGURES[1],
+        &FIGURES[2],
+        &FIGURES[3],
+        &FIGURES[4],
+        &FIGURES[5],
+        &FIGURES[6],
+        &FIGURES[7],
+        &FIGURES[8],
     ];
     REGISTRY
 }
@@ -1912,459 +1911,595 @@ impl Scenario for ClusterFaultsScenario {
 // Figure scenarios (single-VM System runs)
 // ---------------------------------------------------------------------------
 
-/// The [`Probe::System`] run of a figure scenario: `spec` at the figure
-/// family's sizing.
-fn figure_probe(params: &Params, scale: Scale, spec: RunSpec) -> Result<Probe, ConfigError> {
-    Ok(Probe::System {
-        spec,
-        params: ExperimentParams::parse(params, scale)?,
-    })
+/// One bar of a figure: the machine it runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Arm {
+    mechanism: CoherenceMechanism,
+    memory_mode: MemoryMode,
+    hypervisor: HypervisorKind,
 }
 
-/// The Fig. 2 scenario (`fig2`): the potential of hypervisor-managed
-/// die-stacked DRAM per workload — no-HBM baseline, infinite-HBM lower
-/// bound, today's best paging under software coherence, and what
-/// zero-overhead coherence would achieve.
-pub struct Fig2Scenario;
-
-impl Scenario for Fig2Scenario {
-    fn name(&self) -> &'static str {
-        "fig2"
+const fn arm(mechanism: CoherenceMechanism, memory_mode: MemoryMode) -> Arm {
+    Arm {
+        mechanism,
+        memory_mode,
+        hypervisor: HypervisorKind::Kvm,
     }
+}
 
-    fn describe(&self) -> &'static str {
-        "software translation coherence forfeits much of die-stacked DRAM's \
-         paging win (Fig. 2)"
-    }
+const NO_HBM: Arm = arm(CoherenceMechanism::Software, MemoryMode::NoHbm);
+const INFINITE_HBM: Arm = arm(CoherenceMechanism::Software, MemoryMode::InfiniteHbm);
+const SOFTWARE: Arm = arm(CoherenceMechanism::Software, MemoryMode::Paged);
+const UNITD: Arm = arm(CoherenceMechanism::UnitdPlusPlus, MemoryMode::Paged);
+const HATRIC: Arm = arm(CoherenceMechanism::Hatric, MemoryMode::Paged);
+const IDEAL: Arm = arm(CoherenceMechanism::Ideal, MemoryMode::Paged);
+const SOFTWARE_XEN: Arm = Arm {
+    hypervisor: HypervisorKind::Xen,
+    ..arm(CoherenceMechanism::SoftwareXen, MemoryMode::Paged)
+};
+const HATRIC_XEN: Arm = Arm {
+    hypervisor: HypervisorKind::Xen,
+    ..HATRIC
+};
 
-    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
-        Ok(ExperimentParams::parse(params, scale)?.render())
-    }
-
-    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let base = ExperimentParams::parse(params, scale)?;
-        let mut report = ScenarioReport::new(self.name());
-        for fig_row in fig2::run(&base) {
-            for (mechanism, runtime) in [
-                ("NoHbm", fig_row.no_hbm),
-                ("InfiniteHbm", fig_row.inf_hbm),
-                ("Software", fig_row.curr_best),
-                ("Ideal", fig_row.achievable),
-            ] {
-                report.push(
-                    Row::new("config", &fig_row.workload, mechanism)
-                        .ratio("runtime_vs_nohbm", runtime),
-                );
-            }
+impl Arm {
+    /// The `mechanism` field of this arm's rows: the memory mode of the
+    /// no-HBM and infinite-HBM bars, the mechanism of every paged one.
+    fn label(self) -> String {
+        match self.memory_mode {
+            MemoryMode::Paged => mechanism_label(self.mechanism),
+            mode => format!("{mode:?}"),
         }
-        Ok(report)
     }
 
-    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
-        // The curr-best bar of the first workload: paged memory under
-        // software shootdowns, where the figure's forfeited win comes from.
-        figure_probe(
-            params,
-            scale,
-            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software),
-        )
+    /// This arm's run of `kind` with a sweep point's `change`.
+    fn spec(self, kind: WorkloadKind, change: Option<Change>) -> RunSpec {
+        let spec = RunSpec::new(kind, self.mechanism)
+            .with_memory_mode(self.memory_mode)
+            .with_hypervisor(self.hypervisor);
+        match change {
+            None | Some(Change::Vcpus(_)) => spec,
+            Some(Change::Paging(knobs)) => spec.with_paging(knobs()),
+            Some(Change::StructureScale(scale)) => spec.with_structure_scale(scale),
+            Some(Change::CotagBytes(bytes)) => spec.with_cotag_bytes(bytes),
+            Some(Change::Variant(variant)) => spec.with_variant(variant),
+        }
     }
 }
 
-/// The Fig. 7 scenario (`fig7`): HATRIC's benefit as a function of vCPU
-/// count, per workload, under software / HATRIC / ideal coherence.  The
-/// paper's [`fig7::VCPU_SWEEP`] is clipped to the scenario's `vcpus`
-/// parameter so smoke runs stay small.
-pub struct Fig7Scenario;
+/// What a sweep point changes.  A vCPU count applies to every run at the
+/// point; the other changes apply to the arms only, never to the reference
+/// run the arms are divided by.
+#[derive(Clone, Copy)]
+enum Change {
+    Vcpus(usize),
+    Paging(fn() -> PagingKnobs),
+    StructureScale(usize),
+    CotagBytes(u8),
+    Variant(DesignVariant),
+}
 
-impl Scenario for Fig7Scenario {
-    fn name(&self) -> &'static str {
-        "fig7"
+/// A sweep point: the suffix of its row labels and its change.
+type Point = (&'static str, Option<Change>);
+
+/// The one point of a sweep over nothing but its subjects.
+const PLAIN: &[Point] = &[("", None)];
+
+/// What a sweep's rows are about.
+#[derive(Clone, Copy)]
+enum Subjects {
+    /// The big-memory suite.
+    BigMemory,
+    /// The big-memory suite plus the small-footprint class that rarely
+    /// pages.
+    WithSmallFootprint,
+    /// The workloads the paper ran on Xen.
+    Xen,
+    /// The run's `mixes` multiprogrammed SPEC mixes.
+    Mixes,
+}
+
+/// A workload or a multiprogrammed mix.
+enum Subject {
+    Workload(WorkloadKind),
+    Mix(SpecMix),
+}
+
+impl Subjects {
+    /// The workloads of a workload sweep; none for [`Subjects::Mixes`].
+    fn workloads(self) -> Vec<WorkloadKind> {
+        let suite = WorkloadKind::big_memory_suite();
+        match self {
+            Subjects::BigMemory => suite.to_vec(),
+            Subjects::WithSmallFootprint => [&suite[..], &[WorkloadKind::SmallFootprint]].concat(),
+            Subjects::Xen => vec![WorkloadKind::Canneal, WorkloadKind::DataCaching],
+            Subjects::Mixes => Vec::new(),
+        }
     }
 
-    fn describe(&self) -> &'static str {
-        "HATRIC's benefit grows with the vCPU count (Fig. 7)"
+    fn list(self, params: &ExperimentParams, mixes: usize) -> Vec<Subject> {
+        match self {
+            Subjects::Mixes => SpecMix::generate(mixes, params.seed)
+                .into_iter()
+                .map(Subject::Mix)
+                .collect(),
+            _ => self
+                .workloads()
+                .into_iter()
+                .map(Subject::Workload)
+                .collect(),
+        }
+    }
+}
+
+impl Subject {
+    fn label(&self) -> String {
+        match self {
+            Subject::Workload(kind) => kind.label().to_string(),
+            Subject::Mix(mix) => format!("mix{}", mix.index),
+        }
     }
 
-    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
-        Ok(ExperimentParams::parse(params, scale)?.render())
+    fn execute(&self, arm: Arm, change: Option<Change>, params: &ExperimentParams) -> SimReport {
+        match self {
+            Subject::Workload(kind) => execute(&arm.spec(*kind, change), params),
+            Subject::Mix(mix) => execute_mix(mix, arm.mechanism, arm.memory_mode, params),
+        }
     }
+}
 
-    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let base = ExperimentParams::parse(params, scale)?;
-        let sweep: Vec<usize> = fig7::VCPU_SWEEP
+/// How a metric column compares an arm's run with the reference run.
+#[derive(Clone, Copy)]
+enum Measure {
+    Runtime,
+    Energy,
+    /// Runtime saved, in percent.
+    Improvement,
+    /// The mean of a mix's per-application runtime ratios.
+    Weighted,
+    /// The largest of a mix's per-application runtime ratios.
+    Slowest,
+}
+
+impl Measure {
+    fn of(self, run: &SimReport, reference: &SimReport) -> f64 {
+        match self {
+            Measure::Runtime => run.runtime_vs(reference),
+            Measure::Energy => run.energy_vs(reference),
+            Measure::Improvement => (1.0 - run.runtime_vs(reference)) * 100.0,
+            Measure::Weighted => {
+                let ratios = per_app_ratios(run, reference);
+                if ratios.is_empty() {
+                    0.0
+                } else {
+                    ratios.iter().sum::<f64>() / ratios.len() as f64
+                }
+            }
+            Measure::Slowest => per_app_ratios(run, reference)
+                .into_iter()
+                .fold(0.0, f64::max),
+        }
+    }
+}
+
+/// Each application's runtime in a mix run over its runtime in the
+/// reference run of the same mix (applications idle there are skipped).
+fn per_app_ratios(run: &SimReport, reference: &SimReport) -> Vec<f64> {
+    reference
+        .cycles_per_cpu
+        .iter()
+        .zip(&run.cycles_per_cpu)
+        .filter(|(base, _)| **base > 0)
+        .map(|(base, run)| *run as f64 / *base as f64)
+        .collect()
+}
+
+/// One block of a figure's rows: every arm at every point for every
+/// subject, measured against the subject's reference run.
+struct Sweep {
+    subjects: Subjects,
+    points: &'static [Point],
+    /// The run the ratios divide by.  An arm equal to it at a point without
+    /// a change is the reference run itself.
+    reference: Arm,
+    arms: &'static [Arm],
+    columns: &'static [(&'static str, Measure)],
+    /// Whether each point's ratios are averaged over the subjects into one
+    /// row per arm, labelled by the point's suffix alone.
+    averaged: bool,
+}
+
+/// A sweep of the big-memory suite with one plain point, measured against
+/// `reference`.
+const fn suite(
+    reference: Arm,
+    arms: &'static [Arm],
+    columns: &'static [(&'static str, Measure)],
+) -> Sweep {
+    Sweep {
+        subjects: Subjects::BigMemory,
+        points: PLAIN,
+        reference,
+        arms,
+        columns,
+        averaged: false,
+    }
+}
+
+impl Sweep {
+    /// The points that fit the run's machine: a vCPU sweep is clipped to
+    /// the run's `vcpus`, or runs at `vcpus` alone if no point fits.
+    fn points(&self, base: &ExperimentParams) -> Vec<(String, Option<Change>)> {
+        let mut points: Vec<_> = self
+            .points
             .iter()
-            .copied()
-            .filter(|&vcpus| vcpus <= base.vcpus)
+            .filter(|(_, change)| !matches!(change, Some(Change::Vcpus(n)) if *n > base.vcpus))
+            .map(|(suffix, change)| (suffix.to_string(), *change))
             .collect();
-        let sweep = if sweep.is_empty() {
-            vec![base.vcpus]
-        } else {
-            sweep
-        };
-        let mut report = ScenarioReport::new(self.name());
-        for fig_row in fig7::run_with_sweep(&base, &sweep) {
-            let label = format!("{}/v{}", fig_row.workload, fig_row.vcpus);
-            for (mechanism, runtime) in [
-                ("Software", fig_row.sw),
-                ("Hatric", fig_row.hatric),
-                ("Ideal", fig_row.ideal),
-            ] {
-                report
-                    .push(Row::new("config", &label, mechanism).ratio("runtime_vs_nohbm", runtime));
-            }
+        if points.is_empty() {
+            points.push((format!("/v{}", base.vcpus), Some(Change::Vcpus(base.vcpus))));
         }
-        Ok(report)
+        points
     }
 
-    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+    fn run(&self, base: &ExperimentParams, mixes: usize, report: &mut ScenarioReport) {
+        let subjects = self.subjects.list(base, mixes);
+        let points = self.points(base);
+        // Each subject's reference run, kept until a point changes the
+        // vCPU count.
+        let mut references: Vec<Option<(usize, SimReport)>> = vec![None; subjects.len()];
+        let mut measure = |i: usize, arm: Arm, change: Option<Change>| -> Vec<f64> {
+            let params = match change {
+                Some(Change::Vcpus(vcpus)) => base.with_vcpus(vcpus),
+                _ => *base,
+            };
+            let cached = &mut references[i];
+            if cached.as_ref().map(|(vcpus, _)| *vcpus) != Some(params.vcpus) {
+                *cached = Some((
+                    params.vcpus,
+                    subjects[i].execute(self.reference, None, &params),
+                ));
+            }
+            let reference = &cached.as_ref().expect("cached above").1;
+            let own;
+            let run = if arm == self.reference && change.is_none() {
+                reference
+            } else {
+                own = subjects[i].execute(arm, change, &params);
+                &own
+            };
+            self.columns
+                .iter()
+                .map(|(_, column)| column.of(run, reference))
+                .collect()
+        };
+        let mut push = |label: &str, arm: Arm, values: Vec<f64>| {
+            let mut row = Row::new("config", label, &arm.label());
+            for ((key, _), value) in self.columns.iter().zip(values) {
+                row = row.ratio(key, value);
+            }
+            report.push(row);
+        };
+        if self.averaged {
+            for (suffix, change) in &points {
+                for &arm in self.arms {
+                    let mut sums = vec![0.0; self.columns.len()];
+                    for i in 0..subjects.len() {
+                        for (sum, value) in sums.iter_mut().zip(measure(i, arm, *change)) {
+                            *sum += value;
+                        }
+                    }
+                    let n = subjects.len() as f64;
+                    push(suffix, arm, sums.into_iter().map(|sum| sum / n).collect());
+                }
+            }
+        } else {
+            for (i, subject) in subjects.iter().enumerate() {
+                for (suffix, change) in &points {
+                    let label = format!("{}{suffix}", subject.label());
+                    for &arm in self.arms {
+                        push(&label, arm, measure(i, arm, *change));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One figure of the paper's evaluation as data: its claim, the canneal
+/// run its traces magnify, and the sweeps its rows come from.
+struct Figure {
+    name: &'static str,
+    claim: &'static str,
+    probe: (Arm, Option<Change>),
+    sweeps: &'static [Sweep],
+    gated_metrics: &'static [&'static str],
+}
+
+const RUNTIME_VS_NOHBM: &[(&str, Measure)] = &[("runtime_vs_nohbm", Measure::Runtime)];
+const VS_SOFTWARE: &[(&str, Measure)] = &[
+    ("runtime_vs_software", Measure::Runtime),
+    ("energy_vs_software", Measure::Energy),
+];
+const SW_HATRIC_IDEAL: &[Arm] = &[SOFTWARE, HATRIC, IDEAL];
+
+/// The paper's figures, in presentation order.
+const FIGURES: [Figure; 9] = [
+    Figure {
+        name: "fig2",
+        claim: "software translation coherence forfeits much of die-stacked DRAM's \
+                paging win (Fig. 2)",
+        // The curr-best bar: paged memory under software shootdowns, where
+        // the figure's forfeited win comes from.
+        probe: (SOFTWARE, None),
+        sweeps: &[suite(
+            NO_HBM,
+            &[NO_HBM, INFINITE_HBM, SOFTWARE, IDEAL],
+            RUNTIME_VS_NOHBM,
+        )],
+        gated_metrics: &["runtime_vs_nohbm"],
+    },
+    Figure {
+        name: "fig7",
+        claim: "HATRIC's benefit grows with the vCPU count (Fig. 7)",
         // The software bar at the scenario's full vCPU count: the widest
         // shootdown fan-outs of the sweep.
-        figure_probe(
-            params,
-            scale,
-            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software),
-        )
-    }
-}
-
-/// The Fig. 8 scenario (`fig8`): HATRIC's benefit across KVM paging
-/// policies (plain LRU, +migration daemon, +prefetching), per workload,
-/// under software / HATRIC / ideal coherence.
-pub struct Fig8Scenario;
-
-impl Scenario for Fig8Scenario {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-
-    fn describe(&self) -> &'static str {
-        "HATRIC helps under every KVM paging policy, most where paging is \
-         smartest (Fig. 8)"
-    }
-
-    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
-        Ok(ExperimentParams::parse(params, scale)?.render())
-    }
-
-    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let base = ExperimentParams::parse(params, scale)?;
-        let mut report = ScenarioReport::new(self.name());
-        for fig_row in fig8::run(&base) {
-            let label = format!("{}/{}", fig_row.workload, fig_row.policy);
-            for (mechanism, runtime) in [
-                ("Software", fig_row.sw),
-                ("Hatric", fig_row.hatric),
-                ("Ideal", fig_row.ideal),
-            ] {
-                report
-                    .push(Row::new("config", &label, mechanism).ratio("runtime_vs_nohbm", runtime));
-            }
-        }
-        Ok(report)
-    }
-
-    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        probe: (SOFTWARE, None),
+        sweeps: &[Sweep {
+            points: &[
+                ("/v4", Some(Change::Vcpus(4))),
+                ("/v8", Some(Change::Vcpus(8))),
+                ("/v16", Some(Change::Vcpus(16))),
+            ],
+            ..suite(NO_HBM, SW_HATRIC_IDEAL, RUNTIME_VS_NOHBM)
+        }],
+        gated_metrics: &["runtime_vs_nohbm"],
+    },
+    Figure {
+        name: "fig8",
+        claim: "HATRIC helps under every KVM paging policy, most where paging is \
+                smartest (Fig. 8)",
         // The software bar under the most sophisticated paging policy
         // (migration daemon + prefetching): the remap rate the smarter
         // policies buy their wins with.
-        figure_probe(
-            params,
-            scale,
-            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software)
-                .with_paging(PagingKnobs::fig8_sweep()[2]),
-        )
-    }
-}
-
-/// The Fig. 9 scenario (`fig9`): runtime versus translation-structure
-/// sizes, per workload and size multiplier, under software / HATRIC /
-/// ideal coherence.
-pub struct Fig9Scenario;
-
-impl Scenario for Fig9Scenario {
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
-
-    fn describe(&self) -> &'static str {
-        "bigger translation structures don't close the software-coherence gap \
-         (Fig. 9)"
-    }
-
-    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
-        Ok(ExperimentParams::parse(params, scale)?.render())
-    }
-
-    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let base = ExperimentParams::parse(params, scale)?;
-        let mut report = ScenarioReport::new(self.name());
-        for fig_row in fig9::run(&base) {
-            let label = format!("{}/{}x", fig_row.workload, fig_row.scale);
-            for (mechanism, runtime) in [
-                ("Software", fig_row.sw),
-                ("Hatric", fig_row.hatric),
-                ("Ideal", fig_row.ideal),
-            ] {
-                report
-                    .push(Row::new("config", &label, mechanism).ratio("runtime_vs_nohbm", runtime));
-            }
-        }
-        Ok(report)
-    }
-
-    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        probe: (SOFTWARE, Some(Change::Paging(PagingKnobs::best))),
+        sweeps: &[Sweep {
+            points: &[
+                ("/lru", Some(Change::Paging(PagingKnobs::lru))),
+                (
+                    "/&mig-dmn",
+                    Some(Change::Paging(PagingKnobs::lru_with_daemon)),
+                ),
+                ("/&pref.", Some(Change::Paging(PagingKnobs::best))),
+            ],
+            ..suite(NO_HBM, SW_HATRIC_IDEAL, RUNTIME_VS_NOHBM)
+        }],
+        gated_metrics: &["runtime_vs_nohbm"],
+    },
+    Figure {
+        name: "fig9",
+        claim: "bigger translation structures don't close the software-coherence gap \
+                (Fig. 9)",
         // The software bar at the largest structure multiplier: the
         // flushes the figure shows bigger structures cannot absorb.
-        figure_probe(
-            params,
-            scale,
-            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software)
-                .with_structure_scale(4),
-        )
-    }
-}
-
-/// The Fig. 10 scenario (`fig10`): multiprogrammed SPEC mixes — weighted
-/// (average) normalised runtime and the slowest application per mix, under
-/// software coherence and HATRIC.
-pub struct Fig10Scenario;
-
-impl Scenario for Fig10Scenario {
-    fn name(&self) -> &'static str {
-        "fig10"
-    }
-
-    fn describe(&self) -> &'static str {
-        "software coherence's imprecise targeting punishes whole SPEC mixes; \
-         HATRIC fixes throughput and fairness (Fig. 10)"
-    }
-
-    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
-        Ok(Fig10Params::parse(params, scale)?.render())
-    }
-
-    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let Fig10Params { base, mixes } = Fig10Params::parse(params, scale)?;
-        let mut report = ScenarioReport::new(self.name());
-        for fig_row in fig10::run(&base, mixes) {
-            let label = format!("mix{}", fig_row.mix);
-            for (mechanism, weighted, slowest) in [
-                ("Software", fig_row.weighted_sw, fig_row.slowest_sw),
-                ("Hatric", fig_row.weighted_hatric, fig_row.slowest_hatric),
-            ] {
-                report.push(
-                    Row::new("config", &label, mechanism)
-                        .ratio("weighted_runtime", weighted)
-                        .ratio("slowest_runtime", slowest),
-                );
-            }
-        }
-        Ok(report)
-    }
-
-    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        probe: (SOFTWARE, Some(Change::StructureScale(4))),
+        sweeps: &[Sweep {
+            points: &[
+                ("/1x", Some(Change::StructureScale(1))),
+                ("/2x", Some(Change::StructureScale(2))),
+                ("/4x", Some(Change::StructureScale(4))),
+            ],
+            ..suite(NO_HBM, SW_HATRIC_IDEAL, RUNTIME_VS_NOHBM)
+        }],
+        gated_metrics: &["runtime_vs_nohbm"],
+    },
+    Figure {
+        name: "fig10",
+        claim: "software coherence's imprecise targeting punishes whole SPEC mixes; \
+                HATRIC fixes throughput and fairness (Fig. 10)",
         // One software-coherence run standing in for a mix member: the
         // imprecise-targeting flushes the mixes suffer from.
-        Ok(Probe::System {
-            spec: RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Software),
-            params: Fig10Params::parse(params, scale)?.base,
-        })
-    }
-}
-
-/// The Fig. 11 scenario (`fig11`): performance-energy trade-offs.  The
-/// left-hand scatter compares HATRIC against the best software-coherence
-/// configuration per workload (runtime *and* energy ratios); the
-/// right-hand sweep varies the co-tag width over
-/// [`fig11::COTAG_SWEEP`] (mean over the big-memory suite).
-pub struct Fig11Scenario;
-
-impl Scenario for Fig11Scenario {
-    fn name(&self) -> &'static str {
-        "fig11"
-    }
-
-    fn describe(&self) -> &'static str {
-        "HATRIC wins performance and energy; 2-byte co-tags suffice (Fig. 11)"
-    }
-
-    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
-        Ok(ExperimentParams::parse(params, scale)?.render())
-    }
-
-    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let base = ExperimentParams::parse(params, scale)?;
-        let mut report = ScenarioReport::new(self.name());
-        for point in fig11::run_scatter(&base) {
-            report.push(
-                Row::new("config", &point.workload, "Hatric")
-                    .ratio("runtime_vs_software", point.runtime_ratio)
-                    .ratio("energy_vs_software", point.energy_ratio),
-            );
-        }
-        for cotag in fig11::run_cotag_sweep(&base) {
-            let label = format!("cotag{}B", cotag.cotag_bytes);
-            report.push(
-                Row::new("config", &label, "Hatric")
-                    .ratio("runtime_vs_software", cotag.runtime_ratio)
-                    .ratio("energy_vs_software", cotag.energy_ratio),
-            );
-        }
-        Ok(report)
-    }
-
-    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        probe: (SOFTWARE, None),
+        sweeps: &[Sweep {
+            subjects: Subjects::Mixes,
+            ..suite(
+                NO_HBM,
+                &[SOFTWARE, HATRIC],
+                &[
+                    ("weighted_runtime", Measure::Weighted),
+                    ("slowest_runtime", Measure::Slowest),
+                ],
+            )
+        }],
+        gated_metrics: &["weighted_runtime", "slowest_runtime"],
+    },
+    Figure {
+        name: "fig11",
+        claim: "HATRIC wins performance and energy; 2-byte co-tags suffice (Fig. 11)",
         // The paper's chosen design point: HATRIC with 2-byte co-tags,
         // whose invalidation traffic the energy model charges for.
-        figure_probe(
-            params,
-            scale,
-            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Hatric).with_cotag_bytes(2),
-        )
-    }
-}
-
-/// The Fig. 12 scenario (`fig12`): the coherence-directory design ablation
-/// — eager directory updates, fine-grained tracking, an unbounded
-/// directory and all three combined, against baseline HATRIC — as mean
-/// runtime and energy over the big-memory suite, normalised to software
-/// coherence.
-pub struct Fig12Scenario;
-
-impl Scenario for Fig12Scenario {
-    fn name(&self) -> &'static str {
-        "fig12"
-    }
-
-    fn describe(&self) -> &'static str {
-        "the baseline directory design is the sweet spot (Fig. 12)"
-    }
-
-    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
-        Ok(ExperimentParams::parse(params, scale)?.render())
-    }
-
-    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let base = ExperimentParams::parse(params, scale)?;
-        let mut report = ScenarioReport::new(self.name());
-        for fig_row in fig12::run(&base) {
-            report.push(
-                Row::new("config", &fig_row.variant, "Hatric")
-                    .ratio("runtime_vs_software", fig_row.runtime_ratio)
-                    .ratio("energy_vs_software", fig_row.energy_ratio),
-            );
-        }
-        Ok(report)
-    }
-
-    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        probe: (HATRIC, Some(Change::CotagBytes(2))),
+        sweeps: &[
+            // Left: HATRIC against the best software configuration, per
+            // workload.
+            Sweep {
+                subjects: Subjects::WithSmallFootprint,
+                ..suite(SOFTWARE, &[HATRIC], VS_SOFTWARE)
+            },
+            // Right: the co-tag width, averaged over the big-memory suite.
+            Sweep {
+                points: &[
+                    ("cotag1B", Some(Change::CotagBytes(1))),
+                    ("cotag2B", Some(Change::CotagBytes(2))),
+                    ("cotag3B", Some(Change::CotagBytes(3))),
+                ],
+                averaged: true,
+                ..suite(SOFTWARE, &[HATRIC], VS_SOFTWARE)
+            },
+        ],
+        gated_metrics: &["runtime_vs_software", "energy_vs_software"],
+    },
+    Figure {
+        name: "fig12",
+        claim: "the baseline directory design is the sweet spot (Fig. 12)",
         // Every directory alternative at once: eager sharer updates,
         // fine-grained tracking and no back-invalidations.
-        figure_probe(
-            params,
-            scale,
-            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::Hatric)
-                .with_variant(DesignVariant::AllCombined),
-        )
-    }
-}
-
-/// The Fig. 13 scenario (`fig13`): HATRIC against UNITD++ (UNITD upgraded
-/// with virtualization support and directory integration) and software
-/// coherence, per workload, as runtime and energy normalised to the
-/// no-HBM run.
-pub struct Fig13Scenario;
-
-impl Scenario for Fig13Scenario {
-    fn name(&self) -> &'static str {
-        "fig13"
-    }
-
-    fn describe(&self) -> &'static str {
-        "HATRIC beats UNITD++'s TLB-only selective invalidation (Fig. 13)"
-    }
-
-    fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
-        Ok(ExperimentParams::parse(params, scale)?.render())
-    }
-
-    fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let base = ExperimentParams::parse(params, scale)?;
-        let mut report = ScenarioReport::new(self.name());
-        for fig_row in fig13::run(&base) {
-            for (mechanism, runtime, energy) in [
-                ("Software", fig_row.sw_runtime, fig_row.sw_energy),
-                ("UnitdPlusPlus", fig_row.unitd_runtime, fig_row.unitd_energy),
-                ("Hatric", fig_row.hatric_runtime, fig_row.hatric_energy),
-            ] {
-                report.push(
-                    Row::new("config", &fig_row.workload, mechanism)
-                        .ratio("runtime_vs_nohbm", runtime)
-                        .ratio("energy_vs_nohbm", energy),
-                );
-            }
-        }
-        Ok(report)
-    }
-
-    fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
+        probe: (HATRIC, Some(Change::Variant(DesignVariant::AllCombined))),
+        sweeps: &[Sweep {
+            points: &[
+                ("HATRIC", Some(Change::Variant(DesignVariant::Baseline))),
+                (
+                    "EGR-dir-update",
+                    Some(Change::Variant(DesignVariant::EagerDirUpdate)),
+                ),
+                (
+                    "FG-tracking",
+                    Some(Change::Variant(DesignVariant::FineGrainTracking)),
+                ),
+                (
+                    "No-back-inv",
+                    Some(Change::Variant(DesignVariant::NoBackInv)),
+                ),
+                ("All", Some(Change::Variant(DesignVariant::AllCombined))),
+            ],
+            averaged: true,
+            ..suite(SOFTWARE, &[HATRIC], VS_SOFTWARE)
+        }],
+        gated_metrics: &["runtime_vs_software", "energy_vs_software"],
+    },
+    Figure {
+        name: "fig13",
+        claim: "HATRIC beats UNITD++'s TLB-only selective invalidation (Fig. 13)",
         // UNITD++, the hardware contender: its reverse-lookup CAM
         // invalidates TLB entries selectively, but MMU caches and nested
         // TLBs are not covered and must be flushed.
-        figure_probe(
-            params,
-            scale,
-            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::UnitdPlusPlus),
-        )
+        probe: (UNITD, None),
+        sweeps: &[suite(
+            NO_HBM,
+            &[SOFTWARE, UNITD, HATRIC],
+            &[
+                ("runtime_vs_nohbm", Measure::Runtime),
+                ("energy_vs_nohbm", Measure::Energy),
+            ],
+        )],
+        gated_metrics: &["runtime_vs_nohbm", "energy_vs_nohbm"],
+    },
+    Figure {
+        name: "xen",
+        claim: "the mechanism generalises from KVM to Xen (Sec. 6)",
+        // Xen's software translation coherence: the costlier shootdown path
+        // the generality claim is measured against.
+        probe: (SOFTWARE_XEN, None),
+        sweeps: &[Sweep {
+            subjects: Subjects::Xen,
+            ..suite(
+                SOFTWARE_XEN,
+                &[SOFTWARE_XEN, HATRIC_XEN],
+                &[
+                    ("runtime_vs_sw", Measure::Runtime),
+                    ("improvement_percent", Measure::Improvement),
+                ],
+            )
+        }],
+        // The improvement is larger-is-better, so only the ratio gates.
+        gated_metrics: &["runtime_vs_sw"],
+    },
+];
+
+impl Figure {
+    /// Whether the figure sweeps SPEC mixes, and so takes a `mixes` key.
+    fn has_mixes(&self) -> bool {
+        self.sweeps
+            .iter()
+            .any(|sweep| matches!(sweep.subjects, Subjects::Mixes))
+    }
+
+    /// The run's sizing and mix count.
+    fn sizing(
+        &self,
+        params: &Params,
+        scale: Scale,
+    ) -> Result<(ExperimentParams, usize), ConfigError> {
+        if self.has_mixes() {
+            let Fig10Params { base, mixes } = Fig10Params::parse(params, scale)?;
+            Ok((base, mixes))
+        } else {
+            Ok((ExperimentParams::parse(params, scale)?, 0))
+        }
     }
 }
 
-/// The Xen generality scenario (`xen`): HATRIC's improvement over Xen's
-/// software translation coherence, per workload.
-pub struct XenScenario;
-
-impl Scenario for XenScenario {
+impl Scenario for Figure {
     fn name(&self) -> &'static str {
-        "xen"
+        self.name
     }
 
     fn describe(&self) -> &'static str {
-        "the mechanism generalises from KVM to Xen (Sec. 6)"
+        self.claim
     }
 
     fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
-        Ok(ExperimentParams::parse(params, scale)?.render())
+        Ok(if self.has_mixes() {
+            Fig10Params::parse(params, scale)?.render()
+        } else {
+            ExperimentParams::parse(params, scale)?.render()
+        })
     }
 
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
-        let base = ExperimentParams::parse(params, scale)?;
-        let mut report = ScenarioReport::new(self.name());
-        for xen_row in xen::run(&base) {
-            report.push(
-                Row::new("config", &xen_row.workload, "SoftwareXen")
-                    .ratio("runtime_vs_sw", xen_row.sw_runtime)
-                    .ratio("improvement_percent", 0.0),
-            );
-            report.push(
-                Row::new("config", &xen_row.workload, "Hatric")
-                    .ratio("runtime_vs_sw", xen_row.hatric_runtime)
-                    .ratio("improvement_percent", xen_row.improvement_percent),
-            );
+        let (base, mixes) = self.sizing(params, scale)?;
+        let mut report = ScenarioReport::new(self.name);
+        for sweep in self.sweeps {
+            sweep.run(&base, mixes, &mut report);
         }
         Ok(report)
     }
 
     fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
-        // Xen's software translation coherence on the first of the paper's
-        // Xen workloads: the costlier shootdown path the generality claim
-        // is measured against.
-        figure_probe(
-            params,
-            scale,
-            RunSpec::new(WorkloadKind::Canneal, CoherenceMechanism::SoftwareXen)
-                .with_hypervisor(hatric::HypervisorKind::Xen),
-        )
+        let (arm, change) = self.probe;
+        Ok(Probe::System {
+            spec: arm.spec(WorkloadKind::Canneal, change),
+            params: self.sizing(params, scale)?.0,
+        })
+    }
+
+    fn baseline_stem(&self) -> Option<&'static str> {
+        Some(self.name)
+    }
+
+    fn gated_metrics(&self) -> &'static [&'static str] {
+        self.gated_metrics
+    }
+}
+
+/// A figure sweep's paper axes: its subjects, and each point's label
+/// suffix, vCPU count (where the point sets one) and change on a HATRIC
+/// run of canneal.
+#[cfg(test)]
+pub(crate) struct SweepAxes {
+    pub(crate) subjects: Vec<WorkloadKind>,
+    pub(crate) points: Vec<(&'static str, Option<usize>, RunSpec)>,
+}
+
+/// The axes of sweep `index` of the figure `name` in [`FIGURES`].
+#[cfg(test)]
+pub(crate) fn sweep_axes(name: &str, index: usize) -> SweepAxes {
+    let figure = FIGURES.iter().find(|f| f.name == name).expect("a figure");
+    let sweep = &figure.sweeps[index];
+    let points = sweep
+        .points
+        .iter()
+        .map(|&(suffix, change)| {
+            let vcpus = match change {
+                Some(Change::Vcpus(n)) => Some(n),
+                _ => None,
+            };
+            (suffix, vcpus, HATRIC.spec(WorkloadKind::Canneal, change))
+        })
+        .collect();
+    SweepAxes {
+        subjects: sweep.subjects.workloads(),
+        points,
     }
 }
 

@@ -10,8 +10,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{Counter, GuestFrame};
 
 /// NUMA memory-placement policy: on which socket the hypervisor backs a
@@ -19,7 +17,7 @@ use hatric_types::{Counter, GuestFrame};
 ///
 /// On a single-socket host the policy is irrelevant — every choice lands on
 /// the only socket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NumaPolicy {
     /// Allocate on the socket of the CPU whose access faulted the page in
     /// (Linux's default `local` policy).  Combined with socket-affine vCPU
@@ -33,7 +31,7 @@ pub enum NumaPolicy {
 }
 
 /// Victim-selection policy for die-stacked memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PagingPolicyKind {
     /// Evict in the order pages were promoted.
     Fifo,
@@ -52,7 +50,7 @@ pub enum PagingPolicyKind {
 /// assert!(cfg.migration_daemon && cfg.prefetch_pages > 0);
 /// assert!(cfg.daemon_free_target < cfg.fast_capacity_pages);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PagingConfig {
     /// Victim-selection policy.
     pub policy: PagingPolicyKind,
@@ -122,7 +120,7 @@ impl MigrationDecision {
 }
 
 /// Counters describing paging activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagingStats {
     /// Demand faults on pages in slow memory.
     pub demand_faults: Counter,

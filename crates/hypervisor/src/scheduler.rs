@@ -26,12 +26,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{CpuId, VcpuId};
 
 /// Which scheduling policy the host uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedPolicy {
     /// Static vCPU→pCPU affinity with per-CPU time slicing.
     #[default]
@@ -46,7 +44,7 @@ pub enum SchedPolicy {
 }
 
 /// One scheduling decision: VM `vm_slot`'s `vcpu` runs on `pcpu` this slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// The physical CPU granted for the slice.
     pub pcpu: CpuId,

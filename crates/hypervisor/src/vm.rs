@@ -1,11 +1,9 @@
 //! Virtual machines, vCPUs and their placement on physical CPUs.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{AddressSpaceId, CpuId, VcpuId, VmId};
 
 /// Which hypervisor flavour manages the VM (affects shootdown costs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HypervisorKind {
     /// Linux KVM (the paper's primary platform).
     #[default]
@@ -28,7 +26,7 @@ pub enum HypervisorKind {
 /// // Static affinity: vCPU i starts on first_cpu + i.
 /// assert_eq!(vm.cpus_ever_used(), &[CpuId::new(4), CpuId::new(5)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VmConfig {
     /// The VM's identifier.
     pub vm: VmId,
@@ -42,7 +40,7 @@ pub struct VmConfig {
 
 /// Runtime state of a VM: vCPU placement and the targeting information the
 /// hypervisor has for translation coherence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualMachine {
     config: VmConfig,
     /// Physical CPUs this VM has ever executed on.  Software translation

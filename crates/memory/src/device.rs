@@ -10,12 +10,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::Counter;
 
 /// The two kinds of DRAM in the simulated system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryKind {
     /// Small, high-bandwidth die-stacked DRAM.
     DieStacked,
@@ -33,7 +31,7 @@ impl fmt::Display for MemoryKind {
 }
 
 /// Static parameters of one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceConfig {
     /// Which device this is.
     pub kind: MemoryKind,
@@ -48,7 +46,7 @@ pub struct DeviceConfig {
 }
 
 /// Counters kept per device and per stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Number of demand line accesses served.
     pub accesses: Counter,

@@ -47,8 +47,6 @@ pub use allocator::FrameAllocator;
 pub use device::{DeviceConfig, DeviceStats, MemoryDevice, MemoryKind};
 pub use numa::{LinkConfig, NumaConfig};
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::consts::CACHE_LINE_BYTES;
 use hatric_types::{Result, SimError, SocketId, SystemFrame, PAGE_SIZE_4K};
 
@@ -66,7 +64,7 @@ use hatric_types::{Result, SimError, SocketId, SystemFrame, PAGE_SIZE_4K};
 ///     4 * cfg.die_stacked.service_cycles_per_line
 /// );
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySystemConfig {
     /// Die-stacked (fast) device, per socket-group aggregate (the capacity
     /// is divided evenly between sockets; each socket group gets the full

@@ -19,12 +19,10 @@
 //! assert!(numa.remote_shootdown_extra_cycles > numa.remote_hw_message_extra_cycles);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Static parameters of the inter-socket interconnect, modelled as one more
 /// bandwidth-limited queueing device that every cross-socket line transfer
 /// occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkConfig {
     /// Unloaded one-way traversal latency, in CPU cycles.
     pub base_latency_cycles: u64,
@@ -56,7 +54,7 @@ impl Default for LinkConfig {
 /// `sockets == 1` is the classic UMA machine the single-VM experiments run
 /// on: no access is ever remote, the link is never touched, and every
 /// distance penalty is dead configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NumaConfig {
     /// Number of sockets.  Physical CPUs are split into `sockets` contiguous
     /// equal blocks, and each DRAM device's capacity (and bandwidth) is

@@ -10,8 +10,6 @@
 //! storm taxes every co-located VM; under HATRIC it stays confined to the
 //! directory's sharer lists.
 
-use serde::{Deserialize, Serialize};
-
 use hatric::metrics::MigrationStats;
 use hatric::{Platform, VmInstance};
 use hatric_types::CpuId;
@@ -27,7 +25,7 @@ use hatric_types::CpuId;
 /// assert_eq!((params.from_slot, params.to_slot), (1, 0));
 /// assert!(params.pages_per_slice > 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BalloonParams {
     /// VM whose balloon inflates (loses die-stacked capacity).
     pub from_slot: usize,

@@ -24,8 +24,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use hatric::metrics::MigrationStats;
 use hatric::telemetry::{track, TraceEvent};
 use hatric::{Platform, VmInstance};
@@ -47,7 +45,7 @@ use crate::dirty::DirtyTracker;
 /// assert_eq!(params.vm_slot, 0);
 /// assert!(params.max_rounds > 0, "stop-and-copy is always reached");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationParams {
     /// Host slot of the VM being migrated.
     pub vm_slot: usize,

@@ -1,13 +1,11 @@
 //! Host events: hypervisor-driven operations that `hatric-host`'s
 //! `HostConfig` schedules at absolute scheduler slices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::balloon::BalloonParams;
 use crate::engine::MigrationParams;
 
 /// One scheduled hypervisor operation on the consolidated host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostEvent {
     /// Live-migrate a VM (pre-copy, then stop-and-copy).
     Migrate(MigrationParams),

@@ -25,8 +25,6 @@
 //!   critical path at [`ReceiverParams::fetch_page_cycles`].  The rest
 //!   trickle in as background pull at [`ReceiverParams::page_copy_cycles`].
 
-use serde::{Deserialize, Serialize};
-
 use hatric::metrics::MigrationStats;
 use hatric::telemetry::{track, TraceEvent};
 use hatric::{Platform, VmInstance};
@@ -43,7 +41,7 @@ use std::collections::{BTreeSet, VecDeque};
 /// assert_eq!(params.vm_slot, 3);
 /// assert!(params.fetch_page_cycles > params.page_copy_cycles);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReceiverParams {
     /// Host slot (on the destination host) of the VM being received.
     pub vm_slot: usize,

@@ -1,14 +1,12 @@
 //! Page-table entries and their architectural status bits.
 
-use serde::{Deserialize, Serialize};
-
 /// Status bits carried by a page-table entry.
 ///
 /// Only the bits the simulator cares about are modelled: `present`,
 /// `writable`, `accessed` and `dirty`.  The accessed bit matters to HATRIC
 /// because the hardware walker uses it to decide whether a directory entry
 /// already carries the nPT/gPT marking (Sec. 4.2, "Directory entry changes").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PteFlags {
     /// The mapping is valid and may be used for translation.
     pub present: bool,
@@ -40,7 +38,7 @@ impl PteFlags {
 /// holds the entry (guest-physical for guest tables, system-physical for
 /// nested tables); the strongly typed wrappers in [`crate::guest`] and
 /// [`crate::nested`] take care of that distinction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Pte {
     /// Target frame number (4 KiB granular).
     pub frame: u64,

@@ -11,8 +11,6 @@
 //! selectively — something no current ISA instruction can do, which is why
 //! the software baseline flushes the whole structure.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{AddressSpaceId, CoTag, GuestVirtPage, RatioStat, SystemFrame, VmId};
 
 use crate::set_assoc::SetAssoc;
@@ -23,7 +21,7 @@ use crate::set_assoc::SetAssoc;
 pub const PSC_LEVELS: [u8; 3] = [2, 3, 4];
 
 /// Configuration of the MMU cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MmuCacheConfig {
     /// Total number of entries (the paper models 48).
     pub entries: usize,

@@ -1,14 +1,12 @@
 //! The nested TLB: a small structure caching GPP → SPP translations so the
 //! nested dimension of a two-dimensional walk can be skipped (Sec. 2.1c).
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{CoTag, GuestFrame, RatioStat, SystemFrame, VmId};
 
 use crate::set_assoc::SetAssoc;
 
 /// Configuration of the nested TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NestedTlbConfig {
     /// Total number of entries (the paper models 32).
     pub entries: usize,

@@ -2,8 +2,6 @@
 //! that decides which memory references of a two-dimensional walk can be
 //! skipped thanks to MMU-cache and nested-TLB hits.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_pagetable::{NestedWalkSegment, TwoDimWalk};
 use hatric_types::{
     AddressSpaceId, CoTag, GuestVirtPage, RatioStat, SystemFrame, SystemPhysAddr, VmId,
@@ -14,7 +12,7 @@ use crate::ntlb::{NestedTlb, NestedTlbConfig, NestedTlbEntry};
 use crate::tlb::{Tlb, TlbConfig, TlbEntry, TlbKey};
 
 /// Sizes of every translation structure on one CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StructureSizes {
     /// L1 data TLB configuration.
     pub l1_tlb: TlbConfig,
@@ -78,7 +76,7 @@ pub struct DataLookup {
 }
 
 /// Counts of entries invalidated across the translation structures.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InvalidationCounts {
     /// Entries removed from the L1 + L2 TLBs.
     pub tlb: u64,
@@ -131,7 +129,7 @@ impl WalkAssist {
 }
 
 /// Snapshot of hit/miss statistics for every structure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TranslationStatsSnapshot {
     /// L1 TLB hits/misses.
     pub l1_tlb: RatioStat,

@@ -1,13 +1,11 @@
 //! Set-associative TLBs caching GVP → SPP translations, with co-tags.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{AddressSpaceId, CoTag, GuestVirtPage, RatioStat, SystemFrame, VmId};
 
 use crate::set_assoc::SetAssoc;
 
 /// Configuration of one TLB level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total number of entries.
     pub entries: usize,

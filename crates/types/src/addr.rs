@@ -17,14 +17,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::consts::{CACHE_LINE_BYTES, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K};
 
 /// Page sizes supported by the simulated architecture.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum PageSize {
     /// 4 KiB base page.
     #[default]
@@ -74,7 +70,6 @@ macro_rules! addr_newtype {
         $(#[$meta])*
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-            Serialize, Deserialize,
         )]
         pub struct $name(u64);
 
@@ -181,7 +176,6 @@ macro_rules! page_newtype {
         $(#[$meta])*
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-            Serialize, Deserialize,
         )]
         pub struct $name(u64);
 
@@ -270,9 +264,7 @@ page_newtype!(
 );
 
 /// The address of a 64-byte cache line in system-physical space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct CacheLineAddr(u64);
 
 impl CacheLineAddr {
@@ -339,9 +331,7 @@ impl From<SystemPhysAddr> for CacheLineAddr {
 /// Two translations whose page-table entries live in the same cache line
 /// always produce the same co-tag, giving the 8-entry invalidation
 /// granularity described in the paper. Narrow co-tags alias more.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct CoTag(u32);
 
 impl CoTag {

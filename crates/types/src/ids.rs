@@ -4,14 +4,11 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_newtype {
     ($(#[$meta:meta])* $name:ident, $short:expr) => {
         $(#[$meta])*
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-            Serialize, Deserialize,
         )]
         pub struct $name(u32);
 

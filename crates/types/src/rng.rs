@@ -8,10 +8,8 @@
 //! the `rand::RngCore`-compatible shim in `hatric-workloads`; this type is
 //! the seed-stable core.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic xoshiro256** pseudo-random number generator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     state: [u64; 4],
 }

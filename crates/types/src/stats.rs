@@ -2,15 +2,13 @@
 //!
 //! Simulated hardware structures expose their behaviour through counters
 //! ([`Counter`]), hit/miss style ratios ([`RatioStat`]) and coarse
-//! distributions ([`Histogram`]).  All of them are plain-old-data so reports
-//! can be serialised with `serde`.
+//! distributions ([`Histogram`]).  All of them are plain-old-data, copied
+//! into reports by value.
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -55,7 +53,7 @@ impl std::ops::AddAssign<u64> for Counter {
 }
 
 /// A hit/miss style ratio statistic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RatioStat {
     hits: u64,
     misses: u64,
@@ -155,7 +153,7 @@ impl fmt::Display for RatioStat {
 }
 
 /// A fixed-bucket histogram for coarse latency / size distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bounds: Vec<u64>,
     counts: Vec<u64>,

@@ -1,15 +1,13 @@
 //! Multiprogrammed SPEC mixes (Fig. 10): 16 single-threaded applications
 //! running together in one VM.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::SimRng;
 
 use crate::spec::SpecApp;
 use crate::stream::{Access, ThreadStream};
 
 /// A named combination of 16 SPEC-like applications.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecMix {
     /// Mix index (0..80 in the paper's study).
     pub index: usize,

@@ -1,8 +1,6 @@
 //! SPEC-like single-threaded applications used to build the Fig. 10
 //! multiprogrammed mixes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stream::StreamParams;
 
 /// A catalogue of single-threaded applications with SPEC-CPU-like memory
@@ -11,7 +9,7 @@ use crate::stream::StreamParams;
 /// intensities, because Fig. 10 shows that applications with little to gain
 /// from die-stacked bandwidth are the ones most hurt by imprecise
 /// translation-coherence targeting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum SpecApp {
     Perlbench,

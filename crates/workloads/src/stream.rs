@@ -1,11 +1,9 @@
 //! Per-thread memory-access stream generation.
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{GuestVirtPage, SimRng};
 
 /// One memory access issued by a guest thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// Guest-virtual page touched.
     pub gvp: GuestVirtPage,
@@ -18,7 +16,7 @@ pub struct Access {
 }
 
 /// Parameters controlling one thread's address stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamParams {
     /// First guest-virtual page of the thread's private region.
     pub private_base: u64,

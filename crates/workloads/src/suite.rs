@@ -1,14 +1,12 @@
 //! The named workloads of the paper's evaluation, expressed as stream
 //! parameters relative to the die-stacked DRAM capacity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stream::{Access, StreamParams, ThreadStream};
 
 /// The multithreaded workloads used throughout the evaluation (Sec. 5.3),
 /// plus a representative small-footprint workload class used for the energy
 /// study of Fig. 11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// PARSEC canneal: large footprint, pointer-chasing with moderate
     /// locality; benefits substantially from die-stacked bandwidth.
@@ -176,7 +174,7 @@ impl WorkloadKind {
 }
 
 /// The fully resolved parameters of one workload instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Which workload this is.
     pub kind: WorkloadKind,

@@ -2,14 +2,12 @@
 //! replayed exactly (the paper drives its simulator from Pin traces; we
 //! record and replay synthetic ones).
 
-use serde::{Deserialize, Serialize};
-
 use hatric_types::{AddressSpaceId, GuestVirtPage, VcpuId};
 
 use crate::stream::Access;
 
 /// One event of a recorded trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// The vCPU (thread) that issued the access.
     pub vcpu: VcpuId,

@@ -1,10 +1,9 @@
 //! A minimal property-testing engine, API-compatible with the subset of
 //! `proptest` 1.x this workspace uses (see `stubs/README.md`).
 //!
-//! Unlike the `serde` stand-in this crate is behaviourally real: the
-//! `proptest!` macro expands each property into a `#[test]` that draws the
-//! configured number of randomized cases from the given strategies using a
-//! deterministic per-test RNG. What it does *not* implement is shrinking —
+//! This crate is behaviourally real: the `proptest!` macro expands each
+//! property into a `#[test]` that draws the configured number of randomized
+//! cases from the given strategies using a deterministic per-test RNG. What it does *not* implement is shrinking —
 //! a failing case panics with the drawn values unminimized.
 
 use std::marker::PhantomData;

@@ -1,7 +1,7 @@
 //! Registry-wide smoke tests: every registered scenario runs at
 //! `Scale::Smoke`, yields non-empty rows in the uniform report schema, and
 //! both its parameters and its report round-trip through the JSON codec
-//! byte-stably.  (The per-figure shape assertions live in
+//! byte-stably.  (The figures' shape assertions live in
 //! `experiments_smoke.rs`; the bench-scale sweeps are gated by
 //! `bench_check` against the committed baselines.)
 
@@ -14,7 +14,7 @@ use hatric_types::ConfigError;
 fn every_scenario_smokes_with_rows_and_byte_stable_round_trips() {
     assert!(registry().len() >= 5, "the ISSUE promises ≥ 5 scenarios");
     for scenario in registry() {
-        // Parameter serde round-trip.
+        // Parameter JSON round-trip.
         let params = scenario.default_params(Scale::Smoke);
         assert!(
             !params.entries().is_empty(),
@@ -43,7 +43,7 @@ fn every_scenario_smokes_with_rows_and_byte_stable_round_trips() {
             );
         }
 
-        // Report serde round-trip.  Ratio metrics are recorded at six
+        // Report JSON round-trip.  Ratio metrics are recorded at six
         // decimals, so the contract is byte-stability of the JSON (what
         // `bench_check` and the committed baselines rely on) plus shape
         // equality — not bit-equality of the in-memory f64s.
@@ -190,19 +190,36 @@ fn invalid_override_values_are_typed_errors_not_panics() {
             assert!(typed, "{name} {key}=0: unexpected {err:?}");
         }
     }
-    // A figure workload needs at least one thread: zero vCPUs is a typed
-    // error from the run and the trace alike, not a panic in the suite.
+    // A figure workload needs at least one thread, and the simulated
+    // machine at most 64 CPUs: either bound is a typed error from the run
+    // and the trace alike, not a panic in the suite.
     for scenario in registry() {
         if scenario.default_params(Scale::Smoke).get("vcpus").is_none() {
             continue;
         }
-        let zero = Params::new().with("vcpus", 0);
-        let expected = ConfigError::ZeroVcpus { slot: None };
-        assert_eq!(scenario.run(&zero, Scale::Smoke).unwrap_err(), expected);
-        assert_eq!(
-            scenario.trace_run(&zero, Scale::Smoke).unwrap_err(),
-            expected
-        );
+        for (vcpus, expected) in [
+            (0, ConfigError::ZeroVcpus { slot: None }),
+            (
+                65,
+                ConfigError::Invalid {
+                    what: "num_cpus must be in 1..=64".into(),
+                },
+            ),
+        ] {
+            let params = Params::new().with("vcpus", vcpus);
+            assert_eq!(
+                scenario.run(&params, Scale::Smoke).unwrap_err(),
+                expected,
+                "{} vcpus={vcpus}",
+                scenario.name()
+            );
+            assert_eq!(
+                scenario.trace_run(&params, Scale::Smoke).unwrap_err(),
+                expected,
+                "{} vcpus={vcpus} trace",
+                scenario.name()
+            );
+        }
     }
     // Every key of every scenario rejects an unparseable value by name.
     for scenario in registry() {
