@@ -15,8 +15,7 @@
 //! both near the ideal-coherence bound.
 
 use hatric_cluster::{
-    ChurnStream, Cluster, ClusterParams, ClusterReport, MigrationMode, PlacementPolicy,
-    ScheduledMigration,
+    ChurnStream, Cluster, ClusterParams, MigrationMode, PlacementPolicy, ScheduledMigration,
 };
 use hatric_coherence::CoherenceMechanism;
 use hatric_hypervisor::SchedPolicy;
@@ -164,30 +163,7 @@ impl ClusterChurnParams {
             migrations <= self.hosts,
             "at most one concurrent outgoing migration per source host"
         );
-        let hosts: Vec<ConsolidatedHost> = (0..self.hosts)
-            .map(|h| {
-                ConsolidatedHost::new(self.host_config(h, mechanism))
-                    .expect("cluster-churn configurations are valid")
-            })
-            .collect();
-        let mut params = ClusterParams::new(self.epoch_slices, self.threads);
-        params.policy = self.policy;
-        params.migration = MigrationParams {
-            copy_pages_per_slice: self.copy_pages_per_slice,
-            throttle_after_rounds: self.throttle_after_rounds,
-            ..MigrationParams::at(0, 0)
-        };
-        params.receiver = ReceiverParams::for_slot(0);
-        let mut cluster = Cluster::new(hosts, params);
-        for host in 0..self.hosts {
-            for slot in self.active_vms..self.vm_slots() {
-                cluster.set_vm_active(host, slot, false);
-            }
-        }
-        cluster.set_churn(
-            ChurnStream::new(self.seed ^ CHURN_SEED_SALT, self.hosts, self.churn_period)
-                .generate(self.warmup_epochs + self.measured_epochs),
-        );
+        let mut cluster = self.build_fleet(mechanism, self.cluster_params());
         for m in 0..migrations {
             cluster.schedule_migration(ScheduledMigration {
                 epoch: self.migration_start_epoch(),
@@ -199,202 +175,112 @@ impl ClusterChurnParams {
         }
         cluster
     }
+
+    /// The fleet's cluster knobs: its epoch length, threads, placement
+    /// policy and migration link; recovery stays inert.
+    pub(crate) fn cluster_params(&self) -> ClusterParams {
+        let mut params = ClusterParams::new(self.epoch_slices, self.threads);
+        params.policy = self.policy;
+        params.migration = MigrationParams {
+            copy_pages_per_slice: self.copy_pages_per_slice,
+            throttle_after_rounds: self.throttle_after_rounds,
+            ..MigrationParams::at(0, 0)
+        };
+        params.receiver = ReceiverParams::for_slot(0);
+        params
+    }
+
+    /// The fleet under `mechanism` with cluster knobs `params`: hosts
+    /// constructed, spare slots deactivated and the churn stream
+    /// installed, with no migration scheduled yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the derived host configurations are invalid.
+    pub(crate) fn build_fleet(
+        &self,
+        mechanism: CoherenceMechanism,
+        params: ClusterParams,
+    ) -> Cluster<ConsolidatedHost> {
+        let hosts: Vec<ConsolidatedHost> = (0..self.hosts)
+            .map(|h| {
+                ConsolidatedHost::new(self.host_config(h, mechanism))
+                    .expect("fleet configurations are valid")
+            })
+            .collect();
+        let mut cluster = Cluster::new(hosts, params);
+        for host in 0..self.hosts {
+            for slot in self.active_vms..self.vm_slots() {
+                cluster.set_vm_active(host, slot, false);
+            }
+        }
+        cluster.set_churn(
+            ChurnStream::new(self.seed ^ CHURN_SEED_SALT, self.hosts, self.churn_period)
+                .generate(self.warmup_epochs + self.measured_epochs),
+        );
+        cluster
+    }
 }
 
 /// Salt separating the churn-stream seed from the workload seeds derived
 /// from the same master seed.
 const CHURN_SEED_SALT: u64 = 0xc0de_c4a2;
 
-/// The outcome of one mechanism's cluster-churn run.
-#[derive(Debug, Clone)]
-pub struct ClusterChurnRow {
-    /// Mechanism under test.
-    pub mechanism: CoherenceMechanism,
-    /// The merged fleet report.
-    pub report: ClusterReport,
-    /// Mean victim runtime in cycles (VMs untouched by any migration).
-    pub victim_runtime: f64,
-    /// Mean victim runtime normalised to the same victims under
-    /// [`CoherenceMechanism::Ideal`].
-    pub agg_victim_slowdown_vs_ideal: f64,
-    /// Cycles stolen from victim vCPUs by coherence across the fleet.
-    pub victim_disrupted_cycles: u64,
-    /// p99 of the per-migration downtime distribution.
-    pub downtime_p99_cycles: u64,
-    /// Worst per-migration downtime.
-    pub downtime_max_cycles: u64,
-    /// Wall-clock milliseconds of the run (machine-dependent, ungated).
-    pub elapsed_ms: f64,
-    /// Measured accesses per wall-clock second (machine-dependent,
-    /// ungated).
-    pub accesses_per_sec: f64,
-}
-
-/// Mean runtime over the fleet's victim VMs: every slot that made
-/// progress and was never a source or destination of an inter-host
-/// migration.  The set is a function of the deterministic churn/placement
-/// flow only, so it is identical across mechanisms and the ratio to the
-/// ideal run compares like with like.
-pub(crate) fn mean_victim_runtime(report: &ClusterReport) -> f64 {
-    let involved: Vec<(usize, usize)> = report
-        .migrations
-        .iter()
-        .flat_map(|m| [(m.src_host, m.src_slot), (m.dst_host, m.dst_slot)])
-        .collect();
-    let mut total = 0.0;
-    let mut count = 0u64;
-    for (h, host) in report.per_host.iter().enumerate() {
-        for (s, vm) in host.per_vm.iter().enumerate() {
-            if vm.accesses > 0 && !involved.contains(&(h, s)) {
-                total += vm.runtime_cycles() as f64;
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
-/// Summed coherence-disruption cycles over the same victim set
-/// [`mean_victim_runtime`] averages.
-pub(crate) fn victim_disrupted_cycles(report: &ClusterReport) -> u64 {
-    let involved: Vec<(usize, usize)> = report
-        .migrations
-        .iter()
-        .flat_map(|m| [(m.src_host, m.src_slot), (m.dst_host, m.dst_slot)])
-        .collect();
-    let mut total = 0;
-    for (h, host) in report.per_host.iter().enumerate() {
-        for (s, vm) in host.per_vm.iter().enumerate() {
-            if vm.accesses > 0 && !involved.contains(&(h, s)) {
-                total += vm.interference.disrupted_cycles;
-            }
-        }
-    }
-    total
-}
-
-/// Runs the fleet under software, HATRIC and ideal coherence with
-/// `migrations` concurrent pre-copy migrations, and returns one row per
-/// mechanism (victim slowdowns normalised to the ideal run).
-#[must_use]
-pub fn run(params: &ClusterChurnParams, migrations: usize) -> Vec<ClusterChurnRow> {
-    let mechanisms = [
-        CoherenceMechanism::Software,
-        CoherenceMechanism::Hatric,
-        CoherenceMechanism::Ideal,
-    ];
-    let reports: Vec<(CoherenceMechanism, ClusterReport, f64)> = mechanisms
-        .iter()
-        .map(|&mechanism| {
-            let mut cluster = params.build_cluster(mechanism, migrations);
-            let start = std::time::Instant::now();
-            let report = cluster.run(params.warmup_epochs, params.measured_epochs);
-            (mechanism, report, start.elapsed().as_secs_f64())
-        })
-        .collect();
-    let ideal_victim = reports
-        .iter()
-        .find(|(m, _, _)| *m == CoherenceMechanism::Ideal)
-        .map(|(_, r, _)| mean_victim_runtime(r))
-        .unwrap_or(0.0);
-    reports
-        .into_iter()
-        .map(|(mechanism, report, elapsed_secs)| {
-            let victim_runtime = mean_victim_runtime(&report);
-            let accesses_per_sec = if elapsed_secs > 0.0 {
-                report.aggregate.accesses as f64 / elapsed_secs
-            } else {
-                0.0
-            };
-            ClusterChurnRow {
-                mechanism,
-                victim_runtime,
-                agg_victim_slowdown_vs_ideal: if ideal_victim == 0.0 {
-                    0.0
-                } else {
-                    victim_runtime / ideal_victim
-                },
-                victim_disrupted_cycles: victim_disrupted_cycles(&report),
-                downtime_p99_cycles: report.downtime_percentile(99),
-                downtime_max_cycles: report.downtime_percentile(100),
-                report,
-                elapsed_ms: elapsed_secs * 1_000.0,
-                accesses_per_sec,
-            }
-        })
-        .collect()
-}
-
-/// Formats the rows as the table the example prints.
-#[must_use]
-pub fn format_table(rows: &[ClusterChurnRow]) -> String {
-    let mut out = String::from(
-        "mechanism     victim-slowdown  downtime-p99  downtime-max  migrations  peak-inflight  victim-disrupted\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:<13} {:>16.3} {:>13} {:>13} {:>11} {:>14} {:>17}\n",
-            format!("{:?}", row.mechanism),
-            row.agg_victim_slowdown_vs_ideal,
-            row.downtime_p99_cycles,
-            row.downtime_max_cycles,
-            row.report.completed_migrations(),
-            row.report.peak_inflight,
-            row.victim_disrupted_cycles,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{find, Params, Scale, FLEET_MECHANISMS};
 
     #[test]
     fn concurrent_migrations_complete_and_hatric_bounds_the_damage() {
-        let params = ClusterChurnParams {
-            churn_period: 0, // isolate the scheduled migrations
-            ..ClusterChurnParams::quick()
-        };
-        let rows = run(&params, 4);
+        // Churn off isolates the scheduled migrations.
+        let report = find("cluster_churn")
+            .unwrap()
+            .run(&Params::new().with("churn_period", 0), Scale::Smoke)
+            .unwrap();
+        let rows: Vec<_> = report.rows.iter().filter(|r| r.label() == "mig4").collect();
         assert_eq!(rows.len(), 3);
-        let by = |m: CoherenceMechanism| rows.iter().find(|r| r.mechanism == m).unwrap();
-        let sw = by(CoherenceMechanism::Software);
-        let hatric = by(CoherenceMechanism::Hatric);
+        let value = |mechanism: &str, key: &str| {
+            report
+                .find("mig4", mechanism)
+                .and_then(|row| row.number(key))
+                .unwrap()
+        };
         for row in &rows {
+            let value = |key| row.number(key).unwrap();
             assert_eq!(
-                row.report.completed_migrations(),
-                4,
-                "{:?}: all four migrations must hand off inside the window",
-                row.mechanism
+                value("migrations_completed"),
+                4.0,
+                "{}: all four migrations must hand off inside the window",
+                row.mechanism()
             );
-            assert!(row.report.peak_inflight >= 4);
-            assert!(row.report.migration.received_pages > 0);
-            assert!(row.downtime_p99_cycles > 0);
+            assert!(value("peak_inflight") >= 4.0);
+            assert!(value("received_pages") > 0.0);
+            assert!(value("downtime_p99_cycles") > 0.0);
         }
+        let downtime = |mechanism| value(mechanism, "downtime_p99_cycles");
+        let slowdown = |mechanism| value(mechanism, "agg_victim_slowdown_vs_ideal");
         assert!(
-            sw.downtime_p99_cycles > hatric.downtime_p99_cycles,
+            downtime("Software") > downtime("Hatric"),
             "software downtime p99 {} must exceed hatric's {}",
-            sw.downtime_p99_cycles,
-            hatric.downtime_p99_cycles
+            downtime("Software"),
+            downtime("Hatric")
         );
         assert!(
-            sw.agg_victim_slowdown_vs_ideal > hatric.agg_victim_slowdown_vs_ideal,
+            slowdown("Software") > slowdown("Hatric"),
             "software victim slowdown {} must exceed hatric's {}",
-            sw.agg_victim_slowdown_vs_ideal,
-            hatric.agg_victim_slowdown_vs_ideal
+            slowdown("Software"),
+            slowdown("Hatric")
         );
     }
 
     #[test]
     fn churn_places_arrivals_and_the_fleet_reconciles() {
-        let rows = run(&ClusterChurnParams::quick(), 1);
-        for row in &rows {
-            let report = &row.report;
+        let params = ClusterChurnParams::quick();
+        for &mechanism in FLEET_MECHANISMS {
+            let report = params
+                .build_cluster(mechanism, 1)
+                .run(params.warmup_epochs, params.measured_epochs);
             assert_eq!(report.hosts(), 4);
             let summed: u64 = report.per_host.iter().map(|h| h.host.accesses).sum();
             assert_eq!(report.aggregate.accesses, summed);

@@ -22,15 +22,11 @@
 //! gate `hatric ≤ software`.
 
 use hatric_cluster::{
-    ChurnStream, Cluster, ClusterParams, ClusterReport, FaultEvent, FaultKind, FaultPlan,
-    FaultWeights, MigrationMode, ScheduledMigration,
+    Cluster, FaultEvent, FaultKind, FaultPlan, FaultWeights, MigrationMode, ScheduledMigration,
 };
 use hatric_coherence::CoherenceMechanism;
-use hatric_migration::{MigrationParams, ReceiverParams};
 
-use crate::experiments::cluster_churn::{
-    mean_victim_runtime, victim_disrupted_cycles, ClusterChurnParams,
-};
+use crate::experiments::ClusterChurnParams;
 use crate::host::ConsolidatedHost;
 
 /// Salt separating the background fault-plan seed from the churn and
@@ -156,9 +152,9 @@ impl ClusterFaultsParams {
         events
     }
 
-    /// Builds the faulted fleet under `mechanism`: churn installed, three
-    /// concurrent pre-copy migrations scheduled (hosts 0, 1 and 2, slot
-    /// 0), the fault schedule armed, recovery knobs set.
+    /// Builds the faulted fleet under `mechanism`: the churn fleet with
+    /// recovery knobs set, three concurrent pre-copy migrations scheduled
+    /// (hosts 0, 1 and 2, slot 0) and the fault schedule armed.
     ///
     /// # Panics
     ///
@@ -171,40 +167,12 @@ impl ClusterFaultsParams {
             self.base.hosts >= 4,
             "the engineered fault storm needs at least four hosts"
         );
-        let hosts: Vec<ConsolidatedHost> = (0..self.base.hosts)
-            .map(|h| {
-                ConsolidatedHost::new(self.base.host_config(h, mechanism))
-                    .expect("cluster-faults configurations are valid")
-            })
-            .collect();
-        let mut params = ClusterParams::new(self.base.epoch_slices, self.base.threads);
-        params.policy = self.base.policy;
-        params.migration = MigrationParams {
-            copy_pages_per_slice: self.base.copy_pages_per_slice,
-            throttle_after_rounds: self.base.throttle_after_rounds,
-            ..MigrationParams::at(0, 0)
-        };
-        params.receiver = ReceiverParams::for_slot(0);
+        let mut params = self.base.cluster_params();
         params.stall_timeout_epochs = self.stall_timeout_epochs;
         params.max_retries = self.max_retries;
         params.retry_backoff_epochs = self.retry_backoff_epochs;
         params.restart_penalty_cycles = self.restart_penalty_cycles;
-        let mut cluster = Cluster::new(hosts, params);
-        for host in 0..self.base.hosts {
-            for slot in self.base.active_vms..self.base.vm_slots() {
-                cluster.set_vm_active(host, slot, false);
-            }
-        }
-        if self.base.churn_period > 0 {
-            cluster.set_churn(
-                ChurnStream::new(
-                    self.base.seed ^ 0xc0de_c4a2,
-                    self.base.hosts,
-                    self.base.churn_period,
-                )
-                .generate(self.base.warmup_epochs + self.base.measured_epochs),
-            );
-        }
+        let mut cluster = self.base.build_fleet(mechanism, params);
         for src_host in 0..3 {
             cluster.schedule_migration(ScheduledMigration {
                 epoch: self.base.migration_start_epoch(),
@@ -226,171 +194,78 @@ impl ClusterFaultsParams {
     }
 }
 
-/// The outcome of one mechanism's cluster-faults run.
-#[derive(Debug, Clone)]
-pub struct ClusterFaultsRow {
-    /// Mechanism under test.
-    pub mechanism: CoherenceMechanism,
-    /// The merged fleet report.
-    pub report: ClusterReport,
-    /// Mean victim runtime in cycles (VMs untouched by any migration).
-    pub victim_runtime: f64,
-    /// Mean victim runtime normalised to the same victims under
-    /// [`CoherenceMechanism::Ideal`].
-    pub agg_victim_slowdown_vs_ideal: f64,
-    /// Cycles stolen from victim vCPUs by coherence across the fleet.
-    pub victim_disrupted_cycles: u64,
-    /// p99 of the recovery-downtime distribution (handed-off migration
-    /// blackouts ∪ crash-restart windows).
-    pub recovery_downtime_p99_cycles: u64,
-    /// Worst recovery downtime.
-    pub recovery_downtime_max_cycles: u64,
-    /// Wall-clock milliseconds of the run (machine-dependent, ungated).
-    pub elapsed_ms: f64,
-    /// Measured accesses per wall-clock second (machine-dependent,
-    /// ungated).
-    pub accesses_per_sec: f64,
-}
-
-/// Runs the faulted fleet under software, HATRIC and ideal coherence and
-/// returns one row per mechanism (victim slowdowns normalised to the
-/// ideal run, which weathers the identical fault storm).
-#[must_use]
-pub fn run(params: &ClusterFaultsParams) -> Vec<ClusterFaultsRow> {
-    let mechanisms = [
-        CoherenceMechanism::Software,
-        CoherenceMechanism::Hatric,
-        CoherenceMechanism::Ideal,
-    ];
-    let reports: Vec<(CoherenceMechanism, ClusterReport, f64)> = mechanisms
-        .iter()
-        .map(|&mechanism| {
-            let mut cluster = params.build_cluster(mechanism);
-            let start = std::time::Instant::now();
-            let report = cluster.run(params.base.warmup_epochs, params.base.measured_epochs);
-            (mechanism, report, start.elapsed().as_secs_f64())
-        })
-        .collect();
-    let ideal_victim = reports
-        .iter()
-        .find(|(m, _, _)| *m == CoherenceMechanism::Ideal)
-        .map(|(_, r, _)| mean_victim_runtime(r))
-        .unwrap_or(0.0);
-    reports
-        .into_iter()
-        .map(|(mechanism, report, elapsed_secs)| {
-            let victim_runtime = mean_victim_runtime(&report);
-            let accesses_per_sec = if elapsed_secs > 0.0 {
-                report.aggregate.accesses as f64 / elapsed_secs
-            } else {
-                0.0
-            };
-            ClusterFaultsRow {
-                mechanism,
-                victim_runtime,
-                agg_victim_slowdown_vs_ideal: if ideal_victim == 0.0 {
-                    0.0
-                } else {
-                    victim_runtime / ideal_victim
-                },
-                victim_disrupted_cycles: victim_disrupted_cycles(&report),
-                recovery_downtime_p99_cycles: report.recovery_downtime_percentile(99),
-                recovery_downtime_max_cycles: report.recovery_downtime_percentile(100),
-                report,
-                elapsed_ms: elapsed_secs * 1_000.0,
-                accesses_per_sec,
-            }
-        })
-        .collect()
-}
-
-/// Formats the rows as the table the example prints.
-#[must_use]
-pub fn format_table(rows: &[ClusterFaultsRow]) -> String {
-    let mut out = String::from(
-        "mechanism     victim-slowdown  recovery-p99  recovery-max  crashes  aborts  retried  escalated  restarts\n",
-    );
-    for row in rows {
-        let r = row.report.recovery;
-        out.push_str(&format!(
-            "{:<13} {:>16.3} {:>13} {:>13} {:>8} {:>7} {:>8} {:>10} {:>9}\n",
-            format!("{:?}", row.mechanism),
-            row.agg_victim_slowdown_vs_ideal,
-            row.recovery_downtime_p99_cycles,
-            row.recovery_downtime_max_cycles,
-            r.host_crashes,
-            r.migrations_aborted,
-            r.migrations_retried,
-            r.migrations_escalated,
-            r.vm_restarts,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{find, Params, Scale, FLEET_MECHANISMS};
 
     #[test]
     fn the_storm_crashes_aborts_escalates_and_recovers() {
-        let rows = run(&ClusterFaultsParams::quick());
-        assert_eq!(rows.len(), 3);
-        let by = |m: CoherenceMechanism| rows.iter().find(|r| r.mechanism == m).unwrap();
-        let sw = by(CoherenceMechanism::Software);
-        let hatric = by(CoherenceMechanism::Hatric);
-        for row in &rows {
-            let recovery = row.report.recovery;
+        let report = find("cluster_faults")
+            .unwrap()
+            .run(&Params::new(), Scale::Smoke)
+            .unwrap();
+        assert_eq!(report.rows.len(), 3);
+        for row in &report.rows {
+            let value = |key| row.number(key).unwrap();
+            let mechanism = row.mechanism();
             assert_eq!(
-                recovery.host_crashes, 1,
-                "{:?}: exactly the engineered crash",
-                row.mechanism
+                value("host_crashes"),
+                1.0,
+                "{mechanism}: exactly the engineered crash"
             );
             assert!(
-                recovery.migrations_aborted >= 2,
-                "{:?}: the crash must abort both migrations touching host 1 \
+                value("migrations_aborted") >= 2.0,
+                "{mechanism}: the crash must abort both migrations touching host 1 \
                  (got {})",
-                row.mechanism,
-                recovery.migrations_aborted
+                value("migrations_aborted")
             );
             assert!(
-                recovery.migrations_escalated >= 1,
-                "{:?}: the stuck pre-copy must escalate",
-                row.mechanism
+                value("migrations_escalated") >= 1.0,
+                "{mechanism}: the stuck pre-copy must escalate"
             );
             assert!(
-                recovery.vm_restarts >= 1,
-                "{:?}: the dead host's VMs must cold-restart",
-                row.mechanism
+                value("vm_restarts") >= 1.0,
+                "{mechanism}: the dead host's VMs must cold-restart"
             );
-            assert!(recovery.faults_injected >= 2);
-            assert!(row.recovery_downtime_p99_cycles > 0);
+            assert!(value("faults_injected") >= 2.0);
+            assert!(value("recovery_downtime_p99_cycles") > 0.0);
         }
+        let value = |mechanism: &str, key: &str| {
+            report
+                .find("storm", mechanism)
+                .and_then(|row| row.number(key))
+                .unwrap()
+        };
+        let slowdown = |mechanism| value(mechanism, "agg_victim_slowdown_vs_ideal");
+        let p99 = |mechanism| value(mechanism, "recovery_downtime_p99_cycles");
         assert!(
-            hatric.agg_victim_slowdown_vs_ideal <= sw.agg_victim_slowdown_vs_ideal,
+            slowdown("Hatric") <= slowdown("Software"),
             "hatric victim slowdown {} must not exceed software's {}",
-            hatric.agg_victim_slowdown_vs_ideal,
-            sw.agg_victim_slowdown_vs_ideal
+            slowdown("Hatric"),
+            slowdown("Software")
         );
         assert!(
-            hatric.recovery_downtime_p99_cycles <= sw.recovery_downtime_p99_cycles,
+            p99("Hatric") <= p99("Software"),
             "hatric recovery p99 {} must not exceed software's {}",
-            hatric.recovery_downtime_p99_cycles,
-            sw.recovery_downtime_p99_cycles
+            p99("Hatric"),
+            p99("Software")
         );
     }
 
     #[test]
     fn the_fault_storm_is_identical_across_mechanisms() {
         let params = ClusterFaultsParams::quick();
-        let rows = run(&params);
-        let storms: Vec<_> = rows
+        let storms: Vec<_> = FLEET_MECHANISMS
             .iter()
-            .map(|r| {
+            .map(|&mechanism| {
+                let report = params
+                    .build_cluster(mechanism)
+                    .run(params.base.warmup_epochs, params.base.measured_epochs);
                 (
-                    r.report.recovery.host_crashes,
-                    r.report.recovery.faults_injected,
-                    r.report.restarts.clone(),
+                    report.recovery.host_crashes,
+                    report.recovery.faults_injected,
+                    report.restarts,
                 )
             })
             .collect();

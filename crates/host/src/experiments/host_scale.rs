@@ -5,15 +5,13 @@
 //! at several vCPU counts and several slice-engine thread counts, and each
 //! run records both its **model metrics** (which must be bit-identical
 //! across thread counts — the engine's determinism contract) and its
-//! **wall-clock throughput** in accesses per second (which should rise
-//! with the thread count on a multi-core machine).
+//! **wall-clock throughput** in accesses per second.
 //!
 //! `bench_check` gates the model metrics against the committed
 //! `BENCH_scale.json` *and* asserts that rows differing only in their
 //! thread count carry identical model metrics; the timing columns are
 //! machine-dependent and never gated.
 
-use hatric::metrics::HostReport;
 use hatric_coherence::CoherenceMechanism;
 use hatric_hypervisor::SchedPolicy;
 use hatric_workloads::WorkloadKind;
@@ -133,54 +131,10 @@ impl HostScaleParams {
     }
 }
 
-/// The outcome of one `(vcpus, threads)` sweep point.
-#[derive(Debug, Clone)]
-pub struct HostScaleRow {
-    /// Total vCPUs of the host.
-    pub vcpus: usize,
-    /// Slice-engine worker threads.
-    pub threads: usize,
-    /// The full host report (bit-identical across `threads` for a fixed
-    /// `vcpus`).
-    pub report: HostReport,
-    /// Wall-clock milliseconds of the run (machine-dependent, ungated).
-    pub elapsed_ms: f64,
-    /// Measured accesses per wall-clock second (machine-dependent,
-    /// ungated) — the speedup axis.
-    pub accesses_per_sec: f64,
-}
-
-/// Runs the sweep: every vCPU point × every thread point.
-///
-/// # Panics
-///
-/// Panics if a derived host configuration is invalid (it never is for the
-/// built-in parameter sets).
-#[must_use]
-pub fn run(params: &HostScaleParams) -> Vec<HostScaleRow> {
-    let mut rows = Vec::new();
-    for vcpus in params.vcpu_points() {
-        for threads in params.thread_points() {
-            let timed = crate::experiments::run_host_timed(
-                params.host_config(vcpus, threads),
-                params.warmup_slices,
-                params.measured_slices,
-            );
-            rows.push(HostScaleRow {
-                vcpus,
-                threads,
-                report: timed.report,
-                elapsed_ms: timed.elapsed_ms,
-                accesses_per_sec: timed.accesses_per_sec,
-            });
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::ConsolidatedHost;
 
     #[test]
     fn sweep_points_double_and_deduplicate() {
@@ -193,17 +147,21 @@ mod tests {
 
     #[test]
     fn model_metrics_are_identical_across_thread_counts() {
-        let rows = run(&HostScaleParams::quick());
-        assert_eq!(rows.len(), 3, "8 vCPUs x threads {{1,2,4}}");
-        let base = &rows[0];
-        assert!(base.report.host.accesses > 0);
-        for row in &rows[1..] {
-            assert_eq!(row.vcpus, base.vcpus);
-            assert_eq!(
-                row.report, base.report,
-                "threads={} diverged from threads=1",
-                row.threads
-            );
+        let params = HostScaleParams::quick();
+        let mut runs = Vec::new();
+        for vcpus in params.vcpu_points() {
+            for threads in params.thread_points() {
+                let mut host = ConsolidatedHost::new(params.host_config(vcpus, threads)).unwrap();
+                let report = host.run(params.warmup_slices, params.measured_slices);
+                runs.push((vcpus, threads, report));
+            }
+        }
+        assert_eq!(runs.len(), 3, "8 vCPUs x threads {{1,2,4}}");
+        let (base_vcpus, _, base) = &runs[0];
+        assert!(base.host.accesses > 0);
+        for (vcpus, threads, report) in &runs[1..] {
+            assert_eq!(vcpus, base_vcpus);
+            assert_eq!(report, base, "threads={threads} diverged from threads=1");
         }
     }
 }

@@ -20,7 +20,6 @@
 //!   flushes of the software path; HATRIC leaves them at (near) the
 //!   ideal-coherence bound.
 
-use hatric::metrics::HostReport;
 use hatric_coherence::CoherenceMechanism;
 use hatric_hypervisor::SchedPolicy;
 use hatric_migration::{BalloonParams, HostEvent, MigrationParams};
@@ -178,192 +177,98 @@ impl MigrationStormParams {
     }
 }
 
-/// The outcome of one mechanism's migration-storm run.
-#[derive(Debug, Clone)]
-pub struct MigrationStormRow {
-    /// Mechanism under test.
-    pub mechanism: CoherenceMechanism,
-    /// The full host report.
-    pub report: HostReport,
-    /// Cycles the migrant was frozen during stop-and-copy.
-    pub downtime_cycles: u64,
-    /// Nested-PTE stores issued by the migration (and their coherence).
-    pub migration_remaps: u64,
-    /// Pre-copy rounds executed.
-    pub precopy_rounds: u64,
-    /// Pages transferred in total.
-    pub pages_copied: u64,
-    /// Mean victim runtime in cycles (victims are slots 1..).
-    pub victim_runtime: f64,
-    /// Mean victim runtime normalised to the same victims under
-    /// [`CoherenceMechanism::Ideal`].
-    pub victim_slowdown_vs_ideal: f64,
-    /// Cycles stolen from victim vCPUs by migration coherence.
-    pub victim_disrupted_cycles: u64,
-    /// Wall-clock milliseconds of the run (machine-dependent, ungated).
-    pub elapsed_ms: f64,
-    /// Measured accesses per wall-clock second (machine-dependent, ungated).
-    pub accesses_per_sec: f64,
-}
-
-/// Mean victim runtime of a host report (victims are slots `1..`).
-fn mean_victim_runtime(report: &HostReport) -> f64 {
-    let victims = &report.per_vm[1..];
-    if victims.is_empty() {
-        return 0.0;
-    }
-    victims
-        .iter()
-        .map(|r| r.runtime_cycles() as f64)
-        .sum::<f64>()
-        / victims.len() as f64
-}
-
-/// Runs the storm under all four mechanisms and returns one row per
-/// mechanism (victim slowdowns normalised to the ideal run).
-///
-/// # Panics
-///
-/// Panics if the derived host configuration is invalid (it never is for
-/// the built-in parameter sets).
-#[must_use]
-pub fn run(params: &MigrationStormParams) -> Vec<MigrationStormRow> {
-    let mechanisms = [
-        CoherenceMechanism::Software,
-        CoherenceMechanism::UnitdPlusPlus,
-        CoherenceMechanism::Hatric,
-        CoherenceMechanism::Ideal,
-    ];
-    let reports: Vec<(CoherenceMechanism, crate::experiments::TimedReport)> = mechanisms
-        .iter()
-        .map(|&mechanism| {
-            (
-                mechanism,
-                crate::experiments::run_host_timed(
-                    params.host_config(mechanism),
-                    params.warmup_slices,
-                    params.measured_slices,
-                ),
-            )
-        })
-        .collect();
-    let ideal_victim = reports
-        .iter()
-        .find(|(m, _)| *m == CoherenceMechanism::Ideal)
-        .map(|(_, t)| mean_victim_runtime(&t.report))
-        .unwrap_or(0.0);
-    reports
-        .into_iter()
-        .map(|(mechanism, timed)| {
-            let report = timed.report;
-            let victim_runtime = mean_victim_runtime(&report);
-            MigrationStormRow {
-                mechanism,
-                downtime_cycles: report.migration.downtime_cycles,
-                migration_remaps: report.migration.migration_remaps,
-                precopy_rounds: report.migration.precopy_rounds,
-                pages_copied: report.migration.pages_copied,
-                victim_runtime,
-                victim_slowdown_vs_ideal: if ideal_victim == 0.0 {
-                    0.0
-                } else {
-                    victim_runtime / ideal_victim
-                },
-                victim_disrupted_cycles: report.per_vm[1..]
-                    .iter()
-                    .map(|r| r.interference.disrupted_cycles)
-                    .sum(),
-                report,
-                elapsed_ms: timed.elapsed_ms,
-                accesses_per_sec: timed.accesses_per_sec,
-            }
-        })
-        .collect()
-}
-
-/// Formats the rows as the table the example and bench print.
-#[must_use]
-pub fn format_table(rows: &[MigrationStormRow]) -> String {
-    let mut out = String::from(
-        "mechanism     downtime-cycles  victim-slowdown  victim-disrupted  mig-remaps  rounds  pages-copied\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:<13} {:>15} {:>16.3} {:>17} {:>11} {:>7} {:>13}\n",
-            format!("{:?}", row.mechanism),
-            row.downtime_cycles,
-            row.victim_slowdown_vs_ideal,
-            row.victim_disrupted_cycles,
-            row.migration_remaps,
-            row.precopy_rounds,
-            row.pages_copied,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use hatric::metrics::HostReport;
+
     use super::*;
+    use crate::host::ConsolidatedHost;
+    use crate::scenario::{find, Params, Scale, HOST_MECHANISMS};
+
+    /// Each mechanism's report of a run of `params`.
+    fn reports(params: &MigrationStormParams) -> Vec<(CoherenceMechanism, HostReport)> {
+        HOST_MECHANISMS
+            .iter()
+            .map(|&mechanism| {
+                let mut host = ConsolidatedHost::new(params.host_config(mechanism)).unwrap();
+                (
+                    mechanism,
+                    host.run(params.warmup_slices, params.measured_slices),
+                )
+            })
+            .collect()
+    }
 
     #[test]
     fn migration_completes_and_hatric_beats_software_on_both_metrics() {
-        let rows = run(&MigrationStormParams::quick());
+        let report = find("migration_storm")
+            .unwrap()
+            .run(&Params::new(), Scale::Smoke)
+            .unwrap();
+        // `precopy` runs the smoke sizing as it is.
+        let rows: Vec<_> = report
+            .rows
+            .iter()
+            .filter(|r| r.label() == "precopy")
+            .collect();
         assert_eq!(rows.len(), 4);
-        let by = |m: CoherenceMechanism| rows.iter().find(|r| r.mechanism == m).unwrap();
-        let sw = by(CoherenceMechanism::Software);
-        let hatric = by(CoherenceMechanism::Hatric);
-        for row in &rows {
+        let value = |mechanism: &str, key: &str| {
+            report
+                .find("precopy", mechanism)
+                .and_then(|row| row.number(key))
+                .unwrap()
+        };
+        for (mechanism, run) in reports(&MigrationStormParams::quick()) {
             assert_eq!(
-                row.report.migration.migrations_completed, 1,
-                "{:?}: migration must finish inside the measured window",
-                row.mechanism
+                run.migration.migrations_completed, 1,
+                "{mechanism:?}: migration must finish inside the measured window"
             );
-            assert!(row.migration_remaps > 0);
-            assert!(row.downtime_cycles > 0);
         }
+        for row in &rows {
+            assert!(row.number("migration_remaps").unwrap() > 0.0);
+            assert!(row.number("downtime_cycles").unwrap() > 0.0);
+        }
+        let downtime = |mechanism| value(mechanism, "downtime_cycles");
+        let slowdown = |mechanism| value(mechanism, "victim_slowdown_vs_ideal");
         assert!(
-            sw.downtime_cycles > hatric.downtime_cycles,
+            downtime("Software") > downtime("Hatric"),
             "software downtime {} must exceed hatric's {}",
-            sw.downtime_cycles,
-            hatric.downtime_cycles
+            downtime("Software"),
+            downtime("Hatric")
         );
         assert!(
-            sw.victim_slowdown_vs_ideal > hatric.victim_slowdown_vs_ideal,
+            slowdown("Software") > slowdown("Hatric"),
             "software victim slowdown {} must exceed hatric's {}",
-            sw.victim_slowdown_vs_ideal,
-            hatric.victim_slowdown_vs_ideal
+            slowdown("Software"),
+            slowdown("Hatric")
         );
-        assert!(sw.victim_disrupted_cycles > 0);
-        assert_eq!(hatric.victim_disrupted_cycles, 0);
+        assert!(value("Software", "victim_disrupted_cycles") > 0.0);
+        assert_eq!(value("Hatric", "victim_disrupted_cycles"), 0.0);
     }
 
     #[test]
     fn balloon_variant_squeezes_the_victim_into_paging() {
         let params = MigrationStormParams::quick().with_balloon_pages(64);
-        let rows = run(&params);
-        for row in &rows {
-            assert!(row.report.migration.balloon_reclaimed_pages > 0);
+        for (mechanism, report) in reports(&params) {
+            assert!(report.migration.balloon_reclaimed_pages > 0);
             assert_eq!(
-                row.report.migration.balloon_reclaimed_pages,
-                row.report.migration.balloon_granted_pages
+                report.migration.balloon_reclaimed_pages,
+                report.migration.balloon_granted_pages
             );
             // The balloon's per-VM bookkeeping: victim 1 lost capacity, the
             // migrant gained it.
-            assert!(row.report.per_vm[1].paging.balloon_reclaimed.get() > 0);
-            assert!(row.report.per_vm[0].paging.balloon_granted.get() > 0);
+            assert!(report.per_vm[1].paging.balloon_reclaimed.get() > 0);
+            assert!(report.per_vm[0].paging.balloon_granted.get() > 0);
             // 64 reclaimed pages push victim 1's capacity below its
             // footprint: real demotions happen at reclaim time, and the
             // squeezed VM keeps paging afterwards.
             assert!(
-                row.report.per_vm[1].faults.pages_demoted > 0,
-                "{:?}: balloon reclaim must demote resident pages",
-                row.mechanism
+                report.per_vm[1].faults.pages_demoted > 0,
+                "{mechanism:?}: balloon reclaim must demote resident pages"
             );
             assert!(
-                row.report.per_vm[1].coherence.remaps > 0,
-                "{:?}: the squeezed victim must generate remap traffic",
-                row.mechanism
+                report.per_vm[1].coherence.remaps > 0,
+                "{mechanism:?}: the squeezed victim must generate remap traffic"
             );
         }
     }

@@ -1,4 +1,7 @@
-//! Experiment runners built on the consolidated host.
+//! The sizings of the host and fleet experiments: each family's typed
+//! parameters and the machine they describe.  The scenario layer
+//! ([`crate::scenario`]) sweeps them under every mechanism and emits the
+//! rows.
 
 pub mod cluster_churn;
 pub mod cluster_faults;
@@ -7,54 +10,12 @@ pub mod migration_storm;
 pub mod multivm;
 pub mod numa_contention;
 
-pub use cluster_churn::{ClusterChurnParams, ClusterChurnRow};
-pub use cluster_faults::{ClusterFaultsParams, ClusterFaultsRow};
-pub use host_scale::{HostScaleParams, HostScaleRow};
-pub use migration_storm::{MigrationStormParams, MigrationStormRow};
-pub use multivm::{MultiVmParams, MultiVmRow};
-pub use numa_contention::{NumaContentionParams, NumaContentionRow};
-
-use hatric::metrics::HostReport;
-
-use crate::config::HostConfig;
-use crate::host::ConsolidatedHost;
-
-/// One host run plus its wall-clock measurement.  The timing fields are
-/// machine-dependent and therefore **never gated** by `bench_check`; they
-/// ride along in every report row for trajectory tracking.
-#[derive(Debug, Clone)]
-pub struct TimedReport {
-    /// The model's report (deterministic).
-    pub report: HostReport,
-    /// Wall-clock milliseconds of the whole run (warmup + measured).
-    pub elapsed_ms: f64,
-    /// Measured guest accesses divided by the wall-clock seconds of the
-    /// whole run — the simulator-throughput figure the `host_scale`
-    /// scenario sweeps across thread counts.
-    pub accesses_per_sec: f64,
-}
-
-/// Builds a host from `config` and runs it, measuring wall clock.
-///
-/// # Panics
-///
-/// Panics if `config` is invalid (experiment parameter sets never are).
-pub(crate) fn run_host_timed(config: HostConfig, warmup: u64, measured: u64) -> TimedReport {
-    let mut host = ConsolidatedHost::new(config).expect("experiment configurations are valid");
-    let start = std::time::Instant::now();
-    let report = host.run(warmup, measured);
-    let elapsed = start.elapsed();
-    let accesses_per_sec = if elapsed.as_secs_f64() > 0.0 {
-        report.host.accesses as f64 / elapsed.as_secs_f64()
-    } else {
-        0.0
-    };
-    TimedReport {
-        report,
-        elapsed_ms: elapsed.as_secs_f64() * 1_000.0,
-        accesses_per_sec,
-    }
-}
+pub use cluster_churn::ClusterChurnParams;
+pub use cluster_faults::ClusterFaultsParams;
+pub use host_scale::HostScaleParams;
+pub use migration_storm::MigrationStormParams;
+pub use multivm::MultiVmParams;
+pub use numa_contention::NumaContentionParams;
 
 // The paper's figures run from one table in `crate::scenario`; these
 // modules pin each figure's paper axes in that table.

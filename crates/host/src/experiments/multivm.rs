@@ -10,7 +10,6 @@
 //! invalidations that never interrupt the running guest, so victim
 //! slowdown collapses to (near) the ideal bound.
 
-use hatric::metrics::HostReport;
 use hatric_coherence::CoherenceMechanism;
 use hatric_hypervisor::SchedPolicy;
 
@@ -121,150 +120,47 @@ impl MultiVmParams {
     }
 }
 
-/// The outcome of one mechanism's consolidated-host run.
-#[derive(Debug, Clone)]
-pub struct MultiVmRow {
-    /// Mechanism under test.
-    pub mechanism: CoherenceMechanism,
-    /// The full host report.
-    pub report: HostReport,
-    /// Mean victim runtime in cycles (victims are slots 1..).
-    pub victim_runtime: f64,
-    /// Mean victim runtime normalised to the same victims under
-    /// [`CoherenceMechanism::Ideal`] (1.0 = no coherence-induced slowdown).
-    pub victim_slowdown_vs_ideal: f64,
-    /// Total cycles stolen from victim vCPUs by aggressor coherence.
-    pub victim_disrupted_cycles: u64,
-    /// Remaps the aggressor performed.
-    pub aggressor_remaps: u64,
-    /// Wall-clock milliseconds of the run (machine-dependent, ungated).
-    pub elapsed_ms: f64,
-    /// Measured accesses per wall-clock second (machine-dependent, ungated).
-    pub accesses_per_sec: f64,
-}
-
-/// Mean victim runtime of a host report (victims are slots `1..`).
-fn mean_victim_runtime(report: &HostReport) -> f64 {
-    let victims = &report.per_vm[1..];
-    if victims.is_empty() {
-        return 0.0;
-    }
-    victims
-        .iter()
-        .map(|r| r.runtime_cycles() as f64)
-        .sum::<f64>()
-        / victims.len() as f64
-}
-
-/// Runs the experiment under all four mechanisms and returns one row per
-/// mechanism in presentation order (ideal last; victim slowdowns are
-/// normalised to it after all runs complete).
-///
-/// # Panics
-///
-/// Panics if the derived host configuration is invalid (it never is for the
-/// built-in parameter sets).
-#[must_use]
-pub fn run(params: &MultiVmParams) -> Vec<MultiVmRow> {
-    let mechanisms = [
-        CoherenceMechanism::Software,
-        CoherenceMechanism::UnitdPlusPlus,
-        CoherenceMechanism::Hatric,
-        CoherenceMechanism::Ideal,
-    ];
-    let reports: Vec<(CoherenceMechanism, crate::experiments::TimedReport)> = mechanisms
-        .iter()
-        .map(|&mechanism| {
-            (
-                mechanism,
-                crate::experiments::run_host_timed(
-                    params.host_config(mechanism),
-                    params.warmup_slices,
-                    params.measured_slices,
-                ),
-            )
-        })
-        .collect();
-    let ideal_victim = reports
-        .iter()
-        .find(|(m, _)| *m == CoherenceMechanism::Ideal)
-        .map(|(_, t)| mean_victim_runtime(&t.report))
-        .unwrap_or(0.0);
-    reports
-        .into_iter()
-        .map(|(mechanism, timed)| {
-            let report = timed.report;
-            let victim_runtime = mean_victim_runtime(&report);
-            MultiVmRow {
-                mechanism,
-                victim_runtime,
-                victim_slowdown_vs_ideal: if ideal_victim == 0.0 {
-                    0.0
-                } else {
-                    victim_runtime / ideal_victim
-                },
-                victim_disrupted_cycles: report.per_vm[1..]
-                    .iter()
-                    .map(|r| r.interference.disrupted_cycles)
-                    .sum(),
-                aggressor_remaps: report.per_vm[0].coherence.remaps,
-                report,
-                elapsed_ms: timed.elapsed_ms,
-                accesses_per_sec: timed.accesses_per_sec,
-            }
-        })
-        .collect()
-}
-
-/// Formats the rows as the table the example and bench print.
-#[must_use]
-pub fn format_table(rows: &[MultiVmRow]) -> String {
-    let mut out = String::from(
-        "mechanism    victim-slowdown  victim-disrupted-cycles  aggressor-remaps  ipis  vm-exits\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:<12} {:>15.3} {:>24} {:>17} {:>5} {:>9}\n",
-            format!("{:?}", row.mechanism),
-            row.victim_slowdown_vs_ideal,
-            row.victim_disrupted_cycles,
-            row.aggressor_remaps,
-            row.report.host.coherence.ipis,
-            row.report.host.coherence.coherence_vm_exits,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::{find, Params, Scale};
 
     #[test]
     fn shootdown_disrupts_victims_and_hatric_does_not() {
-        let rows = run(&MultiVmParams::quick());
-        assert_eq!(rows.len(), 4);
-        let by = |m: CoherenceMechanism| rows.iter().find(|r| r.mechanism == m).unwrap();
-        let sw = by(CoherenceMechanism::Software);
-        let hatric = by(CoherenceMechanism::Hatric);
-        let ideal = by(CoherenceMechanism::Ideal);
-        assert!(sw.aggressor_remaps > 0, "aggressor must page");
+        let report = find("multivm")
+            .unwrap()
+            .run(&Params::new(), Scale::Smoke)
+            .unwrap();
+        // `moderate` runs the smoke sizing's own aggressor footprint (1.0).
+        let rows = report.rows.iter().filter(|r| r.label() == "moderate");
+        assert_eq!(rows.count(), 4);
+        let value = |mechanism: &str, key: &str| {
+            report
+                .find("moderate", mechanism)
+                .and_then(|row| row.number(key))
+                .unwrap()
+        };
+        let slowdown = |mechanism| value(mechanism, "victim_slowdown_vs_ideal");
+        let disrupted = |mechanism| value(mechanism, "victim_disrupted_cycles");
         assert!(
-            sw.victim_disrupted_cycles > 0,
+            value("Software", "aggressor_remaps") > 0.0,
+            "aggressor must page"
+        );
+        assert!(
+            disrupted("Software") > 0.0,
             "software shootdowns must disturb victims"
         );
-        assert_eq!(hatric.victim_disrupted_cycles, 0);
-        assert_eq!(ideal.victim_disrupted_cycles, 0);
+        assert_eq!(disrupted("Hatric"), 0.0);
+        assert_eq!(disrupted("Ideal"), 0.0);
         assert!(
-            sw.victim_slowdown_vs_ideal > hatric.victim_slowdown_vs_ideal,
+            slowdown("Software") > slowdown("Hatric"),
             "software victim slowdown {} must exceed hatric's {}",
-            sw.victim_slowdown_vs_ideal,
-            hatric.victim_slowdown_vs_ideal
+            slowdown("Software"),
+            slowdown("Hatric")
         );
         assert!(
-            hatric.victim_slowdown_vs_ideal < 1.05,
+            slowdown("Hatric") < 1.05,
             "hatric victims must stay within 5% of ideal, got {}",
-            hatric.victim_slowdown_vs_ideal
+            slowdown("Hatric")
         );
     }
 }

@@ -30,7 +30,6 @@
 //! a VM to its home socket keeps most of the blast radius — and most of its
 //! memory traffic — socket-local.
 
-use hatric::metrics::HostReport;
 use hatric::NumaConfig;
 use hatric_coherence::CoherenceMechanism;
 use hatric_hypervisor::{NumaPolicy, SchedPolicy};
@@ -173,155 +172,51 @@ impl NumaContentionParams {
     }
 }
 
-/// The outcome of one mechanism's run at one socket configuration.
-#[derive(Debug, Clone)]
-pub struct NumaContentionRow {
-    /// Mechanism under test.
-    pub mechanism: CoherenceMechanism,
-    /// The full host report.
-    pub report: HostReport,
-    /// Mean victim runtime in cycles (victims are slots 1..).
-    pub victim_runtime: f64,
-    /// Mean victim runtime normalised to the same victims under
-    /// [`CoherenceMechanism::Ideal`] at the *same* socket configuration, so
-    /// the baseline NUMA cost every mechanism pays cancels out.
-    pub victim_slowdown_vs_ideal: f64,
-    /// Cycles stolen from victim vCPUs by aggressor coherence.
-    pub victim_disrupted_cycles: u64,
-    /// Remaps the aggressor performed.
-    pub aggressor_remaps: u64,
-    /// Host-wide fraction of DRAM accesses that crossed the link.
-    pub remote_access_ratio: f64,
-    /// Fraction of the aggressor's coherence targets on a remote socket.
-    pub remote_target_ratio: f64,
-    /// Wall-clock milliseconds of the run (machine-dependent, ungated).
-    pub elapsed_ms: f64,
-    /// Measured accesses per wall-clock second (machine-dependent, ungated).
-    pub accesses_per_sec: f64,
-}
-
-/// Mean victim runtime of a host report (victims are slots `1..`).
-fn mean_victim_runtime(report: &HostReport) -> f64 {
-    let victims = &report.per_vm[1..];
-    if victims.is_empty() {
-        return 0.0;
-    }
-    victims
-        .iter()
-        .map(|r| r.runtime_cycles() as f64)
-        .sum::<f64>()
-        / victims.len() as f64
-}
-
-/// Runs the experiment under all four mechanisms at one socket
-/// configuration, returning one row per mechanism (victim slowdowns
-/// normalised to the ideal run of the same configuration).
-///
-/// # Panics
-///
-/// Panics if the derived host configuration is invalid (it never is for the
-/// built-in parameter sets).
-#[must_use]
-pub fn run(params: &NumaContentionParams) -> Vec<NumaContentionRow> {
-    let mechanisms = [
-        CoherenceMechanism::Software,
-        CoherenceMechanism::UnitdPlusPlus,
-        CoherenceMechanism::Hatric,
-        CoherenceMechanism::Ideal,
-    ];
-    let reports: Vec<(CoherenceMechanism, crate::experiments::TimedReport)> = mechanisms
-        .iter()
-        .map(|&mechanism| {
-            (
-                mechanism,
-                crate::experiments::run_host_timed(
-                    params.host_config(mechanism),
-                    params.warmup_slices,
-                    params.measured_slices,
-                ),
-            )
-        })
-        .collect();
-    let ideal_victim = reports
-        .iter()
-        .find(|(m, _)| *m == CoherenceMechanism::Ideal)
-        .map(|(_, t)| mean_victim_runtime(&t.report))
-        .unwrap_or(0.0);
-    reports
-        .into_iter()
-        .map(|(mechanism, timed)| {
-            let report = timed.report;
-            let victim_runtime = mean_victim_runtime(&report);
-            NumaContentionRow {
-                mechanism,
-                victim_runtime,
-                victim_slowdown_vs_ideal: if ideal_victim == 0.0 {
-                    0.0
-                } else {
-                    victim_runtime / ideal_victim
-                },
-                victim_disrupted_cycles: report.per_vm[1..]
-                    .iter()
-                    .map(|r| r.interference.disrupted_cycles)
-                    .sum(),
-                aggressor_remaps: report.per_vm[0].coherence.remaps,
-                remote_access_ratio: report.host.numa.remote_access_ratio(),
-                remote_target_ratio: report.per_vm[0].numa.remote_target_ratio(),
-                report,
-                elapsed_ms: timed.elapsed_ms,
-                accesses_per_sec: timed.accesses_per_sec,
-            }
-        })
-        .collect()
-}
-
-/// Formats the rows as the table the example and bench print.
-#[must_use]
-pub fn format_table(rows: &[NumaContentionRow]) -> String {
-    let mut out = String::from(
-        "mechanism     victim-slowdown  victim-runtime  victim-disrupted  remote-ratio  remote-targets  remaps\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:<13} {:>15.3} {:>14.0} {:>17} {:>12.3} {:>15.3} {:>7}\n",
-            format!("{:?}", row.mechanism),
-            row.victim_slowdown_vs_ideal,
-            row.victim_runtime,
-            row.victim_disrupted_cycles,
-            row.remote_access_ratio,
-            row.remote_target_ratio,
-            row.aggressor_remaps,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::OnceLock;
 
-    fn by(rows: &[NumaContentionRow], m: CoherenceMechanism) -> &NumaContentionRow {
-        rows.iter().find(|r| r.mechanism == m).unwrap()
+    use crate::scenario::{find, Params, Scale, ScenarioReport};
+
+    /// The smoke run of the socket sweep: `uma`, `numa2` and `numa4` are
+    /// the smoke sizing on 1, 2 and 4 sockets, `numa2_affine` the two-socket
+    /// one under first-touch allocation and socket-affine scheduling.
+    fn sweep() -> &'static ScenarioReport {
+        static REPORT: OnceLock<ScenarioReport> = OnceLock::new();
+        REPORT.get_or_init(|| {
+            find("numa_contention")
+                .unwrap()
+                .run(&Params::new(), Scale::Smoke)
+                .unwrap()
+        })
+    }
+
+    fn value(config: &str, mechanism: &str, key: &str) -> f64 {
+        sweep()
+            .find(config, mechanism)
+            .and_then(|row| row.number(key))
+            .unwrap()
     }
 
     #[test]
     fn hatric_beats_software_and_the_gap_widens_with_remote_ratio() {
         let mut gaps = Vec::new();
         let mut ratios = Vec::new();
-        for sockets in [1, 2, 4] {
-            let rows = run(&NumaContentionParams::quick().with_sockets(sockets));
-            let sw = by(&rows, CoherenceMechanism::Software);
-            let hatric = by(&rows, CoherenceMechanism::Hatric);
-            assert!(sw.aggressor_remaps > 0, "aggressor must page");
+        for (sockets, config) in [(1, "uma"), (2, "numa2"), (4, "numa4")] {
+            let slowdown = |mechanism| value(config, mechanism, "victim_slowdown_vs_ideal");
             assert!(
-                hatric.victim_slowdown_vs_ideal <= sw.victim_slowdown_vs_ideal,
-                "{sockets} sockets: hatric victim slowdown {} must not exceed software's {}",
-                hatric.victim_slowdown_vs_ideal,
-                sw.victim_slowdown_vs_ideal
+                value(config, "Software", "aggressor_remaps") > 0.0,
+                "aggressor must page"
             );
-            assert_eq!(hatric.victim_disrupted_cycles, 0);
-            gaps.push(sw.victim_slowdown_vs_ideal - hatric.victim_slowdown_vs_ideal);
-            ratios.push(sw.remote_access_ratio);
+            assert!(
+                slowdown("Hatric") <= slowdown("Software"),
+                "{sockets} sockets: hatric victim slowdown {} must not exceed software's {}",
+                slowdown("Hatric"),
+                slowdown("Software")
+            );
+            assert_eq!(value(config, "Hatric", "victim_disrupted_cycles"), 0.0);
+            gaps.push(slowdown("Software") - slowdown("Hatric"));
+            ratios.push(value(config, "Software", "remote_access_ratio"));
         }
         // Interleaved allocation over S sockets puts ~ (S-1)/S of traffic
         // behind the link.
@@ -333,8 +228,8 @@ mod tests {
         // At this test's tiny scale the 2- vs 4-socket ordering is noisy, so
         // only the robust property is asserted here: socket distance makes
         // software shootdowns strictly worse than on the UMA host.  The
-        // full-scale sweep (bench_check gates it) asserts strict
-        // monotonicity across the whole series.
+        // default-parameter Bench and Full runs assert strict monotonicity
+        // across the whole series.
         assert!(
             gaps[1..].iter().all(|g| *g > gaps[0]),
             "every multi-socket gap must exceed the UMA gap: {gaps:?}"
@@ -343,26 +238,21 @@ mod tests {
 
     #[test]
     fn socket_affine_placement_confines_the_blast_radius() {
-        let interleaved = run(&NumaContentionParams::quick().with_sockets(2));
-        let affine = run(&NumaContentionParams::quick()
-            .with_sockets(2)
-            .with_numa_policy(NumaPolicy::FirstTouch)
-            .with_sched(SchedPolicy::SocketAffine));
-        let sw_spread = by(&interleaved, CoherenceMechanism::Software);
-        let sw_affine = by(&affine, CoherenceMechanism::Software);
+        let spread = |key| value("numa2", "Software", key);
+        let affine = |key| value("numa2_affine", "Software", key);
         // Affinity + first touch keeps the aggressor's memory (and its
         // shootdown targets) on its home socket.
         assert!(
-            sw_affine.remote_target_ratio < sw_spread.remote_target_ratio,
+            affine("remote_target_ratio") < spread("remote_target_ratio"),
             "affine remote-target ratio {} must undercut interleaved {}",
-            sw_affine.remote_target_ratio,
-            sw_spread.remote_target_ratio
+            affine("remote_target_ratio"),
+            spread("remote_target_ratio")
         );
         assert!(
-            sw_affine.victim_slowdown_vs_ideal < sw_spread.victim_slowdown_vs_ideal,
+            affine("victim_slowdown_vs_ideal") < spread("victim_slowdown_vs_ideal"),
             "affine victim slowdown {} must undercut interleaved {}",
-            sw_affine.victim_slowdown_vs_ideal,
-            sw_spread.victim_slowdown_vs_ideal
+            affine("victim_slowdown_vs_ideal"),
+            spread("victim_slowdown_vs_ideal")
         );
     }
 }

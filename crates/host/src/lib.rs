@@ -20,8 +20,9 @@
 //!   [`hatric::metrics::HostReport`] quantify interference: cycles stolen
 //!   from victim VMs, disruptive events received, and victim slowdown
 //!   versus the ideal-coherence bound.
-//! * [`experiments::multivm`] packages the aggressor/victim experiment the
-//!   `multivm` scenario and the `consolidated_host` example run.
+//! * [`experiments`] holds each host and fleet experiment's sizing and the
+//!   machine it describes (e.g. [`experiments::MultiVmParams`], the
+//!   aggressor/victim host the `multivm` scenario sweeps).
 //! * The [`scenario`] layer is the **single entry point to every
 //!   experiment**: a [`scenario::Scenario`] trait + static
 //!   [`scenario::registry`], a uniform [`scenario::ScenarioReport`] schema

@@ -37,6 +37,8 @@
 //! assert_eq!(report.scenario, "multivm");
 //! ```
 
+use std::time::Instant;
+
 use hatric::experiments::{execute, execute_mix, execute_traced, ExperimentParams, RunSpec};
 use hatric::metrics::{HostReport, SimReport};
 use hatric::telemetry::{global_phase_totals, CounterTimeline, EnginePhase};
@@ -48,7 +50,6 @@ use hatric_types::ConfigError;
 
 use crate::config::HostConfig;
 use crate::experiments::{
-    cluster_churn, cluster_faults, host_scale, migration_storm, multivm, numa_contention,
     ClusterChurnParams, ClusterFaultsParams, HostScaleParams, MigrationStormParams, MultiVmParams,
     NumaContentionParams,
 };
@@ -1101,56 +1102,8 @@ fn mechanism_label(mechanism: CoherenceMechanism) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Shared row plumbing, probe runs and bench metadata
+// Probe runs and bench metadata
 // ---------------------------------------------------------------------------
-
-/// Appends the row tail every host scenario shares: the machine-dependent
-/// wall-clock columns (`elapsed_ms`, `accesses_per_sec` — never gated,
-/// stripped by the determinism cross-checks), the deterministic
-/// latency-distribution percentiles the run accumulated — p50/p99, in
-/// simulated cycles, of nested-walk latency, shootdown completion latency
-/// and DRAM queueing delay — and the per-remap causal-attribution columns
-/// ([`attribution_columns`]).  One helper instead of four hand-rolled
-/// copies keeps the column set identical across scenarios.
-fn timing_columns(row: Row, report: &HostReport, elapsed_ms: f64, accesses_per_sec: f64) -> Row {
-    let lat = &report.host.latency;
-    let timed = row
-        .ratio("elapsed_ms", elapsed_ms)
-        .ratio("accesses_per_sec", accesses_per_sec)
-        .count("walk_p50", lat.walk.p50())
-        .count("walk_p99", lat.walk.p99())
-        .count("shootdown_p50", lat.shootdown.p50())
-        .count("shootdown_p99", lat.shootdown.p99())
-        .count("dram_queue_p50", lat.dram_queue.p50())
-        .count("dram_queue_p99", lat.dram_queue.p99());
-    attribution_columns(timed, report)
-}
-
-/// Appends the per-remap causal-attribution columns (never gated): how many
-/// distinct remaps the run's causal ledger charged disruption to, the summed
-/// victim cycles they inflicted, and the single costliest remap — its id
-/// (`vm<slot>#<ordinal>`), its victim cycles and its share of the total.
-/// Deterministic like every model metric, but new columns stay out of the
-/// gate so committed baselines never need regenerating for observability.
-fn attribution_columns(row: Row, report: &HostReport) -> Row {
-    let causal = &report.host.causal;
-    let total = causal.total();
-    let top = causal.top_by_victim_cycles(1);
-    let (top_id, top_cycles) = top.first().map_or_else(
-        || ("-".to_string(), 0),
-        |(id, c)| (id.to_string(), c.victim_cycles),
-    );
-    let top_share = if total.victim_cycles == 0 {
-        0.0
-    } else {
-        top_cycles as f64 / total.victim_cycles as f64
-    };
-    row.count("attr_remaps", causal.len() as u64)
-        .count("attr_victim_cycles", total.victim_cycles)
-        .text("attr_top_remap", &top_id)
-        .count("attr_top_victim_cycles", top_cycles)
-        .ratio("attr_top_share", top_share)
-}
 
 /// Spans a traced scenario run keeps before the ring starts evicting the
 /// oldest.  Sized for a bench-scale run; smoke traces fit with room to
@@ -1211,6 +1164,238 @@ pub fn append_meta_record(json: &str, meta: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
+// The mechanism sweep of the host and fleet scenarios
+// ---------------------------------------------------------------------------
+
+/// The mechanisms a host scenario runs at each sweep point, in row order.
+/// Every victim slowdown divides by the Ideal run's.
+pub(crate) const HOST_MECHANISMS: &[CoherenceMechanism] = &[
+    CoherenceMechanism::Software,
+    CoherenceMechanism::UnitdPlusPlus,
+    CoherenceMechanism::Hatric,
+    CoherenceMechanism::Ideal,
+];
+
+/// The mechanisms a fleet scenario runs at each sweep point.
+pub(crate) const FLEET_MECHANISMS: &[CoherenceMechanism] = &[
+    CoherenceMechanism::Software,
+    CoherenceMechanism::Hatric,
+    CoherenceMechanism::Ideal,
+];
+
+/// A run's report as the sweep reads it: the machine-wide aggregate, and
+/// the victim VMs whose runtime the slowdown compares.
+trait Swept {
+    fn aggregate(&self) -> &SimReport;
+
+    fn victims(&self) -> Vec<&SimReport>;
+}
+
+impl Swept for HostReport {
+    fn aggregate(&self) -> &SimReport {
+        &self.host
+    }
+
+    /// Slots `1..`: slot 0 is the aggressor or the migrant.
+    fn victims(&self) -> Vec<&SimReport> {
+        self.per_vm[1..].iter().collect()
+    }
+}
+
+impl Swept for ClusterReport {
+    fn aggregate(&self) -> &SimReport {
+        &self.aggregate
+    }
+
+    /// Every slot that made progress and was never a source or destination
+    /// of an inter-host migration.  The set is a function of the
+    /// deterministic churn/placement flow only, so it is identical across
+    /// mechanisms and the ratio to the ideal run compares like with like.
+    fn victims(&self) -> Vec<&SimReport> {
+        let involved: Vec<(usize, usize)> = self
+            .migrations
+            .iter()
+            .flat_map(|m| [(m.src_host, m.src_slot), (m.dst_host, m.dst_slot)])
+            .collect();
+        let mut victims = Vec::new();
+        for (h, host) in self.per_host.iter().enumerate() {
+            for (s, vm) in host.per_vm.iter().enumerate() {
+                if vm.accesses > 0 && !involved.contains(&(h, s)) {
+                    victims.push(vm);
+                }
+            }
+        }
+        victims
+    }
+}
+
+/// Mean runtime of `victims` in cycles (0 for none).
+fn mean_runtime(victims: &[&SimReport]) -> f64 {
+    if victims.is_empty() {
+        return 0.0;
+    }
+    victims
+        .iter()
+        .map(|vm| vm.runtime_cycles() as f64)
+        .sum::<f64>()
+        / victims.len() as f64
+}
+
+/// One mechanism's run of one sweep point.
+struct Run<R> {
+    mechanism: CoherenceMechanism,
+    report: R,
+    /// Mean victim runtime over the Ideal run's at the same point (0 where
+    /// the point has no Ideal run).
+    victim_slowdown_vs_ideal: f64,
+    /// Wall-clock milliseconds of the run (machine-dependent, ungated).
+    elapsed_ms: f64,
+    /// Measured accesses per wall-clock second (machine-dependent, ungated).
+    accesses_per_sec: f64,
+}
+
+impl<R: Swept> Run<R> {
+    /// Cycles coherence stole from the victims.
+    fn victim_disrupted_cycles(&self) -> u64 {
+        self.report
+            .victims()
+            .iter()
+            .map(|vm| vm.interference.disrupted_cycles)
+            .sum()
+    }
+}
+
+/// Runs one sweep point under each of `mechanisms`: `build` makes the
+/// machine and `run` runs it; the wall clock times `run` alone.
+fn sweep<S, R: Swept>(
+    mechanisms: &[CoherenceMechanism],
+    build: impl Fn(CoherenceMechanism) -> S,
+    run: impl Fn(&mut S) -> R,
+) -> Vec<Run<R>> {
+    let mut runs: Vec<Run<R>> = mechanisms
+        .iter()
+        .map(|&mechanism| {
+            let mut machine = build(mechanism);
+            let start = Instant::now();
+            let report = run(&mut machine);
+            let secs = start.elapsed().as_secs_f64();
+            let accesses_per_sec = if secs > 0.0 {
+                report.aggregate().accesses as f64 / secs
+            } else {
+                0.0
+            };
+            Run {
+                mechanism,
+                report,
+                victim_slowdown_vs_ideal: 0.0,
+                elapsed_ms: secs * 1_000.0,
+                accesses_per_sec,
+            }
+        })
+        .collect();
+    let ideal = runs
+        .iter()
+        .find(|run| run.mechanism == CoherenceMechanism::Ideal)
+        .map_or(0.0, |run| mean_runtime(&run.report.victims()));
+    if ideal != 0.0 {
+        for run in &mut runs {
+            run.victim_slowdown_vs_ideal = mean_runtime(&run.report.victims()) / ideal;
+        }
+    }
+    runs
+}
+
+/// [`sweep`] over consolidated hosts, `config` giving each mechanism's host
+/// (the callers validate it up front).
+fn host_sweep(
+    mechanisms: &[CoherenceMechanism],
+    config: impl Fn(CoherenceMechanism) -> HostConfig,
+    warmup: u64,
+    measured: u64,
+) -> Vec<Run<HostReport>> {
+    sweep(
+        mechanisms,
+        |mechanism| {
+            ConsolidatedHost::new(config(mechanism)).expect("sweep points are validated up front")
+        },
+        |host| host.run(warmup, measured),
+    )
+}
+
+/// Appends one row per run of the sweep point `label` (under `key`): the
+/// family's `columns`, then the tail every host and fleet row shares.  The
+/// tail holds the wall-clock columns (`elapsed_ms`, `accesses_per_sec`,
+/// never gated and stripped by the determinism cross-checks), then the
+/// p50/p99 in simulated cycles of nested-walk latency, shootdown
+/// completion latency and DRAM queueing delay, then the causal-attribution
+/// columns ([`attribution_columns`]).  A fleet row reads them off the
+/// fleet aggregate.
+fn push_rows<R: Swept>(
+    report: &mut ScenarioReport,
+    key: &str,
+    label: &str,
+    runs: &[Run<R>],
+    columns: impl Fn(Row, &Run<R>) -> Row,
+) {
+    for run in runs {
+        let aggregate = run.report.aggregate();
+        let lat = &aggregate.latency;
+        let row = columns(Row::new(key, label, &mechanism_label(run.mechanism)), run)
+            .ratio("elapsed_ms", run.elapsed_ms)
+            .ratio("accesses_per_sec", run.accesses_per_sec)
+            .count("walk_p50", lat.walk.p50())
+            .count("walk_p99", lat.walk.p99())
+            .count("shootdown_p50", lat.shootdown.p50())
+            .count("shootdown_p99", lat.shootdown.p99())
+            .count("dram_queue_p50", lat.dram_queue.p50())
+            .count("dram_queue_p99", lat.dram_queue.p99());
+        report.push(attribution_columns(row, aggregate));
+    }
+}
+
+/// Appends the per-remap causal-attribution columns (never gated): how many
+/// distinct remaps the run's causal ledger charged disruption to, the summed
+/// victim cycles they inflicted, and the single costliest remap — its id
+/// (`vm<slot>#<ordinal>`), its victim cycles and its share of the total.
+/// Deterministic like every model metric, but new columns stay out of the
+/// gate so committed baselines never need regenerating for observability.
+fn attribution_columns(row: Row, aggregate: &SimReport) -> Row {
+    let causal = &aggregate.causal;
+    let total = causal.total();
+    let top = causal.top_by_victim_cycles(1);
+    let (top_id, top_cycles) = top.first().map_or_else(
+        || ("-".to_string(), 0),
+        |(id, c)| (id.to_string(), c.victim_cycles),
+    );
+    let top_share = if total.victim_cycles == 0 {
+        0.0
+    } else {
+        top_cycles as f64 / total.victim_cycles as f64
+    };
+    row.count("attr_remaps", causal.len() as u64)
+        .count("attr_victim_cycles", total.victim_cycles)
+        .text("attr_top_remap", &top_id)
+        .count("attr_top_victim_cycles", top_cycles)
+        .ratio("attr_top_share", top_share)
+}
+
+/// Whether a run checks its scenario's claim: a default-parameter run at
+/// [`Scale::Bench`] or [`Scale::Full`], what the `bench_check` CI gate
+/// executes.  Runs with overrides are user-driven exploration, and an
+/// overridden machine is allowed to weaken the storm.
+fn checks_claim(params: &Params, scale: Scale) -> bool {
+    scale != Scale::Smoke && params.entries().is_empty()
+}
+
+/// Metric `key` of the row at sweep point `label` under `mechanism`.
+fn metric(report: &ScenarioReport, label: &str, mechanism: CoherenceMechanism, key: &str) -> f64 {
+    report
+        .find(label, &mechanism_label(mechanism))
+        .and_then(|row| row.number(key))
+        .unwrap_or_else(|| panic!("{}: no {key} at {label}/{mechanism:?}", report.scenario))
+}
+
+// ---------------------------------------------------------------------------
 // multivm
 // ---------------------------------------------------------------------------
 
@@ -1237,6 +1422,14 @@ impl Scenario for MultivmScenario {
         Ok(MultiVmParams::parse(params, scale)?.render())
     }
 
+    /// # Panics
+    ///
+    /// A default-parameter run at [`Scale::Bench`] or [`Scale::Full`]
+    /// asserts the scenario's headline claim, and panics if a model change
+    /// broke it:
+    /// at every pressure HATRIC's victim slowdown stays below 1.05 and
+    /// never exceeds software's, and at `severe` software's is strictly
+    /// higher.
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
         let base = MultiVmParams::parse(params, scale)?;
         // Validate every sweep point up front so a bad parameter
@@ -1248,25 +1441,45 @@ impl Scenario for MultivmScenario {
         }
         let mut report = ScenarioReport::new(self.name());
         for (pressure, factor) in PRESSURE_SWEEP {
-            let rows = multivm::run(&base.with_aggressor_footprint_factor(factor));
-            for row in &rows {
-                let built = Row::new("pressure", pressure, &mechanism_label(row.mechanism))
-                    .ratio("victim_slowdown_vs_ideal", row.victim_slowdown_vs_ideal)
-                    .count("victim_disrupted_cycles", row.victim_disrupted_cycles)
-                    .count("aggressor_remaps", row.aggressor_remaps)
-                    .count("ipis", row.report.host.coherence.ipis)
-                    .count(
-                        "coherence_vm_exits",
-                        row.report.host.coherence.coherence_vm_exits,
-                    )
-                    .count("host_runtime_cycles", row.report.host.runtime_cycles());
-                report.push(timing_columns(
-                    built,
-                    &row.report,
-                    row.elapsed_ms,
-                    row.accesses_per_sec,
-                ));
+            let point = base.with_aggressor_footprint_factor(factor);
+            let runs = host_sweep(
+                HOST_MECHANISMS,
+                |mechanism| point.host_config(mechanism),
+                point.warmup_slices,
+                point.measured_slices,
+            );
+            push_rows(&mut report, "pressure", pressure, &runs, |row, run| {
+                let host = &run.report.host;
+                row.ratio("victim_slowdown_vs_ideal", run.victim_slowdown_vs_ideal)
+                    .count("victim_disrupted_cycles", run.victim_disrupted_cycles())
+                    .count("aggressor_remaps", run.report.per_vm[0].coherence.remaps)
+                    .count("ipis", host.coherence.ipis)
+                    .count("coherence_vm_exits", host.coherence.coherence_vm_exits)
+                    .count("host_runtime_cycles", host.runtime_cycles())
+            });
+        }
+        if checks_claim(params, scale) {
+            let slowdown = |pressure, mechanism| {
+                metric(&report, pressure, mechanism, "victim_slowdown_vs_ideal")
+            };
+            for (pressure, _) in PRESSURE_SWEEP {
+                let software = slowdown(pressure, CoherenceMechanism::Software);
+                let hatric = slowdown(pressure, CoherenceMechanism::Hatric);
+                assert!(
+                    hatric <= software,
+                    "{pressure}: HATRIC victim slowdown {hatric} exceeds software's {software}"
+                );
+                assert!(
+                    hatric < 1.05,
+                    "{pressure}: HATRIC victim slowdown {hatric} is not within 5% of ideal"
+                );
             }
+            let software = slowdown("severe", CoherenceMechanism::Software);
+            let hatric = slowdown("severe", CoherenceMechanism::Hatric);
+            assert!(
+                software > hatric,
+                "severe: software victim slowdown {software} does not exceed HATRIC's {hatric}"
+            );
         }
         Ok(report)
     }
@@ -1324,12 +1537,20 @@ impl Scenario for MigrationStormScenario {
         Ok(MigrationStormParams::parse(params, scale)?.render())
     }
 
+    /// # Panics
+    ///
+    /// A default-parameter run at [`Scale::Bench`] or [`Scale::Full`]
+    /// asserts the scenario's headline claim, and panics if a model change
+    /// broke it:
+    /// at every point the migration completes under every mechanism, and
+    /// HATRIC's downtime and victim slowdown are strictly below software's,
+    /// with its victim slowdown below 1.05.
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
         let base = MigrationStormParams::parse(params, scale)?;
         // The committed baseline's sweep: plain pre-copy, a slow-link
         // variant (more rounds, bigger residue) and a migration with a
         // concurrent balloon.
-        let sweep = [
+        let points = [
             ("precopy", base),
             ("slow_link", base.with_copy_pages_per_slice(24)),
             (
@@ -1339,27 +1560,55 @@ impl Scenario for MigrationStormScenario {
         ];
         // Validate every sweep point up front so a bad parameter
         // combination surfaces as a typed error, not a panic mid-sweep.
-        for (_, point) in &sweep {
+        for (_, point) in &points {
             point.host_config(CoherenceMechanism::Software).validate()?;
         }
+        let check = checks_claim(params, scale);
         let mut report = ScenarioReport::new(self.name());
-        for (label, point) in sweep {
-            let rows = migration_storm::run(&point);
-            for row in &rows {
-                let built = Row::new("scenario", label, &mechanism_label(row.mechanism))
-                    .count("downtime_cycles", row.downtime_cycles)
-                    .ratio("victim_slowdown_vs_ideal", row.victim_slowdown_vs_ideal)
-                    .count("victim_disrupted_cycles", row.victim_disrupted_cycles)
-                    .count("migration_remaps", row.migration_remaps)
-                    .count("precopy_rounds", row.precopy_rounds)
-                    .count("pages_copied", row.pages_copied)
-                    .count("host_runtime_cycles", row.report.host.runtime_cycles());
-                report.push(timing_columns(
-                    built,
-                    &row.report,
-                    row.elapsed_ms,
-                    row.accesses_per_sec,
-                ));
+        for (label, point) in points {
+            let runs = host_sweep(
+                HOST_MECHANISMS,
+                |mechanism| point.host_config(mechanism),
+                point.warmup_slices,
+                point.measured_slices,
+            );
+            if check {
+                // Completion is no column, so the check reads the reports.
+                for run in &runs {
+                    assert_eq!(
+                        run.report.migration.migrations_completed, 1,
+                        "{label}/{:?}: the migration must complete inside the measured window",
+                        run.mechanism
+                    );
+                }
+            }
+            push_rows(&mut report, "scenario", label, &runs, |row, run| {
+                let migration = &run.report.migration;
+                row.count("downtime_cycles", migration.downtime_cycles)
+                    .ratio("victim_slowdown_vs_ideal", run.victim_slowdown_vs_ideal)
+                    .count("victim_disrupted_cycles", run.victim_disrupted_cycles())
+                    .count("migration_remaps", migration.migration_remaps)
+                    .count("precopy_rounds", migration.precopy_rounds)
+                    .count("pages_copied", migration.pages_copied)
+                    .count("host_runtime_cycles", run.report.host.runtime_cycles())
+            });
+        }
+        if check {
+            for label in report.labels() {
+                let at = |mechanism, key| metric(&report, label, mechanism, key);
+                for key in ["downtime_cycles", "victim_slowdown_vs_ideal"] {
+                    let software = at(CoherenceMechanism::Software, key);
+                    let hatric = at(CoherenceMechanism::Hatric, key);
+                    assert!(
+                        software > hatric,
+                        "{label}: software {key} {software} does not exceed HATRIC's {hatric}"
+                    );
+                }
+                let hatric = at(CoherenceMechanism::Hatric, "victim_slowdown_vs_ideal");
+                assert!(
+                    hatric < 1.05,
+                    "{label}: HATRIC victim slowdown {hatric} is not within 5% of ideal"
+                );
             }
         }
         Ok(report)
@@ -1412,20 +1661,19 @@ impl Scenario for NumaContentionScenario {
 
     /// # Panics
     ///
-    /// A *default-parameter* run at [`Scale::Bench`] or [`Scale::Full`]
-    /// (what the `bench_check` CI gate executes) asserts the scenario's
-    /// headline claim (HATRIC's victim slowdown never exceeds software's;
-    /// the software-vs-HATRIC gap widens strictly monotonically across the
-    /// interleaved series) and panics if a model change broke it.  Runs
-    /// with parameter overrides are user-driven exploration and skip the
-    /// claim check — an overridden machine is allowed to weaken the storm.
+    /// A default-parameter run at [`Scale::Bench`] or [`Scale::Full`]
+    /// asserts the scenario's headline claim, and panics if a model change
+    /// broke it:
+    /// HATRIC's victim slowdown never exceeds software's, and the
+    /// software-vs-HATRIC gap widens strictly monotonically across the
+    /// interleaved series.
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
         let base = NumaContentionParams::parse(params, scale)?;
         // The committed baseline's socket sweep: capacity and CPU count
         // fixed while the socket count — and the interleaved remote-access
         // ratio — rises, then a socket-affine configuration clawing the
         // software penalty back.
-        let sweep = [
+        let points = [
             ("uma", base),
             ("numa2", base.with_sockets(2)),
             ("numa4", base.with_sockets(4)),
@@ -1440,52 +1688,52 @@ impl Scenario for NumaContentionScenario {
         // invariants the single-socket base cannot catch (e.g. the CPU
         // count must split evenly across sockets), and a bad combination
         // must surface as a typed error, not a panic mid-sweep.
-        for (_, point) in &sweep {
+        for (_, point) in &points {
             point.host_config(CoherenceMechanism::Software).validate()?;
         }
-        let assert_claim = scale != Scale::Smoke && params.entries().is_empty();
         let mut report = ScenarioReport::new(self.name());
-        let mut interleaved_gaps: Vec<(f64, f64)> = Vec::new(); // (remote ratio, gap)
-        for (label, point) in sweep {
-            let rows = numa_contention::run(&point);
-            if assert_claim {
-                let by = |m: CoherenceMechanism| {
-                    rows.iter()
-                        .find(|r| r.mechanism == m)
-                        .expect("run() emits every mechanism")
-                };
-                let software = by(CoherenceMechanism::Software);
-                let hatric = by(CoherenceMechanism::Hatric);
+        for (label, point) in points {
+            let runs = host_sweep(
+                HOST_MECHANISMS,
+                |mechanism| point.host_config(mechanism),
+                point.warmup_slices,
+                point.measured_slices,
+            );
+            push_rows(&mut report, "config", label, &runs, |row, run| {
+                let aggressor = &run.report.per_vm[0];
+                row.ratio("victim_slowdown_vs_ideal", run.victim_slowdown_vs_ideal)
+                    .count("victim_disrupted_cycles", run.victim_disrupted_cycles())
+                    .ratio(
+                        "remote_access_ratio",
+                        run.report.host.numa.remote_access_ratio(),
+                    )
+                    .ratio("remote_target_ratio", aggressor.numa.remote_target_ratio())
+                    .count("aggressor_remaps", aggressor.coherence.remaps)
+                    .count("host_runtime_cycles", run.report.host.runtime_cycles())
+            });
+        }
+        if checks_claim(params, scale) {
+            let mut interleaved_gaps: Vec<(f64, f64)> = Vec::new(); // (remote ratio, gap)
+            for label in report.labels() {
+                let at = |mechanism| metric(&report, label, mechanism, "victim_slowdown_vs_ideal");
+                let software = at(CoherenceMechanism::Software);
+                let hatric = at(CoherenceMechanism::Hatric);
                 assert!(
-                    hatric.victim_slowdown_vs_ideal <= software.victim_slowdown_vs_ideal,
-                    "{label}: HATRIC victim slowdown {} exceeds software's {}",
-                    hatric.victim_slowdown_vs_ideal,
-                    software.victim_slowdown_vs_ideal
+                    hatric <= software,
+                    "{label}: HATRIC victim slowdown {hatric} exceeds software's {software}"
                 );
                 if label != "numa2_affine" {
                     interleaved_gaps.push((
-                        software.remote_access_ratio,
-                        software.victim_slowdown_vs_ideal - hatric.victim_slowdown_vs_ideal,
+                        metric(
+                            &report,
+                            label,
+                            CoherenceMechanism::Software,
+                            "remote_access_ratio",
+                        ),
+                        software - hatric,
                     ));
                 }
             }
-            for row in &rows {
-                let built = Row::new("config", label, &mechanism_label(row.mechanism))
-                    .ratio("victim_slowdown_vs_ideal", row.victim_slowdown_vs_ideal)
-                    .count("victim_disrupted_cycles", row.victim_disrupted_cycles)
-                    .ratio("remote_access_ratio", row.remote_access_ratio)
-                    .ratio("remote_target_ratio", row.remote_target_ratio)
-                    .count("aggressor_remaps", row.aggressor_remaps)
-                    .count("host_runtime_cycles", row.report.host.runtime_cycles());
-                report.push(timing_columns(
-                    built,
-                    &row.report,
-                    row.elapsed_ms,
-                    row.accesses_per_sec,
-                ));
-            }
-        }
-        if assert_claim {
             assert!(
                 interleaved_gaps.windows(2).all(|w| w[0].0 < w[1].0),
                 "remote-access ratio must rise across the interleaved series: \
@@ -1524,11 +1772,11 @@ impl Scenario for NumaContentionScenario {
 // host_scale
 // ---------------------------------------------------------------------------
 
-/// The simulator-throughput scaling scenario (`host_scale`): one HATRIC
-/// host swept over total vCPUs × slice-engine threads.  Model metrics are
-/// bit-identical across thread counts (the engine's determinism
-/// contract, cross-checked by `bench_check`); the timing columns record
-/// the wall-clock speedup multithreading buys on the running machine.
+/// The simulator-throughput scenario (`host_scale`): one HATRIC host swept
+/// over total vCPUs × slice-engine threads.  Model metrics are
+/// bit-identical across thread counts (the engine's determinism contract,
+/// cross-checked by `bench_check`); the timing columns record the wall
+/// clock of each run on the running machine.
 pub struct HostScaleScenario;
 
 impl Scenario for HostScaleScenario {
@@ -1537,8 +1785,8 @@ impl Scenario for HostScaleScenario {
     }
 
     fn describe(&self) -> &'static str {
-        "the phased slice engine is bit-deterministic across thread counts \
-         and scales simulator throughput with them"
+        "the phased slice engine's model metrics are bit-identical across \
+         thread counts; the timing columns record wall clock"
     }
 
     fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
@@ -1551,27 +1799,27 @@ impl Scenario for HostScaleScenario {
             base.host_config(vcpus, 1).validate()?;
         }
         let mut report = ScenarioReport::new(self.name());
-        for row in host_scale::run(&base) {
-            let built = Row::new(
-                "config",
-                &format!("v{}_t{}", row.vcpus, row.threads),
-                "Hatric",
-            )
-            .count("vcpus", row.vcpus as u64)
-            .count("threads", row.threads as u64)
-            .count("host_runtime_cycles", row.report.host.runtime_cycles())
-            .count("accesses", row.report.host.accesses)
-            .count("aggressor_remaps", row.report.per_vm[0].coherence.remaps)
-            .count(
-                "host_disrupted_cycles",
-                row.report.host.interference.disrupted_cycles,
-            );
-            report.push(timing_columns(
-                built,
-                &row.report,
-                row.elapsed_ms,
-                row.accesses_per_sec,
-            ));
+        for vcpus in base.vcpu_points() {
+            for threads in base.thread_points() {
+                // Every point is a HATRIC host; the sweep is over the
+                // simulator, not the mechanism.
+                let runs = host_sweep(
+                    &[CoherenceMechanism::Hatric],
+                    |_| base.host_config(vcpus, threads),
+                    base.warmup_slices,
+                    base.measured_slices,
+                );
+                let label = format!("v{vcpus}_t{threads}");
+                push_rows(&mut report, "config", &label, &runs, |row, run| {
+                    let host = &run.report.host;
+                    row.count("vcpus", vcpus as u64)
+                        .count("threads", threads as u64)
+                        .count("host_runtime_cycles", host.runtime_cycles())
+                        .count("accesses", host.accesses)
+                        .count("aggressor_remaps", run.report.per_vm[0].coherence.remaps)
+                        .count("host_disrupted_cycles", host.interference.disrupted_cycles)
+                });
+            }
         }
         Ok(report)
     }
@@ -1609,23 +1857,6 @@ pub struct ClusterChurnScenario;
 /// of simultaneously in-flight inter-host migrations grows.
 const MIGRATION_SWEEP: [(&str, usize); 3] = [("mig1", 1), ("mig2", 2), ("mig4", 4)];
 
-/// The fleet-wide row tail: the timing/latency/attribution columns ride on
-/// a host-shaped view of the fleet aggregate, so the column set matches
-/// the host scenarios exactly.
-fn fleet_timing_columns(
-    row: Row,
-    report: &ClusterReport,
-    elapsed_ms: f64,
-    accesses_per_sec: f64,
-) -> Row {
-    let fleet_view = HostReport {
-        per_vm: Vec::new(),
-        host: report.aggregate.clone(),
-        migration: report.migration,
-    };
-    timing_columns(row, &fleet_view, elapsed_ms, accesses_per_sec)
-}
-
 impl Scenario for ClusterChurnScenario {
     fn name(&self) -> &'static str {
         "cluster_churn"
@@ -1643,82 +1874,74 @@ impl Scenario for ClusterChurnScenario {
 
     /// # Panics
     ///
-    /// A *default-parameter* run at [`Scale::Bench`] or [`Scale::Full`]
-    /// asserts the scenario's headline claim — every scheduled migration
-    /// completes; HATRIC's aggregate victim slowdown and downtime p99
-    /// never exceed software's at any concurrency; software's victim
-    /// slowdown degrades strictly monotonically with the
-    /// concurrent-migration count — and panics if a model change broke
-    /// it.  Runs with parameter overrides skip the claim check.
+    /// A default-parameter run at [`Scale::Bench`] or [`Scale::Full`]
+    /// asserts the scenario's headline claim, and panics if a model change
+    /// broke it:
+    /// every scheduled migration completes; HATRIC's aggregate victim
+    /// slowdown and downtime p99 never exceed software's at any
+    /// concurrency, and at four migrations both are strictly lower;
+    /// software's victim slowdown degrades strictly monotonically with the
+    /// concurrent-migration count.
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
         let base = ClusterChurnParams::parse(params, scale)?;
-        let assert_claim = scale != Scale::Smoke && params.entries().is_empty();
         let mut report = ScenarioReport::new(self.name());
-        let mut software_slowdowns = Vec::new();
         for (label, migrations) in MIGRATION_SWEEP {
-            let rows = cluster_churn::run(&base, migrations.min(base.hosts));
-            if assert_claim {
-                let by = |m: CoherenceMechanism| {
-                    rows.iter()
-                        .find(|r| r.mechanism == m)
-                        .expect("run() emits every mechanism")
-                };
-                let software = by(CoherenceMechanism::Software);
-                let hatric = by(CoherenceMechanism::Hatric);
-                for row in &rows {
-                    assert!(
-                        row.report.completed_migrations() >= migrations as u64,
-                        "{label}/{:?}: only {} of {migrations} scheduled migrations handed off",
-                        row.mechanism,
-                        row.report.completed_migrations()
-                    );
-                }
-                assert!(
-                    hatric.agg_victim_slowdown_vs_ideal <= software.agg_victim_slowdown_vs_ideal,
-                    "{label}: HATRIC victim slowdown {} exceeds software's {}",
-                    hatric.agg_victim_slowdown_vs_ideal,
-                    software.agg_victim_slowdown_vs_ideal
-                );
-                assert!(
-                    hatric.downtime_p99_cycles <= software.downtime_p99_cycles,
-                    "{label}: HATRIC downtime p99 {} exceeds software's {}",
-                    hatric.downtime_p99_cycles,
-                    software.downtime_p99_cycles
-                );
-                software_slowdowns.push(software.agg_victim_slowdown_vs_ideal);
-            }
-            for row in &rows {
-                let built = Row::new("config", label, &mechanism_label(row.mechanism))
-                    .ratio(
-                        "agg_victim_slowdown_vs_ideal",
-                        row.agg_victim_slowdown_vs_ideal,
-                    )
-                    .count("downtime_p99_cycles", row.downtime_p99_cycles)
-                    .count("downtime_max_cycles", row.downtime_max_cycles)
-                    .count("migrations_completed", row.report.completed_migrations())
-                    .count("peak_inflight", row.report.peak_inflight)
-                    .count("victim_disrupted_cycles", row.victim_disrupted_cycles)
-                    .count("migration_remaps", row.report.migration.migration_remaps)
-                    .count("received_pages", row.report.migration.received_pages)
+            let runs = sweep(
+                FLEET_MECHANISMS,
+                |mechanism| base.build_cluster(mechanism, migrations.min(base.hosts)),
+                |fleet| fleet.run(base.warmup_epochs, base.measured_epochs),
+            );
+            push_rows(&mut report, "config", label, &runs, |row, run| {
+                let fleet = &run.report;
+                row.ratio("agg_victim_slowdown_vs_ideal", run.victim_slowdown_vs_ideal)
+                    .count("downtime_p99_cycles", fleet.downtime_percentile(99))
+                    .count("downtime_max_cycles", fleet.downtime_percentile(100))
+                    .count("migrations_completed", fleet.completed_migrations())
+                    .count("peak_inflight", fleet.peak_inflight)
+                    .count("victim_disrupted_cycles", run.victim_disrupted_cycles())
+                    .count("migration_remaps", fleet.migration.migration_remaps)
+                    .count("received_pages", fleet.migration.received_pages)
                     .count(
                         "postcopy_fetched_pages",
-                        row.report.migration.postcopy_fetched_pages,
+                        fleet.migration.postcopy_fetched_pages,
                     )
-                    .count("throttled_slices", row.report.migration.throttled_slices)
-                    .count("pages_copied", row.report.migration.pages_copied)
-                    .count(
-                        "cluster_runtime_cycles",
-                        row.report.aggregate.runtime_cycles(),
+                    .count("throttled_slices", fleet.migration.throttled_slices)
+                    .count("pages_copied", fleet.migration.pages_copied)
+                    .count("cluster_runtime_cycles", fleet.aggregate.runtime_cycles())
+            });
+        }
+        if checks_claim(params, scale) {
+            let mut software_slowdowns = Vec::new();
+            for (label, migrations) in MIGRATION_SWEEP {
+                let at = |mechanism, key| metric(&report, label, mechanism, key);
+                for &mechanism in FLEET_MECHANISMS {
+                    let completed = at(mechanism, "migrations_completed");
+                    assert!(
+                        completed >= migrations as f64,
+                        "{label}/{mechanism:?}: only {completed} of {migrations} scheduled \
+                         migrations handed off"
                     );
-                report.push(fleet_timing_columns(
-                    built,
-                    &row.report,
-                    row.elapsed_ms,
-                    row.accesses_per_sec,
+                }
+                for key in ["agg_victim_slowdown_vs_ideal", "downtime_p99_cycles"] {
+                    let software = at(CoherenceMechanism::Software, key);
+                    let hatric = at(CoherenceMechanism::Hatric, key);
+                    assert!(
+                        hatric <= software,
+                        "{label}: HATRIC {key} {hatric} exceeds software's {software}"
+                    );
+                    if label == "mig4" {
+                        assert!(
+                            software > hatric,
+                            "{label}: software {key} {software} does not exceed HATRIC's \
+                             {hatric}"
+                        );
+                    }
+                }
+                software_slowdowns.push(at(
+                    CoherenceMechanism::Software,
+                    "agg_victim_slowdown_vs_ideal",
                 ));
             }
-        }
-        if assert_claim {
             assert!(
                 software_slowdowns.windows(2).all(|w| w[0] < w[1]),
                 "software victim slowdown must degrade monotonically with the \
@@ -1777,78 +2000,32 @@ impl Scenario for ClusterFaultsScenario {
 
     /// # Panics
     ///
-    /// A *default-parameter* run at [`Scale::Bench`] or [`Scale::Full`]
-    /// asserts the scenario's headline claim — the engineered crash fires
-    /// exactly once and aborts at least two in-flight migrations, the
-    /// stuck pre-copy escalates, the dead host's VMs cold-restart, and
-    /// HATRIC's victim slowdown and recovery-downtime p99 never exceed
-    /// software's under the identical storm — and panics if a model
-    /// change broke it.  Runs with parameter overrides skip the check.
+    /// A default-parameter run at [`Scale::Bench`] or [`Scale::Full`]
+    /// asserts the scenario's headline claim, and panics if a model change
+    /// broke it:
+    /// the engineered crash fires exactly once and aborts at least two
+    /// in-flight migrations, the stuck pre-copy escalates, the dead host's
+    /// VMs cold-restart, and HATRIC's victim slowdown and recovery-downtime
+    /// p99 never exceed software's under the identical storm.
     fn run(&self, params: &Params, scale: Scale) -> Result<ScenarioReport, ConfigError> {
         let typed = ClusterFaultsParams::parse(params, scale)?;
-        let assert_claim = scale != Scale::Smoke && params.entries().is_empty();
-        let rows = cluster_faults::run(&typed);
-        if assert_claim {
-            let by = |m: CoherenceMechanism| {
-                rows.iter()
-                    .find(|r| r.mechanism == m)
-                    .expect("run() emits every mechanism")
-            };
-            let software = by(CoherenceMechanism::Software);
-            let hatric = by(CoherenceMechanism::Hatric);
-            for row in &rows {
-                let recovery = row.report.recovery;
-                assert_eq!(
-                    recovery.host_crashes, 1,
-                    "{:?}: exactly the engineered crash must fire",
-                    row.mechanism
-                );
-                assert!(
-                    recovery.migrations_aborted >= 2,
-                    "{:?}: the crash must abort both migrations touching the \
-                     dead host (got {})",
-                    row.mechanism,
-                    recovery.migrations_aborted
-                );
-                assert!(
-                    recovery.migrations_escalated >= 1,
-                    "{:?}: the stuck pre-copy must escalate to post-copy",
-                    row.mechanism
-                );
-                assert!(
-                    recovery.vm_restarts >= 1,
-                    "{:?}: the dead host's VMs must cold-restart elsewhere",
-                    row.mechanism
-                );
-            }
-            assert!(
-                hatric.agg_victim_slowdown_vs_ideal <= software.agg_victim_slowdown_vs_ideal,
-                "HATRIC victim slowdown {} exceeds software's {} under faults",
-                hatric.agg_victim_slowdown_vs_ideal,
-                software.agg_victim_slowdown_vs_ideal
-            );
-            assert!(
-                hatric.recovery_downtime_p99_cycles <= software.recovery_downtime_p99_cycles,
-                "HATRIC recovery p99 {} exceeds software's {}",
-                hatric.recovery_downtime_p99_cycles,
-                software.recovery_downtime_p99_cycles
-            );
-        }
+        let runs = sweep(
+            FLEET_MECHANISMS,
+            |mechanism| typed.build_cluster(mechanism),
+            |fleet| fleet.run(typed.base.warmup_epochs, typed.base.measured_epochs),
+        );
         let mut report = ScenarioReport::new(self.name());
-        for row in &rows {
-            let recovery = row.report.recovery;
-            let built = Row::new("config", "storm", &mechanism_label(row.mechanism))
-                .ratio(
-                    "agg_victim_slowdown_vs_ideal",
-                    row.agg_victim_slowdown_vs_ideal,
-                )
+        push_rows(&mut report, "config", "storm", &runs, |row, run| {
+            let fleet = &run.report;
+            let recovery = fleet.recovery;
+            row.ratio("agg_victim_slowdown_vs_ideal", run.victim_slowdown_vs_ideal)
                 .count(
                     "recovery_downtime_p99_cycles",
-                    row.recovery_downtime_p99_cycles,
+                    fleet.recovery_downtime_percentile(99),
                 )
                 .count(
                     "recovery_downtime_max_cycles",
-                    row.recovery_downtime_max_cycles,
+                    fleet.recovery_downtime_percentile(100),
                 )
                 .count("host_crashes", recovery.host_crashes)
                 .count("migrations_aborted", recovery.migrations_aborted)
@@ -1859,24 +2036,50 @@ impl Scenario for ClusterFaultsScenario {
                 .count("unavailability_epochs", recovery.unavailability_epochs)
                 .count("wire_dropped_pages", recovery.wire_dropped_pages)
                 .count("faults_injected", recovery.faults_injected)
-                .count("migrations_completed", row.report.completed_migrations())
-                .count("victim_disrupted_cycles", row.victim_disrupted_cycles)
-                .count("received_pages", row.report.migration.received_pages)
+                .count("migrations_completed", fleet.completed_migrations())
+                .count("victim_disrupted_cycles", run.victim_disrupted_cycles())
+                .count("received_pages", fleet.migration.received_pages)
                 .count(
                     "postcopy_fetched_pages",
-                    row.report.migration.postcopy_fetched_pages,
+                    fleet.migration.postcopy_fetched_pages,
                 )
-                .count("pages_copied", row.report.migration.pages_copied)
-                .count(
-                    "cluster_runtime_cycles",
-                    row.report.aggregate.runtime_cycles(),
+                .count("pages_copied", fleet.migration.pages_copied)
+                .count("cluster_runtime_cycles", fleet.aggregate.runtime_cycles())
+        });
+        if checks_claim(params, scale) {
+            let at = |mechanism, key| metric(&report, "storm", mechanism, key);
+            for &mechanism in FLEET_MECHANISMS {
+                let crashes = at(mechanism, "host_crashes");
+                let aborted = at(mechanism, "migrations_aborted");
+                assert_eq!(
+                    crashes, 1.0,
+                    "{mechanism:?}: exactly the engineered crash must fire"
                 );
-            report.push(fleet_timing_columns(
-                built,
-                &row.report,
-                row.elapsed_ms,
-                row.accesses_per_sec,
-            ));
+                assert!(
+                    aborted >= 2.0,
+                    "{mechanism:?}: the crash must abort both migrations touching the \
+                     dead host (got {aborted})"
+                );
+                assert!(
+                    at(mechanism, "migrations_escalated") >= 1.0,
+                    "{mechanism:?}: the stuck pre-copy must escalate to post-copy"
+                );
+                assert!(
+                    at(mechanism, "vm_restarts") >= 1.0,
+                    "{mechanism:?}: the dead host's VMs must cold-restart elsewhere"
+                );
+            }
+            for key in [
+                "agg_victim_slowdown_vs_ideal",
+                "recovery_downtime_p99_cycles",
+            ] {
+                let software = at(CoherenceMechanism::Software, key);
+                let hatric = at(CoherenceMechanism::Hatric, key);
+                assert!(
+                    hatric <= software,
+                    "HATRIC {key} {hatric} exceeds software's {software} under faults"
+                );
+            }
         }
         Ok(report)
     }

@@ -1,6 +1,7 @@
 //! Consolidated host via the scenario registry: the full `multivm`
 //! pressure sweep (one paging-heavy aggressor, three remap-free victims,
-//! four mechanisms) in a dozen lines.
+//! four mechanisms) in a dozen lines.  A default-parameter run at bench
+//! scale checks the scenario's claim itself and panics if it breaks.
 //! Run with: `cargo run --release --example consolidated_host`
 
 use hatric_host::scenario::{find, Params, Scale};
@@ -11,20 +12,8 @@ fn main() {
         .run(&Params::new(), Scale::Bench)
         .expect("default parameters are valid");
     println!("{}", report.format_table());
-
-    let slowdown = |pressure: &str, mechanism: &str| {
-        report
-            .find(pressure, mechanism)
-            .and_then(|row| row.number("victim_slowdown_vs_ideal"))
-            .expect("the sweep emits every (pressure, mechanism) row")
-    };
-    assert!(
-        slowdown("severe", "Software") > slowdown("severe", "Hatric"),
-        "software shootdowns must slow victims more than HATRIC"
+    println!(
+        "OK: at every pressure HATRIC victims stay within 5% of ideal and no slower than \
+         software's; at severe pressure software shootdowns slow them more."
     );
-    assert!(
-        slowdown("severe", "Hatric") < 1.05,
-        "HATRIC victims must stay within 5% of the ideal-coherence bound"
-    );
-    println!("OK: shootdown-induced victim slowdown exceeds HATRIC's, and HATRIC victims stay within 5% of ideal.");
 }

@@ -3,7 +3,7 @@
 //! stop-and-copy pause invariant under oversubscribed round-robin
 //! scheduling, balloon capacity conservation, and determinism with events.
 
-use hatric_host::experiments::migration_storm::{self, MigrationStormParams};
+use hatric_host::scenario::{find, Params, Scale};
 use hatric_host::{
     BalloonParams, CoherenceMechanism, ConsolidatedHost, HostConfig, HostEvent, MigrationParams,
     MigrationPhase, SchedPolicy, VmSpec,
@@ -26,14 +26,23 @@ fn migrating_host(mechanism: CoherenceMechanism) -> ConsolidatedHost {
 
 #[test]
 fn hatric_beats_software_on_downtime_and_victim_slowdown() {
-    let rows = migration_storm::run(&MigrationStormParams::quick());
-    let by = |m: CoherenceMechanism| rows.iter().find(|r| r.mechanism == m).unwrap();
-    let software = by(CoherenceMechanism::Software);
-    let hatric = by(CoherenceMechanism::Hatric);
-    assert!(software.downtime_cycles > hatric.downtime_cycles);
-    assert!(software.victim_slowdown_vs_ideal > hatric.victim_slowdown_vs_ideal);
-    assert!(software.victim_disrupted_cycles > 0);
-    assert_eq!(hatric.victim_disrupted_cycles, 0);
+    let report = find("migration_storm")
+        .unwrap()
+        .run(&Params::new(), Scale::Smoke)
+        .unwrap();
+    // `precopy` runs the smoke sizing as it is.
+    let value = |mechanism: &str, key: &str| {
+        report
+            .find("precopy", mechanism)
+            .and_then(|row| row.number(key))
+            .unwrap()
+    };
+    assert!(value("Software", "downtime_cycles") > value("Hatric", "downtime_cycles"));
+    assert!(
+        value("Software", "victim_slowdown_vs_ideal") > value("Hatric", "victim_slowdown_vs_ideal")
+    );
+    assert!(value("Software", "victim_disrupted_cycles") > 0.0);
+    assert_eq!(value("Hatric", "victim_disrupted_cycles"), 0.0);
 }
 
 #[test]
