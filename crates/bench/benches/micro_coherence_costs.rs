@@ -138,7 +138,7 @@ fn bench_caches(c: &mut Criterion) {
         for _ in 0..2048 {
             read();
         }
-        assert_eq!(read().back_invalidated.len(), 1, "reads must evict");
+        assert!(read().back_invalidated.is_some(), "reads must evict");
         b.iter(read)
     });
     group.finish();

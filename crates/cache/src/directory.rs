@@ -15,16 +15,12 @@
 //! the line in every sharer (and, with HATRIC, in their translation
 //! structures), which the hierarchy layer performs.
 
-use hatric_types::{CacheLineAddr, Counter, CpuId};
+use hatric_types::{fib_hash, CacheLineAddr, Counter, CpuId};
 
 use crate::line::PtKind;
 
 /// Associativity of a directory with at least this many entries.
 const MAX_WAYS: usize = 16;
-
-/// 2^64 / φ: multiplying by it spreads the line index over the high bits,
-/// including the bits a bank's constant low index bits would leave unused.
-const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A set of CPUs, stored as a 64-bit mask.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,7 +94,8 @@ impl SharerSet {
     }
 }
 
-/// One coherence-directory entry.
+/// One coherence-directory entry.  Its recency stamp lives apart, in the
+/// directory's `stamps` array, so that victim selection scans stamps only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectoryEntry {
     /// CPUs that may hold a copy of the line (in caches *or* translation
@@ -110,8 +107,6 @@ pub struct DirectoryEntry {
     pub npt: bool,
     /// The line holds guest page-table entries.
     pub gpt: bool,
-    /// Recency stamp used for victim selection.
-    last_touch: u64,
 }
 
 impl DirectoryEntry {
@@ -177,7 +172,9 @@ pub struct DirectoryStats {
 /// The directory proper: a flat `sets × ways` table.
 ///
 /// Set *s* owns slots `s·ways ..`, of which the first `lens[s]` are valid
-/// (in no particular order: victims are chosen by recency stamp).  The
+/// (in no particular order: victims are chosen by recency stamp).  Each
+/// slot's line, entry and stamp sit in three parallel arrays, so lookups
+/// scan only lines and victim selection only stamps.  The
 /// table starts at the odd part of its full set count and doubles when an
 /// allocation finds its set full.  Because the set index is a fastrange
 /// reduction, doubling splits set *s* into sets *2s* and *2s + 1*, so a
@@ -190,6 +187,9 @@ pub struct CoherenceDirectory {
     lines: Vec<CacheLineAddr>,
     /// The entry of each slot, parallel to `lines`.
     entries: Vec<DirectoryEntry>,
+    /// The clock value of each slot's last touch, parallel to `lines`; a
+    /// full set evicts its smallest.
+    stamps: Vec<u64>,
     /// Valid slots per set.
     lens: Vec<u32>,
     ways: usize,
@@ -235,6 +235,7 @@ impl CoherenceDirectory {
         Self {
             lines: vec![CacheLineAddr::default(); sets * ways],
             entries: vec![DirectoryEntry::default(); sets * ways],
+            stamps: vec![0; sets * ways],
             lens: vec![0; sets],
             ways,
             max_sets,
@@ -269,9 +270,11 @@ impl CoherenceDirectory {
         self.stats
     }
 
-    /// The set of `line`: fastrange over a Fibonacci hash of its index.
+    /// The set of `line`: fastrange over a Fibonacci hash of its index,
+    /// whose high bits take in the bits a bank's constant low index bits
+    /// would leave unused.
     fn set_index(&self, line: CacheLineAddr) -> usize {
-        let hash = line.index().wrapping_mul(FIBONACCI);
+        let hash = fib_hash(line.index());
         ((u128::from(hash) * self.lens.len() as u128) >> 64) as usize
     }
 
@@ -295,6 +298,7 @@ impl CoherenceDirectory {
             &mut self.entries,
             vec![DirectoryEntry::default(); sets * self.ways],
         );
+        let stamps = std::mem::replace(&mut self.stamps, vec![0; sets * self.ways]);
         let lens = std::mem::replace(&mut self.lens, vec![0; sets]);
         for (set, &len) in lens.iter().enumerate() {
             let base = set * self.ways;
@@ -303,6 +307,7 @@ impl CoherenceDirectory {
                 let slot = set * self.ways + self.lens[set] as usize;
                 self.lines[slot] = lines[old];
                 self.entries[slot] = entries[old];
+                self.stamps[slot] = stamps[old];
                 self.lens[set] += 1;
             }
         }
@@ -320,7 +325,7 @@ impl CoherenceDirectory {
         self.clock += 1;
         let mut set = self.set_index(line);
         if let Some(slot) = self.slot(set, line) {
-            self.entries[slot].last_touch = self.clock;
+            self.stamps[slot] = self.clock;
             return (slot, false, None);
         }
         while self.lens[set] as usize == self.ways && self.lens.len() < self.max_sets {
@@ -335,17 +340,19 @@ impl CoherenceDirectory {
             self.occupied += 1;
             (base + len, None)
         } else {
-            let slot = (base..base + len)
-                .min_by_key(|&slot| self.entries[slot].last_touch)
+            let way = self.stamps[base..base + len]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, stamp)| stamp)
+                .map(|(way, _)| way)
                 .expect("a full set has ways");
+            let slot = base + way;
             self.stats.evictions.incr();
             (slot, Some((self.lines[slot], self.entries[slot])))
         };
         self.lines[slot] = line;
-        self.entries[slot] = DirectoryEntry {
-            last_touch: self.clock,
-            ..DirectoryEntry::default()
-        };
+        self.entries[slot] = DirectoryEntry::default();
+        self.stamps[slot] = self.clock;
         (slot, true, victim)
     }
 
@@ -445,6 +452,7 @@ impl CoherenceDirectory {
             let last = set * self.ways + self.lens[set] as usize - 1;
             self.lines[slot] = self.lines[last];
             self.entries[slot] = self.entries[last];
+            self.stamps[slot] = self.stamps[last];
             self.lens[set] -= 1;
             self.occupied -= 1;
         }
@@ -637,11 +645,11 @@ mod tests {
         assert!(dir.is_sharer(line(4_999 * 16 + 3), CpuId::new(0)));
     }
 
-    /// A fixed-geometry reference: one `Vec` per set at the full set count
-    /// (a single unlimited set when unbounded), victims found by scanning
-    /// for the oldest stamp.
+    /// A fixed-geometry reference: one `Vec` of `(line, entry, stamp)` per
+    /// set at the full set count (a single unlimited set when unbounded),
+    /// victims found by scanning for the oldest stamp.
     struct Reference {
-        sets: Vec<Vec<(CacheLineAddr, DirectoryEntry)>>,
+        sets: Vec<Vec<(CacheLineAddr, DirectoryEntry, u64)>>,
         ways: usize,
         clock: u64,
     }
@@ -670,29 +678,24 @@ mod tests {
             let set = self.set(line);
             self.sets[set]
                 .iter_mut()
-                .find(|(l, _)| *l == line)
-                .map(|(_, e)| e)
+                .find(|(l, _, _)| *l == line)
+                .map(|(_, e, _)| e)
         }
 
         fn touch(&mut self, line: CacheLineAddr) -> (&mut DirectoryEntry, bool, Victim) {
             self.clock += 1;
             let (clock, ways, set) = (self.clock, self.ways, self.set(line));
             let set = &mut self.sets[set];
-            if let Some(pos) = set.iter().position(|(l, _)| *l == line) {
-                set[pos].1.last_touch = clock;
+            if let Some(pos) = set.iter().position(|(l, _, _)| *l == line) {
+                set[pos].2 = clock;
                 return (&mut set[pos].1, false, None);
             }
             let victim = (set.len() == ways).then(|| {
-                let oldest = (0..set.len()).min_by_key(|&i| set[i].1.last_touch).unwrap();
-                set.remove(oldest)
+                let oldest = (0..set.len()).min_by_key(|&i| set[i].2).unwrap();
+                let (line, entry, _) = set.remove(oldest);
+                (line, entry)
             });
-            set.push((
-                line,
-                DirectoryEntry {
-                    last_touch: clock,
-                    ..DirectoryEntry::default()
-                },
-            ));
+            set.push((line, DirectoryEntry::default(), clock));
             (&mut set.last_mut().unwrap().1, true, victim)
         }
 
@@ -748,7 +751,7 @@ mod tests {
             }
             if entry.sharers.is_empty() && !is_pt {
                 let set = self.set(line);
-                self.sets[set].retain(|(l, _)| *l != line);
+                self.sets[set].retain(|(l, _, _)| *l != line);
             }
         }
 
@@ -806,12 +809,12 @@ mod tests {
                 }
                 prop_assert_eq!(dir.len(), reference.sets.iter().map(Vec::len).sum::<usize>());
                 if i % 64 == 0 {
-                    for &(l, entry) in reference.sets.iter().flatten() {
+                    for &(l, entry, _) in reference.sets.iter().flatten() {
                         prop_assert_eq!(dir.entry(l), Some(&entry));
                     }
                 }
             }
-            for &(l, entry) in reference.sets.iter().flatten() {
+            for &(l, entry, _) in reference.sets.iter().flatten() {
                 prop_assert_eq!(dir.entry(l), Some(&entry));
             }
             prop_assert_eq!(dir.stats().evictions.get() as usize, evictions);

@@ -67,21 +67,26 @@ impl CacheHierarchyConfig {
     }
 }
 
+/// A directory entry evicted for capacity: the line, its sharers at
+/// eviction time and its page-table marking.  Every sharer was
+/// back-invalidated in its private caches; callers must back-invalidate
+/// translation structures for page-table lines.
+pub type BackInvalidation = (CacheLineAddr, SharerSet, Option<PtKind>);
+
 /// Outcome of a read access.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Level that satisfied the access.
     pub level: HitLevel,
     /// A remote CPU had the line modified and was downgraded (adds latency).
     pub remote_downgrade: bool,
-    /// Directory entries evicted for capacity by this access; every sharer
-    /// was back-invalidated, and callers must back-invalidate translation
-    /// structures for page-table lines.
-    pub back_invalidated: Vec<(CacheLineAddr, SharerSet, Option<PtKind>)>,
+    /// The directory entry this access evicted for capacity, if any.  A
+    /// directory op allocates at most one entry, so it evicts at most one.
+    pub back_invalidated: Option<BackInvalidation>,
 }
 
 /// Outcome of a write access.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteOutcome {
     /// The underlying access outcome.
     pub access: AccessOutcome,
@@ -164,10 +169,13 @@ pub enum SharedCacheOp {
         cpu: CpuId,
         /// The line written.
         line: CacheLineAddr,
-        /// Whether the simulate phase predicted a memory-level miss (the
-        /// replay then fills the LLC and counts a DRAM access, mirroring
-        /// the serial path).
-        fill_memory: bool,
+        /// Whether the write is a memory-level miss (the replay then fills
+        /// the LLC and counts a DRAM access).  The simulate phase passes
+        /// its prediction; `None` lets the replay decide from its own
+        /// probe — a miss when neither the LLC nor another sharer holds
+        /// the line — as the serial path does for a line its writer does
+        /// not hold privately.
+        fill_memory: Option<bool>,
     },
     /// A line evicted from the worker's own private pair during simulate.
     Victim {
@@ -195,12 +203,10 @@ pub enum SharedCacheOp {
 }
 
 /// What the commit replay of one [`SharedCacheOp`] produced.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CommitOutcome {
-    /// Directory entries evicted for capacity; sharers were back-invalidated
-    /// in their private caches, and the caller must back-invalidate
-    /// translation structures for page-table lines.
-    pub back_invalidated: Vec<(CacheLineAddr, SharerSet, Option<PtKind>)>,
+    /// The directory entry the op evicted for capacity, if any.
+    pub back_invalidated: Option<BackInvalidation>,
     /// Invalidated sharers that held no private copy (spurious).
     pub spurious_sharers: SharerSet,
 }
@@ -404,7 +410,7 @@ impl PrivatePair {
         ops.push(SharedCacheOp::Write {
             cpu,
             line,
-            fill_memory: level == HitLevel::Memory,
+            fill_memory: Some(level == HitLevel::Memory),
         });
         SimWrite {
             level,
@@ -561,7 +567,7 @@ impl CacheBank {
                 let key = self.llc_key(line);
                 let llc_hit = self.llc.lookup(key).is_some();
                 self.stats.llc.record(llc_hit);
-                if fill_memory {
+                if fill_memory.unwrap_or(!llc_hit && note.invalidate_targets.is_empty()) {
                     self.stats.memory_accesses.incr();
                     self.llc.fill(key, MesiState::Modified);
                 }
@@ -834,7 +840,7 @@ impl CacheHierarchy {
             return AccessOutcome {
                 level: HitLevel::L1,
                 remote_downgrade: false,
-                back_invalidated: Vec::new(),
+                back_invalidated: None,
             };
         }
         self.shared.stats.l1.miss();
@@ -844,7 +850,7 @@ impl CacheHierarchy {
             return AccessOutcome {
                 level: HitLevel::L2,
                 remote_downgrade: false,
-                back_invalidated: Vec::new(),
+                back_invalidated: None,
             };
         }
         self.shared.stats.l2.miss();
@@ -893,7 +899,7 @@ impl CacheHierarchy {
                     access: AccessOutcome {
                         level: HitLevel::L1,
                         remote_downgrade: false,
-                        back_invalidated: Vec::new(),
+                        back_invalidated: None,
                     },
                     pt_kind: None,
                     invalidated_sharers: SharerSet::empty(),
@@ -904,29 +910,24 @@ impl CacheHierarchy {
             self.shared.stats.l1.miss();
         }
 
-        // Upgrade or miss: consult the directory bank.  The service level
-        // is decided against the pre-op state (mirroring the simulate-side
-        // prediction), then the op is applied.
+        // Upgrade or miss: one replay of the op on the directory bank, whose
+        // targets and LLC hit equal a peek at the pre-op state (an
+        // allocation never evicts the line it allocates, and directory ops
+        // never touch the LLC).  A line held privately is an L2-level
+        // upgrade and never fills from memory.
         let had_locally = l1_state.is_some() || self.private[cpu.index()].l2.probe(line).is_some();
-        let bank = self.shared.bank(line);
-        let peek_targets = bank
-            .directory
-            .entry(line)
-            .map(|e| e.sharers.without(cpu))
-            .unwrap_or_else(SharerSet::empty);
-        let peek_llc_hit = bank.llc_probe(line);
+        let (bank_outcome, commit) = self.apply_serial(&SharedCacheOp::Write {
+            cpu,
+            line,
+            fill_memory: had_locally.then_some(false),
+        });
         let level = if had_locally {
             HitLevel::L2
-        } else if peek_llc_hit || !peek_targets.is_empty() {
+        } else if bank_outcome.llc_hit || !bank_outcome.invalidate_targets.is_empty() {
             HitLevel::Llc
         } else {
             HitLevel::Memory
         };
-        let (bank_outcome, commit) = self.apply_serial(&SharedCacheOp::Write {
-            cpu,
-            line,
-            fill_memory: level == HitLevel::Memory,
-        });
         self.fill_private(cpu, line, MesiState::Modified);
         WriteOutcome {
             access: AccessOutcome {
@@ -964,7 +965,11 @@ impl CacheHierarchy {
         let mut commit = CommitOutcome::default();
         for (_, effect) in &privs {
             if let PrivEffect::BackInvalidate { line, sharers, pt } = effect {
-                commit.back_invalidated.push((*line, *sharers, *pt));
+                debug_assert!(
+                    commit.back_invalidated.is_none(),
+                    "a directory op allocates, and so evicts, at most one entry"
+                );
+                commit.back_invalidated = Some((*line, *sharers, *pt));
             }
             if let Some(spurious) = self.resolve_priv(effect) {
                 commit.spurious_sharers.add(spurious);
@@ -1042,11 +1047,7 @@ impl CacheHierarchy {
     /// marking evicted, if any: its sharers were back-invalidated in their
     /// private caches, and callers must back-invalidate translation
     /// structures for page-table lines.
-    pub fn mark_pt_line(
-        &mut self,
-        line: CacheLineAddr,
-        kind: PtKind,
-    ) -> Vec<(CacheLineAddr, SharerSet, Option<PtKind>)> {
+    pub fn mark_pt_line(&mut self, line: CacheLineAddr, kind: PtKind) -> Option<BackInvalidation> {
         let (_, commit) = self.apply_serial(&SharedCacheOp::MarkPt { line, kind });
         commit.back_invalidated
     }
@@ -1245,7 +1246,7 @@ mod tests {
         let mut saw_back_invalidation = false;
         for i in 0..64 {
             let out = h.read(cpu, line(i));
-            if !out.back_invalidated.is_empty() {
+            if out.back_invalidated.is_some() {
                 saw_back_invalidation = true;
             }
         }
@@ -1264,11 +1265,11 @@ mod tests {
         assert_eq!(h.bank_count(), 16);
         h.read(CpuId::new(0), line(3));
         h.read(CpuId::new(1), line(3));
-        assert!(h.mark_pt_line(line(3), PtKind::Nested).is_empty());
+        assert!(h.mark_pt_line(line(3), PtKind::Nested).is_none());
         let back = h.mark_pt_line(line(19), PtKind::Guest);
         let mut sharers = SharerSet::only(CpuId::new(0));
         sharers.add(CpuId::new(1));
-        assert_eq!(back, [(line(3), sharers, Some(PtKind::Nested))]);
+        assert_eq!(back, Some((line(3), sharers, Some(PtKind::Nested))));
         assert!(!h.cpu_holds_line(CpuId::new(0), line(3)));
         assert!(!h.cpu_holds_line(CpuId::new(1), line(3)));
         assert!(!h.is_sharer(line(3), CpuId::new(0)));
@@ -1368,5 +1369,148 @@ mod tests {
         // Commit delivered the invalidations: the remote copies are gone.
         assert!(!h.cpu_holds_line(CpuId::new(0), line(4)));
         assert_eq!(h.stats().invalidations_sent.get(), 3);
+    }
+
+    // ----- single-probe serial write ----------------------------------------
+
+    /// The peek-then-apply serial write the single-probe
+    /// [`CacheHierarchy::write`] replaced: it decides the service level
+    /// from a peek at the directory and LLC, then replays the op with that
+    /// decision.
+    fn peek_then_apply_write(
+        h: &mut CacheHierarchy,
+        cpu: CpuId,
+        line: CacheLineAddr,
+    ) -> WriteOutcome {
+        let l1_state = h.private[cpu.index()].l1.lookup(line);
+        if let Some(state) = l1_state {
+            h.shared.stats.l1.hit();
+            if state.can_write_silently() {
+                let pair = &mut h.private[cpu.index()];
+                pair.l1.set_state(line, MesiState::Modified);
+                pair.l2.set_state(line, MesiState::Modified);
+                return WriteOutcome {
+                    access: AccessOutcome {
+                        level: HitLevel::L1,
+                        remote_downgrade: false,
+                        back_invalidated: None,
+                    },
+                    pt_kind: None,
+                    invalidated_sharers: SharerSet::empty(),
+                    spurious_sharers: SharerSet::empty(),
+                };
+            }
+        } else {
+            h.shared.stats.l1.miss();
+        }
+        let had_locally = l1_state.is_some() || h.private[cpu.index()].l2.probe(line).is_some();
+        let bank = h.shared.bank(line);
+        let peek_targets = bank
+            .directory
+            .entry(line)
+            .map(|e| e.sharers.without(cpu))
+            .unwrap_or_else(SharerSet::empty);
+        let peek_llc_hit = bank.llc_probe(line);
+        let level = if had_locally {
+            HitLevel::L2
+        } else if peek_llc_hit || !peek_targets.is_empty() {
+            HitLevel::Llc
+        } else {
+            HitLevel::Memory
+        };
+        let (bank_outcome, commit) = h.apply_serial(&SharedCacheOp::Write {
+            cpu,
+            line,
+            fill_memory: Some(level == HitLevel::Memory),
+        });
+        h.fill_private(cpu, line, MesiState::Modified);
+        WriteOutcome {
+            access: AccessOutcome {
+                level,
+                remote_downgrade: false,
+                back_invalidated: commit.back_invalidated,
+            },
+            pt_kind: bank_outcome.pt_kind,
+            invalidated_sharers: bank_outcome.invalidate_targets,
+            spurious_sharers: commit.spurious_sharers,
+        }
+    }
+
+    /// Seeded read, write and page-table-marking sequences on a 4-CPU
+    /// hierarchy whose one bank holds a directory of 8 entries and an LLC
+    /// of 4 lines, far fewer than the 48 lines used, so writes meet
+    /// evictions, back-invalidations, remote sharers and LLC misses of
+    /// privately held lines.  The single-probe write returns what the peek-then-apply
+    /// reference returns, and leaves the same statistics, private contents
+    /// and sharer lists.
+    #[test]
+    fn single_probe_write_matches_peek_then_apply() {
+        let config = CacheHierarchyConfig {
+            num_cpus: 4,
+            l1: PrivateCacheConfig {
+                capacity_bytes: 256,
+                ways: 2,
+            },
+            l2: PrivateCacheConfig {
+                capacity_bytes: 1024,
+                ways: 4,
+            },
+            llc_bytes: 256,
+            llc_ways: 4,
+            directory: DirectoryConfig { max_entries: 8 },
+            eager_pt_directory_update: false,
+        };
+        let lines = 48;
+        for seed in 0..8 {
+            let mut single = CacheHierarchy::new(config);
+            let mut reference = CacheHierarchy::new(config);
+            let mut rng = hatric_types::SimRng::new(seed);
+            let mut levels = [0u32; 4];
+            for step in 0..4_000 {
+                let cpu = CpuId::new(rng.below(4) as u32);
+                let l = line(rng.below(lines));
+                match rng.below(8) {
+                    0..=3 => {
+                        let got = single.write(cpu, l);
+                        assert_eq!(
+                            got,
+                            peek_then_apply_write(&mut reference, cpu, l),
+                            "step {step}"
+                        );
+                        levels[got.access.level as usize] += 1;
+                    }
+                    4..=6 => assert_eq!(single.read(cpu, l), reference.read(cpu, l)),
+                    _ => {
+                        let kind = if rng.chance(0.5) {
+                            PtKind::Nested
+                        } else {
+                            PtKind::Guest
+                        };
+                        assert_eq!(
+                            single.mark_pt_line(l, kind),
+                            reference.mark_pt_line(l, kind)
+                        );
+                    }
+                }
+                assert_eq!(single.stats(), reference.stats());
+                assert_eq!(single.directory_stats(), reference.directory_stats());
+                for n in 0..lines {
+                    for c in 0..4 {
+                        let c = CpuId::new(c);
+                        assert_eq!(
+                            single.cpu_holds_line(c, line(n)),
+                            reference.cpu_holds_line(c, line(n))
+                        );
+                        assert_eq!(
+                            single.is_sharer(line(n), c),
+                            reference.is_sharer(line(n), c)
+                        );
+                    }
+                }
+            }
+            // Every write service level occurred.
+            assert!(levels.iter().all(|&n| n > 0), "levels {levels:?}");
+            assert!(single.stats().back_invalidations.get() > 0);
+        }
     }
 }

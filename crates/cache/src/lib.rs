@@ -35,8 +35,8 @@ pub mod line;
 pub use cache::{PrivateCache, PrivateCacheConfig};
 pub use directory::{CoherenceDirectory, DirectoryConfig, DirectoryEntry, SharerSet};
 pub use hierarchy::{
-    AccessOutcome, BankOutcome, CacheBank, CacheHierarchy, CacheHierarchyConfig, CacheStatsDelta,
-    CacheStatsSnapshot, CommitOutcome, HitLevel, PrivEffect, PrivatePair, SharedCache,
-    SharedCacheOp, SimAccess, SimWrite, WriteOutcome,
+    AccessOutcome, BackInvalidation, BankOutcome, CacheBank, CacheHierarchy, CacheHierarchyConfig,
+    CacheStatsDelta, CacheStatsSnapshot, CommitOutcome, HitLevel, PrivEffect, PrivatePair,
+    SharedCache, SharedCacheOp, SimAccess, SimWrite, WriteOutcome,
 };
 pub use line::{MesiState, PtKind};

@@ -15,8 +15,8 @@
 
 use hatric_cache::DirectoryConfig;
 use hatric_cache::{
-    AccessOutcome, CacheHierarchy, CacheHierarchyConfig, CacheStatsSnapshot, HitLevel,
-    PrivateCacheConfig, PtKind, SharerSet,
+    AccessOutcome, BackInvalidation, CacheHierarchy, CacheHierarchyConfig, CacheStatsSnapshot,
+    HitLevel, PrivateCacheConfig, PtKind,
 };
 use hatric_coherence::{
     CoherenceCosts, CoherenceMechanism, RemapContext, TargetAction, TranslationCoherence,
@@ -598,7 +598,7 @@ impl Platform {
             }
         };
         self.charge_occupant(vms, cpu, cycles);
-        self.handle_back_invalidations(vms, slot, &outcome.back_invalidated);
+        self.handle_back_invalidation(vms, slot, outcome.back_invalidated);
     }
 
     // ----- mapping management ----------------------------------------------
@@ -1115,36 +1115,34 @@ impl Platform {
         kind: PtKind,
     ) {
         let back = self.caches.mark_pt_line(line, kind);
-        self.handle_back_invalidations(vms, slot, &back);
+        self.handle_back_invalidation(vms, slot, back);
     }
 
-    fn handle_back_invalidations(
+    fn handle_back_invalidation(
         &mut self,
         vms: &mut [VmInstance],
         slot: usize,
-        back: &[(CacheLineAddr, SharerSet, Option<PtKind>)],
+        back: Option<BackInvalidation>,
     ) {
-        for (line, sharers, pt) in back {
-            if pt.is_none() {
-                continue;
+        let Some((line, sharers, Some(_))) = back else {
+            return;
+        };
+        let cotag = CoTag::from_line(line, self.cotag_bytes);
+        for cpu in sharers.iter() {
+            let counts = self.structures[cpu.index()].invalidate_cotag(cotag);
+            vms[slot].coherence_mut().back_invalidated_entries += counts.total();
+            // Directory evictions have no single remap as their cause;
+            // they are charged to the evicting VM's latest remap (the
+            // activity that filled the directory), or nowhere if the VM
+            // never remapped.
+            let remaps = vms[slot].coherence_mut().remaps;
+            if remaps > 0 {
+                vms[slot]
+                    .causal_mut()
+                    .charge_invalidations(RemapId::new(slot as u32, remaps), counts.total());
             }
-            let cotag = CoTag::from_line(*line, self.cotag_bytes);
-            for cpu in sharers.iter() {
-                let counts = self.structures[cpu.index()].invalidate_cotag(cotag);
-                vms[slot].coherence_mut().back_invalidated_entries += counts.total();
-                // Directory evictions have no single remap as their cause;
-                // they are charged to the evicting VM's latest remap (the
-                // activity that filled the directory), or nowhere if the VM
-                // never remapped.
-                let remaps = vms[slot].coherence_mut().remaps;
-                if remaps > 0 {
-                    vms[slot]
-                        .causal_mut()
-                        .charge_invalidations(RemapId::new(slot as u32, remaps), counts.total());
-                }
-                self.energy
-                    .record(EnergyEvent::TranslationInvalidation, counts.total());
-            }
+            self.energy
+                .record(EnergyEvent::TranslationInvalidation, counts.total());
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use hatric_types::{Counter, GuestFrame};
+use hatric_types::{Counter, FibBuildHasher, GuestFrame};
 
 /// NUMA memory-placement policy: on which socket the hypervisor backs a
 /// guest page it has to allocate (first touches and paging migrations).
@@ -160,7 +160,9 @@ struct ResidentInfo {
 #[derive(Debug, Clone)]
 pub struct PagingManager {
     config: PagingConfig,
-    resident: HashMap<GuestFrame, ResidentInfo>,
+    /// Looked up on every fast access and never iterated, so it hashes
+    /// with the keyless [`FibBuildHasher`].
+    resident: HashMap<GuestFrame, ResidentInfo, FibBuildHasher>,
     queue: VecDeque<GuestFrame>,
     stats: PagingStats,
 }
@@ -171,7 +173,7 @@ impl PagingManager {
     pub fn new(config: PagingConfig) -> Self {
         Self {
             config,
-            resident: HashMap::new(),
+            resident: HashMap::default(),
             queue: VecDeque::new(),
             stats: PagingStats::default(),
         }

@@ -44,6 +44,7 @@
 pub mod mmu_cache;
 pub mod ntlb;
 pub mod set_assoc;
+mod sip;
 pub mod structures;
 pub mod tlb;
 

@@ -50,11 +50,11 @@ impl MmuCacheConfig {
 }
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-struct PscKey {
-    vm: VmId,
-    asid: AddressSpaceId,
-    level: u8,
-    prefix: u64,
+pub(crate) struct PscKey {
+    pub(crate) vm: VmId,
+    pub(crate) asid: AddressSpaceId,
+    pub(crate) level: u8,
+    pub(crate) prefix: u64,
 }
 
 /// A paging-structure cache entry.

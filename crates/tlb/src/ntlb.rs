@@ -35,9 +35,9 @@ impl NestedTlbConfig {
 }
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-struct NestedKey {
-    vm: VmId,
-    gpp: GuestFrame,
+pub(crate) struct NestedKey {
+    pub(crate) vm: VmId,
+    pub(crate) gpp: GuestFrame,
 }
 
 /// A cached GPP → SPP translation.

@@ -4,12 +4,15 @@
 //! are instances of [`SetAssoc`].  The ways live in one flat
 //! `sets × ways` array: set *s* owns slots `s·ways ..`, of which the first
 //! `len[s]` are valid and kept MRU-first.  Sets are selected by hashing the
-//! key with `DefaultHasher`, which is adequate for a behavioural simulator
-//! (the real index functions differ per structure but do not change the
-//! conclusions the paper draws).
+//! key with an in-tree zero-key SipHash-1-3 (the algorithm behind std's
+//! `DefaultHasher`, fixed here so set indices cannot move with the
+//! toolchain), which is adequate for a behavioural simulator (the real
+//! index functions differ per structure but do not change the conclusions
+//! the paper draws).
 
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+
+use crate::sip::SipHasher13;
 
 /// A set-associative container mapping keys to values with LRU replacement.
 #[derive(Debug, Clone)]
@@ -73,7 +76,7 @@ impl<K: Hash + Eq + Copy + Default, V: Copy + Default> SetAssoc<K, V> {
     /// [`SetAssoc::lookup_hashed`] / [`SetAssoc::insert_hashed`].
     #[must_use]
     pub fn hash_key(key: &K) -> u64 {
-        let mut hasher = DefaultHasher::new();
+        let mut hasher = SipHasher13::default();
         key.hash(&mut hasher);
         hasher.finish()
     }
@@ -232,10 +235,14 @@ impl<K: Hash + Eq + Copy + Default, V: Copy + Default> SetAssoc<K, V> {
 mod tests {
     use super::*;
 
+    use std::collections::hash_map::DefaultHasher;
+
     use proptest::prelude::*;
 
+    use crate::mmu_cache::PscKey;
+    use crate::ntlb::NestedKey;
     use crate::tlb::TlbKey;
-    use hatric_types::{AddressSpaceId, GuestVirtPage, VmId};
+    use hatric_types::{AddressSpaceId, GuestFrame, GuestVirtPage, SimRng, VmId};
 
     #[test]
     fn insert_and_lookup() {
@@ -306,9 +313,8 @@ mod tests {
     }
 
     /// Pins the set-selection hash.  TLB, MMU-cache and nTLB set selection
-    /// run on `DefaultHasher`, whose algorithm std does not promise to keep;
-    /// if a toolchain changes it, every gated baseline drifts, and this test
-    /// names the cause.
+    /// run on the in-tree SipHash-1-3; a change to it moves every gated
+    /// baseline, and this test names the cause.
     #[test]
     fn hash_key_is_pinned() {
         let key = |vm, asid, gvp| TlbKey {
@@ -329,6 +335,54 @@ mod tests {
                 12_443_835_603_474_336_543
             ]
         );
+    }
+
+    fn std_hash<K: Hash>(key: &K) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// The in-tree SipHash-1-3 equals `DefaultHasher::new()` on every key
+    /// type a structure is indexed by, so replacing one with the other
+    /// moved no set index.
+    #[test]
+    fn hash_key_matches_std_default_hasher() {
+        let mut rng = SimRng::new(0x5eed_5195);
+        for _ in 0..12_000 {
+            let (vm, asid) = (
+                VmId::new(rng.next_u32()),
+                AddressSpaceId::new(rng.next_u32()),
+            );
+            let tlb = TlbKey {
+                vm,
+                asid,
+                gvp: GuestVirtPage::new(rng.next_u64()),
+            };
+            let psc = PscKey {
+                vm,
+                asid,
+                level: (rng.next_u32() >> 24) as u8,
+                prefix: rng.next_u64(),
+            };
+            let nested = NestedKey {
+                vm,
+                gpp: GuestFrame::new(rng.next_u64()),
+            };
+            let word = rng.next_u64();
+            assert_eq!(SetAssoc::<TlbKey, u64>::hash_key(&tlb), std_hash(&tlb));
+            assert_eq!(SetAssoc::<PscKey, u64>::hash_key(&psc), std_hash(&psc));
+            assert_eq!(
+                SetAssoc::<NestedKey, u64>::hash_key(&nested),
+                std_hash(&nested)
+            );
+            assert_eq!(SetAssoc::<u64, u64>::hash_key(&word), std_hash(&word));
+            // Byte strings of every length take the chunked `write` path.
+            let bytes: Vec<u8> = (0..rng.below(24)).map(|_| rng.next_u32() as u8).collect();
+            let mut sip = SipHasher13::default();
+            bytes.hash(&mut sip);
+            assert_eq!(sip.finish(), std_hash(&bytes));
+        }
     }
 
     /// The pre-flat layout — one heap `Vec` per set, LRU by `remove` +

@@ -26,6 +26,7 @@
 pub mod addr;
 pub mod consts;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod rng;
 pub mod stats;
@@ -39,6 +40,7 @@ pub use consts::{
     RADIX_LEVELS,
 };
 pub use error::{ConfigError, Result, SimError};
+pub use hash::{fib_hash, FibBuildHasher, FibHasher};
 pub use ids::{AddressSpaceId, CpuId, ProcessId, SocketId, VcpuId, VmId};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, RatioStat};
