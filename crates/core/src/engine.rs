@@ -550,7 +550,11 @@ fn unit_step(
         charge(task, p, extra);
         let needs_gpp = task.vm.paging_enabled() || (access.is_write && shared.observer_present);
         if needs_gpp {
-            if let Some(gpp) = task.vm.guest_page_table().translate(gvp) {
+            // A walked entry carries its guest frame; a bare-metal fill, or
+            // an L1 victim from another VM filed under this VM's key, does not.
+            let translate = || task.vm.guest_page_table().translate(gvp);
+            debug_assert!(hit.gpp.is_none_or(|gpp| Some(gpp) == translate()));
+            if let Some(gpp) = hit.gpp.or_else(translate) {
                 if task.vm.paging_enabled() {
                     task.vm.paging_mut().on_fast_access(gpp);
                 }

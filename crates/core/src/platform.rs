@@ -450,7 +450,11 @@ impl Platform {
             let needs_gpp =
                 vms[slot].paging_enabled() || (access.is_write && self.write_observer.is_some());
             if needs_gpp {
-                if let Some(gpp) = vms[slot].guest_page_table().translate(gvp) {
+                // A walked entry carries its guest frame; a bare-metal fill, or
+                // an L1 victim from another VM filed under this VM's key, does not.
+                let translate = || vms[slot].guest_page_table().translate(gvp);
+                debug_assert!(hit.gpp.is_none_or(|gpp| Some(gpp) == translate()));
+                if let Some(gpp) = hit.gpp.or_else(translate) {
                     if vms[slot].paging_enabled() {
                         vms[slot].paging_mut().on_fast_access(gpp);
                     }

@@ -4,7 +4,7 @@
 
 use hatric_pagetable::{NestedWalkSegment, TwoDimWalk};
 use hatric_types::{
-    AddressSpaceId, CoTag, GuestVirtPage, RatioStat, SystemFrame, SystemPhysAddr, VmId,
+    AddressSpaceId, CoTag, GuestFrame, GuestVirtPage, RatioStat, SystemFrame, SystemPhysAddr, VmId,
 };
 
 use crate::mmu_cache::{MmuCache, MmuCacheConfig, MmuCacheEntry, MmuCacheHit};
@@ -73,6 +73,20 @@ pub struct DataLookup {
     pub level: TlbLevel,
     /// Whether the cached translation permits writes.
     pub writable: bool,
+    /// The guest-physical frame the filling walk found (see
+    /// [`TlbEntry::gpp`]); `None` for bare-metal fills.
+    pub gpp: Option<GuestFrame>,
+}
+
+impl DataLookup {
+    fn hit(entry: TlbEntry, level: TlbLevel) -> Self {
+        Self {
+            spp: entry.spp,
+            level,
+            writable: entry.writable,
+            gpp: entry.gpp,
+        }
+    }
 }
 
 /// Counts of entries invalidated across the translation structures.
@@ -141,7 +155,41 @@ pub struct TranslationStatsSnapshot {
     pub ntlb: RatioStat,
 }
 
+/// The per-CPU last-translation register: the key of the latest data
+/// lookup or fill, that key's set hash, and the key's L1 entry.
+#[derive(Debug, Clone, Copy)]
+struct LastTranslation {
+    key: TlbKey,
+    /// `Tlb::hash(&key)`, so a run of lookups and fills of one page hashes
+    /// once.
+    hash: u64,
+    /// The key's L1 entry, kept only while that entry is known to sit at
+    /// way 0 of its L1 set.  A full lookup would find it there and move
+    /// nothing, so a register hit only has to count the L1 hit.
+    l1: Option<TlbEntry>,
+}
+
+impl LastTranslation {
+    fn new(key: TlbKey) -> Self {
+        Self {
+            key,
+            hash: Tlb::hash(&key),
+            l1: None,
+        }
+    }
+}
+
 /// All translation structures of one CPU, with co-tag support.
+///
+/// Data lookups and fills go through a last-translation register.  Only
+/// [`TranslationStructures::lookup_data`] and
+/// [`TranslationStructures::fill_data`] (and the fill at the end of
+/// [`TranslationStructures::service_miss`]) reorder the L1 TLB, and each
+/// of them leaves its key at way 0 of its L1 set, or absent from L1 after a
+/// miss; the register records that key and its L1 entry.  Every other L1
+/// mutation (the co-tag invalidations and the flushes) drops the recorded
+/// entry.  A lookup that repeats the previous key on this CPU therefore
+/// hits without hashing or scanning, and a page run hashes its key once.
 #[derive(Debug, Clone)]
 pub struct TranslationStructures {
     l1: Tlb,
@@ -149,6 +197,7 @@ pub struct TranslationStructures {
     mmu: MmuCache,
     ntlb: NestedTlb,
     cotag_bytes: u8,
+    last: LastTranslation,
 }
 
 impl TranslationStructures {
@@ -161,6 +210,7 @@ impl TranslationStructures {
             mmu: MmuCache::new(sizes.mmu_cache),
             ntlb: NestedTlb::new(sizes.ntlb),
             cotag_bytes,
+            last: LastTranslation::new(TlbKey::default()),
         }
     }
 
@@ -175,7 +225,9 @@ impl TranslationStructures {
     }
 
     /// Looks up a data translation in the L1 then L2 TLB.  An L2 hit is
-    /// promoted into L1.  The key is hashed once for both levels.
+    /// promoted into L1.  The key is hashed once for both levels, and not
+    /// at all when it repeats the previous lookup or fill on this CPU; a
+    /// repeat that hit L1 last time hits again without a set scan.
     pub fn lookup_data(
         &mut self,
         vm: VmId,
@@ -183,32 +235,33 @@ impl TranslationStructures {
         gvp: GuestVirtPage,
     ) -> Option<DataLookup> {
         let key = TlbKey { vm, asid, gvp };
-        let hash = Tlb::hash(&key);
+        if key == self.last.key {
+            if let Some(entry) = self.last.l1 {
+                self.l1.record_hit();
+                return Some(DataLookup::hit(entry, TlbLevel::L1));
+            }
+        } else {
+            self.last = LastTranslation::new(key);
+        }
+        let hash = self.last.hash;
         if let Some(entry) = self.l1.lookup_hashed(&key, hash) {
-            return Some(DataLookup {
-                spp: entry.spp,
-                level: TlbLevel::L1,
-                writable: entry.writable,
-            });
+            self.last.l1 = Some(entry);
+            return Some(DataLookup::hit(entry, TlbLevel::L1));
         }
         if let Some(entry) = self.l2.lookup_hashed(&key, hash) {
-            if let Some((victim_gvp, victim)) = self.l1.fill_hashed(key, hash, entry) {
-                // L1 victims are written back into L2 (exclusive-ish policy
-                // keeps the victim visible at the next level).
-                self.l2.fill(vm, asid, victim_gvp, victim);
-            }
-            return Some(DataLookup {
-                spp: entry.spp,
-                level: TlbLevel::L2,
-                writable: entry.writable,
-            });
+            let victim = self.l1.fill_hashed(key, hash, entry);
+            self.write_back(key, victim);
+            self.last.l1 = Some(entry);
+            return Some(DataLookup::hit(entry, TlbLevel::L2));
         }
         None
     }
 
     /// Fills the TLBs with a data translation from a completed walk (or from
-    /// a bare-metal fill when `guest_pte_addr` is `None`).  The key is
-    /// hashed once for both levels.
+    /// a bare-metal fill when `guest_pte_addr` is `None`).  The entry
+    /// carries no guest frame; [`TranslationStructures::service_miss`]
+    /// fills walked translations with theirs.  The key is hashed once for
+    /// both levels, and not at all when it repeats the previous lookup.
     pub fn fill_data(
         &mut self,
         vm: VmId,
@@ -218,18 +271,49 @@ impl TranslationStructures {
         nested_pte_addr: SystemPhysAddr,
         guest_pte_addr: Option<SystemPhysAddr>,
     ) {
+        let key = TlbKey { vm, asid, gvp };
+        self.fill(key, spp, nested_pte_addr, guest_pte_addr, None);
+    }
+
+    /// Fills both TLB levels with `key`'s translation and records it in the
+    /// last-translation register.
+    fn fill(
+        &mut self,
+        key: TlbKey,
+        spp: SystemFrame,
+        nested_pte_addr: SystemPhysAddr,
+        guest_pte_addr: Option<SystemPhysAddr>,
+        gpp: Option<GuestFrame>,
+    ) {
         let entry = TlbEntry {
             spp,
             nested_cotag: self.cotag(nested_pte_addr),
             guest_cotag: guest_pte_addr.map(|a| self.cotag(a)),
             writable: true,
+            gpp,
         };
-        let key = TlbKey { vm, asid, gvp };
-        let hash = Tlb::hash(&key);
-        if let Some((victim_gvp, victim)) = self.l1.fill_hashed(key, hash, entry) {
-            self.l2.fill(vm, asid, victim_gvp, victim);
+        if key != self.last.key {
+            self.last = LastTranslation::new(key);
         }
+        let hash = self.last.hash;
+        let victim = self.l1.fill_hashed(key, hash, entry);
+        self.write_back(key, victim);
         self.l2.fill_hashed(key, hash, entry);
+        self.last.l1 = Some(entry);
+    }
+
+    /// Writes the L1 victim of filling `key` back into L2 (exclusive-ish
+    /// policy keeps the victim visible at the next level).  The victim is
+    /// filed under `key`'s VM and ASID with its own page number, so a
+    /// victim from another VM drops its guest frame: the frame belongs to
+    /// the other VM's page table, and a hit must translate instead.
+    fn write_back(&mut self, key: TlbKey, victim: Option<(TlbKey, TlbEntry)>) {
+        if let Some((victim_key, mut victim)) = victim {
+            if victim_key.vm != key.vm {
+                victim.gpp = None;
+            }
+            self.l2.fill(key.vm, key.asid, victim_key.gvp, victim);
+        }
     }
 
     fn ntlb_translate(
@@ -333,13 +417,17 @@ impl TranslationStructures {
         }
 
         // Finally fill the TLBs with the requested translation.
-        self.fill_data(
+        let key = TlbKey {
             vm,
             asid,
-            walk.gvp,
+            gvp: walk.gvp,
+        };
+        self.fill(
+            key,
             walk.spp,
             walk.nested_leaf_pte_addr(),
             Some(walk.guest_leaf_pte_addr()),
+            Some(walk.gpp),
         );
 
         WalkAssist {
@@ -354,6 +442,7 @@ impl TranslationStructures {
     /// Invalidates every entry (in all structures) whose co-tag matches the
     /// co-tag of the given page-table cache line.
     pub fn invalidate_cotag(&mut self, cotag: CoTag) -> InvalidationCounts {
+        self.last.l1 = None;
         InvalidationCounts {
             tlb: self.l1.invalidate_cotag(cotag) + self.l2.invalidate_cotag(cotag),
             mmu_cache: self.mmu.invalidate_cotag(cotag),
@@ -365,6 +454,7 @@ impl TranslationStructures {
     /// does not extend to MMU caches or nested TLBs); the other structures
     /// are flushed wholesale.
     pub fn invalidate_cotag_tlb_only(&mut self, cotag: CoTag) -> InvalidationCounts {
+        self.last.l1 = None;
         InvalidationCounts {
             tlb: self.l1.invalidate_cotag(cotag) + self.l2.invalidate_cotag(cotag),
             mmu_cache: self.mmu.flush_all(),
@@ -375,6 +465,7 @@ impl TranslationStructures {
     /// Flushes every structure (the software-coherence baseline's VM-exit
     /// path); returns how many entries were lost.
     pub fn flush_all(&mut self) -> InvalidationCounts {
+        self.last.l1 = None;
         InvalidationCounts {
             tlb: self.l1.flush_all() + self.l2.flush_all(),
             mmu_cache: self.mmu.flush_all(),
@@ -384,6 +475,7 @@ impl TranslationStructures {
 
     /// Flushes every entry belonging to `vm`.
     pub fn flush_vm(&mut self, vm: VmId) -> InvalidationCounts {
+        self.last.l1 = None;
         InvalidationCounts {
             tlb: self.l1.flush_vm(vm) + self.l2.flush_vm(vm),
             mmu_cache: self.mmu.flush_vm(vm),
@@ -418,10 +510,21 @@ impl TranslationStructures {
 }
 
 #[cfg(test)]
+impl TranslationStructures {
+    /// Drops the last-translation register, so the next call takes the
+    /// full path (hash, set scan) as if no earlier call had been made.
+    fn forget_last(&mut self) {
+        self.last = LastTranslation::new(TlbKey::default());
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmu_cache::MmuCacheConfig;
+    use crate::ntlb::NestedTlbConfig;
     use hatric_pagetable::{GuestPageTable, NestedPageTable, TwoDimWalker};
-    use hatric_types::GuestFrame;
+    use hatric_types::SimRng;
 
     fn setup_walk(gvp: u64, gpp: u64, spp: u64) -> (GuestPageTable, NestedPageTable, TwoDimWalk) {
         let mut guest = GuestPageTable::new(GuestFrame::new(0x10_000));
@@ -553,5 +656,211 @@ mod tests {
             "MMU cache should be flushed wholesale"
         );
         assert!(counts.ntlb >= 1, "nTLB should be flushed wholesale");
+    }
+
+    /// A small geometry: an 8-entry 2-way L1, a 32-entry 4-way L2.
+    fn small_sizes() -> StructureSizes {
+        StructureSizes {
+            l1_tlb: TlbConfig {
+                entries: 8,
+                ways: 2,
+            },
+            l2_tlb: TlbConfig {
+                entries: 32,
+                ways: 4,
+            },
+            mmu_cache: MmuCacheConfig {
+                entries: 8,
+                ways: 2,
+            },
+            ntlb: NestedTlbConfig {
+                entries: 4,
+                ways: 4,
+            },
+        }
+    }
+
+    const PAGES: u64 = 40;
+
+    fn page_gvp(page: u64) -> GuestVirtPage {
+        // Spread the pages over several guest leaf tables and PTE lines.
+        GuestVirtPage::new(page * 37 + (page / 10) * 0x200)
+    }
+
+    /// One VM's page tables with `PAGES` mapped pages, and every page's
+    /// walk (VM-specific guest and system frames and PTE addresses).
+    fn vm_walks(vm: u64) -> Vec<TwoDimWalk> {
+        let mut guest = GuestPageTable::new(GuestFrame::new(0x10_000));
+        let mut nested = NestedPageTable::new(SystemFrame::new(0x80_000 + vm * 0x40_000));
+        for page in 0..PAGES {
+            let gpp = GuestFrame::new(0x200 + vm * 0x100 + page);
+            guest.map(page_gvp(page), gpp);
+            nested.map(gpp, SystemFrame::new(0x9000 + vm * 0x1000 + page));
+        }
+        for node in guest.node_frames() {
+            nested.map(
+                node,
+                SystemFrame::new(node.number() + 0x100_000 + vm * 0x10_000),
+            );
+        }
+        (0..PAGES)
+            .map(|page| TwoDimWalker::walk(page_gvp(page), &guest, &nested).unwrap())
+            .collect()
+    }
+
+    /// The register against the full path: one structure keeps its
+    /// last-translation register, the reference drops it before every
+    /// call.  About 70% of operations repeat the previous key.  Every
+    /// lookup (guest frame included), walk plan, invalidation count,
+    /// statistic and occupancy must agree, and so must both TLBs' contents.
+    #[test]
+    fn register_matches_the_full_path() {
+        let walks = [vm_walks(0), vm_walks(1)];
+        let bare_pte =
+            |vm: u64, page: u64| SystemPhysAddr::new(0x7000_0000 + vm * 0x1000 + page * 8);
+        let mut repeat_l1_hits = 0;
+        for seed in 0..8 {
+            let mut rng = SimRng::new(0x1a57_0000 + seed);
+            let mut fast = TranslationStructures::new(&small_sizes(), 2);
+            let mut reference = fast.clone();
+            let mut prev = (0, 0, 0);
+            for _ in 0..4000 {
+                let key = if rng.chance(0.7) {
+                    prev
+                } else {
+                    (rng.below(2), rng.below(2), rng.below(PAGES))
+                };
+                let (vm, asid, page) = key;
+                let (vm_id, asid_id) = (VmId::new(vm as u32), AddressSpaceId::new(asid as u32));
+                let walk = &walks[vm as usize][page as usize];
+                let cotag = CoTag::from_pte_addr(
+                    match rng.below(4) {
+                        0 => walk.nested_leaf_pte_addr(),
+                        1 => walk.guest_leaf_pte_addr(),
+                        2 => walk.guest_steps[2].table_segment.leaf_pte_addr(),
+                        _ => bare_pte(vm, page),
+                    },
+                    2,
+                );
+                reference.forget_last();
+                match rng.below(100) {
+                    0..=54 => {
+                        let got = fast.lookup_data(vm_id, asid_id, walk.gvp);
+                        let want = reference.lookup_data(vm_id, asid_id, walk.gvp);
+                        assert_eq!(got, want);
+                        if key == prev && got.is_some_and(|hit| hit.level == TlbLevel::L1) {
+                            repeat_l1_hits += 1;
+                        }
+                        if got.is_none() && rng.chance(0.6) {
+                            reference.forget_last();
+                            assert_eq!(
+                                fast.service_miss(vm_id, asid_id, walk, true),
+                                reference.service_miss(vm_id, asid_id, walk, true)
+                            );
+                        }
+                    }
+                    55..=64 => {
+                        let spp = SystemFrame::new(0x5000 + page);
+                        for ts in [&mut fast, &mut reference] {
+                            ts.fill_data(vm_id, asid_id, walk.gvp, spp, bare_pte(vm, page), None);
+                        }
+                    }
+                    65..=74 => assert_eq!(
+                        fast.service_miss(vm_id, asid_id, walk, false),
+                        reference.service_miss(vm_id, asid_id, walk, false)
+                    ),
+                    75..=86 => assert_eq!(
+                        fast.invalidate_cotag(cotag),
+                        reference.invalidate_cotag(cotag)
+                    ),
+                    87..=94 => assert_eq!(
+                        fast.invalidate_cotag_tlb_only(cotag),
+                        reference.invalidate_cotag_tlb_only(cotag)
+                    ),
+                    95..=97 => assert_eq!(fast.flush_vm(vm_id), reference.flush_vm(vm_id)),
+                    _ => assert_eq!(fast.flush_all(), reference.flush_all()),
+                }
+                assert_eq!(fast.stats(), reference.stats());
+                assert_eq!(fast.occupancy(), reference.occupancy());
+                prev = key;
+            }
+            for vm in 0..2 {
+                for asid in 0..2 {
+                    for page in 0..PAGES {
+                        let (vm, asid, gvp) =
+                            (VmId::new(vm), AddressSpaceId::new(asid), page_gvp(page));
+                        assert_eq!(
+                            fast.l1.probe(vm, asid, gvp),
+                            reference.l1.probe(vm, asid, gvp)
+                        );
+                        assert_eq!(
+                            fast.l2.probe(vm, asid, gvp),
+                            reference.l2.probe(vm, asid, gvp)
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            repeat_l1_hits > 4000,
+            "only {repeat_l1_hits} repeat L1 hits"
+        );
+    }
+
+    /// A walked entry carries the walk's guest frame on an L1 hit, on an L2
+    /// hit after its L1 eviction and on the L1 hit after promotion; a
+    /// bare-metal fill carries none, and neither does an L1 victim filed
+    /// under another VM.
+    #[test]
+    fn entries_carry_the_walks_guest_frame() {
+        let walks = vm_walks(0);
+        let (vm, asid) = (VmId::new(0), AddressSpaceId::new(0));
+        let mut sizes = small_sizes();
+        sizes.l1_tlb = TlbConfig {
+            entries: 2,
+            ways: 2,
+        };
+        let mut ts = TranslationStructures::new(&sizes, 2);
+        let walk = &walks[0];
+        let gpp = Some(walk.gpp);
+        ts.service_miss(vm, asid, walk, true);
+        let hit = ts.lookup_data(vm, asid, walk.gvp).unwrap();
+        assert_eq!((hit.level, hit.gpp), (TlbLevel::L1, gpp));
+
+        // Two bare-metal fills push the walked entry out of the one-set L1.
+        for page in [1, 2] {
+            let gvp = page_gvp(page);
+            let pte = SystemPhysAddr::new(page * 8);
+            ts.fill_data(vm, asid, gvp, SystemFrame::new(page), pte, None);
+            assert_eq!(ts.lookup_data(vm, asid, gvp).unwrap().gpp, None);
+        }
+        let hit = ts.lookup_data(vm, asid, walk.gvp).unwrap();
+        assert_eq!((hit.level, hit.gpp), (TlbLevel::L2, gpp));
+        let hit = ts.lookup_data(vm, asid, walk.gvp).unwrap();
+        assert_eq!((hit.level, hit.gpp), (TlbLevel::L1, gpp));
+        // Once more through a full L1 probe rather than the register.
+        ts.forget_last();
+        let hit = ts.lookup_data(vm, asid, walk.gvp).unwrap();
+        assert_eq!((hit.level, hit.gpp), (TlbLevel::L1, gpp));
+
+        // Another VM's fills evict the walked entry; it is written back to
+        // L2 under the filling VM's key, without the frame.
+        let other = VmId::new(1);
+        for page in [1, 2] {
+            let pte = SystemPhysAddr::new(0x1000 + page * 8);
+            ts.fill_data(
+                other,
+                asid,
+                page_gvp(page),
+                SystemFrame::new(page),
+                pte,
+                None,
+            );
+        }
+        let rekeyed = ts.lookup_data(other, asid, walk.gvp).unwrap();
+        assert_eq!(
+            (rekeyed.level, rekeyed.spp, rekeyed.gpp),
+            (TlbLevel::L2, walk.spp, None)
+        );
     }
 }

@@ -1,6 +1,8 @@
 //! Set-associative TLBs caching GVP → SPP translations, with co-tags.
 
-use hatric_types::{AddressSpaceId, CoTag, GuestVirtPage, RatioStat, SystemFrame, VmId};
+use hatric_types::{
+    AddressSpaceId, CoTag, GuestFrame, GuestVirtPage, RatioStat, SystemFrame, VmId,
+};
 
 use crate::set_assoc::SetAssoc;
 
@@ -66,6 +68,15 @@ pub struct TlbEntry {
     pub guest_cotag: Option<CoTag>,
     /// Whether the translation maps a writable page.
     pub writable: bool,
+    /// Guest-physical frame the page maps to, when known: a fill from a
+    /// two-dimensional walk knows it; a bare-metal fill does not, nor does
+    /// an L1 victim that [`TranslationStructures`] writes back to L2 under
+    /// another VM's key.  Guest mappings are only ever added, never
+    /// remapped, so the frame the walk found stays current for as long as
+    /// the entry lives.
+    ///
+    /// [`TranslationStructures`]: crate::TranslationStructures
+    pub gpp: Option<GuestFrame>,
 }
 
 /// A set-associative TLB with co-tagged entries.
@@ -117,6 +128,14 @@ impl Tlb {
         result
     }
 
+    /// Counts a hit that the caller resolved without a set probe (the
+    /// last-translation register of [`TranslationStructures`]).
+    ///
+    /// [`TranslationStructures`]: crate::TranslationStructures
+    pub(crate) fn record_hit(&mut self) {
+        self.stats.record(true);
+    }
+
     /// Probes for a translation without affecting recency or statistics.
     #[must_use]
     pub fn probe(&self, vm: VmId, asid: AddressSpaceId, gvp: GuestVirtPage) -> Option<TlbEntry> {
@@ -133,24 +152,18 @@ impl Tlb {
     ) -> Option<(GuestVirtPage, TlbEntry)> {
         let key = TlbKey { vm, asid, gvp };
         self.fill_hashed(key, Self::hash(&key), entry)
+            .map(|(k, v)| (k.gvp, v))
     }
 
-    /// [`Tlb::fill`] with a precomputed [`Tlb::hash`].
+    /// [`Tlb::fill`] with a precomputed [`Tlb::hash`]; the victim keeps its
+    /// whole key.
     pub(crate) fn fill_hashed(
         &mut self,
         key: TlbKey,
         hash: u64,
         entry: TlbEntry,
-    ) -> Option<(GuestVirtPage, TlbEntry)> {
-        self.entries
-            .insert_hashed(hash, key, entry)
-            .map(|(k, v)| (k.gvp, v))
-    }
-
-    /// Invalidates a single page's translation (`invlpg`-style), returning
-    /// whether an entry was removed.
-    pub fn invalidate_page(&mut self, vm: VmId, asid: AddressSpaceId, gvp: GuestVirtPage) -> bool {
-        self.entries.remove(&TlbKey { vm, asid, gvp }).is_some()
+    ) -> Option<(TlbKey, TlbEntry)> {
+        self.entries.insert_hashed(hash, key, entry)
     }
 
     /// Invalidates every entry whose nested or guest co-tag matches `cotag`;
@@ -206,6 +219,7 @@ mod tests {
             nested_cotag: CoTag::from_pte_addr(SystemPhysAddr::new(pte_addr), 2),
             guest_cotag: None,
             writable: true,
+            gpp: None,
         }
     }
 
@@ -269,6 +283,12 @@ mod tests {
             tlb.fill(vm, asid, GuestVirtPage::new(i), entry(i, i * 64));
         }
         assert!(tlb.len() <= 16);
+    }
+
+    /// The guest frame costs an entry 16 bytes, no more.
+    #[test]
+    fn entry_stays_small() {
+        assert_eq!(std::mem::size_of::<TlbEntry>(), 40);
     }
 
     #[test]
