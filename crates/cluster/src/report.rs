@@ -90,7 +90,8 @@ pub struct RecoveryStats {
 ///
 /// `aggregate` sums the *mergeable* per-host host-level fields (accesses,
 /// coherence, faults, interference, NUMA, paging, latency histograms and
-/// the causal ledger — each via its own `merge`); `cycles_per_cpu` is the
+/// the causal ledger — each via its own `merge`, the ledger tagging every
+/// remap with its host index); `cycles_per_cpu` is the
 /// per-host concatenation in host order, so `runtime_cycles()` is the
 /// fleet-wide critical path.  The reconciliation contract — aggregate
 /// fields equal the field-wise sum over `per_host` — is enforced by the
@@ -129,7 +130,7 @@ impl ClusterReport {
     ) -> Self {
         let mut aggregate = SimReport::default();
         let mut migration = MigrationStats::default();
-        for host in &per_host {
+        for (index, host) in per_host.iter().enumerate() {
             aggregate
                 .cycles_per_cpu
                 .extend_from_slice(&host.host.cycles_per_cpu);
@@ -140,7 +141,9 @@ impl ClusterReport {
             aggregate.numa.merge(&host.host.numa);
             aggregate.paging.merge(&host.host.paging);
             aggregate.latency.merge(&host.host.latency);
-            aggregate.causal.merge(&host.host.causal);
+            aggregate
+                .causal
+                .merge_from_host(index as u32, &host.host.causal);
             migration.merge(&host.migration);
         }
         Self {

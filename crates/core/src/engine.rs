@@ -622,7 +622,7 @@ fn unit_step(
     out.energy
         .record(EnergyEvent::PageWalkStep, assist.refs.len() as u64);
     let walk_start = *task.cpus[p].cycles;
-    for addr in assist.refs {
+    for &addr in assist.refs.iter() {
         let sim = sim_read(shared, task, out, p, addr.cache_line());
         unit_charge_read(shared, task, out, p, addr, sim.level);
     }

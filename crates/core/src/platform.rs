@@ -506,8 +506,7 @@ impl Platform {
         self.energy
             .record(EnergyEvent::PageWalkStep, assist.refs.len() as u64);
         let walk_start = self.cycles[cpu.index()];
-        let refs = assist.refs;
-        for addr in refs {
+        for &addr in assist.refs.iter() {
             let outcome = self.caches.read(cpu, addr.cache_line());
             self.charge_read(vms, slot, cpu, addr, &outcome);
         }

@@ -1356,7 +1356,8 @@ fn push_rows<R: Swept>(
 /// Appends the per-remap causal-attribution columns (never gated): how many
 /// distinct remaps the run's causal ledger charged disruption to, the summed
 /// victim cycles they inflicted, and the single costliest remap — its id
-/// (`vm<slot>#<ordinal>`), its victim cycles and its share of the total.
+/// (`vm<slot>#<ordinal>`, prefixed `h<host>/` on a fleet row), its victim
+/// cycles and its share of the total.
 /// Deterministic like every model metric, but new columns stay out of the
 /// gate so committed baselines never need regenerating for observability.
 fn attribution_columns(row: Row, aggregate: &SimReport) -> Row {

@@ -80,6 +80,11 @@ struct StreamState {
 /// delay an access observes is the *sum* of all buckets — whoever uses the
 /// pipe delays everyone behind it, but each stream's deposits are accounted
 /// separately so per-VM bandwidth attribution is exact.
+///
+/// Every deposit and drain is a whole number of cycles, so each backlog is
+/// an integer-valued `f64`.  That is what lets
+/// [`MemoryDevice::occupy_lines`] book a page copy's run of one-line
+/// transfers in closed form, bit-identical to booking them one at a time.
 #[derive(Debug, Clone)]
 pub struct MemoryDevice {
     config: DeviceConfig,
@@ -175,6 +180,51 @@ impl MemoryDevice {
         service
     }
 
+    /// Adds the occupancy of `n` consecutive line transfers by `stream`, the
+    /// `i`-th at time `now + i`, and returns their summed cost.  Device state
+    /// and result equal those of `n` calls of [`MemoryDevice::occupy`] at
+    /// `now, now + 1, …`, in time that grows with the stream count, not
+    /// with `n`.
+    ///
+    /// The first line is a plain `occupy`.  Every later line drains at most
+    /// one cycle before it deposits, so the drains form one budget,
+    /// `(now + n − 1) − last_update` (not `n − 1`: cycle counters are per
+    /// CPU, so `last_update` can already lie past `now`).  The budget
+    /// empties the streams below `stream` in index order and the rest comes
+    /// off `stream` itself, which gains `service` per line and so never runs
+    /// dry; streams above it are never touched.  With a zero service the
+    /// lines deposit nothing and the whole run is one drain.  Backlogs are
+    /// integer-valued, so the closed form is bit-identical.
+    pub fn occupy_lines(&mut self, stream: usize, now: u64, n: u64) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        let service = self.occupy(stream, now);
+        let rest = n - 1;
+        if rest == 0 {
+            return service;
+        }
+        let end = now + rest;
+        if service == 0 {
+            self.drain(end);
+        } else {
+            let mut budget = end.saturating_sub(self.last_update) as f64;
+            for lower in &mut self.streams[..stream] {
+                if budget <= 0.0 {
+                    break;
+                }
+                let take = lower.backlog_cycles.min(budget);
+                lower.backlog_cycles -= take;
+                budget -= take;
+            }
+            self.streams[stream].backlog_cycles += (rest * service) as f64 - budget;
+            self.last_update = self.last_update.max(end);
+        }
+        self.streams[stream].stats.occupied_lines.add(rest);
+        self.stats.occupied_lines.add(rest);
+        n * service
+    }
+
     /// Performs one demand access by `stream` at time `now`; returns its
     /// latency (base + current queueing delay across all streams) in cycles.
     pub fn access(&mut self, stream: usize, now: u64) -> u64 {
@@ -248,6 +298,7 @@ impl MemoryDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hatric_types::SimRng;
 
     fn cfg(service: u64) -> DeviceConfig {
         DeviceConfig {
@@ -360,5 +411,65 @@ mod tests {
             summed.merge(&dev.stream_stats(s));
         }
         assert_eq!(summed, total);
+    }
+
+    /// The per-line loop [`MemoryDevice::occupy_lines`] replaces.
+    fn occupy_lines_per_line(dev: &mut MemoryDevice, stream: usize, now: u64, n: u64) -> u64 {
+        (0..n).map(|i| dev.occupy(stream, now + i)).sum()
+    }
+
+    /// Everything observable about a device, with backlogs as raw bits.
+    fn snapshot(dev: &MemoryDevice) -> (Vec<(u64, DeviceStats)>, u64, DeviceStats) {
+        let streams = dev
+            .streams
+            .iter()
+            .map(|s| (s.backlog_cycles.to_bits(), s.stats))
+            .collect();
+        (streams, dev.last_update, dev.stats)
+    }
+
+    #[test]
+    fn occupy_lines_matches_the_per_line_loop() {
+        let mut compared = 0;
+        for seed in 0..48u64 {
+            let mut rng = SimRng::new(seed);
+            // Service 1 at 50% rounds to zero: the zero-service path.
+            let service = [1, 4, 7][rng.below(3) as usize];
+            let multiplier = [100, 250, 50, 1][rng.below(4) as usize];
+            let mut dev = MemoryDevice::new(cfg(service));
+            dev.set_service_multiplier_x100(multiplier);
+            // A seeded multi-stream state: bursts of accesses and copies on
+            // five streams at jittered times.
+            let mut now = 1_000u64;
+            for _ in 0..rng.range(1, 200) {
+                now = (now + rng.below(6)).saturating_sub(rng.below(4));
+                let stream = rng.below(5) as usize;
+                if rng.chance(0.3) {
+                    dev.occupy(stream, now);
+                } else {
+                    dev.access(stream, now);
+                }
+            }
+            let last = dev.last_update;
+            for at in [last - 50, last - 1, last, last + 1, last + 30, last + 500] {
+                for n in [0, 1, 64] {
+                    // Streams below, inside and above the populated range,
+                    // including one the device has never seen.
+                    for stream in [0, 2, 4, 6] {
+                        let mut want = dev.clone();
+                        let mut got = dev.clone();
+                        let want_cost = occupy_lines_per_line(&mut want, stream, at, n);
+                        let got_cost = got.occupy_lines(stream, at, n);
+                        let context = format!(
+                            "seed {seed} service {service} x{multiplier} at {at} (last {last}) n {n} stream {stream}"
+                        );
+                        assert_eq!(got_cost, want_cost, "{context}");
+                        assert_eq!(snapshot(&got), snapshot(&want), "{context}");
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 48 * 6 * 3 * 4);
     }
 }

@@ -428,6 +428,8 @@ impl MemorySystem {
     /// Cost, in cycles, of copying one 4 KiB page from `from` to `to` on
     /// behalf of `stream`, including the bandwidth occupancy it adds to both
     /// devices — and to the inter-socket link when the copy crosses sockets.
+    /// Each of them books the page's lines, one cycle apart from `now`, with
+    /// one [`MemoryDevice::occupy_lines`] call.
     pub fn page_copy_cycles(
         &mut self,
         from: SystemFrame,
@@ -443,24 +445,17 @@ impl MemorySystem {
         let mut cycles = self.config.page_copy_overhead_cycles;
         // Streaming transfers pipeline well; charge the occupancy of both
         // devices but only the larger of the two as serialised latency.
-        let src_cost: u64 = (0..lines)
-            .map(|i| {
-                self.device_mut(src_socket, src_kind)
-                    .occupy(stream, now + i)
-            })
-            .sum();
-        let dst_cost: u64 = (0..lines)
-            .map(|i| {
-                self.device_mut(dst_socket, dst_kind)
-                    .occupy(stream, now + i)
-            })
-            .sum();
+        let src_cost = self
+            .device_mut(src_socket, src_kind)
+            .occupy_lines(stream, now, lines);
+        let dst_cost = self
+            .device_mut(dst_socket, dst_kind)
+            .occupy_lines(stream, now, lines);
         cycles += src_cost.max(dst_cost);
         if src_socket != dst_socket {
             // The whole page crosses the destination's ingress link; its
             // occupancy serialises with the device transfers.
-            let link = &mut self.links[dst_socket.index()];
-            let link_cost: u64 = (0..lines).map(|i| link.occupy(stream, now + i)).sum();
+            let link_cost = self.links[dst_socket.index()].occupy_lines(stream, now, lines);
             cycles += self.config.numa.link.base_latency_cycles + link_cost;
         }
         cycles
@@ -1057,5 +1052,84 @@ mod tests {
         }
         assert_eq!(mem.link_stats().accesses.get(), 0);
         assert!(!mem.is_remote(frame, S0));
+    }
+
+    /// The per-line `page_copy_cycles` that [`MemoryDevice::occupy_lines`]
+    /// replaced: one `occupy` call per line on each device and the link.
+    fn page_copy_cycles_per_line(
+        mem: &mut MemorySystem,
+        from: SystemFrame,
+        to: SystemFrame,
+        stream: usize,
+        now: u64,
+    ) -> u64 {
+        let lines = PAGE_SIZE_4K / CACHE_LINE_BYTES;
+        let (src_kind, dst_kind) = (mem.kind_of(from), mem.kind_of(to));
+        let (src_socket, dst_socket) = (mem.socket_of(from), mem.socket_of(to));
+        let mut cycles = mem.config.page_copy_overhead_cycles;
+        let src_cost: u64 = (0..lines)
+            .map(|i| mem.device_mut(src_socket, src_kind).occupy(stream, now + i))
+            .sum();
+        let dst_cost: u64 = (0..lines)
+            .map(|i| mem.device_mut(dst_socket, dst_kind).occupy(stream, now + i))
+            .sum();
+        cycles += src_cost.max(dst_cost);
+        if src_socket != dst_socket {
+            let link = &mut mem.links[dst_socket.index()];
+            let link_cost: u64 = (0..lines).map(|i| link.occupy(stream, now + i)).sum();
+            cycles += mem.config.numa.link.base_latency_cycles + link_cost;
+        }
+        cycles
+    }
+
+    #[test]
+    fn page_copy_matches_the_per_line_loop_across_sockets() {
+        for seed in 0..24u64 {
+            let mut rng = hatric_types::SimRng::new(seed);
+            let mut mem = MemorySystem::new(two_socket_config());
+            let mut frames = Vec::new();
+            for s in 0..2 {
+                for kind in [MemoryKind::DieStacked, MemoryKind::OffChip] {
+                    for _ in 0..3 {
+                        frames.push(mem.allocate_on(kind, SocketId::new(s)).unwrap());
+                    }
+                }
+            }
+            // Per-CPU clocks: issue times wander backwards as well as forwards.
+            let mut now = 10_000u64;
+            for step in 0..300 {
+                now = (now + rng.below(400)).saturating_sub(rng.below(300));
+                let stream = rng.below(4) as usize;
+                let frame = frames[rng.below(frames.len() as u64) as usize];
+                match rng.below(10) {
+                    0 => {
+                        mem.set_dram_service_multiplier_x100([100, 300, 40][rng.below(3) as usize])
+                    }
+                    1..=3 => {
+                        let to = frames[rng.below(frames.len() as u64) as usize];
+                        let mut want = mem.clone();
+                        let want_cost =
+                            page_copy_cycles_per_line(&mut want, frame, to, stream, now);
+                        let got_cost = mem.page_copy_cycles(frame, to, stream, now);
+                        assert_eq!(got_cost, want_cost, "seed {seed} step {step}");
+                        // Debug prints every backlog in round-trip form, so
+                        // equal strings mean bit-identical state.
+                        assert_eq!(
+                            format!("{mem:?}"),
+                            format!("{want:?}"),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    _ => {
+                        let from = SocketId::new(rng.below(2) as u32);
+                        mem.access(frame, stream, from, now);
+                    }
+                }
+            }
+            assert!(
+                mem.link_stats().occupied_lines.get() > 0,
+                "seed {seed}: no cross-socket copy"
+            );
+        }
     }
 }

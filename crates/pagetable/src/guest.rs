@@ -1,5 +1,6 @@
 //! The guest page table: GVP → GPP, maintained by the guest OS.
 
+use hatric_types::consts::RADIX_LEVELS;
 use hatric_types::{GuestFrame, GuestPhysAddr, GuestVirtPage};
 
 use crate::pte::Pte;
@@ -75,17 +76,26 @@ impl GuestPageTable {
         self.table.mark_used(gvp.number(), write)
     }
 
-    /// Full 4-level walk; each step is the guest-physical address of the
+    /// Full 4-level walk, returned as a fixed-size array (no heap
+    /// allocation); each step is the guest-physical address of the
     /// entry at levels 4..=1.
     #[must_use]
-    pub fn walk(&self, gvp: GuestVirtPage) -> Option<(Vec<(u8, GuestPhysAddr)>, GuestFrame)> {
+    pub fn walk(
+        &self,
+        gvp: GuestVirtPage,
+    ) -> Option<([(u8, GuestPhysAddr); RADIX_LEVELS], GuestFrame)> {
         self.table.walk(gvp.number()).map(|(refs, pte)| {
-            let steps = refs
-                .into_iter()
-                .map(|r| (r.level, GuestPhysAddr::new(r.entry_addr)))
-                .collect();
-            (steps, GuestFrame::new(pte.frame))
+            (
+                refs.map(|r| (r.level, GuestPhysAddr::new(r.entry_addr))),
+                GuestFrame::new(pte.frame),
+            )
         })
+    }
+
+    /// The table's radix tree, for the walk oracles in tests.
+    #[cfg(test)]
+    pub(crate) fn radix(&self) -> &RadixTable {
+        &self.table
     }
 
     /// Number of mapped guest-virtual pages.

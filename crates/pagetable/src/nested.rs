@@ -1,5 +1,6 @@
 //! The nested page table: GPP → SPP, maintained by the hypervisor.
 
+use hatric_types::consts::RADIX_LEVELS;
 use hatric_types::{GuestFrame, SystemFrame, SystemPhysAddr};
 
 use crate::pte::Pte;
@@ -79,17 +80,26 @@ impl NestedPageTable {
         self.table.mark_used(gpp.number(), write)
     }
 
-    /// Full 4-level walk; each step is the system-physical address of the
+    /// Full 4-level walk, returned as a fixed-size array (no heap
+    /// allocation); each step is the system-physical address of the
     /// nested entry at levels 4..=1.
     #[must_use]
-    pub fn walk(&self, gpp: GuestFrame) -> Option<(Vec<(u8, SystemPhysAddr)>, SystemFrame)> {
+    pub fn walk(
+        &self,
+        gpp: GuestFrame,
+    ) -> Option<([(u8, SystemPhysAddr); RADIX_LEVELS], SystemFrame)> {
         self.table.walk(gpp.number()).map(|(refs, pte)| {
-            let steps = refs
-                .into_iter()
-                .map(|r| (r.level, SystemPhysAddr::new(r.entry_addr)))
-                .collect();
-            (steps, SystemFrame::new(pte.frame))
+            (
+                refs.map(|r| (r.level, SystemPhysAddr::new(r.entry_addr))),
+                SystemFrame::new(pte.frame),
+            )
         })
+    }
+
+    /// The table's radix tree, for the walk oracles in tests.
+    #[cfg(test)]
+    pub(crate) fn radix(&self) -> &RadixTable {
+        &self.table
     }
 
     /// Number of mapped guest-physical frames.

@@ -74,7 +74,7 @@ pub struct RadixTable {
 
 /// The address of one page-table entry visited during a walk, together with
 /// the entry's level (4 = root .. 1 = leaf).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EntryRef {
     /// Level of the node holding the entry (4 = root, 1 = leaf).
     pub level: u8,
@@ -244,10 +244,39 @@ impl RadixTable {
     }
 
     /// Performs a full 4-level walk for `page`, returning the address of the
-    /// entry visited at every level (root first) and the leaf translation.
-    /// Returns `None` if any level is missing.
+    /// entry visited at every level (root first, a fixed-size record with
+    /// no heap allocation) and the leaf translation.  Returns `None` if any
+    /// level is missing.
     #[must_use]
-    pub fn walk(&self, page: u64) -> Option<(Vec<EntryRef>, Pte)> {
+    pub fn walk(&self, page: u64) -> Option<([EntryRef; RADIX_LEVELS], Pte)> {
+        let mut refs = [EntryRef::default(); RADIX_LEVELS];
+        let mut node = self.root;
+        for (entry, level) in refs.iter_mut().zip((2..=RADIX_LEVELS as u8).rev()) {
+            let idx = Self::level_index(page, level);
+            *entry = EntryRef {
+                level,
+                entry_addr: self.nodes[node].slot_addr(idx),
+            };
+            match self.nodes[node].slots[idx] {
+                Slot::Table(next) => node = next,
+                _ => return None,
+            }
+        }
+        let leaf_idx = Self::level_index(page, 1);
+        refs[RADIX_LEVELS - 1] = EntryRef {
+            level: 1,
+            entry_addr: self.nodes[node].slot_addr(leaf_idx),
+        };
+        match self.nodes[node].slots[leaf_idx] {
+            Slot::Leaf(pte) if pte.is_present() => Some((refs, pte)),
+            _ => None,
+        }
+    }
+
+    /// The `Vec`-returning walk [`RadixTable::walk`] replaced, kept as the
+    /// oracle of the fixed-size record.
+    #[cfg(test)]
+    pub(crate) fn walk_vec(&self, page: u64) -> Option<(Vec<EntryRef>, Pte)> {
         let mut refs = Vec::with_capacity(RADIX_LEVELS);
         let mut node = self.root;
         for level in (2..=RADIX_LEVELS as u8).rev() {

@@ -37,7 +37,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -516,14 +515,19 @@ impl CounterTimeline {
 // ---------------------------------------------------------------------------
 
 /// The identity of one nested-PTE remap: the host slot of the VM whose
-/// hypervisor initiated it, and that VM's 1-based remap ordinal.
+/// hypervisor initiated it, and that VM's 1-based remap ordinal.  A fleet
+/// aggregate also records the index of the host the remap ran on (see
+/// [`CausalLedger::merge_from_host`]); the index is absent everywhere
+/// else.
 ///
 /// Ordinals count *per VM*, not globally: a VM's shard executes on
 /// exactly one worker per slice, so its ordinal sequence is identical for
 /// any thread count — which keeps attribution as deterministic as the
-/// counters it explains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// counters it explains.  Ids order by host index (absent first), then slot,
+/// then ordinal.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RemapId {
+    host: Option<u32>,
     /// Host slot of the initiating VM.
     pub slot: u32,
     /// 1-based ordinal among that VM's remaps.
@@ -534,12 +538,40 @@ impl RemapId {
     /// Builds the id of VM `slot`'s `ordinal`-th remap.
     #[must_use]
     pub fn new(slot: u32, ordinal: u64) -> Self {
-        Self { slot, ordinal }
+        Self {
+            host: None,
+            slot,
+            ordinal,
+        }
+    }
+
+    /// Index of the host the remap ran on, in a fleet aggregate.
+    #[must_use]
+    pub fn host(&self) -> Option<u32> {
+        self.host
     }
 }
 
+/// `RemapId { slot: .., ordinal: .. }`, with a leading `host` field only
+/// when the index is present, so host-less ids print as they always have.
+impl fmt::Debug for RemapId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("RemapId");
+        if let Some(host) = self.host {
+            d.field("host", &host);
+        }
+        d.field("slot", &self.slot)
+            .field("ordinal", &self.ordinal)
+            .finish()
+    }
+}
+
+/// `vm<slot>#<ordinal>`, prefixed `h<host>/` when the host index is present.
 impl fmt::Display for RemapId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(host) = self.host {
+            write!(f, "h{host}/")?;
+        }
         write!(f, "vm{}#{}", self.slot, self.ordinal)
     }
 }
@@ -574,11 +606,37 @@ impl CausalCost {
 ///
 /// Each VM owns one ledger covering the remaps *it* initiated; merging
 /// per-VM ledgers into a host aggregate never collides because every key
-/// carries its owner's slot.  The BTreeMap keeps iteration (and therefore
-/// `Debug` output and top-K selection tie-breaks) deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// carries its owner's slot, and merging host aggregates into a fleet
+/// aggregate goes through [`CausalLedger::merge_from_host`], which adds the
+/// host index.
+///
+/// The costs live in one vector sorted by id with no duplicates, so
+/// iteration (and therefore `Debug` output and top-K selection
+/// tie-breaks) is deterministic.  Remaps are charged mostly in creation
+/// order: a charge to the newest id compares with the last entry only and
+/// pushes or updates it, and an older id (a remote target charging an
+/// earlier remap of the same slice) is found by binary search and inserted
+/// if absent.  [`CausalLedger::merge`] is a linear two-way merge.  `Debug`
+/// prints the costs as a map, `CausalLedger { costs: {id: cost, ..} }`.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct CausalLedger {
-    costs: BTreeMap<RemapId, CausalCost>,
+    costs: Vec<(RemapId, CausalCost)>,
+}
+
+impl fmt::Debug for CausalLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Costs<'a>(&'a [(RemapId, CausalCost)]);
+        impl fmt::Debug for Costs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(id, cost)| (id, cost)))
+                    .finish()
+            }
+        }
+        f.debug_struct("CausalLedger")
+            .field("costs", &Costs(&self.costs))
+            .finish()
+    }
 }
 
 impl CausalLedger {
@@ -588,17 +646,38 @@ impl CausalLedger {
         Self::default()
     }
 
+    /// The cost entry of `remap`, created empty if absent.
+    fn entry(&mut self, remap: RemapId) -> &mut CausalCost {
+        let index = match self.costs.last() {
+            Some((last, _)) if *last == remap => self.costs.len() - 1,
+            Some((last, _)) if *last > remap => {
+                match self.costs.binary_search_by(|(id, _)| id.cmp(&remap)) {
+                    Ok(index) => index,
+                    Err(index) => {
+                        self.costs.insert(index, (remap, CausalCost::default()));
+                        index
+                    }
+                }
+            }
+            _ => {
+                self.costs.push((remap, CausalCost::default()));
+                self.costs.len() - 1
+            }
+        };
+        &mut self.costs[index].1
+    }
+
     /// Charges `remap` with one coherence target (a CPU it stalled);
     /// whether the stall hit another VM's occupant is charged separately
     /// via [`CausalLedger::charge_victim_cycles`].
     pub fn charge_target(&mut self, remap: RemapId) {
-        self.costs.entry(remap).or_default().targets += 1;
+        self.entry(remap).targets += 1;
     }
 
     /// Charges `remap` with `cycles` of victim stall: cycles a shootdown
     /// target burned on a CPU occupied by a *different* VM.
     pub fn charge_victim_cycles(&mut self, remap: RemapId, cycles: u64) {
-        self.costs.entry(remap).or_default().victim_cycles += cycles;
+        self.entry(remap).victim_cycles += cycles;
     }
 
     /// Charges `remap` with `entries` invalidated translation entries
@@ -606,15 +685,55 @@ impl CausalLedger {
     /// back-invalidations).
     pub fn charge_invalidations(&mut self, remap: RemapId, entries: u64) {
         if entries > 0 {
-            self.costs.entry(remap).or_default().invalidations += entries;
+            self.entry(remap).invalidations += entries;
         }
     }
 
     /// Accumulates `other` into `self`, merging costs of identical ids.
     pub fn merge(&mut self, other: &CausalLedger) {
-        for (id, cost) in &other.costs {
-            self.costs.entry(*id).or_default().merge(cost);
+        self.merge_sorted(other.costs.iter().copied());
+    }
+
+    /// Accumulates the ledger of fleet host `host` into `self` (a fleet
+    /// aggregate), tagging each of its ids with the host index so that
+    /// equal `(slot, ordinal)` ids from different hosts stay apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `other` already holds host-tagged ids.
+    pub fn merge_from_host(&mut self, host: u32, other: &CausalLedger) {
+        debug_assert!(
+            other.costs.iter().all(|(id, _)| id.host.is_none()),
+            "a host ledger's ids carry no host index"
+        );
+        self.merge_sorted(other.costs.iter().map(|&(id, cost)| {
+            (
+                RemapId {
+                    host: Some(host),
+                    ..id
+                },
+                cost,
+            )
+        }));
+    }
+
+    /// Two-way merge of `other`, which yields ids in ascending order.
+    fn merge_sorted(&mut self, other: impl ExactSizeIterator<Item = (RemapId, CausalCost)>) {
+        let capacity = self.costs.len() + other.len();
+        let mut mine = std::mem::replace(&mut self.costs, Vec::with_capacity(capacity))
+            .into_iter()
+            .peekable();
+        for (id, cost) in other {
+            while let Some(entry) = mine.next_if(|(m, _)| *m < id) {
+                self.costs.push(entry);
+            }
+            let mut merged = mine
+                .next_if(|(m, _)| *m == id)
+                .map_or_else(CausalCost::default, |(_, c)| c);
+            merged.merge(&cost);
+            self.costs.push((id, merged));
         }
+        self.costs.extend(mine);
     }
 
     /// Number of remaps with recorded costs.
@@ -636,14 +755,14 @@ impl CausalLedger {
 
     /// Iterates `(id, cost)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (&RemapId, &CausalCost)> {
-        self.costs.iter()
+        self.costs.iter().map(|(id, cost)| (id, cost))
     }
 
     /// The sum of all per-remap costs.
     #[must_use]
     pub fn total(&self) -> CausalCost {
         let mut total = CausalCost::default();
-        for cost in self.costs.values() {
+        for (_, cost) in &self.costs {
             total.merge(cost);
         }
         total
@@ -653,8 +772,7 @@ impl CausalLedger {
     /// first (ties broken by id order, so the ranking is deterministic).
     #[must_use]
     pub fn top_by_victim_cycles(&self, k: usize) -> Vec<(RemapId, CausalCost)> {
-        let mut ranked: Vec<(RemapId, CausalCost)> =
-            self.costs.iter().map(|(id, c)| (*id, *c)).collect();
+        let mut ranked = self.costs.clone();
         ranked.sort_by(|a, b| {
             b.1.victim_cycles
                 .cmp(&a.1.victim_cycles)
@@ -1071,5 +1189,194 @@ mod tests {
                 "serial_commit"
             ]
         );
+    }
+
+    /// The `BTreeMap` ledger [`CausalLedger`] replaced, kept as the oracle
+    /// of the flat representation (same type name, so `Debug` output can
+    /// be compared string for string).
+    mod reference {
+        use std::collections::BTreeMap;
+
+        use super::{CausalCost, RemapId};
+
+        #[derive(Debug, Default)]
+        pub struct CausalLedger {
+            pub costs: BTreeMap<RemapId, CausalCost>,
+        }
+
+        impl CausalLedger {
+            pub fn charge_target(&mut self, remap: RemapId) {
+                self.costs.entry(remap).or_default().targets += 1;
+            }
+
+            pub fn charge_victim_cycles(&mut self, remap: RemapId, cycles: u64) {
+                self.costs.entry(remap).or_default().victim_cycles += cycles;
+            }
+
+            pub fn charge_invalidations(&mut self, remap: RemapId, entries: u64) {
+                if entries > 0 {
+                    self.costs.entry(remap).or_default().invalidations += entries;
+                }
+            }
+
+            pub fn merge(&mut self, other: &CausalLedger) {
+                for (id, cost) in &other.costs {
+                    self.costs.entry(*id).or_default().merge(cost);
+                }
+            }
+
+            pub fn total(&self) -> CausalCost {
+                let mut total = CausalCost::default();
+                for cost in self.costs.values() {
+                    total.merge(cost);
+                }
+                total
+            }
+
+            pub fn top_by_victim_cycles(&self, k: usize) -> Vec<(RemapId, CausalCost)> {
+                let mut ranked: Vec<(RemapId, CausalCost)> =
+                    self.costs.iter().map(|(id, c)| (*id, *c)).collect();
+                ranked.sort_by(|a, b| {
+                    b.1.victim_cycles
+                        .cmp(&a.1.victim_cycles)
+                        .then(a.0.cmp(&b.0))
+                });
+                ranked.truncate(k);
+                ranked
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the differential tests.
+    fn split_mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Applies the same seeded, mostly-ascending, partly out-of-order
+    /// charges to both ledgers: each VM slot's ordinal creeps upwards, and
+    /// about one charge in four goes to an older remap of that slot.
+    fn charge_both(
+        seed: u64,
+        slots: u32,
+        charges: usize,
+        flat: &mut CausalLedger,
+        oracle: &mut reference::CausalLedger,
+    ) {
+        let mut rng = seed;
+        let mut newest = vec![1u64; slots as usize];
+        for _ in 0..charges {
+            let slot = (split_mix(&mut rng) % u64::from(slots)) as u32;
+            let r = split_mix(&mut rng);
+            if r.is_multiple_of(3) {
+                newest[slot as usize] += 1 + r % 2;
+            }
+            let ordinal = if r % 4 == 1 {
+                1 + split_mix(&mut rng) % newest[slot as usize]
+            } else {
+                newest[slot as usize]
+            };
+            let id = RemapId::new(slot, ordinal);
+            let amount = split_mix(&mut rng) % 5_000;
+            match split_mix(&mut rng) % 3 {
+                0 => {
+                    flat.charge_target(id);
+                    oracle.charge_target(id);
+                }
+                1 => {
+                    flat.charge_victim_cycles(id, amount);
+                    oracle.charge_victim_cycles(id, amount);
+                }
+                _ => {
+                    // Zero-entry charges are no-ops in both.
+                    flat.charge_invalidations(id, amount % 3);
+                    oracle.charge_invalidations(id, amount % 3);
+                }
+            }
+        }
+    }
+
+    fn assert_same(flat: &CausalLedger, oracle: &reference::CausalLedger, context: &str) {
+        let flat_entries: Vec<(RemapId, CausalCost)> = flat.iter().map(|(i, c)| (*i, *c)).collect();
+        let oracle_entries: Vec<(RemapId, CausalCost)> =
+            oracle.costs.iter().map(|(i, c)| (*i, *c)).collect();
+        assert_eq!(flat_entries, oracle_entries, "{context}: iter");
+        assert_eq!(flat.len(), oracle.costs.len(), "{context}: len");
+        assert_eq!(flat.total(), oracle.total(), "{context}: total");
+        for k in [0, 1, 3, 1_000] {
+            assert_eq!(
+                flat.top_by_victim_cycles(k),
+                oracle.top_by_victim_cycles(k),
+                "{context}: top {k}"
+            );
+        }
+        assert_eq!(
+            format!("{flat:?}"),
+            format!("{oracle:?}"),
+            "{context}: Debug"
+        );
+        assert_eq!(
+            format!("{flat:#?}"),
+            format!("{oracle:#?}"),
+            "{context}: Debug"
+        );
+    }
+
+    #[test]
+    fn flat_ledger_matches_the_btree_reference() {
+        for seed in 0..40u64 {
+            let mut flat = CausalLedger::new();
+            let mut oracle = reference::CausalLedger::default();
+            charge_both(seed, 3, 400, &mut flat, &mut oracle);
+            assert_same(&flat, &oracle, &format!("seed {seed}"));
+
+            // Merges of interleaved ledgers: overlapping slots and ordinals.
+            let mut other = CausalLedger::new();
+            let mut other_oracle = reference::CausalLedger::default();
+            charge_both(seed + 1_000, 4, 300, &mut other, &mut other_oracle);
+            flat.merge(&other);
+            oracle.merge(&other_oracle);
+            assert_same(&flat, &oracle, &format!("seed {seed} merged"));
+            // Merging into an empty ledger and merging an empty one.
+            let mut empty = CausalLedger::new();
+            empty.merge(&flat);
+            assert_eq!(empty, flat);
+            flat.merge(&CausalLedger::new());
+            assert_same(&flat, &oracle, &format!("seed {seed} merged empty"));
+        }
+    }
+
+    #[test]
+    fn host_merges_keep_equal_ids_of_different_hosts_apart() {
+        let mut hosts = [CausalLedger::new(), CausalLedger::new()];
+        for host in &mut hosts {
+            host.charge_victim_cycles(RemapId::new(0, 1), 10);
+            host.charge_target(RemapId::new(1, 2));
+        }
+        hosts[1].charge_victim_cycles(RemapId::new(0, 1), 5);
+        let mut fleet = CausalLedger::new();
+        for (index, host) in hosts.iter().enumerate() {
+            fleet.merge_from_host(index as u32, host);
+        }
+        assert_eq!(fleet.len(), 4, "one entry per (host, slot, ordinal)");
+        let top = fleet.top_by_victim_cycles(1);
+        assert_eq!(top[0].0.host(), Some(1));
+        assert_eq!(top[0].0.to_string(), "h1/vm0#1");
+        assert_eq!(
+            format!("{:?}", top[0].0),
+            "RemapId { host: 1, slot: 0, ordinal: 1 }"
+        );
+        // Host-less ids print exactly as before.
+        assert_eq!(RemapId::new(0, 1).to_string(), "vm0#1");
+        assert_eq!(
+            format!("{:?}", RemapId::new(0, 1)),
+            "RemapId { slot: 0, ordinal: 1 }"
+        );
+        // Host order first, then slot, then ordinal.
+        let ids: Vec<String> = fleet.iter().map(|(id, _)| id.to_string()).collect();
+        assert_eq!(ids, ["h0/vm0#1", "h0/vm1#2", "h1/vm0#1", "h1/vm1#2"]);
     }
 }

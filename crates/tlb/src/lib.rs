@@ -53,6 +53,6 @@ pub use ntlb::{NestedTlb, NestedTlbEntry};
 pub use set_assoc::SetAssoc;
 pub use structures::{
     DataLookup, InvalidationCounts, StructureSizes, TlbLevel, TranslationStatsSnapshot,
-    TranslationStructures, WalkAssist,
+    TranslationStructures, WalkAssist, WalkRefs,
 };
 pub use tlb::{Tlb, TlbConfig, TlbEntry};

@@ -2,7 +2,11 @@
 //! that decides which memory references of a two-dimensional walk can be
 //! skipped thanks to MMU-cache and nested-TLB hits.
 
+use core::fmt;
+use core::ops::Deref;
+
 use hatric_pagetable::{NestedWalkSegment, TwoDimWalk};
+use hatric_types::consts::TWO_DIM_WALK_REFS;
 use hatric_types::{
     AddressSpaceId, CoTag, GuestFrame, GuestVirtPage, RatioStat, SystemFrame, SystemPhysAddr, VmId,
 };
@@ -115,13 +119,73 @@ impl InvalidationCounts {
     }
 }
 
+/// The system-physical addresses a walk reads, in order: an inline buffer
+/// of up to [`TWO_DIM_WALK_REFS`] addresses with a length, read as a slice
+/// (it derefs to `[SystemPhysAddr]`), so servicing a miss never touches
+/// the heap.
+#[derive(Clone, Copy)]
+pub struct WalkRefs {
+    addrs: [SystemPhysAddr; TWO_DIM_WALK_REFS],
+    len: usize,
+}
+
+impl WalkRefs {
+    fn new() -> Self {
+        Self {
+            addrs: [SystemPhysAddr::default(); TWO_DIM_WALK_REFS],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, addr: SystemPhysAddr) {
+        self.addrs[self.len] = addr;
+        self.len += 1;
+    }
+
+    fn extend_from_slice(&mut self, addrs: &[SystemPhysAddr]) {
+        self.addrs[self.len..self.len + addrs.len()].copy_from_slice(addrs);
+        self.len += addrs.len();
+    }
+
+    /// The addresses in walk order.
+    #[must_use]
+    pub fn as_slice(&self) -> &[SystemPhysAddr] {
+        &self.addrs[..self.len]
+    }
+}
+
+impl Deref for WalkRefs {
+    type Target = [SystemPhysAddr];
+
+    fn deref(&self) -> &[SystemPhysAddr] {
+        self.as_slice()
+    }
+}
+
+/// Compares the addresses, not the unused tail of the buffer.
+impl PartialEq for WalkRefs {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for WalkRefs {}
+
+/// Prints the addresses as a list, as a `Vec` would.
+impl fmt::Debug for WalkRefs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// The plan for servicing a TLB miss: which memory references of the full
 /// two-dimensional walk must actually be performed given current MMU-cache
 /// and nested-TLB contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalkAssist {
-    /// System-physical addresses the walker must read, in order.
-    pub refs: Vec<SystemPhysAddr>,
+    /// System-physical addresses the walker must read, in order (inline,
+    /// at most [`TWO_DIM_WALK_REFS`]).
+    pub refs: WalkRefs,
     /// The MMU-cache hit level (2..=4) if any.
     pub psc_hit_level: Option<u8>,
     /// Nested-TLB hits during this walk.
@@ -320,7 +384,7 @@ impl TranslationStructures {
         &mut self,
         vm: VmId,
         segment: &NestedWalkSegment,
-        refs: &mut Vec<SystemPhysAddr>,
+        refs: &mut WalkRefs,
         hits: &mut u32,
         misses: &mut u32,
     ) {
@@ -328,7 +392,7 @@ impl TranslationStructures {
             *hits += 1;
         } else {
             *misses += 1;
-            refs.extend(segment.step_addrs.iter().copied());
+            refs.extend_from_slice(&segment.step_addrs);
             self.ntlb.fill(
                 vm,
                 segment.gpp,
@@ -356,7 +420,7 @@ impl TranslationStructures {
         walk: &TwoDimWalk,
         accessed_bit_was_clear: bool,
     ) -> WalkAssist {
-        let mut refs = Vec::with_capacity(walk.memory_references());
+        let mut refs = WalkRefs::new();
         let mut ntlb_hits = 0;
         let mut ntlb_misses = 0;
 
@@ -515,6 +579,94 @@ impl TranslationStructures {
     /// full path (hash, set scan) as if no earlier call had been made.
     fn forget_last(&mut self) {
         self.last = LastTranslation::new(TlbKey::default());
+    }
+}
+
+#[cfg(test)]
+impl TranslationStructures {
+    /// The `Vec`-based [`TranslationStructures::service_miss`] the inline
+    /// [`WalkRefs`] buffer replaced, kept as its oracle.  Returns the refs,
+    /// the MMU-cache hit level and the nTLB hits and misses.
+    fn service_miss_vec(
+        &mut self,
+        vm: VmId,
+        asid: AddressSpaceId,
+        walk: &TwoDimWalk,
+    ) -> (Vec<SystemPhysAddr>, Option<u8>, u32, u32) {
+        fn translate(
+            ts: &mut TranslationStructures,
+            vm: VmId,
+            segment: &NestedWalkSegment,
+            refs: &mut Vec<SystemPhysAddr>,
+            hits: &mut u32,
+            misses: &mut u32,
+        ) {
+            if ts.ntlb.lookup(vm, segment.gpp).is_some() {
+                *hits += 1;
+            } else {
+                *misses += 1;
+                refs.extend(segment.step_addrs.iter().copied());
+                let cotag = ts.cotag(segment.leaf_pte_addr());
+                ts.ntlb.fill(
+                    vm,
+                    segment.gpp,
+                    NestedTlbEntry {
+                        spp: segment.spp,
+                        cotag,
+                    },
+                );
+            }
+        }
+        let mut refs = Vec::with_capacity(walk.memory_references());
+        let (mut hits, mut misses) = (0, 0);
+        let psc_hit = self.mmu.lookup_longest(vm, asid, walk.gvp);
+        let start_level = psc_hit.map_or(4, |h| h.level - 1);
+        for step in &walk.guest_steps {
+            if step.level > start_level {
+                continue;
+            }
+            if !(psc_hit.is_some() && step.level == start_level) {
+                translate(
+                    self,
+                    vm,
+                    &step.table_segment,
+                    &mut refs,
+                    &mut hits,
+                    &mut misses,
+                );
+            }
+            refs.push(step.guest_pte_addr);
+        }
+        translate(
+            self,
+            vm,
+            &walk.data_segment,
+            &mut refs,
+            &mut hits,
+            &mut misses,
+        );
+        for pair in walk.guest_steps.windows(2) {
+            let (step, next) = (&pair[0], &pair[1]);
+            let entry = MmuCacheEntry {
+                node_spp: next.table_segment.spp,
+                nested_cotag: self.cotag(next.table_segment.leaf_pte_addr()),
+                guest_cotag: self.cotag(step.guest_pte_addr),
+            };
+            self.mmu.fill(vm, asid, walk.gvp, step.level, entry);
+        }
+        let key = TlbKey {
+            vm,
+            asid,
+            gvp: walk.gvp,
+        };
+        self.fill(
+            key,
+            walk.spp,
+            walk.nested_leaf_pte_addr(),
+            Some(walk.guest_leaf_pte_addr()),
+            Some(walk.gpp),
+        );
+        (refs, psc_hit.map(|h| h.level), hits, misses)
     }
 }
 
@@ -804,6 +956,63 @@ mod tests {
         assert!(
             repeat_l1_hits > 4000,
             "only {repeat_l1_hits} repeat L1 hits"
+        );
+    }
+
+    /// The inline refs buffer against the `Vec`-based walk plan: seeded
+    /// misses of two VMs' pages on small structures (so MMU-cache and nTLB
+    /// hits and misses mix), with co-tag invalidations in between.  Every
+    /// plan and the structures' state afterwards must agree.
+    #[test]
+    fn inline_refs_match_the_vec_walk_plan() {
+        let walks = [vm_walks(0), vm_walks(1)];
+        let mut refs_seen = [0usize; TWO_DIM_WALK_REFS + 1];
+        for seed in 0..8 {
+            let mut rng = SimRng::new(0x7e5f_0000 + seed);
+            let mut inline = TranslationStructures::new(&small_sizes(), 2);
+            let mut reference = inline.clone();
+            for _ in 0..1500 {
+                let vm = rng.below(2);
+                let walk = &walks[vm as usize][rng.below(PAGES) as usize];
+                let (vm, asid) = (
+                    VmId::new(vm as u32),
+                    AddressSpaceId::new(rng.below(2) as u32),
+                );
+                if rng.chance(0.15) {
+                    let cotag =
+                        CoTag::from_pte_addr(walk.guest_steps[3].table_segment.leaf_pte_addr(), 2);
+                    assert_eq!(
+                        inline.invalidate_cotag(cotag),
+                        reference.invalidate_cotag(cotag)
+                    );
+                    continue;
+                }
+                let accessed = rng.chance(0.5);
+                let got = inline.service_miss(vm, asid, walk, accessed);
+                let (refs, psc_hit_level, ntlb_hits, ntlb_misses) =
+                    reference.service_miss_vec(vm, asid, walk);
+                assert_eq!(got.refs.as_slice(), refs.as_slice());
+                assert_eq!(format!("{:?}", got.refs), format!("{refs:?}"));
+                assert_eq!(got.memory_references(), refs.len());
+                assert_eq!(
+                    (
+                        got.psc_hit_level,
+                        got.ntlb_hits,
+                        got.ntlb_misses,
+                        got.sets_accessed_bit
+                    ),
+                    (psc_hit_level, ntlb_hits, ntlb_misses, accessed)
+                );
+                assert_eq!(inline.stats(), reference.stats());
+                assert_eq!(inline.occupancy(), reference.occupancy());
+                refs_seen[refs.len()] += 1;
+            }
+        }
+        // Full walks, PSC-shortened walks and nTLB-shortened walks all occur.
+        assert!(refs_seen[TWO_DIM_WALK_REFS] > 0, "{refs_seen:?}");
+        assert!(
+            refs_seen.iter().filter(|&&n| n > 0).count() >= 4,
+            "{refs_seen:?}"
         );
     }
 

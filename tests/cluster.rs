@@ -189,6 +189,29 @@ fn cluster_aggregates_reconcile_exactly_with_per_host_reports() {
         sum(&|h| h.migration.stalled_slices)
     );
 
+    // The causal ledger keeps every host's remaps apart: `RemapId`s repeat
+    // across hosts (same slot, same ordinal), so the aggregate tags each
+    // with its host and holds exactly one entry per host entry.
+    assert_eq!(
+        report.aggregate.causal.len() as u64,
+        sum(&|h| h.host.causal.len() as u64)
+    );
+    assert_eq!(
+        report.aggregate.causal.total().victim_cycles,
+        sum(&|h| h.host.causal.total().victim_cycles)
+    );
+    let (top, cost) = report.aggregate.causal.top_by_victim_cycles(1)[0];
+    assert!(cost.victim_cycles > 0, "software shootdowns stall victims");
+    let host = top.host().expect("a fleet remap names its host") as usize;
+    assert!(top.to_string().starts_with(&format!("h{host}/vm")), "{top}");
+    let own = report.per_host[host]
+        .host
+        .causal
+        .iter()
+        .find(|(id, _)| (id.slot, id.ordinal) == (top.slot, top.ordinal))
+        .map(|(_, c)| *c);
+    assert_eq!(own, Some(cost), "the top remap's cost is its host's");
+
     // The fleet's cycle vector is the per-host concatenation in host order.
     let concatenated: Vec<u64> = report
         .per_host
