@@ -9,8 +9,8 @@
 //! the `scenarios diff` observatory exposes
 //! ([`hatric_host::diff::diff_reports`] with [`DiffOptions::gate`]):
 //!
-//! * no gated metric may regress by more than 10% on any
-//!   (config, mechanism) row.
+//! * every gated metric on every (config, mechanism) row must equal its
+//!   baseline exactly — drift in either direction fails.
 //!
 //! The NUMA scenario additionally asserts its headline claim while it runs
 //! (HATRIC victim slowdown ≤ software's in every configuration, gap
@@ -18,9 +18,10 @@
 //! that breaks the claim aborts the gate outright.
 //!
 //! The simulator is bit-deterministic for a fixed seed, so on an unchanged
-//! tree the fresh numbers equal the baselines exactly; the 10% headroom is
-//! for intentional model changes, which must re-commit the JSON files when
-//! they move a metric past it.  The gate fails closed: a fresh row with no
+//! tree the fresh numbers equal the baselines exactly.  The fresh report
+//! is compared after a round trip through its JSON form, at the precision
+//! the baselines are written in.  A change that moves a gated number on
+//! purpose must re-commit the baseline.  The gate fails closed: a fresh row with no
 //! committed baseline (missing/corrupt JSON, renamed sweep point) is an
 //! error too — regenerate the baseline with
 //! `scenarios run <name> --scale bench --json BENCH_<stem>.json` and
@@ -31,9 +32,6 @@
 use hatric_bench::baseline_path;
 use hatric_host::diff::{diff_reports, DiffOptions, MetricDelta};
 use hatric_host::scenario::{registry, Params, Scale, ScenarioReport};
-
-/// Allowed relative regression before the gate fails.
-const TOLERANCE: f64 = 0.10;
 
 /// The parallel slice engine's determinism contract, enforced on the
 /// freshly collected `host_scale` report: rows that differ only in their
@@ -87,6 +85,9 @@ fn main() {
         if scenario.name() == "host_scale" {
             thread_drift += check_thread_determinism(&report);
         }
+        // Compare at the precision the baselines are written in.
+        let report = ScenarioReport::from_json(scenario.name(), &report.to_json())
+            .expect("a fresh report parses back from its own JSON");
         let baseline = std::fs::read_to_string(&path)
             .map_err(|err| eprintln!("bench_check: cannot read baseline {path}: {err}"))
             .ok()
@@ -107,13 +108,12 @@ fn main() {
             continue;
         };
         // The same engine `scenarios diff` runs, in gate mode: baseline as
-        // run A, the fresh report as run B, smaller-is-better on exactly
-        // the gated metrics.
+        // run A, the fresh report as run B, exact on the gated metrics.
         let diff = diff_reports(
             &baseline,
             &report,
             scenario.gated_metrics(),
-            DiffOptions::gate(TOLERANCE),
+            DiffOptions::gate(0.0),
         );
         deltas.extend(
             diff.deltas
@@ -136,16 +136,16 @@ fn main() {
     }
 
     // ----- verdict ---------------------------------------------------------
-    let mut regressions = 0;
+    let mut drifted = 0;
     for (scenario, delta) in &deltas {
         let verdict = if delta.regressed {
-            regressions += 1;
-            "REGRESSED"
+            drifted += 1;
+            "DRIFTED"
         } else {
             "ok"
         };
         println!(
-            "{verdict:>9}  {:<72} baseline {:>14.3}  current {:>14.3}  ({:+.1}%)",
+            "{verdict:>9}  {:<72} baseline {:>16.6}  current {:>16.6}  ({:+.1}%)",
             format!("{scenario}/{} {}", delta.row, delta.metric),
             delta.a,
             delta.b,
@@ -180,17 +180,15 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if regressions > 0 {
+    if drifted > 0 {
         eprintln!(
-            "bench_check: {regressions} metric(s) regressed beyond {:.0}% — \
-             investigate, or re-commit the baselines if the change is intended",
-            TOLERANCE * 100.0
+            "bench_check: {drifted} metric(s) differ from their committed baselines — \
+             investigate, or re-commit the baselines if the change is intended"
         );
         std::process::exit(1);
     }
     println!(
-        "bench_check: {} metrics within {:.0}% of committed baselines",
-        deltas.len(),
-        TOLERANCE * 100.0
+        "bench_check: {} metrics equal their committed baselines",
+        deltas.len()
     );
 }

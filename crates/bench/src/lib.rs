@@ -1,8 +1,5 @@
 //! The benchmark harness: the `bench_check` regression gate over the
-//! committed `BENCH_*.json` baselines, one registry-driven bench that times
-//! a smoke run of every scenario (`benches/scenarios.rs`), and micro
-//! benches of the translation-coherence critical path
-//! (`benches/micro_coherence_costs.rs`).
+//! committed `BENCH_*.json` baselines.
 //!
 //! A baseline is regenerated by the scenarios CLI alone —
 //! `scenarios run <name> --scale bench --json BENCH_<stem>.json` — and

@@ -9,14 +9,18 @@
 //!    placements run on (translation structures, private L1/L2 pair, cycle
 //!    counter), and sees everything shared — LLC + directory, DRAM devices,
 //!    the occupancy table — as a *frozen* slice-start snapshot
-//!    (`SliceShared`).  Every shared-state consequence is appended to the
-//!    unit's `Effect` log instead of being applied.  Because a unit's
-//!    simulation is a pure function of (slice-start state, unit state),
-//!    units can run on any number of OS threads in any order.
+//!    (`SliceShared`).  Each access runs the one pipeline of
+//!    `crate::pipeline` through this module's unit backend (`UnitTask`), which
+//!    appends every shared-state consequence to the unit's `Effect` log
+//!    instead of applying it.  Because a unit's simulation is a pure
+//!    function of (slice-start state, unit state), units can run on any
+//!    number of OS threads in any order.
 //! 2. **Commit** — at the slice barrier, one thread replays every unit's
 //!    effect log in canonical `(vm slot, emission order)` sequence:
-//!    LLC/directory ops, DRAM bookings, dirty-page observations, cross-CPU
-//!    coherence work and interference charging, energy tallies.
+//!    LLC/directory ops, DRAM bookings, dirty-page observations, energy
+//!    tallies, and the coherence targets and directory back-invalidations
+//!    on other units' CPUs — those two through the serial backend's
+//!    pipeline functions, the same ones [`Platform::step`] runs.
 //!
 //! The result is **bit-identical for any thread count** — `threads = 1`
 //! and `threads = N` produce byte-identical reports — which the
@@ -35,27 +39,21 @@
 
 use std::time::Instant;
 
-use hatric_cache::{CacheStatsDelta, HitLevel, PrivatePair, SharedCache, SharedCacheOp};
-use hatric_coherence::{
-    CoherenceCosts, CoherenceMechanism, DesignVariant, RemapContext, TargetAction,
-    TranslationCoherence,
+use hatric_cache::{
+    BackInvalidation, CacheStatsDelta, PrivatePair, PtKind, SharedCache, SharedCacheOp, SharerSet,
 };
+use hatric_coherence::TranslationCoherence;
 use hatric_energy::{EnergyEvent, EnergyTally};
-use hatric_hypervisor::{NumaPolicy, Placement};
-use hatric_memory::{DramPending, MemoryBooking, MemoryKind, MemorySystem, NumaConfig};
-use hatric_pagetable::TwoDimWalker;
-use hatric_telemetry::{track, EnginePhase, PhaseProfiler, PhaseTotals, RemapId, TraceEvent};
-use hatric_tlb::{TlbLevel, TranslationStructures};
-use hatric_types::{
-    CacheLineAddr, CoTag, CpuId, GuestFrame, GuestVirtPage, PageSize, SocketId, SystemFrame,
-    SystemPhysAddr, VcpuId,
-};
-use hatric_workloads::Access;
+use hatric_hypervisor::Placement;
+use hatric_memory::{AccessCost, DramPending, MemoryBooking, MemoryKind, MemorySystem};
+use hatric_telemetry::{EnginePhase, PhaseProfiler, PhaseTotals, RemapId, TraceEvent};
+use hatric_tlb::TranslationStructures;
+use hatric_types::{CacheLineAddr, CpuId, GuestFrame, SocketId, SystemFrame, VcpuId};
 
-use crate::config::LatencyConfig;
 use crate::driver::WorkloadDriver;
-use crate::platform::{remap_span_name, Platform};
-use crate::vm_instance::{VmInstance, GUEST_PT_GPP_BASE};
+use crate::pipeline::{self, Backend, CacheAccess, Params, TargetWork};
+use crate::platform::{Platform, Serial};
+use crate::vm_instance::VmInstance;
 
 // ---------------------------------------------------------------------------
 // The persistent fork-join worker pool
@@ -239,7 +237,7 @@ impl FramePool {
     }
 
     /// Takes a frame of `kind`, preferring `preferred` and spilling to the
-    /// other sockets in ascending wrap-around order (mirroring
+    /// other sockets in ascending wrap-around order (the order of
     /// [`MemorySystem::allocate_on`]).  Returns the frame and the socket it
     /// actually came from.
     fn take(&mut self, kind: MemoryKind, preferred: SocketId) -> Option<(SystemFrame, SocketId)> {
@@ -340,22 +338,6 @@ impl EngineState {
 // Effects
 // ---------------------------------------------------------------------------
 
-/// Deferred translation-coherence work on a physical CPU another unit owns.
-#[derive(Debug, Clone, Copy)]
-struct RemoteTarget {
-    cpu: CpuId,
-    action: TargetAction,
-    vm_exit: bool,
-    disruptive: bool,
-    cycles: u64,
-    cotag: CoTag,
-    line: CacheLineAddr,
-    /// The initiating VM's remap ordinal — carried so the commit phase can
-    /// charge this target's disruption to the causing remap's
-    /// [`hatric_telemetry::RemapId`].
-    remap_ordinal: u64,
-}
-
 /// One deferred shared-state mutation, applied at the slice barrier.
 #[derive(Debug, Clone, Copy)]
 enum Effect {
@@ -365,8 +347,8 @@ enum Effect {
     Mem(MemoryBooking),
     /// A guest write observed for dirty-page tracking.
     Observe { gpp: GuestFrame },
-    /// Cross-CPU coherence work (flush/invalidate + charging).
-    Remote(RemoteTarget),
+    /// Coherence work on a physical CPU another unit owns.
+    Remote(TargetWork),
 }
 
 /// Everything one unit's simulate phase produced.
@@ -422,12 +404,7 @@ impl UnitEffects {
 /// The slice-start snapshot of everything shared, immutably borrowed by all
 /// simulate workers.
 struct SliceShared<'a> {
-    latencies: LatencyConfig,
-    costs: CoherenceCosts,
-    cotag_bytes: u8,
-    variant: DesignVariant,
-    numa: &'a NumaConfig,
-    numa_policy: NumaPolicy,
+    params: &'a Params,
     memory: &'a MemorySystem,
     cache: &'a SharedCache,
     /// Physical CPUs executing any guest this slice (ascending).
@@ -437,32 +414,6 @@ struct SliceShared<'a> {
     /// Whether a trace sink is installed on the platform (units buffer
     /// spans only when it is, so tracing off allocates nothing).
     tracing: bool,
-    mechanism: CoherenceMechanism,
-    num_cpus: usize,
-}
-
-impl SliceShared<'_> {
-    fn socket_of_cpu(&self, cpu: CpuId) -> SocketId {
-        let cpus_per_socket = self.num_cpus / self.numa.sockets;
-        SocketId::new((cpu.index() / cpus_per_socket) as u32)
-    }
-
-    /// Mirror of `Platform::remap_distance_extra` over the frozen view.
-    fn remap_distance_extra(
-        &self,
-        initiator_socket: SocketId,
-        target_cpu: CpuId,
-        disruptive: bool,
-        does_work: bool,
-    ) -> (bool, u64) {
-        let cross_socket = does_work && self.socket_of_cpu(target_cpu) != initiator_socket;
-        let extra = match (cross_socket, disruptive) {
-            (false, _) => 0,
-            (true, true) => self.numa.remote_shootdown_extra_cycles,
-            (true, false) => self.numa.remote_hw_message_extra_cycles,
-        };
-        (cross_socket, extra)
-    }
 }
 
 /// One physical CPU a unit owns for the slice.
@@ -475,8 +426,15 @@ struct UnitCpu<'a> {
 }
 
 /// One unit of simulation: a VM slot plus everything it exclusively owns
-/// this slice.
+/// this slice, and the pipeline's unit backend.
+///
+/// As a backend, each shared-state consequence is predicted against the
+/// frozen snapshot and logged in the unit's [`Effect`] log for the commit
+/// barrier; frames come from and return to the VM's own [`FramePool`];
+/// coherence targets on CPUs other units own are deferred to the barrier.
+/// A CPU is named by its index in the unit's placement order.
 struct UnitTask<'a> {
+    shared: &'a SliceShared<'a>,
     slot: usize,
     vm: &'a mut VmInstance,
     driver: &'a mut WorkloadDriver,
@@ -485,33 +443,15 @@ struct UnitTask<'a> {
     pool: &'a mut FramePool,
     pending: &'a mut DramPending,
     interleave: &'a mut usize,
-}
-
-impl UnitTask<'_> {
-    fn local_index(&self, cpu: CpuId) -> Option<usize> {
-        self.cpus.iter().position(|c| c.cpu == cpu)
-    }
-}
-
-/// Charges `cycles` to the unit's `p`-th CPU and the vCPU placed on it (the
-/// unit-owned equivalent of `Platform::charge_occupant`).
-fn charge(task: &mut UnitTask<'_>, p: usize, cycles: u64) {
-    *task.cpus[p].cycles += cycles;
-    let vcpu = task.cpus[p].vcpu;
-    task.vm.charge(vcpu, cycles);
+    out: UnitEffects,
 }
 
 // ---------------------------------------------------------------------------
 // The simulate phase (one unit)
 // ---------------------------------------------------------------------------
 
-fn simulate_unit(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    slice_accesses: u64,
-    mut out: UnitEffects,
-) -> UnitEffects {
-    out.reset(task.slot);
+fn simulate_unit(mut task: UnitTask<'_>, slice_accesses: u64) -> UnitEffects {
+    task.out.reset(task.slot);
     for p in 0..task.cpus.len() {
         let thread = task.cpus[p].vcpu.index();
         for _ in 0..slice_accesses {
@@ -520,671 +460,185 @@ fn simulate_unit(
                 .vm
                 .vm()
                 .address_space(task.driver.address_space_index(thread));
-            unit_step(shared, task, &mut out, p, asid, access);
+            pipeline::step(&mut task, p, asid, access);
         }
     }
-    out
+    task.out
 }
 
-/// The unit-side mirror of [`Platform::step`].
-fn unit_step(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    out: &mut UnitEffects,
-    p: usize,
-    asid: hatric_types::AddressSpaceId,
-    access: Access,
-) {
-    task.vm.count_access();
-    charge(task, p, u64::from(access.compute_cycles));
-    let vm_id = task.vm.id();
-    let gvp = access.gvp;
+impl Backend for UnitTask<'_> {
+    type Cpu = usize;
 
-    out.energy.record(EnergyEvent::TlbLookup, 1);
-    let lookup = task.cpus[p].structures.lookup_data(vm_id, asid, gvp);
-    if let Some(hit) = lookup {
-        let extra = match hit.level {
-            TlbLevel::L1 => 0,
-            TlbLevel::L2 => shared.latencies.l2_tlb_hit_extra,
-        };
-        charge(task, p, extra);
-        let needs_gpp = task.vm.paging_enabled() || (access.is_write && shared.observer_present);
-        if needs_gpp {
-            // A walked entry carries its guest frame; a bare-metal fill, or
-            // an L1 victim from another VM filed under this VM's key, does not.
-            let translate = || task.vm.guest_page_table().translate(gvp);
-            debug_assert!(hit.gpp.is_none_or(|gpp| Some(gpp) == translate()));
-            if let Some(gpp) = hit.gpp.or_else(translate) {
-                if task.vm.paging_enabled() {
-                    task.vm.paging_mut().on_fast_access(gpp);
-                }
-                if access.is_write && shared.observer_present {
-                    out.effects.push(Effect::Observe { gpp });
-                }
-            }
-        }
-        unit_data_access(
-            shared,
-            task,
-            out,
-            p,
-            hit.spp,
-            access.line_in_page,
-            access.is_write,
-        );
-        return;
+    fn params(&self) -> &Params {
+        self.shared.params
     }
 
-    // TLB miss: make sure the page is mapped, resident where the
-    // hypervisor wants it, then walk.
-    out.energy.record(EnergyEvent::MmuCacheLookup, 1);
-    out.energy.record(EnergyEvent::NtlbLookup, 1);
-    let gpp = unit_ensure_guest_mapping(shared, task, p, gvp);
-    unit_ensure_nested_mapping(shared, task, p, gpp);
-    if access.is_write && shared.observer_present {
-        out.effects.push(Effect::Observe { gpp });
+    fn memory(&self) -> &MemorySystem {
+        self.shared.memory
     }
 
-    if task.vm.paging_enabled() {
-        if task.vm.paging().is_resident(gpp) {
-            task.vm.paging_mut().on_fast_access(gpp);
-        } else if current_kind(shared, task.vm, gpp) == Some(MemoryKind::OffChip) {
-            unit_handle_demand_fault(shared, task, out, p, gpp);
-        }
+    fn protocol(&self) -> &dyn TranslationCoherence {
+        self.shared.protocol
     }
 
-    let walk =
-        match TwoDimWalker::walk(gvp, task.vm.guest_page_table(), task.vm.nested_page_table()) {
-            Ok(walk) => walk,
-            Err(_) => return,
-        };
-    let accessed_clear = task
-        .vm
-        .nested_pt_mut()
-        .mark_used(gpp, access.is_write)
-        .unwrap_or(false);
-    if accessed_clear {
-        // The walker informs the directory that this line now feeds
-        // translation structures (Sec. 4.2) — a shared-level op.
-        out.effects.push(Effect::Cache(SharedCacheOp::MarkPt {
-            line: walk.nested_leaf_pte_addr().cache_line(),
-            kind: hatric_cache::PtKind::Nested,
-        }));
-        out.effects.push(Effect::Cache(SharedCacheOp::MarkPt {
-            line: walk.guest_leaf_pte_addr().cache_line(),
-            kind: hatric_cache::PtKind::Guest,
-        }));
-        out.energy.record(EnergyEvent::DirectoryAccess, 1);
+    fn running_guest(&self) -> Vec<CpuId> {
+        self.shared.occupied.clone()
     }
-    let assist = task.cpus[p]
-        .structures
-        .service_miss(vm_id, asid, &walk, accessed_clear);
-    out.energy
-        .record(EnergyEvent::PageWalkStep, assist.refs.len() as u64);
-    let walk_start = *task.cpus[p].cycles;
-    for &addr in assist.refs.iter() {
-        let sim = sim_read(shared, task, out, p, addr.cache_line());
-        unit_charge_read(shared, task, out, p, addr, sim.level);
+
+    fn slot(&self) -> usize {
+        self.vm.slot()
     }
-    let walk_cycles = *task.cpus[p].cycles - walk_start;
-    task.vm.latency_mut().walk.record(walk_cycles);
 
-    unit_data_access(
-        shared,
-        task,
-        out,
-        p,
-        walk.spp,
-        access.line_in_page,
-        access.is_write,
-    );
-}
-
-fn sim_read(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    out: &mut UnitEffects,
-    p: usize,
-    line: CacheLineAddr,
-) -> hatric_cache::SimAccess {
-    let cpu = task.cpus[p].cpu;
-    let sim = task.cpus[p].pair.simulate_read(
-        shared.cache,
-        cpu,
-        line,
-        &mut out.scratch,
-        &mut out.cache_stats,
-    );
-    out.flush_scratch();
-    sim
-}
-
-fn sim_write(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    out: &mut UnitEffects,
-    p: usize,
-    line: CacheLineAddr,
-) -> hatric_cache::SimWrite {
-    let cpu = task.cpus[p].cpu;
-    let sim = task.cpus[p].pair.simulate_write(
-        shared.cache,
-        cpu,
-        line,
-        &mut out.scratch,
-        &mut out.cache_stats,
-    );
-    out.flush_scratch();
-    sim
-}
-
-fn unit_data_access(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    out: &mut UnitEffects,
-    p: usize,
-    spp: SystemFrame,
-    line_in_page: u8,
-    is_write: bool,
-) {
-    let addr = spp.addr_at(u64::from(line_in_page) * 64);
-    let line = addr.cache_line();
-    if is_write {
-        let w = sim_write(shared, task, out, p, line);
-        unit_charge_read(shared, task, out, p, addr, w.level);
-        out.energy.record(
-            EnergyEvent::CoherenceMessage,
-            u64::from(w.invalidated_sharers.count()),
-        );
-        // Ordinary data writes never hit page-table lines (workload data
-        // regions and page-table frames are disjoint), so no translation
-        // coherence is needed here.
-    } else {
-        let r = sim_read(shared, task, out, p, line);
-        unit_charge_read(shared, task, out, p, addr, r.level);
+    fn vm(&mut self) -> &mut VmInstance {
+        self.vm
     }
-}
 
-/// The unit-side mirror of `Platform::charge_read`: charges the predicted
-/// latency of one cache access.  Back-invalidations are produced — and
-/// handled — at commit time by the op replay.
-fn unit_charge_read(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    out: &mut UnitEffects,
-    p: usize,
-    addr: SystemPhysAddr,
-    level: HitLevel,
-) {
-    let lat = &shared.latencies;
-    let cycles = match level {
-        HitLevel::L1 => {
-            out.energy.record(EnergyEvent::L1Access, 1);
-            lat.l1_hit
-        }
-        HitLevel::L2 => {
-            out.energy.record(EnergyEvent::L2Access, 1);
-            lat.l2_hit
-        }
-        HitLevel::Llc => {
-            out.energy.record(EnergyEvent::LlcAccess, 1);
-            out.energy.record(EnergyEvent::DirectoryAccess, 1);
-            lat.llc_hit
-        }
-        HitLevel::Memory => {
-            out.energy.record(EnergyEvent::LlcAccess, 1);
-            out.energy.record(EnergyEvent::DirectoryAccess, 1);
-            let frame = addr.frame(PageSize::Base);
-            let kind = shared.memory.kind_of(frame);
-            out.energy.record(
-                match kind {
-                    MemoryKind::DieStacked => EnergyEvent::DramAccessFast,
-                    MemoryKind::OffChip => EnergyEvent::DramAccessSlow,
-                },
-                1,
-            );
-            let cpu_socket = shared.socket_of_cpu(task.cpus[p].cpu);
-            let numa = task.vm.numa_mut();
-            if shared.memory.is_remote(frame, cpu_socket) {
-                numa.remote_dram_accesses += 1;
-            } else {
-                numa.local_dram_accesses += 1;
-            }
-            let now = *task.cpus[p].cycles;
-            let cost = shared
-                .memory
-                .plan_access_detail(frame, cpu_socket, now, task.pending);
-            task.vm.latency_mut().dram_queue.record(cost.queueing);
-            out.effects.push(Effect::Mem(MemoryBooking::Access {
-                frame,
-                stream: task.slot,
-                from_socket: cpu_socket,
-                now,
-            }));
-            lat.llc_hit + cost.total
-        }
-    };
-    charge(task, p, cycles);
-}
-
-// ----- mapping management (unit side) --------------------------------------
-
-fn current_kind(shared: &SliceShared<'_>, vm: &VmInstance, gpp: GuestFrame) -> Option<MemoryKind> {
-    vm.nested_page_table()
-        .translate(gpp)
-        .map(|spp| shared.memory.kind_of(spp))
-}
-
-fn unit_ensure_guest_mapping(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    p: usize,
-    gvp: GuestVirtPage,
-) -> GuestFrame {
-    if let Some(gpp) = task.vm.guest_page_table().translate(gvp) {
-        return gpp;
+    fn cpu_id(&self, p: usize) -> CpuId {
+        self.cpus[p].cpu
     }
-    let gpp = GuestFrame::new(gvp.number());
-    let outcome = task.vm.guest_pt_mut().map(gvp, gpp);
-    // Give every new guest page-table node a nested mapping in the
-    // hypervisor's page-table reserve region.
-    let mut nodes = outcome.allocated_nodes;
-    if task
-        .vm
-        .nested_page_table()
-        .translate(GuestFrame::new(GUEST_PT_GPP_BASE))
-        .is_none()
-    {
-        nodes.push(GuestFrame::new(GUEST_PT_GPP_BASE));
-    }
-    for node in nodes {
-        if task.vm.nested_page_table().translate(node).is_none() {
-            let backing = SystemFrame::new(task.vm.next_pt_backing_frame());
-            task.vm.nested_pt_mut().map(node, backing);
-        }
-    }
-    task.vm.faults_mut().first_touch_faults += 1;
-    charge(task, p, shared.latencies.first_touch_cycles);
-    gpp
-}
 
-/// Pool-backed equivalent of `Platform::allocate_for`.
-fn unit_allocate(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    p: usize,
-    kind: MemoryKind,
-) -> Option<SystemFrame> {
-    let preferred = match shared.numa_policy {
-        NumaPolicy::FirstTouch => shared.socket_of_cpu(task.cpus[p].cpu),
-        NumaPolicy::Interleaved => {
-            let socket = *task.interleave % shared.numa.sockets;
-            *task.interleave += 1;
-            SocketId::new(socket as u32)
-        }
-    };
-    let (frame, socket) = task.pool.take(kind, preferred)?;
-    // A deliberate interleaved placement on another socket is not a
-    // spill; only failing to get the *preferred* socket is.
-    if socket != preferred {
-        task.vm.numa_mut().remote_allocations += 1;
+    fn local(&self, cpu: CpuId) -> Option<usize> {
+        self.cpus.iter().position(|c| c.cpu == cpu)
     }
-    Some(frame)
-}
 
-fn unit_ensure_nested_mapping(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    p: usize,
-    gpp: GuestFrame,
-) {
-    if task.vm.nested_page_table().translate(gpp).is_some() {
-        return;
+    fn structures(&mut self, p: usize) -> &mut TranslationStructures {
+        self.cpus[p].structures
     }
-    // First touch of a brand-new page (see `Platform::ensure_nested_mapping`
-    // for the placement policy rationale).
-    let spp = if task.vm.paging_enabled() && task.vm.paging().free_pages() > 0 {
-        match unit_allocate(shared, task, p, MemoryKind::DieStacked) {
-            Some(f) => {
-                task.vm.paging_mut().commit_promotion(gpp);
-                f
-            }
-            None => unit_allocate(shared, task, p, MemoryKind::OffChip)
-                .unwrap_or_else(|| SystemFrame::new(task.vm.next_pt_backing_frame())),
-        }
-    } else {
-        unit_allocate(shared, task, p, MemoryKind::OffChip)
-            .unwrap_or_else(|| SystemFrame::new(task.vm.next_pt_backing_frame()))
-    };
-    task.vm.nested_pt_mut().map(gpp, spp);
-    charge(task, p, shared.latencies.first_touch_cycles);
-}
 
-// ----- demand paging (unit side) -------------------------------------------
-
-fn unit_handle_demand_fault(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    out: &mut UnitEffects,
-    p: usize,
-    gpp: GuestFrame,
-) {
-    // The faulting access takes an EPT-violation VM exit regardless of
-    // the translation-coherence mechanism.
-    task.vm.faults_mut().demand_faults += 1;
-    charge(task, p, shared.costs.vm_exit_cycles);
-    out.energy.record(EnergyEvent::VmExit, 1);
-
-    let decision = task.vm.paging_mut().on_slow_access(gpp);
-    for &victim in &decision.evictions {
-        unit_migrate(shared, task, out, p, victim, MemoryKind::OffChip, false);
+    fn cycles(&mut self, p: usize) -> &mut u64 {
+        self.cpus[p].cycles
     }
-    if task.vm.paging().daemon_should_run() {
-        for victim in task.vm.paging_mut().run_daemon() {
-            unit_migrate(shared, task, out, p, victim, MemoryKind::OffChip, false);
-        }
-    }
-    for (i, promo) in decision.promotions.iter().enumerate() {
-        if task.vm.nested_page_table().translate(*promo).is_none() {
-            // Prefetch candidate that the guest has never touched: skip.
-            continue;
-        }
-        if current_kind(shared, task.vm, *promo) == Some(MemoryKind::OffChip) {
-            let on_critical_path = i == 0;
-            if unit_migrate(
-                shared,
-                task,
-                out,
-                p,
-                *promo,
-                MemoryKind::DieStacked,
-                on_critical_path,
-            ) {
-                task.vm.paging_mut().commit_promotion(*promo);
-            }
-        } else {
-            task.vm.paging_mut().commit_promotion(*promo);
-        }
-    }
-}
 
-/// Unit-side mirror of `Platform::migrate`: moves `gpp` to the `to` device.
-/// The freed frame is recycled into the unit's own pool; the copy's device
-/// occupancy is planned against the frozen devices and booked at commit.
-fn unit_migrate(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    out: &mut UnitEffects,
-    p: usize,
-    gpp: GuestFrame,
-    to: MemoryKind,
-    critical: bool,
-) -> bool {
-    let Some(old_spp) = task.vm.nested_page_table().translate(gpp) else {
-        return false;
-    };
-    if shared.memory.kind_of(old_spp) == to {
-        return false;
+    fn charge(&mut self, p: usize, cycles: u64) {
+        let cpu = &mut self.cpus[p];
+        *cpu.cycles += cycles;
+        self.vm.charge(cpu.vcpu, cycles);
     }
-    let Some(new_spp) = unit_allocate(shared, task, p, to) else {
-        return false;
-    };
-    let now = *task.cpus[p].cycles;
-    let copy = shared
-        .memory
-        .plan_page_copy(old_spp, new_spp, now, task.pending);
-    out.effects.push(Effect::Mem(MemoryBooking::PageCopy {
-        from: old_spp,
-        to: new_spp,
-        stream: task.slot,
-        now,
-    }));
-    if critical {
-        charge(task, p, copy);
+
+    fn disrupt(&mut self, p: usize, cycles: u64, _remap: RemapId) {
+        // An owned CPU's occupant is this unit's own vCPU: no cross-VM
+        // interference to book.
+        self.charge(p, cycles);
     }
-    out.energy.record(EnergyEvent::PageCopy, 1);
-    // Recycle the freed frame into the VM's own pool (the shared allocator
-    // is frozen during simulate; the frame stays VM-private).
-    task.pool.put(
-        shared.memory.kind_of(old_spp),
-        shared.memory.socket_of(old_spp),
-        old_spp,
-    );
-    let pte_addr = task
-        .vm
-        .nested_pt_mut()
-        .remap(gpp, new_spp)
-        .expect("translate() above guarantees the mapping exists");
-    match to {
-        MemoryKind::DieStacked => task.vm.faults_mut().pages_promoted += 1,
-        MemoryKind::OffChip => task.vm.faults_mut().pages_demoted += 1,
+
+    fn energy(&mut self, event: EnergyEvent, count: u64) {
+        self.out.energy.record(event, count);
     }
-    unit_remap_coherence(shared, task, out, p, pte_addr);
-    true
-}
 
-// ----- translation coherence (unit side) -----------------------------------
-
-/// Unit-side mirror of [`Platform::remap_coherence`].  Targets on the
-/// unit's own CPUs are applied inline (so the VM's own stale translations
-/// vanish before its next access); targets on other CPUs become
-/// [`Effect::Remote`] entries applied at the barrier.
-fn unit_remap_coherence(
-    shared: &SliceShared<'_>,
-    task: &mut UnitTask<'_>,
-    out: &mut UnitEffects,
-    p: usize,
-    pte_addr: SystemPhysAddr,
-) {
-    let slot = task.vm.slot() as u32;
-    let remap_id = {
-        let coherence = task.vm.coherence_mut();
-        coherence.remaps += 1;
-        RemapId::new(slot, coherence.remaps)
-    };
-    let span_start = *task.cpus[p].cycles;
-    let line = pte_addr.cache_line();
-    let write = sim_write(shared, task, out, p, line);
-    unit_charge_read(shared, task, out, p, pte_addr, write.level);
-    out.energy.record(
-        EnergyEvent::CoherenceMessage,
-        u64::from(write.invalidated_sharers.count()),
-    );
-
-    // The initiator's own translation structures snoop the store locally
-    // (the directory's sharer list excludes the writer), so it is always
-    // part of the hardware-coherence target set.
-    let initiator = task.cpus[p].cpu;
-    let mut sharers = write.invalidated_sharers;
-    sharers.add(initiator);
-    let ctx = RemapContext {
-        initiator,
-        vm: task.vm.id(),
-        vm_cpus: task.vm.vm().cpus_ever_used().to_vec(),
-        running_guest: shared.occupied.clone(),
-        sharers,
-    };
-    let plan = shared.protocol.plan_remap(&ctx);
-    debug_assert_eq!(
-        plan.vm,
-        task.vm.id(),
-        "coherence plan must be executed on behalf of the VM that remapped"
-    );
-    charge(task, p, plan.initiator_cycles);
-    task.vm.coherence_mut().ipis += plan.ipis_sent;
-    task.vm.coherence_mut().hw_messages += plan.hw_messages;
-    out.energy.record(EnergyEvent::Ipi, plan.ipis_sent);
-    out.energy
-        .record(EnergyEvent::CoherenceMessage, plan.hw_messages);
-
-    let cotag = CoTag::from_pte_addr(pte_addr, shared.cotag_bytes);
-    let initiator_socket = shared.socket_of_cpu(initiator);
-    // Completion latency = initiator cycles plus the slowest target's
-    // invalidation, computed over the plan before the charging loop so the
-    // remap span precedes its per-target acks in the sink (trace order
-    // stays monotone per track).
-    let slowest_target = plan
-        .targets
-        .iter()
-        .map(|t| {
-            let disruptive = t.vm_exit || t.action == TargetAction::FlushAll;
-            let does_work = disruptive || t.action != TargetAction::None;
-            t.target_cycles
-                + shared
-                    .remap_distance_extra(initiator_socket, t.cpu, disruptive, does_work)
-                    .1
-        })
-        .max()
-        .unwrap_or(0);
-    task.vm
-        .latency_mut()
-        .shootdown
-        .record(plan.initiator_cycles + slowest_target);
-    if shared.tracing {
-        let dur = (*task.cpus[p].cycles - span_start) + slowest_target;
-        out.trace.push(TraceEvent {
-            name: remap_span_name(shared.mechanism),
-            cat: "coherence",
-            track: track::cpu(initiator.index()),
-            ts: span_start,
-            dur,
-            args: vec![
-                ("targets", plan.targets.len() as u64),
-                ("ipis", plan.ipis_sent),
-                ("hw_messages", plan.hw_messages),
-            ],
-        });
+    fn tracing(&self) -> bool {
+        self.shared.tracing
     }
-    for target in &plan.targets {
-        let disruptive = target.vm_exit || target.action == TargetAction::FlushAll;
-        let does_work = disruptive || target.action != TargetAction::None;
-        let (cross_socket, distance_extra) =
-            shared.remap_distance_extra(initiator_socket, target.cpu, disruptive, does_work);
-        let target_cycles = target.target_cycles + distance_extra;
-        if does_work {
-            let numa = task.vm.numa_mut();
-            if cross_socket {
-                numa.remote_coherence_targets += 1;
-            } else {
-                numa.local_coherence_targets += 1;
-            }
-            task.vm.causal_mut().charge_target(remap_id);
-        }
-        if let Some(q) = task.local_index(target.cpu) {
-            // Own CPU: apply inline.  The occupant is this unit's own vCPU,
-            // so no cross-VM interference is recorded (mirroring the serial
-            // `occ_slot != slot` check).
-            if shared.tracing && does_work {
-                out.trace.push(TraceEvent {
-                    name: "inval_target",
-                    cat: "coherence",
-                    track: track::cpu(target.cpu.index()),
-                    ts: *task.cpus[q].cycles,
-                    dur: target_cycles,
-                    args: vec![("vm_exit", u64::from(target.vm_exit))],
-                });
-            }
-            if disruptive {
-                charge(task, q, target_cycles);
-            } else {
-                // Co-tag matches run in the translation-structure port and
-                // never stall the occupant.
-                *task.cpus[q].cycles += target_cycles;
-            }
-            if target.vm_exit {
-                task.vm.coherence_mut().coherence_vm_exits += 1;
-                out.energy.record(EnergyEvent::VmExit, 1);
-            }
-            let holds_line = task.cpus[q].pair.holds(line);
-            let energy = &mut out.energy;
-            let (demote, invalidated) = apply_target_action(
-                task.cpus[q].structures,
-                holds_line,
-                task.vm.coherence_mut(),
-                &mut |event, count| energy.record(event, count),
-                target.action,
-                cotag,
-            );
-            task.vm
-                .causal_mut()
-                .charge_invalidations(remap_id, invalidated);
-            if demote {
-                out.effects.push(Effect::Cache(SharedCacheOp::DemoteSharer {
-                    cpu: target.cpu,
-                    line,
-                }));
-            }
-        } else {
-            out.effects.push(Effect::Remote(RemoteTarget {
-                cpu: target.cpu,
-                action: target.action,
-                vm_exit: target.vm_exit,
-                disruptive,
-                cycles: target_cycles,
-                cotag,
+
+    fn trace(&mut self, event: TraceEvent) {
+        self.out.trace.push(event);
+    }
+
+    fn access(&mut self, p: usize, line: CacheLineAddr, write: bool) -> CacheAccess {
+        let UnitCpu { cpu, pair, .. } = &mut self.cpus[p];
+        let out = &mut self.out;
+        let (level, invalidated) = if write {
+            let sim = pair.simulate_write(
+                self.shared.cache,
+                *cpu,
                 line,
-                remap_ordinal: remap_id.ordinal,
-            }));
+                &mut out.scratch,
+                &mut out.cache_stats,
+            );
+            (sim.level, sim.invalidated_sharers)
+        } else {
+            let sim = pair.simulate_read(
+                self.shared.cache,
+                *cpu,
+                line,
+                &mut out.scratch,
+                &mut out.cache_stats,
+            );
+            (sim.level, SharerSet::default())
+        };
+        out.flush_scratch();
+        CacheAccess {
+            level,
+            invalidated,
+            back_invalidated: None,
         }
     }
-    // Directory-energy premium of the fancier design variants (Fig. 12).
-    let extra_factor = shared.variant.directory_energy_factor() - 1.0;
-    if extra_factor > 0.0 {
-        let extra = ((plan.targets.len() as f64) * extra_factor).ceil() as u64;
-        out.energy.record(EnergyEvent::DirectoryAccess, extra);
-    }
-}
 
-/// Applies one planned [`TargetAction`] to a target CPU's translation
-/// structures, crediting the *initiating* VM's coherence counters and
-/// energy (via `energy`, so both the simulate-side [`EnergyTally`] and the
-/// commit-side [`hatric_energy::EnergyModel`] fit).  `holds_line` is
-/// whether the target CPU's private caches currently hold the page-table
-/// line; returns `(demote, invalidated)` — `demote` is `true` when a
-/// spurious message means the caller must lazily demote the target from
-/// the line's sharer list, `invalidated` is the number of translation
-/// entries removed (for per-remap causal attribution).
-fn apply_target_action(
-    structures: &mut TranslationStructures,
-    holds_line: bool,
-    coherence: &mut crate::metrics::CoherenceActivity,
-    energy: &mut dyn FnMut(EnergyEvent, u64),
-    action: TargetAction,
-    cotag: CoTag,
-) -> (bool, u64) {
-    match action {
-        TargetAction::FlushAll => {
-            let counts = structures.flush_all();
-            coherence.full_flushes += 1;
-            coherence.entries_flushed += counts.total();
-            (false, counts.total())
-        }
-        TargetAction::InvalidateCotag => {
-            energy(EnergyEvent::CotagMatch, 1);
-            let counts = structures.invalidate_cotag(cotag);
-            coherence.entries_selectively_invalidated += counts.total();
-            energy(EnergyEvent::TranslationInvalidation, counts.total());
-            if counts.total() == 0 && !holds_line {
-                coherence.spurious_messages += 1;
-                (true, 0)
-            } else {
-                (false, counts.total())
-            }
-        }
-        TargetAction::InvalidateCotagTlbOnly => {
-            energy(EnergyEvent::UnitdCamSearch, 1);
-            let counts = structures.invalidate_cotag_tlb_only(cotag);
-            coherence.entries_selectively_invalidated += counts.tlb;
-            coherence.entries_flushed += counts.mmu_cache + counts.ntlb;
-            energy(EnergyEvent::TranslationInvalidation, counts.total());
-            if counts.total() == 0 && !holds_line {
-                coherence.spurious_messages += 1;
-                (true, 0)
-            } else {
-                (false, counts.total())
-            }
-        }
-        TargetAction::None => (false, 0),
+    fn mark_pt(&mut self, line: CacheLineAddr, kind: PtKind) -> Option<BackInvalidation> {
+        self.out
+            .effects
+            .push(Effect::Cache(SharedCacheOp::MarkPt { line, kind }));
+        None
+    }
+
+    fn dram_access(&mut self, frame: SystemFrame, socket: SocketId, now: u64) -> AccessCost {
+        let cost = self
+            .shared
+            .memory
+            .plan_access_detail(frame, socket, now, self.pending);
+        self.out.effects.push(Effect::Mem(MemoryBooking::Access {
+            frame,
+            stream: self.slot,
+            from_socket: socket,
+            now,
+        }));
+        cost
+    }
+
+    fn page_copy(&mut self, from: SystemFrame, to: SystemFrame, now: u64) -> u64 {
+        let cycles = self
+            .shared
+            .memory
+            .plan_page_copy(from, to, now, self.pending);
+        self.out.effects.push(Effect::Mem(MemoryBooking::PageCopy {
+            from,
+            to,
+            stream: self.slot,
+            now,
+        }));
+        cycles
+    }
+
+    fn take_frame(
+        &mut self,
+        kind: MemoryKind,
+        preferred: SocketId,
+    ) -> Option<(SystemFrame, SocketId)> {
+        self.pool.take(kind, preferred)
+    }
+
+    fn interleave_cursor(&mut self) -> &mut usize {
+        self.interleave
+    }
+
+    fn free_frame(&mut self, frame: SystemFrame) {
+        // Recycle the freed frame into the VM's own pool (the shared
+        // allocator is frozen during simulate; the frame stays VM-private).
+        let memory = self.shared.memory;
+        self.pool
+            .put(memory.kind_of(frame), memory.socket_of(frame), frame);
+    }
+
+    fn observer_present(&self) -> bool {
+        self.shared.observer_present
+    }
+
+    fn observe_write(&mut self, gpp: GuestFrame) {
+        self.out.effects.push(Effect::Observe { gpp });
+    }
+
+    fn holds_line(&self, p: usize, line: CacheLineAddr) -> bool {
+        self.cpus[p].pair.holds(line)
+    }
+
+    fn demote_sharer(&mut self, p: usize, line: CacheLineAddr) {
+        let cpu = self.cpus[p].cpu;
+        self.out
+            .effects
+            .push(Effect::Cache(SharedCacheOp::DemoteSharer { cpu, line }));
+    }
+
+    fn defer_target(&mut self, target: TargetWork) {
+        self.out.effects.push(Effect::Remote(target));
     }
 }
 
@@ -1196,7 +650,7 @@ fn apply_target_action(
 #[derive(Debug)]
 enum SerialEffect {
     Observe(GuestFrame),
-    Remote(RemoteTarget),
+    Remote(TargetWork),
 }
 
 /// Commits every unit's effect log at the slice barrier:
@@ -1365,105 +819,27 @@ fn commit_effects(
             p += 1;
             let slot = seq_slots[*s as usize] as usize;
             platform.caches.resolve_priv(effect);
-            if let hatric_cache::PrivEffect::BackInvalidate {
-                line,
-                sharers,
-                pt: Some(_),
-            } = effect
-            {
+            if let hatric_cache::PrivEffect::BackInvalidate { line, sharers, pt } = *effect {
                 // Page-table lines feed translation structures: the
-                // back-invalidation reaches them too.
-                let cotag = CoTag::from_line(*line, platform.cotag_bytes);
-                for cpu in sharers.iter() {
-                    let counts = platform.structures[cpu.index()].invalidate_cotag(cotag);
-                    vms[slot].coherence_mut().back_invalidated_entries += counts.total();
-                    // Charged to the evicting VM's latest remap (the commit
-                    // pass is serial and `remaps` holds the full-slice value
-                    // here, so the ordinal is thread-count invariant).
-                    let remaps = vms[slot].coherence_mut().remaps;
-                    if remaps > 0 {
-                        vms[slot].causal_mut().charge_invalidations(
-                            RemapId::new(slot as u32, remaps),
-                            counts.total(),
-                        );
-                    }
-                    platform
-                        .energy
-                        .record(EnergyEvent::TranslationInvalidation, counts.total());
-                }
+                // back-invalidation reaches them too.  The pass is serial and
+                // `remaps` holds the full-slice value here, so the remap it
+                // is charged to is thread-count invariant.
+                let mut serial = Serial::new(platform, vms, slot);
+                pipeline::back_invalidate(&mut serial, Some((line, sharers, pt)));
             }
         } else {
             let (_, slot, effect) = &serial_queue[r];
             r += 1;
+            let mut serial = Serial::new(platform, vms, *slot);
             match effect {
-                SerialEffect::Observe(gpp) => {
-                    if let Some(observer) = platform.write_observer.as_mut() {
-                        observer.on_guest_write(*slot, *gpp);
-                    }
+                SerialEffect::Observe(gpp) => serial.observe_write(*gpp),
+                SerialEffect::Remote(target) => {
+                    pipeline::apply_target(&mut serial, target.cpu, target);
                 }
-                SerialEffect::Remote(target) => commit_remote_target(platform, vms, *slot, target),
             }
         }
     }
     profiler.record(EnginePhase::SerialCommit, serial_start.elapsed());
-}
-
-/// Applies one deferred cross-CPU coherence target: charging, interference
-/// attribution, the structure invalidation/flush, and the spurious-message
-/// bookkeeping — exactly the target loop of `Platform::remap_coherence`.
-fn commit_remote_target(
-    platform: &mut Platform,
-    vms: &mut [VmInstance],
-    slot: usize,
-    target: &RemoteTarget,
-) {
-    let does_work = target.disruptive || target.action != TargetAction::None;
-    if platform.trace.is_some() && does_work {
-        platform.trace_event(TraceEvent {
-            name: "inval_target",
-            cat: "coherence",
-            track: track::cpu(target.cpu.index()),
-            ts: platform.cycles[target.cpu.index()],
-            dur: target.cycles,
-            args: vec![("vm_exit", u64::from(target.vm_exit))],
-        });
-    }
-    platform.cycles[target.cpu.index()] += target.cycles;
-    let remap_id = RemapId::new(slot as u32, target.remap_ordinal);
-    if target.disruptive {
-        if let Some((occ_slot, vcpu)) = platform.occupancy[target.cpu.index()] {
-            vms[occ_slot].charge(vcpu, target.cycles);
-            if occ_slot != slot {
-                let victim = vms[occ_slot].interference_mut();
-                victim.disrupted_cycles += target.cycles;
-                victim.disruptions_received += 1;
-                vms[slot].interference_mut().inflicted_cycles += target.cycles;
-                vms[slot]
-                    .causal_mut()
-                    .charge_victim_cycles(remap_id, target.cycles);
-            }
-        }
-    }
-    if target.vm_exit {
-        vms[slot].coherence_mut().coherence_vm_exits += 1;
-        platform.energy.record(EnergyEvent::VmExit, 1);
-    }
-    let holds_line = platform.caches.cpu_holds_line(target.cpu, target.line);
-    let energy = &mut platform.energy;
-    let (demote, invalidated) = apply_target_action(
-        &mut platform.structures[target.cpu.index()],
-        holds_line,
-        vms[slot].coherence_mut(),
-        &mut |event, count| energy.record(event, count),
-        target.action,
-        target.cotag,
-    );
-    vms[slot]
-        .causal_mut()
-        .charge_invalidations(remap_id, invalidated);
-    if demote {
-        platform.caches.demote_sharer(target.line, target.cpu);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1516,18 +892,13 @@ fn refill_kind(
     target: u64,
     placements: &[Placement],
 ) {
-    let sockets = platform.numa.sockets;
     let mut have = state.pools[slot].total(kind) as u64;
     let mut i = 0usize;
     while have < target {
-        let preferred = match platform.numa_policy {
-            NumaPolicy::FirstTouch => platform.socket_of_cpu(placements[i % placements.len()].pcpu),
-            NumaPolicy::Interleaved => {
-                let socket = state.interleave[slot] % sockets;
-                state.interleave[slot] += 1;
-                SocketId::new(socket as u32)
-            }
-        };
+        let cpu = placements[i % placements.len()].pcpu;
+        let preferred = platform
+            .params
+            .preferred_socket(cpu, &mut state.interleave[slot]);
         match platform.memory.allocate_on(kind, preferred) {
             Ok(frame) => {
                 let socket = platform.memory.socket_of(frame);
@@ -1624,8 +995,8 @@ pub fn run_slice_parallel(
 
     let unit_slots: Vec<usize> = units.iter().map(|(slot, _)| *slot).collect();
     // Map each pCPU to the unit that owns it this slice.
-    let mut cpu_owner: Vec<Option<usize>> = vec![None; platform.num_cpus];
-    let mut cpu_vcpu: Vec<Option<VcpuId>> = vec![None; platform.num_cpus];
+    let mut cpu_owner: Vec<Option<usize>> = vec![None; platform.num_cpus()];
+    let mut cpu_vcpu: Vec<Option<VcpuId>> = vec![None; platform.num_cpus()];
     for (u, (_, unit_placements)) in units.iter().enumerate() {
         for p in unit_placements {
             cpu_owner[p.pcpu.index()] = Some(u);
@@ -1644,20 +1015,13 @@ pub fn run_slice_parallel(
             .map(|(i, _)| CpuId::new(i as u32))
             .collect();
         let shared = SliceShared {
-            latencies: platform.latencies,
-            costs: platform.costs,
-            cotag_bytes: platform.cotag_bytes,
-            variant: platform.variant,
-            numa: &platform.numa,
-            numa_policy: platform.numa_policy,
+            params: &platform.params,
             memory: &platform.memory,
             cache: cache_shared,
             occupied,
             protocol: &*platform.protocol,
             observer_present: platform.write_observer.is_some(),
             tracing: platform.trace.is_some(),
-            mechanism: platform.mechanism,
-            num_cpus: platform.num_cpus,
         };
 
         // Partition the per-CPU state by owning unit, in CPU order first…
@@ -1711,6 +1075,7 @@ pub fn run_slice_parallel(
         {
             pending.clear();
             tasks.push(UnitTask {
+                shared: &shared,
                 slot: *slot,
                 vm,
                 driver,
@@ -1718,27 +1083,23 @@ pub fn run_slice_parallel(
                 pool,
                 pending,
                 interleave: cursor,
+                // A recycled effect log (capacities survive across slices;
+                // the pool refills after commit).
+                out: effects_pool.pop().unwrap_or_else(UnitEffects::empty),
             });
         }
 
-        let shared_ref = &shared;
-        // Draw one recycled effect log per task (capacities survive across
-        // slices; the pool refills after commit).
-        let mut logs: Vec<UnitEffects> = (0..tasks.len())
-            .map(|_| effects_pool.pop().unwrap_or_else(UnitEffects::empty))
-            .collect();
         match pool.filter(|_| threads > 1 && tasks.len() > 1) {
             None => tasks
                 .into_iter()
-                .zip(logs)
-                .map(|(mut task, log)| simulate_unit(shared_ref, &mut task, slice_accesses, log))
+                .map(|task| simulate_unit(task, slice_accesses))
                 .collect(),
             Some(pool) => {
                 let buckets_n = threads.min(tasks.len());
-                let mut buckets: Vec<Vec<(UnitTask<'_>, UnitEffects)>> =
+                let mut buckets: Vec<Vec<UnitTask<'_>>> =
                     (0..buckets_n).map(|_| Vec::new()).collect();
-                for (i, pair) in tasks.into_iter().zip(logs.drain(..)).enumerate() {
-                    buckets[i % buckets_n].push(pair);
+                for (i, task) in tasks.into_iter().enumerate() {
+                    buckets[i % buckets_n].push(task);
                 }
                 let mut results: Vec<Vec<UnitEffects>> =
                     (0..buckets_n).map(|_| Vec::new()).collect();
@@ -1751,9 +1112,7 @@ pub fn run_slice_parallel(
                         let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                             *slot = bucket
                                 .into_iter()
-                                .map(|(mut task, log)| {
-                                    simulate_unit(shared_ref, &mut task, slice_accesses, log)
-                                })
+                                .map(|task| simulate_unit(task, slice_accesses))
                                 .collect();
                         });
                         job
@@ -1762,9 +1121,7 @@ pub fn run_slice_parallel(
                 pool.run_with_local(jobs, || {
                     local_result[0] = local_bucket
                         .into_iter()
-                        .map(|(mut task, log)| {
-                            simulate_unit(shared_ref, &mut task, slice_accesses, log)
-                        })
+                        .map(|task| simulate_unit(task, slice_accesses))
                         .collect();
                 });
                 let mut flat: Vec<UnitEffects> = results.into_iter().flatten().collect();
@@ -1779,4 +1136,271 @@ pub fn run_slice_parallel(
     commit_effects(platform, vms, &mut effects, threads, pool, commit, profiler);
     profiler.record_slice();
     effects_pool.extend(effects);
+}
+
+#[cfg(test)]
+mod tests {
+    //! Every [`TargetAction`] arm, applied through the serial backend, a
+    //! unit that owns the target CPU, and a unit that defers it to the
+    //! commit barrier: the three paths must leave identical state.
+
+    use super::*;
+    use crate::config::SystemConfig;
+    use hatric_coherence::TargetAction;
+    use hatric_types::{AddressSpaceId, CoTag, GuestVirtPage};
+    use hatric_workloads::{Access, Workload, WorkloadKind};
+
+    const TARGET: CpuId = CpuId::new(1);
+    const GVP: GuestVirtPage = GuestVirtPage::new(7);
+
+    /// How the target reaches CPU 1.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Serial,
+        /// A unit that owns CPU 1 applies it inline.
+        UnitLocal,
+        /// A unit that owns only CPU 0 defers it to the barrier.
+        UnitDeferred,
+    }
+
+    /// A one-VM, two-vCPU host whose CPU 1 has walked page `GVP`, so its
+    /// TLBs, MMU cache and nested TLB hold translations co-tagged with the
+    /// page's nested leaf entry, and its private caches hold that entry's
+    /// line.  Returns the host and that line's coherence target.
+    fn host(action: TargetAction, vm_exit: bool) -> (Platform, Vec<VmInstance>, TargetWork) {
+        let config = SystemConfig::scaled(2, 256);
+        let mut platform = Platform::new(&config).unwrap();
+        let paging = crate::VmPagingParams::for_quota(&config.paging, 256, true);
+        let vm_config = hatric_hypervisor::VmConfig {
+            vm: hatric_types::VmId::new(0),
+            vcpus: 2,
+            first_cpu: CpuId::new(0),
+        };
+        let mut vms = vec![VmInstance::new(0, vm_config, paging, platform.memory())];
+        for i in 0..2 {
+            platform.set_occupant(CpuId::new(i), Some((0, VcpuId::new(i))));
+        }
+        let access = Access {
+            gvp: GVP,
+            line_in_page: 0,
+            is_write: false,
+            compute_cycles: 0,
+        };
+        platform.step(&mut vms, 0, TARGET, AddressSpaceId::new(0), access);
+        let gpp = vms[0].guest_page_table().translate(GVP).unwrap();
+        let pte = vms[0].nested_page_table().leaf_entry_addr(gpp).unwrap();
+        let target = TargetWork {
+            cpu: TARGET,
+            action,
+            vm_exit,
+            disruptive: vm_exit || action == TargetAction::FlushAll,
+            cycles: 100,
+            cotag: CoTag::from_pte_addr(pte, platform.params.cotag_bytes),
+            line: pte.cache_line(),
+            remap_ordinal: 1,
+        };
+        (platform, vms, target)
+    }
+
+    /// Reads lines of the target line's private-cache sets until CPU 1 no
+    /// longer holds it; the lazy directory keeps CPU 1 a sharer.
+    fn evict_line(platform: &mut Platform, line: CacheLineAddr) {
+        let l2_sets = hatric_cache::PrivateCacheConfig::l2_default().sets() as u64;
+        for k in 1..=32 {
+            let conflict = CacheLineAddr::new((line.index() + k * l2_sets) * 64);
+            platform.caches.read(TARGET, conflict);
+        }
+        assert!(!platform.caches.cpu_holds_line(TARGET, line));
+        assert!(platform.caches.is_sharer(line, TARGET));
+    }
+
+    /// Applies `target` to the host through `path`, with a unit simulated
+    /// over the host's slice-start state and committed at the barrier.
+    fn apply(platform: &mut Platform, vms: &mut [VmInstance], target: TargetWork, path: Path) {
+        let owned = match path {
+            Path::Serial => {
+                pipeline::dispatch_target(&mut Serial::new(platform, vms, 0), target);
+                return;
+            }
+            Path::UnitLocal => TARGET,
+            Path::UnitDeferred => CpuId::new(0),
+        };
+        let sockets = platform.sockets();
+        let workload = Workload::build(WorkloadKind::DataCaching, 2, 64, 1);
+        let mut driver = WorkloadDriver::from(workload);
+        let (mut pool, mut pending) = (FramePool::new(sockets), DramPending::new(sockets));
+        let mut cursor = 0;
+        let mut out = {
+            let (cache, pairs) = platform.caches.split_simulate();
+            let shared = SliceShared {
+                params: &platform.params,
+                memory: &platform.memory,
+                cache,
+                occupied: vec![CpuId::new(0), TARGET],
+                protocol: &*platform.protocol,
+                observer_present: false,
+                tracing: false,
+            };
+            let i = owned.index();
+            let mut task = UnitTask {
+                shared: &shared,
+                slot: 0,
+                vm: &mut vms[0],
+                driver: &mut driver,
+                cpus: vec![UnitCpu {
+                    cpu: owned,
+                    vcpu: VcpuId::new(i as u32),
+                    structures: &mut platform.structures[i],
+                    pair: &mut pairs[i],
+                    cycles: &mut platform.cycles[i],
+                }],
+                pool: &mut pool,
+                pending: &mut pending,
+                interleave: &mut cursor,
+                out: UnitEffects::empty(),
+            };
+            task.out.reset(0);
+            pipeline::dispatch_target(&mut task, target);
+            task.out
+        };
+        let mut scratch = CommitScratch::default();
+        let mut profiler = PhaseProfiler::default();
+        let units = std::slice::from_mut(&mut out);
+        commit_effects(platform, vms, units, 1, None, &mut scratch, &mut profiler);
+    }
+
+    /// Builds a host, runs `prepare` on it, applies the target through
+    /// each path, checks that all paths agree, and returns the serial
+    /// path's host and target.
+    fn through_every_path(
+        action: TargetAction,
+        vm_exit: bool,
+        prepare: impl Fn(&mut Platform, &mut [VmInstance], &TargetWork),
+    ) -> (Platform, Vec<VmInstance>, TargetWork) {
+        let run = |path| {
+            let (mut platform, mut vms, target) = host(action, vm_exit);
+            prepare(&mut platform, &mut vms, &target);
+            apply(&mut platform, &mut vms, target, path);
+            (platform, vms, target)
+        };
+        let (serial, mut serial_vms, target) = run(Path::Serial);
+        for path in [Path::UnitLocal, Path::UnitDeferred] {
+            let (platform, mut vms, _) = run(path);
+            assert_eq!(
+                *vms[0].coherence_mut(),
+                *serial_vms[0].coherence_mut(),
+                "{path:?}"
+            );
+            assert_eq!(vms[0].causal(), serial_vms[0].causal(), "{path:?}");
+            assert_eq!(
+                vms[0].vcpu_cycles(),
+                serial_vms[0].vcpu_cycles(),
+                "{path:?}"
+            );
+            assert_eq!(platform.cycles, serial.cycles, "{path:?}");
+            assert_eq!(
+                platform.structures[1].occupancy(),
+                serial.structures[1].occupancy(),
+                "{path:?}"
+            );
+            assert_eq!(
+                platform.caches.is_sharer(target.line, TARGET),
+                serial.caches.is_sharer(target.line, TARGET),
+                "{path:?}"
+            );
+        }
+        (serial, serial_vms, target)
+    }
+
+    fn no_prep(_: &mut Platform, _: &mut [VmInstance], _: &TargetWork) {}
+
+    /// Invalidates the target's co-tag on CPU 1 beforehand, so the target
+    /// itself finds nothing to invalidate.
+    fn drop_translations(platform: &mut Platform, _: &mut [VmInstance], target: &TargetWork) {
+        assert!(
+            platform.structures[1]
+                .invalidate_cotag(target.cotag)
+                .total()
+                > 0
+        );
+    }
+
+    #[test]
+    fn flush_all_empties_every_structure_and_stalls_the_occupant() {
+        let (platform, mut vms, _) = through_every_path(TargetAction::FlushAll, true, no_prep);
+        let coherence = *vms[0].coherence_mut();
+        assert_eq!(coherence.full_flushes, 1);
+        assert_eq!(coherence.coherence_vm_exits, 1);
+        assert!(coherence.entries_flushed > 0);
+        assert_eq!(coherence.spurious_messages, 0);
+        assert_eq!(platform.structures[1].occupancy(), 0);
+        assert_eq!(vms[0].vcpu_cycles()[1], platform.cycles[1]);
+    }
+
+    #[test]
+    fn cotag_hit_invalidates_only_matching_entries() {
+        let (platform, mut vms, target) =
+            through_every_path(TargetAction::InvalidateCotag, false, no_prep);
+        let coherence = *vms[0].coherence_mut();
+        assert!(coherence.entries_selectively_invalidated > 0);
+        assert_eq!(coherence.entries_flushed, 0);
+        assert_eq!(coherence.spurious_messages, 0);
+        assert!(
+            platform.structures[1].occupancy() > 0,
+            "other co-tags survive"
+        );
+        assert!(platform.caches.is_sharer(target.line, TARGET));
+    }
+
+    #[test]
+    fn cotag_miss_on_a_line_holder_is_not_spurious() {
+        let (platform, mut vms, target) =
+            through_every_path(TargetAction::InvalidateCotag, false, drop_translations);
+        let coherence = *vms[0].coherence_mut();
+        assert_eq!(coherence.entries_selectively_invalidated, 0);
+        assert_eq!(coherence.spurious_messages, 0);
+        assert!(platform.caches.cpu_holds_line(TARGET, target.line));
+        assert!(platform.caches.is_sharer(target.line, TARGET));
+    }
+
+    #[test]
+    fn cotag_miss_without_the_line_is_spurious_and_leaves_the_sharer_set() {
+        let (platform, mut vms, target) = through_every_path(
+            TargetAction::InvalidateCotag,
+            false,
+            |platform, vms, target| {
+                drop_translations(platform, vms, target);
+                evict_line(platform, target.line);
+            },
+        );
+        let coherence = *vms[0].coherence_mut();
+        assert_eq!(coherence.entries_selectively_invalidated, 0);
+        assert_eq!(coherence.spurious_messages, 1);
+        assert!(!platform.caches.is_sharer(target.line, TARGET));
+    }
+
+    #[test]
+    fn tlb_only_invalidates_tlbs_and_flushes_mmu_cache_and_ntlb() {
+        let (platform, mut vms, _) =
+            through_every_path(TargetAction::InvalidateCotagTlbOnly, false, no_prep);
+        let coherence = *vms[0].coherence_mut();
+        assert_eq!(coherence.entries_selectively_invalidated, 2, "L1 + L2 TLB");
+        assert!(coherence.entries_flushed > 0, "MMU cache and nTLB entries");
+        assert_eq!(coherence.full_flushes, 0);
+        assert_eq!(coherence.spurious_messages, 0);
+        assert_eq!(platform.structures[1].occupancy(), 0);
+    }
+
+    #[test]
+    fn none_only_charges_the_target_port() {
+        let (before, mut before_vms, _) = host(TargetAction::None, false);
+        let (platform, mut vms, target) = through_every_path(TargetAction::None, false, no_prep);
+        assert_eq!(*vms[0].coherence_mut(), *before_vms[0].coherence_mut());
+        assert_eq!(vms[0].vcpu_cycles(), before_vms[0].vcpu_cycles());
+        assert_eq!(platform.cycles[1], before.cycles[1] + target.cycles);
+        assert_eq!(
+            platform.structures[1].occupancy(),
+            before.structures[1].occupancy()
+        );
+    }
 }

@@ -53,6 +53,7 @@ pub mod driver;
 pub mod engine;
 pub mod experiments;
 pub mod metrics;
+mod pipeline;
 pub mod platform;
 pub mod system;
 pub mod vm_instance;

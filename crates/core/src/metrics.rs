@@ -273,8 +273,8 @@ pub struct SimReport {
     /// Per-remap causal attribution: the disruption each of this VM's
     /// remaps caused, keyed by [`hatric_telemetry::RemapId`].  The
     /// ledger's summed `victim_cycles` reconciles exactly with
-    /// `interference.inflicted_cycles` — the charges are mirrored at the
-    /// same sites.
+    /// `interference.inflicted_cycles` — both are charged at the same
+    /// site.
     pub causal: CausalLedger,
 }
 

@@ -256,6 +256,8 @@ mod tests {
     /// takes the translations filled from it out of its sharers' TLBs.
     #[test]
     fn marking_evicts_pt_lines_out_of_translation_structures() {
+        use crate::pipeline::{self, Backend};
+        use crate::platform::Serial;
         use hatric_cache::PtKind;
         use hatric_types::{CacheLineAddr, GuestVirtPage, SystemFrame};
 
@@ -276,7 +278,12 @@ mod tests {
                 None,
             );
         }
-        platform.mark_pt_line(vms, 0, pt_line, PtKind::Nested);
+        let mark = |platform: &mut Platform, vms: &mut [VmInstance], line, kind| {
+            let mut serial = Serial::new(platform, vms, 0);
+            let back = serial.mark_pt(line, kind);
+            pipeline::back_invalidate(&mut serial, back);
+        };
+        mark(platform, vms, pt_line, PtKind::Nested);
         // Mark further lines of the same bank until one evicts the PT line.
         let banks = platform.caches.bank_count() as u64;
         let mut n = 0;
@@ -284,7 +291,7 @@ mod tests {
             n += 1;
             assert!(n < 1 << 16, "the directory never evicted the PT line");
             let line = CacheLineAddr::new((pt_line.index() + n * banks) * 64);
-            platform.mark_pt_line(vms, 0, line, PtKind::Guest);
+            mark(platform, vms, line, PtKind::Guest);
         }
         for cpu in 0..2 {
             assert!(platform.structures[cpu]

@@ -16,14 +16,9 @@ use crate::scenario::{Row, ScenarioReport};
 /// Options governing a diff.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffOptions {
-    /// Allowed relative drift on a gated metric before it counts as a
-    /// regression.
+    /// Allowed relative drift on a gated metric, in either direction,
+    /// before it counts as a regression.
     pub tolerance: f64,
-    /// `true` flags gated drift in either direction (two runs of equal
-    /// standing, the `scenarios diff` default); `false` applies the CI
-    /// gate's smaller-is-better rule, where only growth regresses and
-    /// shrinking is an improvement.
-    pub symmetric: bool,
     /// When `true`, only gated metrics produce deltas (the CI gate's
     /// terse mode); when `false`, every numeric metric the aligned rows
     /// share is reported.
@@ -34,28 +29,24 @@ impl Default for DiffOptions {
     fn default() -> Self {
         Self {
             tolerance: 0.10,
-            symmetric: true,
             gated_only: false,
         }
     }
 }
 
 impl DiffOptions {
-    /// The CI gate's configuration: one-sided smaller-is-better
-    /// comparisons of the gated metrics only, at `tolerance`.
+    /// The CI gate's configuration: the gated metrics only, at
+    /// `tolerance`.
     #[must_use]
     pub fn gate(tolerance: f64) -> Self {
         Self {
             tolerance,
-            symmetric: false,
             gated_only: true,
         }
     }
 
     fn drifted(&self, a: f64, b: f64) -> bool {
-        let grew = b > a * (1.0 + self.tolerance);
-        let shrank = b < a * (1.0 - self.tolerance);
-        grew || (self.symmetric && shrank)
+        b > a * (1.0 + self.tolerance) || b < a * (1.0 - self.tolerance)
     }
 }
 
@@ -275,21 +266,24 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_is_an_option() {
+    fn gate_flags_drift_in_both_directions() {
         let a = report(1.0, 1000);
-        let improved = report(0.5, 1000);
-        // The observatory flags large movement in either direction…
-        assert_eq!(
-            diff_reports(&a, &improved, GATED, DiffOptions::default()).regressions(),
-            1
-        );
-        // …while the gate's smaller-is-better rule treats it as a win.
+        // An exact gate fails on any movement of a gated metric, up or
+        // down, and ignores ungated ones.
+        let exact = DiffOptions::gate(0.0);
+        assert!(diff_reports(&a, &a, GATED, exact).passed());
+        assert!(diff_reports(&a, &report(1.0, 9000), GATED, exact).passed());
+        for moved in [1.000001, 0.999999, 0.5, 1.2] {
+            let diff = diff_reports(&a, &report(moved, 1000), GATED, exact);
+            assert_eq!(diff.regressions(), 1, "{moved}");
+        }
+        // A tolerance applies to both directions alike.
         let gate = DiffOptions::gate(0.10);
-        assert!(diff_reports(&a, &improved, GATED, gate).passed());
         assert_eq!(
-            diff_reports(&a, &report(1.2, 1), GATED, gate).regressions(),
+            diff_reports(&a, &report(0.5, 1000), GATED, gate).regressions(),
             1
         );
+        assert!(diff_reports(&a, &report(0.95, 1000), GATED, gate).passed());
     }
 
     #[test]

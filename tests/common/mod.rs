@@ -241,7 +241,6 @@ pub fn divergence_summary(a: &HostReport, b: &HostReport) -> Option<String> {
     }
     let exact = DiffOptions {
         tolerance: 0.0,
-        symmetric: true,
         gated_only: false,
     };
     let diff = diff_reports(&metric_rows(a), &metric_rows(b), &[], exact);
