@@ -5,9 +5,11 @@
 //! `Scale::Bench` — the exact scale and seeds the baselines were recorded
 //! at — and its
 //! gated metrics (`Scenario::gated_metrics`, smaller-is-better) are
-//! compared against the committed `BENCH_*.json` by the same diff engine
+//! compared against the committed `BENCH_*.json` by
+//! [`hatric_bench::diff_against_baseline`], which runs the same diff engine
 //! the `scenarios diff` observatory exposes
-//! ([`hatric_host::diff::diff_reports`] with [`DiffOptions::gate`]):
+//! ([`hatric_host::diff::diff_reports`] with
+//! [`hatric_host::diff::DiffOptions::gate`]):
 //!
 //! * every gated metric on every (config, mechanism) row must equal its
 //!   baseline exactly — drift in either direction fails.
@@ -29,8 +31,8 @@
 //!
 //! Run with: `cargo run --release -p hatric-bench --bin bench_check`
 
-use hatric_bench::baseline_path;
-use hatric_host::diff::{diff_reports, DiffOptions, MetricDelta};
+use hatric_bench::diff_against_baseline;
+use hatric_host::diff::MetricDelta;
 use hatric_host::scenario::{registry, Params, Scale, ScenarioReport};
 
 /// The parallel slice engine's determinism contract, enforced on the
@@ -74,9 +76,9 @@ fn main() {
     let mut thread_drift = 0usize;
 
     for scenario in registry() {
-        let Some(path) = baseline_path(scenario.name()) else {
+        if scenario.baseline_stem().is_none() {
             continue; // table-only scenario, nothing committed to gate
-        };
+        }
         let report = scenario
             .run(&Params::new(), Scale::Bench)
             .unwrap_or_else(|err| {
@@ -85,36 +87,25 @@ fn main() {
         if scenario.name() == "host_scale" {
             thread_drift += check_thread_determinism(&report);
         }
-        // Compare at the precision the baselines are written in.
-        let report = ScenarioReport::from_json(scenario.name(), &report.to_json())
-            .expect("a fresh report parses back from its own JSON");
-        let baseline = std::fs::read_to_string(&path)
-            .map_err(|err| eprintln!("bench_check: cannot read baseline {path}: {err}"))
-            .ok()
-            .and_then(|text| ScenarioReport::from_json(scenario.name(), &text));
-        let Some(baseline) = baseline else {
-            // No parseable baseline at all: every fresh gated row is
-            // uncovered, which the fail-closed verdict below rejects.
-            for row in &report.rows {
-                for &metric in scenario.gated_metrics() {
-                    missing.push(format!(
-                        "{}/{}/{} {metric}",
-                        scenario.name(),
-                        row.label(),
-                        row.mechanism()
-                    ));
+        let diff = match diff_against_baseline(*scenario, &report) {
+            Ok(diff) => diff,
+            Err(err) => {
+                // No parseable baseline at all: every fresh gated row is
+                // uncovered, which the fail-closed verdict below rejects.
+                eprintln!("bench_check: {err}");
+                for row in &report.rows {
+                    for &metric in scenario.gated_metrics() {
+                        missing.push(format!(
+                            "{}/{}/{} {metric}",
+                            scenario.name(),
+                            row.label(),
+                            row.mechanism()
+                        ));
+                    }
                 }
+                continue;
             }
-            continue;
         };
-        // The same engine `scenarios diff` runs, in gate mode: baseline as
-        // run A, the fresh report as run B, exact on the gated metrics.
-        let diff = diff_reports(
-            &baseline,
-            &report,
-            scenario.gated_metrics(),
-            DiffOptions::gate(0.0),
-        );
         deltas.extend(
             diff.deltas
                 .into_iter()

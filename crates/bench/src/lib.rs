@@ -3,11 +3,13 @@
 //!
 //! A baseline is regenerated by the scenarios CLI alone —
 //! `scenarios run <name> --scale bench --json BENCH_<stem>.json` — and
-//! [`baseline_path`] resolves the committed file the gate reads.
+//! [`baseline_path`] resolves the committed file the gate reads;
+//! [`diff_against_baseline`] is the gate's comparison.
 
 #![deny(missing_docs)]
 
-use hatric_host::scenario::find;
+use hatric_host::diff::{diff_reports, DiffOptions, DiffReport};
+use hatric_host::scenario::{find, Scenario, ScenarioReport};
 
 /// Path of a registered scenario's committed baseline JSON:
 /// `BENCH_<stem>.json` at the workspace root (cargo runs bench and bin
@@ -25,10 +27,42 @@ pub fn baseline_path(name: &str) -> Option<String> {
     ))
 }
 
+/// Compares a fresh `report` of `scenario` with its committed baseline,
+/// exactly as the gate does.  The fresh report is first read back from its
+/// own JSON form, so ratios compare at the six decimals the baselines are
+/// written in; then every gated metric must equal its baseline, and drift
+/// in either direction counts.
+///
+/// # Errors
+///
+/// Why there is nothing to compare with: the scenario has no committed
+/// baseline, or its file cannot be read or parsed.
+pub fn diff_against_baseline(
+    scenario: &dyn Scenario,
+    report: &ScenarioReport,
+) -> Result<DiffReport, String> {
+    let name = scenario.name();
+    let path = baseline_path(name).ok_or_else(|| format!("{name} has no committed baseline"))?;
+    let text = std::fs::read_to_string(&path)
+        .map_err(|err| format!("cannot read baseline {path}: {err}"))?;
+    let baseline = ScenarioReport::from_json(name, &text)
+        .ok_or_else(|| format!("baseline {path} does not parse"))?;
+    let fresh = ScenarioReport::from_json(name, &report.to_json())
+        .expect("a fresh report parses back from its own JSON");
+    // The same engine `scenarios diff` runs, in gate mode: the baseline as
+    // run A, the fresh report as run B, exact on the gated metrics.
+    Ok(diff_reports(
+        &baseline,
+        &fresh,
+        scenario.gated_metrics(),
+        DiffOptions::gate(0.0),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hatric_host::scenario::{parse_json_records, record_field, registry, Row};
+    use hatric_host::scenario::{parse_json_records, record_field, registry, Params, Row, Scale};
 
     #[test]
     fn baseline_paths_cover_exactly_the_gated_scenarios() {
@@ -48,6 +82,25 @@ mod tests {
             }
         }
         assert!(baseline_path("no_such_scenario").is_none());
+    }
+
+    /// Model output must not depend on the build profile.  Release builds
+    /// (whole-program optimised, see `.cargo/config.toml`) are the only
+    /// ones that regenerate and gate the baselines; this reproduces one
+    /// committed baseline in whatever profile the tests build in (the dev
+    /// profile: opt-level 1 with debug assertions and overflow checks).
+    #[test]
+    fn xen_baseline_reproduces_exactly_in_the_test_profile() {
+        let scenario = find("xen").unwrap();
+        let report = scenario.run(&Params::new(), Scale::Bench).unwrap();
+        let diff = diff_against_baseline(scenario, &report).unwrap();
+        assert!(
+            diff.passed() && diff.extra.is_empty(),
+            "xen drifted from BENCH_xen.json:\n{}",
+            diff.format_text()
+        );
+        let gated = report.rows.len() * scenario.gated_metrics().len();
+        assert_eq!(diff.deltas.len(), gated, "every gated metric is compared");
     }
 
     #[test]

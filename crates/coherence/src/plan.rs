@@ -13,8 +13,6 @@ pub enum TargetAction {
     /// Selectively invalidate TLB entries via a reverse-lookup CAM but flush
     /// the MMU cache and nested TLB (UNITD++).
     InvalidateCotagTlbOnly,
-    /// Do nothing (ideal coherence, or a CPU that needs no action).
-    None,
 }
 
 /// The work one target CPU performs.

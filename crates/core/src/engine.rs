@@ -1390,17 +1390,4 @@ mod tests {
         assert_eq!(coherence.spurious_messages, 0);
         assert_eq!(platform.structures[1].occupancy(), 0);
     }
-
-    #[test]
-    fn none_only_charges_the_target_port() {
-        let (before, mut before_vms, _) = host(TargetAction::None, false);
-        let (platform, mut vms, target) = through_every_path(TargetAction::None, false, no_prep);
-        assert_eq!(*vms[0].coherence_mut(), *before_vms[0].coherence_mut());
-        assert_eq!(vms[0].vcpu_cycles(), before_vms[0].vcpu_cycles());
-        assert_eq!(platform.cycles[1], before.cycles[1] + target.cycles);
-        assert_eq!(
-            platform.structures[1].occupancy(),
-            before.structures[1].occupancy()
-        );
-    }
 }

@@ -95,9 +95,8 @@ impl Params {
         initiator_socket: SocketId,
         target_cpu: CpuId,
         disruptive: bool,
-        does_work: bool,
     ) -> (bool, u64) {
-        let cross_socket = does_work && self.socket_of_cpu(target_cpu) != initiator_socket;
+        let cross_socket = self.socket_of_cpu(target_cpu) != initiator_socket;
         let extra = match (cross_socket, disruptive) {
             (false, _) => 0,
             (true, true) => self.numa.remote_shootdown_extra_cycles,
@@ -591,9 +590,8 @@ pub(crate) fn remap_coherence<B: Backend>(b: &mut B, initiator: B::Cpu, pte_addr
     // a socket (for the NUMA counters).
     let work = |t: &TargetPlan| {
         let disruptive = t.vm_exit || t.action == TargetAction::FlushAll;
-        let does_work = disruptive || t.action != TargetAction::None;
         let (cross_socket, extra) =
-            params.remap_distance_extra(initiator_socket, t.cpu, disruptive, does_work);
+            params.remap_distance_extra(initiator_socket, t.cpu, disruptive);
         let target = TargetWork {
             cpu: t.cpu,
             action: t.action,
@@ -637,15 +635,13 @@ pub(crate) fn remap_coherence<B: Backend>(b: &mut B, initiator: B::Cpu, pte_addr
         });
     }
     for (target, cross_socket) in plan.targets.iter().map(work) {
-        if target.disruptive || target.action != TargetAction::None {
-            let numa = b.vm().numa_mut();
-            if cross_socket {
-                numa.remote_coherence_targets += 1;
-            } else {
-                numa.local_coherence_targets += 1;
-            }
-            b.vm().causal_mut().charge_target(remap_id);
+        let numa = b.vm().numa_mut();
+        if cross_socket {
+            numa.remote_coherence_targets += 1;
+        } else {
+            numa.local_coherence_targets += 1;
         }
+        b.vm().causal_mut().charge_target(remap_id);
         dispatch_target(b, target);
     }
     // Directory-energy premium of the fancier design variants (Fig. 12).
@@ -674,8 +670,7 @@ pub(crate) fn dispatch_target<B: Backend>(b: &mut B, target: TargetWork) {
 /// list, so later remaps of the line stop messaging it.
 pub(crate) fn apply_target<B: Backend>(b: &mut B, cpu: B::Cpu, target: &TargetWork) {
     let remap = RemapId::new(b.slot() as u32, target.remap_ordinal);
-    let does_work = target.disruptive || target.action != TargetAction::None;
-    if does_work && b.tracing() {
+    if b.tracing() {
         let ts = *b.cycles(cpu);
         b.trace(TraceEvent {
             name: "inval_target",
@@ -722,7 +717,6 @@ pub(crate) fn apply_target<B: Backend>(b: &mut B, cpu: B::Cpu, target: &TargetWo
             coherence.entries_flushed += counts.mmu_cache + counts.ntlb;
             counts.total()
         }
-        TargetAction::None => return,
     };
     b.vm().causal_mut().charge_invalidations(remap, invalidated);
     b.energy(EnergyEvent::TranslationInvalidation, invalidated);
