@@ -33,47 +33,11 @@
 
 use hatric_bench::diff_against_baseline;
 use hatric_host::diff::MetricDelta;
-use hatric_host::scenario::{registry, Params, Scale, ScenarioReport};
-
-/// The parallel slice engine's determinism contract, enforced on the
-/// freshly collected `host_scale` report: rows that differ only in their
-/// thread count must carry bit-identical *model* metrics (the timing
-/// columns are machine-dependent and exempt).
-fn check_thread_determinism(report: &ScenarioReport) -> usize {
-    const MODEL_METRICS: [&str; 4] = [
-        "host_runtime_cycles",
-        "accesses",
-        "aggressor_remaps",
-        "host_disrupted_cycles",
-    ];
-    let mut drifted = 0;
-    for row in &report.rows {
-        let vcpus = row.number("vcpus").expect("host_scale rows carry vcpus");
-        let base = report
-            .rows
-            .iter()
-            .find(|r| r.number("vcpus") == Some(vcpus))
-            .expect("the first row of a vcpus group exists");
-        for metric in MODEL_METRICS {
-            if row.number(metric) != base.number(metric) {
-                drifted += 1;
-                println!(
-                    "  DRIFTED  host_scale/{}: {metric} {:?} != {:?} (threads must not \
-                     change model metrics)",
-                    row.label(),
-                    row.number(metric),
-                    base.number(metric)
-                );
-            }
-        }
-    }
-    drifted
-}
+use hatric_host::scenario::{registry, Params, Scale};
 
 fn main() {
     let mut deltas: Vec<(String, MetricDelta)> = Vec::new();
     let mut missing: Vec<String> = Vec::new();
-    let mut thread_drift = 0usize;
 
     for scenario in registry() {
         if scenario.baseline_stem().is_none() {
@@ -84,9 +48,6 @@ fn main() {
             .unwrap_or_else(|err| {
                 panic!("{}: default parameters are valid: {err}", scenario.name())
             });
-        if scenario.name() == "host_scale" {
-            thread_drift += check_thread_determinism(&report);
-        }
         let diff = match diff_against_baseline(*scenario, &report) {
             Ok(diff) => diff,
             Err(err) => {
@@ -161,13 +122,6 @@ fn main() {
              and commit {}",
             missing.len(),
             baselines.join(" / ")
-        );
-        std::process::exit(1);
-    }
-    if thread_drift > 0 {
-        eprintln!(
-            "bench_check: {thread_drift} model metric(s) drifted across thread counts — \
-             the slice engine's determinism contract is broken"
         );
         std::process::exit(1);
     }

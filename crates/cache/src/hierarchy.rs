@@ -1,15 +1,16 @@
 //! The full cache hierarchy: per-CPU private L1/L2 caches, a shared LLC and
 //! the coherence directory, glued together behind a read/write interface.
 //!
-//! Two execution modes share the same state:
+//! The simulator runs the **serial** [`CacheHierarchy::read`] /
+//! [`CacheHierarchy::write`] path, which mutates private and shared levels
+//! in one call.  Each shared-level step is one [`SharedCacheOp`] replayed
+//! on the LLC/directory bank that owns its line.
 //!
-//! * the classic **serial** [`CacheHierarchy::read`]/[`CacheHierarchy::write`]
-//!   path, which mutates private and shared levels in one call, and
-//! * the **phased** path of the parallel slice engine: workers own disjoint
-//!   [`PrivatePair`]s and *simulate* against a frozen [`SharedCache`]
-//!   ([`CacheHierarchy::split_simulate`]), logging every shared-level
-//!   mutation as a [`SharedCacheOp`]; at the slice barrier the ops are
-//!   replayed in canonical order via [`CacheHierarchy::apply_op`].
+//! A **phased** path is kept beside it only for the `perfbench` benchmark's
+//! `engine_caches` calibration, its one caller: a CPU's [`PrivatePair`]
+//! *simulates* an access against a frozen [`SharedCache`]
+//! ([`CacheHierarchy::split_simulate`]) and logs its shared-level ops for a
+//! later [`CacheHierarchy::apply_op`].  No host runs it.
 
 use hatric_types::{CacheLineAddr, Counter, CpuId, RatioStat};
 
@@ -124,9 +125,8 @@ pub struct CacheStatsSnapshot {
     pub pt_line_writes: Counter,
 }
 
-/// Private L1/L2 hit/miss counts accumulated by one simulate worker; the
-/// commit phase folds them into [`CacheStatsSnapshot`] in canonical unit
-/// order via [`CacheHierarchy::apply_stats_delta`].
+/// Private L1/L2 hit/miss counts of the phased path's simulated accesses.
+/// Kept for `perfbench`'s `engine_caches` calibration, its one caller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStatsDelta {
     /// L1 hits recorded during simulate.
@@ -139,16 +139,15 @@ pub struct CacheStatsDelta {
     pub l2_misses: u64,
 }
 
-/// One CPU's private L1/L2 pair — the unit of cache state a simulate worker
-/// owns exclusively for a slice.
+/// One CPU's private L1/L2 pair.
 #[derive(Debug, Clone)]
 pub struct PrivatePair {
     l1: PrivateCache,
     l2: PrivateCache,
 }
 
-/// A shared-level mutation logged by a simulate worker, replayed at the
-/// slice barrier in canonical `(vm slot, emission order)` sequence.
+/// One shared-level step of an access: the serial path replays it on its
+/// line's bank at once, the phased path logs it for a later replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharedCacheOp {
     /// A read that missed the private levels and consulted LLC/directory.
@@ -215,7 +214,7 @@ pub struct CommitOutcome {
 /// note + LLC probe); private-level consequences are reported separately as
 /// [`PrivEffect`]s.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BankOutcome {
+pub(crate) struct BankOutcome {
     /// A fresh directory entry was allocated (reads fill Exclusive).
     pub allocated: bool,
     /// The remote owner a read downgraded, if any.
@@ -243,6 +242,7 @@ impl SharedCacheOp {
 }
 
 /// Predicted outcome of a simulated read.
+/// Phased path, kept for `perfbench`'s `engine_caches` calibration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimAccess {
     /// Predicted service level (from the frozen shared state).
@@ -252,6 +252,7 @@ pub struct SimAccess {
 }
 
 /// Predicted outcome of a simulated write.
+/// Phased path, kept for `perfbench`'s `engine_caches` calibration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimWrite {
     /// Predicted service level.
@@ -309,6 +310,9 @@ impl PrivatePair {
 
     /// Simulates a read by `cpu` against this pair plus the frozen shared
     /// state.  Shared-level consequences are appended to `ops`.
+    ///
+    /// Phased path, kept for `perfbench`'s `engine_caches` calibration, its
+    /// one caller.
     pub fn simulate_read(
         &mut self,
         shared: &SharedCache,
@@ -366,6 +370,9 @@ impl PrivatePair {
 
     /// Simulates a write by `cpu` against this pair plus the frozen shared
     /// state.  Shared-level consequences are appended to `ops`.
+    ///
+    /// Phased path, kept for `perfbench`'s `engine_caches` calibration, its
+    /// one caller.
     pub fn simulate_write(
         &mut self,
         shared: &SharedCache,
@@ -423,12 +430,10 @@ impl PrivatePair {
 /// One bank of the shared level: a slice of the LLC's sets plus the
 /// directory entries of the lines mapping to them.
 ///
-/// Banking serves the parallel commit: ops on different banks touch
-/// disjoint state, so bank queues can be replayed concurrently.  The bank
-/// count is a pure function of the LLC geometry — never of the thread
-/// count — so results are identical however many workers drain the banks.
+/// The bank count is a pure function of the LLC geometry; each bank holds
+/// the lines whose index is congruent to it modulo the count.
 #[derive(Debug, Clone)]
-pub struct CacheBank {
+pub(crate) struct CacheBank {
     llc: PrivateCache,
     directory: CoherenceDirectory,
     /// log2 of the total bank count (the stride of this bank's line
@@ -453,15 +458,15 @@ impl CacheBank {
 
     /// Whether this bank's LLC slice holds `line` (no recency effects).
     #[must_use]
-    pub fn llc_probe(&self, line: CacheLineAddr) -> bool {
+    pub(crate) fn llc_probe(&self, line: CacheLineAddr) -> bool {
         self.llc.probe(self.llc_key(line)).is_some()
     }
 }
 
-/// Deferred private-level consequence of a banked op replay, resolved in
-/// the serial seq-ordered pass (bank replays never touch private pairs).
+/// Private-level consequence of a bank replay, resolved by the hierarchy
+/// right after it (bank replays never touch private pairs).
 #[derive(Debug, Clone, Copy)]
-pub enum PrivEffect {
+pub(crate) enum PrivEffect {
     /// `note_read` found a remote modified/exclusive owner: downgrade its
     /// private copies to Shared (counting a writeback if it was Modified).
     Downgrade {
@@ -491,7 +496,7 @@ pub enum PrivEffect {
     },
     /// A directory entry was evicted for capacity: back-invalidate the
     /// line in every sharer's private caches — and, for page-table lines,
-    /// their translation structures (handled by the engine).
+    /// their translation structures (handled by the access pipeline).
     BackInvalidate {
         /// The evicted line.
         line: CacheLineAddr,
@@ -510,7 +515,7 @@ impl CacheBank {
     /// with the op's global `seq`, to be resolved by the serial seq-ordered
     /// pass.  Bank replays read no private state, so banks can be drained
     /// concurrently.
-    pub fn apply_op(
+    pub(crate) fn apply_op(
         &mut self,
         op: &SharedCacheOp,
         seq: u64,
@@ -619,9 +624,7 @@ impl CacheBank {
 }
 
 /// Everything the CPUs share: the banked LLC + coherence directory and the
-/// private-side aggregate statistics.  Frozen (immutably borrowed) during
-/// the simulate phase; banks are mutated either serially (classic path) or
-/// by the parallel bank replay.
+/// private-side aggregate statistics.
 #[derive(Debug, Clone)]
 pub struct SharedCache {
     banks: Vec<CacheBank>,
@@ -646,26 +649,12 @@ impl SharedCache {
     }
 
     /// Which bank `line` belongs to.
-    #[must_use]
-    pub fn bank_of(&self, line: CacheLineAddr) -> usize {
+    fn bank_of(&self, line: CacheLineAddr) -> usize {
         line.index() as usize & (self.banks.len() - 1)
-    }
-
-    /// Number of banks (fixed by geometry).
-    #[must_use]
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
     }
 
     fn bank(&self, line: CacheLineAddr) -> &CacheBank {
         &self.banks[self.bank_of(line)]
-    }
-
-    /// Hands the banks out for a parallel replay (the caller distributes
-    /// ops by [`SharedCache::bank_of`] and drains each bank's queue on
-    /// exactly one worker).
-    pub fn banks_mut(&mut self) -> &mut [CacheBank] {
-        &mut self.banks
     }
 }
 
@@ -768,30 +757,12 @@ impl CacheHierarchy {
             .sum()
     }
 
-    /// Splits the hierarchy for a simulate phase: the shared level is
-    /// frozen, the private pairs are handed out for exclusive per-worker
-    /// mutation (the caller partitions them by slice ownership).
+    /// Splits the hierarchy for the phased path: the shared level is
+    /// frozen, the private pairs are handed out for mutation.
+    ///
+    /// Kept for `perfbench`'s `engine_caches` calibration, its one caller.
     pub fn split_simulate(&mut self) -> (&SharedCache, &mut [PrivatePair]) {
         (&self.shared, &mut self.private)
-    }
-
-    /// Which bank a line's ops belong to (the parallel commit's
-    /// distribution key).
-    #[must_use]
-    pub fn bank_of(&self, line: CacheLineAddr) -> usize {
-        self.shared.bank_of(line)
-    }
-
-    /// Number of LLC/directory banks (fixed by geometry, independent of
-    /// the worker count).
-    #[must_use]
-    pub fn bank_count(&self) -> usize {
-        self.shared.bank_count()
-    }
-
-    /// Hands the banks out for a parallel commit replay.
-    pub fn banks_mut(&mut self) -> &mut [CacheBank] {
-        self.shared.banks_mut()
     }
 
     /// Whether `cpu` currently holds `line` in its private caches.
@@ -979,10 +950,9 @@ impl CacheHierarchy {
         (bank_outcome, commit)
     }
 
-    /// Resolves one deferred private-level effect (the seq-ordered serial
-    /// pass of the parallel commit).  Returns the target CPU when an
-    /// invalidation turned out spurious.
-    pub fn resolve_priv(&mut self, effect: &PrivEffect) -> Option<CpuId> {
+    /// Resolves one private-level effect of a bank replay.  Returns the
+    /// target CPU when an invalidation turned out spurious.
+    fn resolve_priv(&mut self, effect: &PrivEffect) -> Option<CpuId> {
         match *effect {
             PrivEffect::Downgrade { owner, line } => {
                 let pair = &mut self.private[owner.index()];
@@ -1030,15 +1000,6 @@ impl CacheHierarchy {
                 None
             }
         }
-    }
-
-    /// Folds one worker's private-level hit/miss counts into the shared
-    /// statistics (commit phase, canonical unit order).
-    pub fn apply_stats_delta(&mut self, delta: &CacheStatsDelta) {
-        self.shared.stats.l1.add_hits(delta.l1_hits);
-        self.shared.stats.l1.add_misses(delta.l1_misses);
-        self.shared.stats.l2.add_hits(delta.l2_hits);
-        self.shared.stats.l2.add_misses(delta.l2_misses);
     }
 
     /// Marks a line as holding page-table entries of the given kind (done by
@@ -1262,7 +1223,7 @@ mod tests {
             directory: DirectoryConfig { max_entries: 16 },
             ..small_hierarchy(2).config
         });
-        assert_eq!(h.bank_count(), 16);
+        assert_eq!(h.shared.banks.len(), 16);
         h.read(CpuId::new(0), line(3));
         h.read(CpuId::new(1), line(3));
         assert!(h.mark_pt_line(line(3), PtKind::Nested).is_none());
@@ -1322,7 +1283,6 @@ mod tests {
         for op in &ops {
             h.apply_op(op);
         }
-        h.apply_stats_delta(&delta);
         assert_eq!(delta.l1_hits, 1);
         assert_eq!(delta.l1_misses, 1);
         // After commit, the directory lists both CPUs as sharers.

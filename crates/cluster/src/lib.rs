@@ -4,13 +4,12 @@
 //! with its own platform, cache hierarchy, HATRIC directory and memory
 //! system — and advances them in **lockstep epochs** of a fixed number of
 //! scheduler slices.  Hosts are completely independent *within* an epoch,
-//! so the cluster shards them across the slice engine's
+//! so the cluster shards them across a
 //! [`WorkerPool`](hatric::WorkerPool) (contiguous chunks, one per worker);
 //! everything that couples hosts — migration page streams, VM
 //! arrival/departure churn, placement decisions — happens serially at the
 //! epoch boundary in host-index order.  The result is byte-identical for
-//! any thread count, the same discipline the per-host slice engine
-//! follows for its VM units.
+//! any thread count.  Each host itself runs serially.
 //!
 //! On top of the epoch loop the cluster models **inter-host live
 //! migration end-to-end**:

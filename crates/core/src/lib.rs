@@ -50,19 +50,18 @@
 
 pub mod config;
 pub mod driver;
-pub mod engine;
 pub mod experiments;
 pub mod metrics;
 mod pipeline;
 pub mod platform;
 pub mod system;
 pub mod vm_instance;
+pub mod worker_pool;
 
 pub use config::{
     CoherenceMechanismExt, LatencyConfig, MemoryMode, PagingKnobs, SystemConfig, DEFAULT_SEED,
 };
 pub use driver::WorkloadDriver;
-pub use engine::{run_slice_parallel, EngineState, WorkerPool};
 pub use experiments::{ExperimentParams, RunSpec};
 pub use metrics::{
     CoherenceActivity, FaultActivity, HostReport, InterferenceActivity, MigrationStats,
@@ -71,6 +70,7 @@ pub use metrics::{
 pub use platform::{Platform, WriteObserver};
 pub use system::System;
 pub use vm_instance::{VmInstance, VmPagingParams};
+pub use worker_pool::WorkerPool;
 
 // Re-export the vocabulary users need to drive the simulator without
 // importing every substrate crate explicitly.

@@ -1,43 +1,30 @@
-//! The per-access pipeline, written once over a [`Backend`].
+//! The per-access pipeline.
 //!
-//! Every stage an access or a remap can run lives here as one generic
-//! function: the TLB lookup and two-dimensional walk ([`step`]), the data
-//! access and its latency ([`charge_read`]), first-touch mapping,
-//! demand paging and page migration, HATRIC's remap path
-//! ([`remap_coherence`]) with its per-CPU target actions
-//! ([`apply_target`]), and directory back-invalidations
-//! ([`back_invalidate`]).  The stages are monomorphised per backend, so
-//! the access path carries no dynamic dispatch.
+//! Every stage an access or a remap can run lives here: the TLB lookup and
+//! two-dimensional walk ([`step`]), the data access and its latency
+//! ([`charge_read`]), first-touch mapping, demand paging and page
+//! migration, HATRIC's remap path ([`remap_coherence`]) with its per-CPU
+//! target actions ([`apply_target`]), and directory back-invalidations
+//! ([`back_invalidate`]).
 //!
-//! A backend owns the VM driving the pipeline and the per-CPU state its
-//! accesses run on (translation structures, cycle counters), and decides
-//! what happens to each *shared-state consequence*:
-//!
-//! * an LLC/directory read, write or page-table marking;
-//! * a DRAM access or a page copy's device booking;
-//! * a frame allocation or free;
-//! * a guest write seen by dirty-page tracking;
-//! * a coherence target on a CPU the backend does not own.
-//!
-//! There are two backends.  The serial one ([`crate::platform::Serial`])
-//! applies each consequence to the [`crate::Platform`] at once and owns
-//! every CPU.  The slice engine's unit backend (`engine::UnitTask`) predicts
-//! each consequence against the frozen slice-start snapshot, logs it for
-//! the commit barrier, and defers targets on CPUs other units own; the
-//! barrier then applies those through the serial backend's
-//! [`apply_target`] and [`back_invalidate`].
+//! The stages run on [`crate::platform::Serial`]: the VM driving the
+//! pipeline plus the [`crate::Platform`] it runs on, to which every
+//! shared-state consequence (cache and directory ops, DRAM bookings, frame
+//! allocations, dirty-page observations, coherence targets on any CPU) is
+//! applied at once.  [`crate::Platform::step`] and the hypervisor
+//! operations enter here; a single-VM [`crate::System`] and a consolidated
+//! host both step their accesses through it.
 
 use hatric_cache::{BackInvalidation, HitLevel, PtKind, SharerSet};
 use hatric_coherence::{
     CoherenceCosts, CoherenceMechanism, DesignVariant, RemapContext, TargetAction, TargetPlan,
-    TranslationCoherence,
 };
 use hatric_energy::EnergyEvent;
 use hatric_hypervisor::NumaPolicy;
-use hatric_memory::{AccessCost, MemoryKind, MemorySystem, NumaConfig};
+use hatric_memory::{MemoryKind, NumaConfig};
 use hatric_pagetable::TwoDimWalker;
 use hatric_telemetry::{track, RemapId, TraceEvent};
-use hatric_tlb::{TlbLevel, TranslationStructures};
+use hatric_tlb::TlbLevel;
 use hatric_types::{
     AddressSpaceId, CacheLineAddr, CoTag, CpuId, GuestFrame, GuestVirtPage, PageSize, SocketId,
     SystemFrame, SystemPhysAddr,
@@ -45,7 +32,8 @@ use hatric_types::{
 use hatric_workloads::Access;
 
 use crate::config::LatencyConfig;
-use crate::vm_instance::{VmInstance, GUEST_PT_GPP_BASE};
+use crate::platform::Serial;
+use crate::vm_instance::GUEST_PT_GPP_BASE;
 
 /// The platform-wide constants every stage reads.
 #[derive(Debug, Clone, Copy)]
@@ -126,8 +114,7 @@ pub(crate) struct CacheAccess {
     pub(crate) level: HitLevel,
     /// Sharers a write invalidated (empty for a read).
     pub(crate) invalidated: SharerSet,
-    /// The directory entry the access evicted.  Only the serial backend
-    /// reports one; the unit backend's directory ops run at the barrier.
+    /// The directory entry the access evicted.
     pub(crate) back_invalidated: Option<BackInvalidation>,
 }
 
@@ -148,75 +135,11 @@ pub(crate) struct TargetWork {
     pub(crate) remap_ordinal: u64,
 }
 
-/// Where the pipeline's state lives and what happens to each shared-state
-/// consequence (see the module docs).
-pub(crate) trait Backend {
-    /// How the backend names a CPU it owns.
-    type Cpu: Copy;
-
-    // ----- what the backend owns --------------------------------------------
-
-    fn params(&self) -> &Params;
-    fn memory(&self) -> &MemorySystem;
-    fn protocol(&self) -> &dyn TranslationCoherence;
-    /// Physical CPUs executing any guest (ascending).
-    fn running_guest(&self) -> Vec<CpuId>;
-    /// The host slot of the VM driving the pipeline.
-    fn slot(&self) -> usize;
-    /// The VM driving the pipeline.
-    fn vm(&mut self) -> &mut VmInstance;
-    fn cpu_id(&self, cpu: Self::Cpu) -> CpuId;
-    /// The handle of `cpu` if this backend owns it.
-    fn local(&self, cpu: CpuId) -> Option<Self::Cpu>;
-    fn structures(&mut self, cpu: Self::Cpu) -> &mut TranslationStructures;
-    fn cycles(&mut self, cpu: Self::Cpu) -> &mut u64;
-    /// Charges `cycles` to `cpu` and to the vCPU occupying it.
-    fn charge(&mut self, cpu: Self::Cpu, cycles: u64);
-    /// Charges a disruptive coherence target's `cycles` like
-    /// [`Backend::charge`], and books them as cross-VM interference
-    /// caused by `remap` when the occupant belongs to another VM.
-    fn disrupt(&mut self, cpu: Self::Cpu, cycles: u64, remap: RemapId);
-    fn energy(&mut self, event: EnergyEvent, count: u64);
-    /// Whether trace spans are recorded (callers check before building one).
-    fn tracing(&self) -> bool;
-    fn trace(&mut self, event: TraceEvent);
-
-    // ----- shared-state consequences ---------------------------------------
-
-    /// An LLC/directory read or write of `line` by `cpu`.
-    fn access(&mut self, cpu: Self::Cpu, line: CacheLineAddr, write: bool) -> CacheAccess;
-    /// Marks `line` as holding page-table entries in the directory.
-    fn mark_pt(&mut self, line: CacheLineAddr, kind: PtKind) -> Option<BackInvalidation>;
-    /// A DRAM access to `frame` from `socket` at time `now`.
-    fn dram_access(&mut self, frame: SystemFrame, socket: SocketId, now: u64) -> AccessCost;
-    /// A page copy `from` → `to` starting at `now`; returns its cycles.
-    fn page_copy(&mut self, from: SystemFrame, to: SystemFrame, now: u64) -> u64;
-    /// A frame of `kind`, preferring socket `preferred`; returns the frame
-    /// and the socket it came from.
-    fn take_frame(
-        &mut self,
-        kind: MemoryKind,
-        preferred: SocketId,
-    ) -> Option<(SystemFrame, SocketId)>;
-    /// The cursor of the interleaved NUMA placement.
-    fn interleave_cursor(&mut self) -> &mut usize;
-    fn free_frame(&mut self, frame: SystemFrame);
-    /// Whether dirty-page tracking observes guest writes.
-    fn observer_present(&self) -> bool;
-    fn observe_write(&mut self, gpp: GuestFrame);
-    /// Whether `cpu`'s private caches hold `line`.
-    fn holds_line(&self, cpu: Self::Cpu, line: CacheLineAddr) -> bool;
-    /// Lazily drops `cpu` from `line`'s sharer list.
-    fn demote_sharer(&mut self, cpu: Self::Cpu, line: CacheLineAddr);
-    /// A coherence target on a CPU this backend does not own.
-    fn defer_target(&mut self, target: TargetWork);
-}
-
 // ----- single-access pipeline ----------------------------------------------
 
-/// Simulates one guest memory access of the backend's VM on `cpu`.
+/// Simulates one guest memory access of the pipeline's VM on `cpu`.
 #[inline]
-pub(crate) fn step<B: Backend>(b: &mut B, cpu: B::Cpu, asid: AddressSpaceId, access: Access) {
+pub(crate) fn step(b: &mut Serial<'_>, cpu: CpuId, asid: AddressSpaceId, access: Access) {
     b.vm().count_access();
     b.charge(cpu, u64::from(access.compute_cycles));
     let vm_id = b.vm().id();
@@ -302,13 +225,7 @@ pub(crate) fn step<B: Backend>(b: &mut B, cpu: B::Cpu, asid: AddressSpaceId, acc
 }
 
 #[inline]
-fn data_access<B: Backend>(
-    b: &mut B,
-    cpu: B::Cpu,
-    spp: SystemFrame,
-    line_in_page: u8,
-    is_write: bool,
-) {
+fn data_access(b: &mut Serial<'_>, cpu: CpuId, spp: SystemFrame, line_in_page: u8, is_write: bool) {
     let addr = spp.addr_at(u64::from(line_in_page) * 64);
     let outcome = b.access(cpu, addr.cache_line(), is_write);
     charge_read(b, cpu, addr, outcome);
@@ -326,7 +243,7 @@ fn data_access<B: Backend>(
 /// Charges the latency of one cache access (DRAM included), then handles
 /// the directory entry it evicted.
 #[inline]
-fn charge_read<B: Backend>(b: &mut B, cpu: B::Cpu, addr: SystemPhysAddr, outcome: CacheAccess) {
+fn charge_read(b: &mut Serial<'_>, cpu: CpuId, addr: SystemPhysAddr, outcome: CacheAccess) {
     let cycles = match outcome.level {
         HitLevel::L1 => {
             b.energy(EnergyEvent::L1Access, 1);
@@ -350,7 +267,7 @@ fn charge_read<B: Backend>(b: &mut B, cpu: B::Cpu, addr: SystemPhysAddr, outcome
                 MemoryKind::OffChip => EnergyEvent::DramAccessSlow,
             };
             b.energy(dram, 1);
-            let cpu_socket = b.params().socket_of_cpu(b.cpu_id(cpu));
+            let cpu_socket = b.params().socket_of_cpu(cpu);
             let remote = b.memory().is_remote(frame, cpu_socket);
             let numa = b.vm().numa_mut();
             if remote {
@@ -373,7 +290,7 @@ fn charge_read<B: Backend>(b: &mut B, cpu: B::Cpu, addr: SystemPhysAddr, outcome
 /// Data pages use an identity GVP→GPP layout (each guest address space
 /// occupies a disjoint slice of guest-virtual space, so identity is
 /// collision-free).
-fn ensure_guest_mapping<B: Backend>(b: &mut B, cpu: B::Cpu, gvp: GuestVirtPage) -> GuestFrame {
+fn ensure_guest_mapping(b: &mut Serial<'_>, cpu: CpuId, gvp: GuestVirtPage) -> GuestFrame {
     if let Some(gpp) = b.vm().guest_page_table().translate(gvp) {
         return gpp;
     }
@@ -403,7 +320,7 @@ fn ensure_guest_mapping<B: Backend>(b: &mut B, cpu: B::Cpu, gvp: GuestVirtPage) 
 }
 
 /// Backs `gpp` with a frame on its first touch.
-pub(crate) fn ensure_nested_mapping<B: Backend>(b: &mut B, cpu: B::Cpu, gpp: GuestFrame) {
+pub(crate) fn ensure_nested_mapping(b: &mut Serial<'_>, cpu: CpuId, gpp: GuestFrame) {
     if b.vm().nested_page_table().translate(gpp).is_some() {
         return;
     }
@@ -437,9 +354,8 @@ pub(crate) fn ensure_nested_mapping<B: Backend>(b: &mut B, cpu: B::Cpu, gpp: Gue
 /// Allocates a frame of `kind` on the policy-preferred socket for an
 /// access from `cpu`, recording a remote allocation when the frame could
 /// not be placed there.
-fn allocate<B: Backend>(b: &mut B, cpu: B::Cpu, kind: MemoryKind) -> Option<SystemFrame> {
+fn allocate(b: &mut Serial<'_>, cpu: CpuId, kind: MemoryKind) -> Option<SystemFrame> {
     let params = *b.params();
-    let cpu = b.cpu_id(cpu);
     let preferred = params.preferred_socket(cpu, b.interleave_cursor());
     let (frame, socket) = b.take_frame(kind, preferred)?;
     // A deliberate interleaved placement on another socket is not a
@@ -450,14 +366,14 @@ fn allocate<B: Backend>(b: &mut B, cpu: B::Cpu, kind: MemoryKind) -> Option<Syst
     Some(frame)
 }
 
-fn current_kind<B: Backend>(b: &mut B, gpp: GuestFrame) -> Option<MemoryKind> {
+fn current_kind(b: &mut Serial<'_>, gpp: GuestFrame) -> Option<MemoryKind> {
     let spp = b.vm().nested_page_table().translate(gpp)?;
     Some(b.memory().kind_of(spp))
 }
 
 // ----- demand paging ---------------------------------------------------------
 
-fn handle_demand_fault<B: Backend>(b: &mut B, cpu: B::Cpu, gpp: GuestFrame) {
+fn handle_demand_fault(b: &mut Serial<'_>, cpu: CpuId, gpp: GuestFrame) {
     // The faulting access takes an EPT-violation VM exit regardless of
     // the translation-coherence mechanism.
     b.vm().faults_mut().demand_faults += 1;
@@ -493,9 +409,9 @@ fn handle_demand_fault<B: Backend>(b: &mut B, cpu: B::Cpu, gpp: GuestFrame) {
 /// Moves `gpp` to the `to` device: the page copy, the nested-page-table
 /// remap and its translation coherence.  Returns `true` if a migration
 /// actually happened.
-pub(crate) fn migrate<B: Backend>(
-    b: &mut B,
-    initiator: B::Cpu,
+pub(crate) fn migrate(
+    b: &mut Serial<'_>,
+    initiator: CpuId,
     gpp: GuestFrame,
     to: MemoryKind,
     critical: bool,
@@ -532,14 +448,14 @@ pub(crate) fn migrate<B: Backend>(
 // ----- translation coherence -------------------------------------------------
 
 /// Performs the hypervisor's store to a nested page-table entry of the
-/// backend's VM and the resulting translation-coherence activity.
+/// pipeline's VM and the resulting translation-coherence activity.
 ///
 /// Software shootdowns target every physical CPU the remapping VM has
 /// ever run on; whoever occupies those CPUs *now* eats the VM exit and
 /// the flush, and if that occupant belongs to a different VM the stolen
 /// cycles are recorded as cross-VM interference.  Hardware mechanisms
 /// touch only the directory's sharer list, without disrupting occupants.
-pub(crate) fn remap_coherence<B: Backend>(b: &mut B, initiator: B::Cpu, pte_addr: SystemPhysAddr) {
+pub(crate) fn remap_coherence(b: &mut Serial<'_>, initiator: CpuId, pte_addr: SystemPhysAddr) {
     let remap_id = {
         let slot = b.slot() as u32;
         let coherence = b.vm().coherence_mut();
@@ -558,11 +474,10 @@ pub(crate) fn remap_coherence<B: Backend>(b: &mut B, initiator: B::Cpu, pte_addr
     // The initiator's own translation structures snoop the store locally
     // (the directory's sharer list excludes the writer), so it is always
     // part of the hardware-coherence target set.
-    let initiator_cpu = b.cpu_id(initiator);
     let mut sharers = write.invalidated;
-    sharers.add(initiator_cpu);
+    sharers.add(initiator);
     let ctx = RemapContext {
-        initiator: initiator_cpu,
+        initiator,
         vm: b.vm().id(),
         vm_cpus: b.vm().vm().cpus_ever_used().to_vec(),
         running_guest: b.running_guest(),
@@ -585,7 +500,7 @@ pub(crate) fn remap_coherence<B: Backend>(b: &mut B, initiator: B::Cpu, pte_addr
 
     let params = *b.params();
     let cotag = CoTag::from_pte_addr(pte_addr, params.cotag_bytes);
-    let initiator_socket = params.socket_of_cpu(initiator_cpu);
+    let initiator_socket = params.socket_of_cpu(initiator);
     // Each planned target becomes its work item plus whether it crosses
     // a socket (for the NUMA counters).
     let work = |t: &TargetPlan| {
@@ -624,7 +539,7 @@ pub(crate) fn remap_coherence<B: Backend>(b: &mut B, initiator: B::Cpu, pte_addr
         b.trace(TraceEvent {
             name: remap_span_name(params.mechanism),
             cat: "coherence",
-            track: track::cpu(initiator_cpu.index()),
+            track: track::cpu(initiator.index()),
             ts: span_start,
             dur,
             args: vec![
@@ -642,7 +557,7 @@ pub(crate) fn remap_coherence<B: Backend>(b: &mut B, initiator: B::Cpu, pte_addr
             numa.local_coherence_targets += 1;
         }
         b.vm().causal_mut().charge_target(remap_id);
-        dispatch_target(b, target);
+        apply_target(b, &target);
     }
     // Directory-energy premium of the fancier design variants (Fig. 12).
     let extra_factor = params.variant.directory_energy_factor() - 1.0;
@@ -652,30 +567,22 @@ pub(crate) fn remap_coherence<B: Backend>(b: &mut B, initiator: B::Cpu, pte_addr
     }
 }
 
-/// Applies `target` now if the backend owns its CPU, and defers it to the
-/// backend otherwise.
-pub(crate) fn dispatch_target<B: Backend>(b: &mut B, target: TargetWork) {
-    match b.local(target.cpu) {
-        Some(cpu) => apply_target(b, cpu, &target),
-        None => b.defer_target(target),
-    }
-}
-
-/// Applies one planned coherence target on `cpu`: its cycles (disruptive
+/// Applies one planned coherence target on its CPU: its cycles (disruptive
 /// targets stall the occupant, co-tag matches only the translation-
 /// structure port), the structure flush or invalidation, and the
 /// initiating VM's counters, energy and causal charges.  A co-tag message
 /// that invalidates nothing on a CPU whose private caches no longer hold
 /// the page-table line is spurious: the target leaves the line's sharer
 /// list, so later remaps of the line stop messaging it.
-pub(crate) fn apply_target<B: Backend>(b: &mut B, cpu: B::Cpu, target: &TargetWork) {
+pub(crate) fn apply_target(b: &mut Serial<'_>, target: &TargetWork) {
+    let cpu = target.cpu;
     let remap = RemapId::new(b.slot() as u32, target.remap_ordinal);
     if b.tracing() {
         let ts = *b.cycles(cpu);
         b.trace(TraceEvent {
             name: "inval_target",
             cat: "coherence",
-            track: track::cpu(target.cpu.index()),
+            track: track::cpu(cpu.index()),
             ts,
             dur: target.cycles,
             args: vec![("vm_exit", u64::from(target.vm_exit))],
@@ -731,16 +638,13 @@ pub(crate) fn apply_target<B: Backend>(b: &mut B, cpu: B::Cpu, target: &TargetWo
 /// single remap as their cause; they are charged to the evicting VM's
 /// latest remap (the activity that filled the directory), or nowhere if
 /// the VM never remapped.
-pub(crate) fn back_invalidate<B: Backend>(b: &mut B, back: Option<BackInvalidation>) {
+pub(crate) fn back_invalidate(b: &mut Serial<'_>, back: Option<BackInvalidation>) {
     let Some((line, sharers, Some(_))) = back else {
         return;
     };
     let cotag = CoTag::from_line(line, b.params().cotag_bytes);
     for cpu in sharers.iter() {
-        let local = b
-            .local(cpu)
-            .expect("only a backend that owns every CPU sees directory evictions");
-        let counts = b.structures(local).invalidate_cotag(cotag);
+        let counts = b.structures(cpu).invalidate_cotag(cotag);
         let slot = b.slot() as u32;
         let coherence = b.vm().coherence_mut();
         coherence.back_invalidated_entries += counts.total();
@@ -751,5 +655,180 @@ pub(crate) fn back_invalidate<B: Backend>(b: &mut B, back: Option<BackInvalidati
                 .charge_invalidations(RemapId::new(slot, remaps), counts.total());
         }
         b.energy(EnergyEvent::TranslationInvalidation, counts.total());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Every [`TargetAction`] arm, applied to CPU 1 of a two-CPU host.
+
+    use super::*;
+    use crate::config::SystemConfig;
+    use crate::platform::Platform;
+    use crate::vm_instance::VmInstance;
+    use hatric_types::{VcpuId, VmId};
+
+    const TARGET: CpuId = CpuId::new(1);
+    const GVP: GuestVirtPage = GuestVirtPage::new(7);
+
+    /// A one-VM, two-vCPU host whose CPU 1 has walked page `GVP`, so its
+    /// TLBs, MMU cache and nested TLB hold translations co-tagged with the
+    /// page's nested leaf entry, and its private caches hold that entry's
+    /// line.  Returns the host and that line's coherence target.
+    fn host(action: TargetAction, vm_exit: bool) -> (Platform, Vec<VmInstance>, TargetWork) {
+        let config = SystemConfig::scaled(2, 256);
+        let mut platform = Platform::new(&config).unwrap();
+        let paging = crate::VmPagingParams::for_quota(&config.paging, 256, true);
+        let vm_config = hatric_hypervisor::VmConfig {
+            vm: VmId::new(0),
+            vcpus: 2,
+            first_cpu: CpuId::new(0),
+        };
+        let mut vms = vec![VmInstance::new(0, vm_config, paging, platform.memory())];
+        for i in 0..2 {
+            platform.set_occupant(CpuId::new(i), Some((0, VcpuId::new(i))));
+        }
+        let access = Access {
+            gvp: GVP,
+            line_in_page: 0,
+            is_write: false,
+            compute_cycles: 0,
+        };
+        platform.step(&mut vms, 0, TARGET, AddressSpaceId::new(0), access);
+        let gpp = vms[0].guest_page_table().translate(GVP).unwrap();
+        let pte = vms[0].nested_page_table().leaf_entry_addr(gpp).unwrap();
+        let target = TargetWork {
+            cpu: TARGET,
+            action,
+            vm_exit,
+            disruptive: vm_exit || action == TargetAction::FlushAll,
+            cycles: 100,
+            cotag: CoTag::from_pte_addr(pte, platform.params.cotag_bytes),
+            line: pte.cache_line(),
+            remap_ordinal: 1,
+        };
+        (platform, vms, target)
+    }
+
+    /// Reads lines of the target line's private-cache sets until CPU 1 no
+    /// longer holds it; the lazy directory keeps CPU 1 a sharer.
+    fn evict_line(platform: &mut Platform, line: CacheLineAddr) {
+        let l2_sets = hatric_cache::PrivateCacheConfig::l2_default().sets() as u64;
+        for k in 1..=32 {
+            let conflict = CacheLineAddr::new((line.index() + k * l2_sets) * 64);
+            platform.caches.read(TARGET, conflict);
+        }
+        assert!(!platform.caches.cpu_holds_line(TARGET, line));
+        assert!(platform.caches.is_sharer(line, TARGET));
+    }
+
+    /// Builds a host, runs `prepare` on it, applies the target, and checks
+    /// that the target's cycles reached CPU 1 and, for a disruptive
+    /// target, its occupant.
+    fn apply(
+        action: TargetAction,
+        vm_exit: bool,
+        prepare: impl Fn(&mut Platform, &mut [VmInstance], &TargetWork),
+    ) -> (Platform, Vec<VmInstance>, TargetWork) {
+        let (mut platform, mut vms, target) = host(action, vm_exit);
+        prepare(&mut platform, &mut vms, &target);
+        let (cpu_before, vcpu_before) = (platform.cycles[1], vms[0].vcpu_cycles()[1]);
+        apply_target(&mut Serial::new(&mut platform, &mut vms, 0), &target);
+        assert_eq!(platform.cycles[1], cpu_before + target.cycles);
+        let stalled = if target.disruptive { target.cycles } else { 0 };
+        assert_eq!(vms[0].vcpu_cycles()[1], vcpu_before + stalled);
+        (platform, vms, target)
+    }
+
+    fn no_prep(_: &mut Platform, _: &mut [VmInstance], _: &TargetWork) {}
+
+    /// Invalidates the target's co-tag on CPU 1 beforehand, so the target
+    /// itself finds nothing to invalidate.
+    fn drop_translations(platform: &mut Platform, _: &mut [VmInstance], target: &TargetWork) {
+        assert!(
+            platform.structures[1]
+                .invalidate_cotag(target.cotag)
+                .total()
+                > 0
+        );
+    }
+
+    /// The invalidations the target charged to its remap in the VM's
+    /// causal ledger.
+    fn ledger_invalidations(vms: &[VmInstance]) -> u64 {
+        vms[0]
+            .causal()
+            .top_by_victim_cycles(1)
+            .first()
+            .map_or(0, |(_, cost)| cost.invalidations)
+    }
+
+    #[test]
+    fn flush_all_empties_every_structure_and_stalls_the_occupant() {
+        let (platform, mut vms, _) = apply(TargetAction::FlushAll, true, no_prep);
+        let coherence = *vms[0].coherence_mut();
+        assert_eq!(coherence.full_flushes, 1);
+        assert_eq!(coherence.coherence_vm_exits, 1);
+        assert!(coherence.entries_flushed > 0);
+        assert_eq!(coherence.spurious_messages, 0);
+        assert_eq!(ledger_invalidations(&vms), coherence.entries_flushed);
+        assert_eq!(platform.structures[1].occupancy(), 0);
+        assert_eq!(vms[0].vcpu_cycles()[1], platform.cycles[1]);
+    }
+
+    #[test]
+    fn cotag_hit_invalidates_only_matching_entries() {
+        let (platform, mut vms, target) = apply(TargetAction::InvalidateCotag, false, no_prep);
+        let coherence = *vms[0].coherence_mut();
+        assert!(coherence.entries_selectively_invalidated > 0);
+        assert_eq!(coherence.entries_flushed, 0);
+        assert_eq!(coherence.spurious_messages, 0);
+        assert_eq!(
+            ledger_invalidations(&vms),
+            coherence.entries_selectively_invalidated
+        );
+        assert!(
+            platform.structures[1].occupancy() > 0,
+            "other co-tags survive"
+        );
+        assert!(platform.caches.is_sharer(target.line, TARGET));
+    }
+
+    #[test]
+    fn cotag_miss_on_a_line_holder_is_not_spurious() {
+        let (platform, mut vms, target) =
+            apply(TargetAction::InvalidateCotag, false, drop_translations);
+        let coherence = *vms[0].coherence_mut();
+        assert_eq!(coherence.entries_selectively_invalidated, 0);
+        assert_eq!(coherence.spurious_messages, 0);
+        assert!(platform.caches.cpu_holds_line(TARGET, target.line));
+        assert!(platform.caches.is_sharer(target.line, TARGET));
+    }
+
+    #[test]
+    fn cotag_miss_without_the_line_is_spurious_and_leaves_the_sharer_set() {
+        let (platform, mut vms, target) = apply(
+            TargetAction::InvalidateCotag,
+            false,
+            |platform, vms, target| {
+                drop_translations(platform, vms, target);
+                evict_line(platform, target.line);
+            },
+        );
+        let coherence = *vms[0].coherence_mut();
+        assert_eq!(coherence.entries_selectively_invalidated, 0);
+        assert_eq!(coherence.spurious_messages, 1);
+        assert!(!platform.caches.is_sharer(target.line, TARGET));
+    }
+
+    #[test]
+    fn tlb_only_invalidates_tlbs_and_flushes_mmu_cache_and_ntlb() {
+        let (platform, mut vms, _) = apply(TargetAction::InvalidateCotagTlbOnly, false, no_prep);
+        let coherence = *vms[0].coherence_mut();
+        assert_eq!(coherence.entries_selectively_invalidated, 2, "L1 + L2 TLB");
+        assert!(coherence.entries_flushed > 0, "MMU cache and nTLB entries");
+        assert_eq!(coherence.full_flushes, 0);
+        assert_eq!(coherence.spurious_messages, 0);
+        assert_eq!(platform.structures[1].occupancy(), 0);
     }
 }

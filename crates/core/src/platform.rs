@@ -1,4 +1,4 @@
-//! The shared physical platform and its serial pipeline backend.
+//! The shared physical platform and the state the access pipeline runs on.
 //!
 //! A [`Platform`] models everything the VMs of one host share: the MESI
 //! cache hierarchy with its HATRIC-extended directory, the per-physical-CPU
@@ -10,13 +10,13 @@
 //! VM's remap can charge disruption to whichever VM currently occupies a
 //! targeted CPU — the consolidation interference the paper motivates with.
 //!
-//! The pipeline stages themselves live in `crate::pipeline`, written once
-//! for both backends; [`Platform::step`] and the hypervisor operations run
-//! them through this module's serial backend, which applies every
-//! shared-state consequence at once.
+//! The pipeline stages themselves live in `crate::pipeline`;
+//! [`Platform::step`] and the hypervisor operations run them on a
+//! `Serial`, which applies every shared-state consequence at once.
 //!
 //! [`crate::System`] wraps a `Platform` with exactly one `VmInstance`; the
-//! `hatric-host` crate schedules many over the same pipeline.
+//! `hatric-host` crate schedules many over the same pipeline, one access
+//! per placed vCPU in turn.
 
 use hatric_cache::{
     BackInvalidation, CacheHierarchy, CacheHierarchyConfig, CacheStatsSnapshot, DirectoryConfig,
@@ -33,7 +33,7 @@ use hatric_types::{
 use hatric_workloads::Access;
 
 use crate::config::{CoherenceMechanismExt, SystemConfig};
-use crate::pipeline::{self, Backend, CacheAccess, Params, TargetWork};
+use crate::pipeline::{self, CacheAccess, Params};
 use crate::vm_instance::VmInstance;
 
 /// Observes guest stores as the pipeline executes them.
@@ -55,9 +55,8 @@ pub trait WriteObserver: std::fmt::Debug + Send {
 
 /// The hardware every VM on the host shares, plus the execution pipeline.
 ///
-/// Fields are `pub(crate)` so the parallel slice engine
-/// ([`crate::engine`]) can split them into a frozen shared view plus
-/// per-CPU exclusively-owned state for one slice.
+/// Fields are `pub(crate)` so this crate's tests can prepare and inspect
+/// them directly.
 #[derive(Debug)]
 pub struct Platform {
     pub(crate) params: Params,
@@ -485,9 +484,8 @@ impl Platform {
 
     /// Applies (or, with `100`, lifts) a DRAM brownout: every memory device
     /// on this host serves lines `multiplier_x100/100` times slower.  The
-    /// multiplier lives in device state, so both the serial access path and
-    /// the parallel engine's plan/commit path observe identical degraded
-    /// timing.
+    /// multiplier lives in device state, so every later DRAM access and page
+    /// copy observes the degraded timing.
     pub fn set_dram_brownout(&mut self, multiplier_x100: u64) {
         self.memory
             .set_dram_service_multiplier_x100(multiplier_x100);
@@ -518,11 +516,9 @@ impl Platform {
     }
 }
 
-/// The serial pipeline backend: VM `slot` of `vms` drives the pipeline on
-/// `platform`, and every shared-state consequence is applied at once.  It
-/// owns every CPU, so no coherence target is ever deferred.  It serves
-/// [`crate::System`], the hypervisor operations above, and the slice
-/// engine's commit barrier.
+/// What the pipeline stages run on: VM `slot` of `vms` drives the pipeline
+/// on `platform`, and every shared-state consequence is applied at once.
+/// It serves [`Platform::step`] and the hypervisor operations above.
 pub(crate) struct Serial<'a> {
     platform: &'a mut Platform,
     vms: &'a mut [VmInstance],
@@ -539,54 +535,51 @@ impl<'a> Serial<'a> {
     }
 }
 
-impl Backend for Serial<'_> {
-    type Cpu = CpuId;
-
-    fn params(&self) -> &Params {
+impl Serial<'_> {
+    pub(crate) fn params(&self) -> &Params {
         &self.platform.params
     }
 
-    fn memory(&self) -> &MemorySystem {
+    pub(crate) fn memory(&self) -> &MemorySystem {
         &self.platform.memory
     }
 
-    fn protocol(&self) -> &dyn TranslationCoherence {
+    pub(crate) fn protocol(&self) -> &dyn TranslationCoherence {
         &*self.platform.protocol
     }
 
-    fn running_guest(&self) -> Vec<CpuId> {
+    /// Physical CPUs executing any guest (ascending).
+    pub(crate) fn running_guest(&self) -> Vec<CpuId> {
         self.platform.occupied_cpus()
     }
 
-    fn slot(&self) -> usize {
+    /// The host slot of the VM driving the pipeline.
+    pub(crate) fn slot(&self) -> usize {
         self.slot
     }
 
-    fn vm(&mut self) -> &mut VmInstance {
+    /// The VM driving the pipeline.
+    pub(crate) fn vm(&mut self) -> &mut VmInstance {
         &mut self.vms[self.slot]
     }
 
-    fn cpu_id(&self, cpu: CpuId) -> CpuId {
-        cpu
-    }
-
-    fn local(&self, cpu: CpuId) -> Option<CpuId> {
-        Some(cpu)
-    }
-
-    fn structures(&mut self, cpu: CpuId) -> &mut TranslationStructures {
+    pub(crate) fn structures(&mut self, cpu: CpuId) -> &mut TranslationStructures {
         &mut self.platform.structures[cpu.index()]
     }
 
-    fn cycles(&mut self, cpu: CpuId) -> &mut u64 {
+    pub(crate) fn cycles(&mut self, cpu: CpuId) -> &mut u64 {
         &mut self.platform.cycles[cpu.index()]
     }
 
-    fn charge(&mut self, cpu: CpuId, cycles: u64) {
+    /// Charges `cycles` to `cpu` and to the vCPU occupying it.
+    pub(crate) fn charge(&mut self, cpu: CpuId, cycles: u64) {
         self.platform.charge_occupant(self.vms, cpu, cycles);
     }
 
-    fn disrupt(&mut self, cpu: CpuId, cycles: u64, remap: RemapId) {
+    /// Charges a disruptive coherence target's `cycles` like
+    /// [`Serial::charge`], and books them as cross-VM interference caused
+    /// by `remap` when the occupant belongs to another VM.
+    pub(crate) fn disrupt(&mut self, cpu: CpuId, cycles: u64, remap: RemapId) {
         self.platform.charge_occupant(self.vms, cpu, cycles);
         if let Some((occ_slot, _)) = self.platform.occupancy[cpu.index()] {
             if occ_slot != self.slot {
@@ -600,19 +593,21 @@ impl Backend for Serial<'_> {
         }
     }
 
-    fn energy(&mut self, event: EnergyEvent, count: u64) {
+    pub(crate) fn energy(&mut self, event: EnergyEvent, count: u64) {
         self.platform.energy.record(event, count);
     }
 
-    fn tracing(&self) -> bool {
+    /// Whether trace spans are recorded (callers check before building one).
+    pub(crate) fn tracing(&self) -> bool {
         self.platform.trace.is_some()
     }
 
-    fn trace(&mut self, event: TraceEvent) {
+    pub(crate) fn trace(&mut self, event: TraceEvent) {
         self.platform.trace_event(event);
     }
 
-    fn access(&mut self, cpu: CpuId, line: CacheLineAddr, write: bool) -> CacheAccess {
+    /// An LLC/directory read or write of `line` by `cpu`.
+    pub(crate) fn access(&mut self, cpu: CpuId, line: CacheLineAddr, write: bool) -> CacheAccess {
         let caches = &mut self.platform.caches;
         let (access, invalidated) = if write {
             let outcome = caches.write(cpu, line);
@@ -627,23 +622,37 @@ impl Backend for Serial<'_> {
         }
     }
 
-    fn mark_pt(&mut self, line: CacheLineAddr, kind: PtKind) -> Option<BackInvalidation> {
+    /// Marks `line` as holding page-table entries in the directory.
+    pub(crate) fn mark_pt(
+        &mut self,
+        line: CacheLineAddr,
+        kind: PtKind,
+    ) -> Option<BackInvalidation> {
         self.platform.caches.mark_pt_line(line, kind)
     }
 
-    fn dram_access(&mut self, frame: SystemFrame, socket: SocketId, now: u64) -> AccessCost {
+    /// A DRAM access to `frame` from `socket` at time `now`.
+    pub(crate) fn dram_access(
+        &mut self,
+        frame: SystemFrame,
+        socket: SocketId,
+        now: u64,
+    ) -> AccessCost {
         self.platform
             .memory
             .access_detail(frame, self.slot, socket, now)
     }
 
-    fn page_copy(&mut self, from: SystemFrame, to: SystemFrame, now: u64) -> u64 {
+    /// A page copy `from` → `to` starting at `now`; returns its cycles.
+    pub(crate) fn page_copy(&mut self, from: SystemFrame, to: SystemFrame, now: u64) -> u64 {
         self.platform
             .memory
             .page_copy_cycles(from, to, self.slot, now)
     }
 
-    fn take_frame(
+    /// A frame of `kind`, preferring socket `preferred`; returns the frame
+    /// and the socket it came from.
+    pub(crate) fn take_frame(
         &mut self,
         kind: MemoryKind,
         preferred: SocketId,
@@ -653,33 +662,33 @@ impl Backend for Serial<'_> {
         Some((frame, memory.socket_of(frame)))
     }
 
-    fn interleave_cursor(&mut self) -> &mut usize {
+    /// The cursor of the interleaved NUMA placement.
+    pub(crate) fn interleave_cursor(&mut self) -> &mut usize {
         &mut self.platform.interleave_next
     }
 
-    fn free_frame(&mut self, frame: SystemFrame) {
+    pub(crate) fn free_frame(&mut self, frame: SystemFrame) {
         self.platform.memory.free(frame);
     }
 
-    fn observer_present(&self) -> bool {
+    /// Whether dirty-page tracking observes guest writes.
+    pub(crate) fn observer_present(&self) -> bool {
         self.platform.write_observer.is_some()
     }
 
-    fn observe_write(&mut self, gpp: GuestFrame) {
+    pub(crate) fn observe_write(&mut self, gpp: GuestFrame) {
         if let Some(observer) = self.platform.write_observer.as_mut() {
             observer.on_guest_write(self.slot, gpp);
         }
     }
 
-    fn holds_line(&self, cpu: CpuId, line: CacheLineAddr) -> bool {
+    /// Whether `cpu`'s private caches hold `line`.
+    pub(crate) fn holds_line(&self, cpu: CpuId, line: CacheLineAddr) -> bool {
         self.platform.caches.cpu_holds_line(cpu, line)
     }
 
-    fn demote_sharer(&mut self, cpu: CpuId, line: CacheLineAddr) {
+    /// Lazily drops `cpu` from `line`'s sharer list.
+    pub(crate) fn demote_sharer(&mut self, cpu: CpuId, line: CacheLineAddr) {
         self.platform.caches.demote_sharer(line, cpu);
-    }
-
-    fn defer_target(&mut self, _target: TargetWork) {
-        unreachable!("the serial backend owns every CPU");
     }
 }

@@ -256,7 +256,7 @@ mod tests {
     /// takes the translations filled from it out of its sharers' TLBs.
     #[test]
     fn marking_evicts_pt_lines_out_of_translation_structures() {
-        use crate::pipeline::{self, Backend};
+        use crate::pipeline;
         use crate::platform::Serial;
         use hatric_cache::PtKind;
         use hatric_types::{CacheLineAddr, GuestVirtPage, SystemFrame};
@@ -284,13 +284,15 @@ mod tests {
             pipeline::back_invalidate(&mut serial, back);
         };
         mark(platform, vms, pt_line, PtKind::Nested);
-        // Mark further lines of the same bank until one evicts the PT line.
-        let banks = platform.caches.bank_count() as u64;
+        // Mark further lines of the same LLC/directory bank until one
+        // evicts the PT line: bank counts are powers of two up to 16, so
+        // lines 16 apart share a bank.
+        let stride = 16;
         let mut n = 0;
         while platform.caches.is_sharer(pt_line, CpuId::new(0)) {
             n += 1;
             assert!(n < 1 << 16, "the directory never evicted the PT line");
-            let line = CacheLineAddr::new((pt_line.index() + n * banks) * 64);
+            let line = CacheLineAddr::new((pt_line.index() + n * stride) * 64);
             mark(platform, vms, line, PtKind::Guest);
         }
         for cpu in 0..2 {

@@ -269,11 +269,11 @@ const fn event_index(event: EnergyEvent) -> usize {
     }
 }
 
-/// A side accumulator of event *counts* (no parameters, no floats): worker
-/// threads of the parallel slice engine tally their events here, and the
-/// commit phase replays every tally into the one [`EnergyModel`] in
-/// canonical event order — so the floating-point accumulation order (and
-/// with it the reported energy) is identical for any thread count.
+/// A side accumulator of event *counts* (no parameters, no floats) that
+/// replays into an [`EnergyModel`] in canonical event order, so the
+/// floating-point accumulation order of a replay is fixed.  No simulator
+/// path tallies today: every host records its events straight into its
+/// model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnergyTally {
     counts: [u64; ALL_EVENTS.len()],

@@ -20,8 +20,7 @@
 //!   source is still in pre-copy (blackout); drops are re-sent.
 //! * **DRAM brownout** — a transient service-latency multiplier on a
 //!   host's memory devices, applied through the existing leaky-bucket
-//!   queueing path so the serial pipeline and the slice engine observe
-//!   identical timing.
+//!   queueing path, so every access and page copy observes it.
 //! * **Stuck pre-copy** — the source's copy rounds stall for a few
 //!   epochs, feeding the cluster's non-convergence escalation timeout.
 //!

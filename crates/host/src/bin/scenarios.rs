@@ -15,7 +15,7 @@
 //! `BENCH_*.json` schema.  `--trace` additionally runs one representative
 //! traced configuration and writes its deterministic sim-time spans as a
 //! Chrome trace-event file (open in `chrome://tracing` or Perfetto);
-//! `--timeline` does the same with the commit-barrier counter sampler and
+//! `--timeline` does the same with the per-slice counter sampler and
 //! writes Chrome counter events plus a CSV sibling.  `diff` is the run
 //! observatory: it aligns two report files by (label, mechanism), prints
 //! per-metric deltas, and exits nonzero when a gated metric drifted beyond
@@ -37,7 +37,7 @@ const USAGE: &str = "usage:
 Scenarios are registered in hatric_host::scenario::registry(); `--list`
 shows them.  `--scale` sizes the run (default: bench, the committed
 BENCH_*.json baseline scale).  `--trace` writes a Chrome trace-event JSON
-of one traced configuration; `--timeline` writes the commit-barrier
+of one traced configuration; `--timeline` writes the per-slice
 counter timeline as Chrome counter events plus a CSV sibling (host
 scenarios only).  `--set` overrides a scenario parameter (see its key set
 via the defaults printed on a bad key).  `diff` compares two report files
@@ -213,7 +213,7 @@ fn run(args: &[String]) -> Result<(), String> {
             .map_err(|err| format!("--timeline: {err}"))?
             .ok_or_else(|| {
                 format!(
-                    "--timeline: scenario `{}` has no host commit barrier to sample \
+                    "--timeline: scenario `{}` has no host slices to sample \
                      (host scenarios only)",
                     scenario.name()
                 )

@@ -215,10 +215,6 @@ pub struct HostConfig {
     pub sched: SchedPolicy,
     /// Guest memory accesses each scheduled vCPU issues per time slice.
     pub slice_accesses: u64,
-    /// OS worker threads the slice engine simulates VM shards on.  Results
-    /// are bit-identical for any value ≥ 1 (the phased simulate → commit
-    /// engine is deterministic by construction); `1` runs the units inline.
-    pub threads: usize,
     /// Master random seed (per-VM workload seeds derive from it).
     pub seed: u64,
     /// The co-located VMs, indexed by slot.
@@ -245,7 +241,6 @@ impl HostConfig {
             numa_policy: NumaPolicy::FirstTouch,
             sched: SchedPolicy::Pinned,
             slice_accesses: 50,
-            threads: 1,
             seed: DEFAULT_SEED,
             vms: Vec::new(),
             events: Vec::new(),
@@ -305,13 +300,6 @@ impl HostConfig {
     #[must_use]
     pub fn with_slice_accesses(mut self, accesses: u64) -> Self {
         self.slice_accesses = accesses;
-        self
-    }
-
-    /// Returns a copy simulating on the given number of worker threads.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -375,11 +363,6 @@ impl HostConfig {
         }
         if self.slice_accesses == 0 {
             return Err(ConfigError::ZeroSliceAccesses);
-        }
-        if self.threads == 0 {
-            // The slice engine distributes VM shards over `threads` workers;
-            // zero workers would make no vCPU ever progress.
-            return Err(ConfigError::ZeroThreads);
         }
         let quota_sum: u64 = self.vms.iter().map(|v| v.fast_quota_pages).sum();
         if self.memory_mode == MemoryMode::Paged && quota_sum > self.fast_pages {
@@ -526,13 +509,6 @@ impl HostConfigBuilder {
         self
     }
 
-    /// Sets the number of simulate worker threads (1 = inline).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
     /// Sets the master seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -657,34 +633,6 @@ mod tests {
             .with_slice_accesses(0)
             .with_vm(VmSpec::victim(1, 64));
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroSliceAccesses));
-    }
-
-    #[test]
-    fn zero_threads_is_rejected_with_a_typed_error() {
-        let cfg = HostConfig::scaled(4, 256)
-            .with_threads(0)
-            .with_vm(VmSpec::victim(1, 64));
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroThreads));
-        assert!(crate::ConsolidatedHost::new(cfg).is_err());
-        assert_eq!(
-            HostConfig::builder(4, 256)
-                .threads(0)
-                .vm(VmSpec::victim(1, 64))
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroThreads
-        );
-    }
-
-    #[test]
-    fn threads_knob_defaults_to_one_and_round_trips_the_builder() {
-        assert_eq!(HostConfig::scaled(4, 256).threads, 1);
-        let cfg = HostConfig::builder(4, 256)
-            .threads(4)
-            .vm(VmSpec::victim(1, 64))
-            .build()
-            .unwrap();
-        assert_eq!(cfg.threads, 4);
     }
 
     #[test]

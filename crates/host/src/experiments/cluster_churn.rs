@@ -51,8 +51,8 @@ pub struct ClusterChurnParams {
     /// Master seed (each host derives its own workload seeds from it).
     pub seed: u64,
     /// Cluster worker threads (hosts are sharded over them; results are
-    /// byte-identical for any value).  Per-host slice engines run
-    /// single-threaded — the fleet is the parallelism axis here.
+    /// byte-identical for any value).  Each host runs on one thread —
+    /// the fleet is the parallelism axis here.
     pub threads: usize,
     /// Mean epochs between churn events (0 disables churn).
     pub churn_period: u64,
@@ -136,7 +136,6 @@ impl ClusterChurnParams {
             .with_mechanism(mechanism)
             .with_sched(SchedPolicy::RoundRobin)
             .with_slice_accesses(self.slice_accesses)
-            .with_threads(1)
             .with_seed(self.seed.wrapping_add(0x5eed * (host as u64 + 1)));
         for _ in 0..self.vm_slots() {
             cfg = cfg.with_vm(VmSpec::victim(self.vm_vcpus, quota));

@@ -49,9 +49,6 @@ pub struct MigrationStormParams {
     pub sched: SchedPolicy,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads of the parallel slice engine (results are
-    /// bit-identical for any value; only wall clock changes).
-    pub threads: usize,
     /// Pre-copy link bandwidth in pages per slice.
     pub copy_pages_per_slice: u64,
     /// Stop-and-copy once a round leaves at most this many dirty pages.
@@ -82,7 +79,6 @@ impl MigrationStormParams {
             slice_accesses: 40,
             sched: SchedPolicy::RoundRobin,
             seed: hatric::DEFAULT_SEED,
-            threads: 1,
             copy_pages_per_slice: 64,
             dirty_page_threshold: 16,
             max_rounds: 8,
@@ -105,7 +101,6 @@ impl MigrationStormParams {
             slice_accesses: 25,
             sched: SchedPolicy::RoundRobin,
             seed: 0x7e57,
-            threads: 1,
             copy_pages_per_slice: 48,
             dirty_page_threshold: 24,
             max_rounds: 6,
@@ -149,7 +144,6 @@ impl MigrationStormParams {
             .with_mechanism(mechanism)
             .with_sched(self.sched)
             .with_slice_accesses(self.slice_accesses)
-            .with_threads(self.threads)
             .with_seed(self.seed)
             .with_vm(VmSpec::victim(self.migrant_vcpus, migrant_quota));
         for _ in 0..self.victims {

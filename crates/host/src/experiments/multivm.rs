@@ -38,9 +38,6 @@ pub struct MultiVmParams {
     pub sched: SchedPolicy,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads of the parallel slice engine (results are
-    /// bit-identical for any value; only wall clock changes).
-    pub threads: usize,
     /// Aggressor workload scale as a fraction of its die-stacked quota.
     /// The aggressor's footprint is `footprint_vs_fast() ×` this scale, so
     /// raising the factor raises its paging — and remap — rate while
@@ -65,7 +62,6 @@ impl MultiVmParams {
             slice_accesses: 40,
             sched: SchedPolicy::RoundRobin,
             seed: hatric::DEFAULT_SEED,
-            threads: 1,
             aggressor_footprint_factor: 1.0,
         }
     }
@@ -91,7 +87,6 @@ impl MultiVmParams {
             slice_accesses: 25,
             sched: SchedPolicy::RoundRobin,
             seed: 0x7e57,
-            threads: 1,
             aggressor_footprint_factor: 1.0,
         }
     }
@@ -110,7 +105,6 @@ impl MultiVmParams {
             .with_mechanism(mechanism)
             .with_sched(self.sched)
             .with_slice_accesses(self.slice_accesses)
-            .with_threads(self.threads)
             .with_seed(self.seed)
             .with_vm(aggressor);
         for _ in 0..self.victims {

@@ -67,9 +67,6 @@ pub struct NumaContentionParams {
     pub sched: SchedPolicy,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads of the parallel slice engine (results are
-    /// bit-identical for any value; only wall clock changes).
-    pub threads: usize,
     /// Aggressor workload scale as a fraction of its die-stacked quota.
     pub aggressor_footprint_factor: f64,
 }
@@ -93,7 +90,6 @@ impl NumaContentionParams {
             numa_policy: NumaPolicy::Interleaved,
             sched: SchedPolicy::RoundRobin,
             seed: hatric::DEFAULT_SEED,
-            threads: 1,
             aggressor_footprint_factor: 1.0,
         }
     }
@@ -114,7 +110,6 @@ impl NumaContentionParams {
             numa_policy: NumaPolicy::Interleaved,
             sched: SchedPolicy::RoundRobin,
             seed: 0x7e57,
-            threads: 1,
             aggressor_footprint_factor: 1.0,
         }
     }
@@ -159,7 +154,6 @@ impl NumaContentionParams {
             .with_numa_policy(self.numa_policy)
             .with_sched(self.sched)
             .with_slice_accesses(self.slice_accesses)
-            .with_threads(self.threads)
             .with_seed(self.seed)
             .with_vm(aggressor);
         for i in 0..self.victims {

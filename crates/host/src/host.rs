@@ -1,11 +1,13 @@
 //! The consolidated host: N virtual machines scheduled over one shared
 //! [`Platform`].
 
+use std::time::Instant;
+
 use hatric::metrics::{HostReport, MigrationStats, SimReport};
-use hatric::telemetry::{track, CounterTimeline, PhaseTotals, TraceEvent, TraceSink};
-use hatric::{
-    run_slice_parallel, EngineState, Platform, VmInstance, VmPagingParams, WorkloadDriver,
+use hatric::telemetry::{
+    track, CounterTimeline, EnginePhase, PhaseProfiler, PhaseTotals, TraceEvent, TraceSink,
 };
+use hatric::{Platform, VmInstance, VmPagingParams, WorkloadDriver};
 use hatric_hypervisor::{Placement, Scheduler, VmConfig};
 use hatric_memory::MemoryKind;
 use hatric_migration::{
@@ -29,10 +31,10 @@ const HYPERVISOR_WORKER_CPU: CpuId = CpuId::new(0);
 /// Time advances in scheduler slices: each slice, the scheduler places up
 /// to `num_pcpus` vCPUs, and every placed vCPU issues
 /// `config.slice_accesses` guest memory accesses through the shared
-/// pipeline.  Hypervisor paging inside any VM triggers translation
-/// coherence on the shared platform, where its cost lands on whoever
-/// occupies the targeted CPUs — the cross-VM interference this subsystem
-/// exists to measure.
+/// pipeline ([`Platform::step`]), one access per placed vCPU in turn.
+/// Hypervisor paging inside any VM triggers translation coherence on the
+/// shared platform, where its cost lands on whoever occupies the targeted
+/// CPUs — the cross-VM interference this subsystem exists to measure.
 #[derive(Debug)]
 pub struct ConsolidatedHost {
     config: HostConfig,
@@ -45,9 +47,8 @@ pub struct ConsolidatedHost {
     /// with `current_slice` after the context switch — no per-slice
     /// allocation).
     next_slice_buf: Vec<Placement>,
-    /// The slice engine's persistent state (frame pools, DRAM pending
-    /// overlays, worker pool, phase profiler).
-    engine: EngineState,
+    /// Wall-clock time of the slices' access loops.
+    profiler: PhaseProfiler,
     slices_run: u64,
     /// Events not yet started (a migration due while another is in flight
     /// is deferred until the slot frees up).
@@ -135,7 +136,6 @@ impl ConsolidatedHost {
         };
         let pending_events = config.events.clone();
         let vm_active = vec![true; config.vms.len()];
-        let engine = EngineState::new(config.vms.len(), config.numa.sockets);
         Ok(Self {
             config,
             platform,
@@ -144,7 +144,7 @@ impl ConsolidatedHost {
             scheduler,
             current_slice: Vec::new(),
             next_slice_buf: Vec::new(),
-            engine,
+            profiler: PhaseProfiler::default(),
             slices_run: 0,
             pending_events,
             pending_scratch: Vec::new(),
@@ -191,8 +191,8 @@ impl ConsolidatedHost {
 
     /// Installs a sim-time trace sink holding up to `capacity` spans
     /// (oldest evicted first).  Recording is keyed entirely to simulated
-    /// cycle counters, so the trace is deterministic — byte-identical for
-    /// any worker thread count — and never perturbs the model.
+    /// cycle counters, so the trace is deterministic — byte-identical
+    /// across repeat runs — and never perturbs the model.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.platform.set_trace_sink(TraceSink::new(capacity));
     }
@@ -207,12 +207,12 @@ impl ConsolidatedHost {
             .map(hatric::telemetry::TraceSink::export_chrome_trace)
     }
 
-    /// Wall-clock totals the slice engine spent in each phase (simulate,
-    /// bank replay, booking replay, serial commit, pool refill) on this
-    /// host's slices.
+    /// Wall-clock totals of this host's slices: the access loop is timed
+    /// as [`EnginePhase::Simulate`], and the other four phases read 0.
+    /// Kept for `perfbench`, which reports all five phases.
     #[must_use]
     pub fn phase_totals(&self) -> &PhaseTotals {
-        self.engine.phase_totals()
+        self.profiler.totals()
     }
 
     /// The gauge series a host timeline samples, in column order.
@@ -231,10 +231,9 @@ impl ConsolidatedHost {
     /// (basis points), coherence targets generated since the previous
     /// sample, and the in-flight migration's pending page count.
     ///
-    /// Sampling happens at the commit barrier, where every gauge reads
-    /// the canonical committed state — so the timeline is byte-identical
-    /// for any worker thread count, and enabling it never changes any
-    /// model metric.
+    /// Sampling happens between slices and only reads state, so the
+    /// timeline is byte-identical across repeat runs, and enabling it
+    /// never changes any model metric.
     pub fn enable_timeline(&mut self, interval: u64) {
         self.timeline = Some(CounterTimeline::new(
             interval,
@@ -251,7 +250,7 @@ impl ConsolidatedHost {
     }
 
     /// Records one timeline sample if sampling is enabled and the slice
-    /// counter sits on the interval.  Every gauge is a read of committed
+    /// counter sits on the interval.  Every gauge is a read of model
     /// state; nothing here feeds back into the model.
     fn sample_timeline(&mut self) {
         let due = self
@@ -342,18 +341,25 @@ impl ConsolidatedHost {
             .platform
             .trace_enabled()
             .then(|| self.platform.cycles_per_cpu()[0]);
-        // Simulate the slice's VM shards (on `config.threads` workers) and
-        // commit their effect logs at the barrier — bit-identical for any
-        // thread count.
-        run_slice_parallel(
-            &mut self.platform,
-            &mut self.vms,
-            &mut self.drivers,
-            &placements,
-            self.config.slice_accesses,
-            self.config.threads,
-            &mut self.engine,
-        );
+        // Round-robin, as `System::run` does: each round steps one access
+        // of every placed vCPU, in placement order, so the CPUs' clocks stay
+        // within about one access of each other and the shared LLC,
+        // directory and DRAM devices see nearly time-ordered requests.
+        let start = Instant::now();
+        for _ in 0..self.config.slice_accesses {
+            for p in &placements {
+                let thread = p.vcpu.index();
+                let driver = &mut self.drivers[p.vm_slot];
+                let access = driver.next_access(thread);
+                let asid = self.vms[p.vm_slot]
+                    .vm()
+                    .address_space(driver.address_space_index(thread));
+                self.platform
+                    .step(&mut self.vms, p.vm_slot, p.pcpu, asid, access);
+            }
+        }
+        self.profiler.record(EnginePhase::Simulate, start.elapsed());
+        self.profiler.record_slice();
         self.next_slice_buf = std::mem::replace(&mut self.current_slice, placements);
         self.advance_events();
         if let Some(start) = slice_start {

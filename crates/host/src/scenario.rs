@@ -708,7 +708,7 @@ sizing! {
         phases: [warmup_slices, measured_slices],
         table: [
             num_pcpus, fast_pages, aggressor_vcpus, victims, victim_vcpus,
-            warmup_slices, measured_slices, slice_accesses, seed, threads,
+            warmup_slices, measured_slices, slice_accesses, seed,
         ],
     }
 }
@@ -722,7 +722,7 @@ sizing! {
             num_pcpus, fast_pages, migrant_vcpus, victims, victim_vcpus,
             warmup_slices, measured_slices, slice_accesses, seed,
             copy_pages_per_slice, dirty_page_threshold, max_rounds,
-            page_copy_cycles, threads,
+            page_copy_cycles,
         ],
     }
 }
@@ -735,7 +735,7 @@ sizing! {
         table: [
             num_pcpus, fast_pages, aggressor_vcpus, victims, victim_vcpus,
             warmup_slices, measured_slices, slice_accesses, seed,
-            aggressor_footprint_factor, threads,
+            aggressor_footprint_factor,
         ],
     }
 }
@@ -746,7 +746,7 @@ sizing! {
         bench: HostScaleParams::default_scale(),
         phases: [warmup_slices, measured_slices],
         table: [
-            vcpus_min, vcpus_max, threads_max, fast_pages_per_vcpu,
+            vcpus_min, vcpus_max, fast_pages_per_vcpu,
             warmup_slices, measured_slices, slice_accesses, seed,
         ],
     }
@@ -993,13 +993,13 @@ pub trait Scenario: Sync {
         Ok(trace.expect("tracing was enabled above"))
     }
 
-    /// Runs the [`Scenario::probe`] with the commit-barrier counter sampler
+    /// Runs the [`Scenario::probe`] with the per-slice counter sampler
     /// enabled and returns its [`CounterTimeline`] — what `scenarios run
     /// <name> --timeline out.json` exports as Chrome counter events plus a
     /// CSV sibling.  The warmup phase is sampled too, then discarded with
     /// the other warmup measurements, so the timeline covers exactly the
     /// measured phase.  `None` for [`Probe::System`] scenarios: the single-VM
-    /// [`hatric::System`] has no commit barrier to sample.
+    /// [`hatric::System`] has no scheduler slices to sample at.
     ///
     /// # Errors
     ///
@@ -1128,8 +1128,8 @@ fn validated_host(config: HostConfig) -> Result<ConsolidatedHost, ConfigError> {
 
 /// Renders the ungated environment-metadata record the JSON writers append
 /// after a report's rows: host parallelism, the run's worker-thread count
-/// (when the scenario has one) and the wall-clock totals the slice engine
-/// has spent in each phase so far in this process.  The record's first key
+/// (when the scenario has one) and the wall-clock totals the hosts have
+/// spent in each phase so far in this process.  The record's first key
 /// is `"meta"`, which [`ScenarioReport::from_json`] and the bench gates
 /// skip — every value here is machine-dependent and must never gate.
 #[must_use]
@@ -1774,10 +1774,9 @@ impl Scenario for NumaContentionScenario {
 // ---------------------------------------------------------------------------
 
 /// The simulator-throughput scenario (`host_scale`): one HATRIC host swept
-/// over total vCPUs × slice-engine threads.  Model metrics are
-/// bit-identical across thread counts (the engine's determinism contract,
-/// cross-checked by `bench_check`); the timing columns record the wall
-/// clock of each run on the running machine.
+/// over total vCPUs.  Its model metrics are gated like every scenario's;
+/// the timing columns record the wall clock of each run on the running
+/// machine.
 pub struct HostScaleScenario;
 
 impl Scenario for HostScaleScenario {
@@ -1786,8 +1785,8 @@ impl Scenario for HostScaleScenario {
     }
 
     fn describe(&self) -> &'static str {
-        "the phased slice engine's model metrics are bit-identical across \
-         thread counts; the timing columns record wall clock"
+        "simulator throughput of one HATRIC host as its vCPU count doubles; \
+         the timing columns record wall clock"
     }
 
     fn resolve(&self, params: &Params, scale: Scale) -> Result<Params, ConfigError> {
@@ -1801,36 +1800,32 @@ impl Scenario for HostScaleScenario {
         }
         let mut report = ScenarioReport::new(self.name());
         for vcpus in base.vcpu_points() {
-            for threads in base.thread_points() {
-                // Every point is a HATRIC host; the sweep is over the
-                // simulator, not the mechanism.
-                let runs = host_sweep(
-                    &[CoherenceMechanism::Hatric],
-                    |_| base.host_config(vcpus, threads),
-                    base.warmup_slices,
-                    base.measured_slices,
-                );
-                let label = format!("v{vcpus}_t{threads}");
-                push_rows(&mut report, "config", &label, &runs, |row, run| {
-                    let host = &run.report.host;
-                    row.count("vcpus", vcpus as u64)
-                        .count("threads", threads as u64)
-                        .count("host_runtime_cycles", host.runtime_cycles())
-                        .count("accesses", host.accesses)
-                        .count("aggressor_remaps", run.report.per_vm[0].coherence.remaps)
-                        .count("host_disrupted_cycles", host.interference.disrupted_cycles)
-                });
-            }
+            // Every point is a HATRIC host; the sweep is over the
+            // simulator, not the mechanism.
+            let runs = host_sweep(
+                &[CoherenceMechanism::Hatric],
+                |_| base.host_config(vcpus, 1),
+                base.warmup_slices,
+                base.measured_slices,
+            );
+            let label = format!("v{vcpus}");
+            push_rows(&mut report, "config", &label, &runs, |row, run| {
+                let host = &run.report.host;
+                row.count("vcpus", vcpus as u64)
+                    .count("host_runtime_cycles", host.runtime_cycles())
+                    .count("accesses", host.accesses)
+                    .count("aggressor_remaps", run.report.per_vm[0].coherence.remaps)
+                    .count("host_disrupted_cycles", host.interference.disrupted_cycles)
+            });
         }
         Ok(report)
     }
 
     fn probe(&self, params: &Params, scale: Scale) -> Result<Probe, ConfigError> {
-        // The largest machine at the full thread count: the HATRIC host
-        // the sweep peaks at.
+        // The largest machine: the HATRIC host the sweep peaks at.
         let base = HostScaleParams::parse(params, scale)?;
         Ok(Probe::Host {
-            config: base.host_config(base.vcpus_max, base.threads_max),
+            config: base.host_config(base.vcpus_max, 1),
             warmup: base.warmup_slices,
             measured: base.measured_slices,
         })
@@ -2865,8 +2860,8 @@ mod tests {
                 "{}: timeline_run override validation",
                 scenario.name()
             );
-            // The counter sampler hooks the consolidated host's commit
-            // barrier, so only host and fleet probes sample a timeline.
+            // The counter sampler runs between the consolidated host's
+            // slices, so only host and fleet probes sample a timeline.
             let expects_timeline = !matches!(
                 scenario.name(),
                 "fig2" | "fig7" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "fig13" | "xen"

@@ -92,10 +92,9 @@ pub struct MemoryDevice {
     last_update: u64,
     stats: DeviceStats,
     /// Transient service-latency multiplier × 100 (`100` = nominal).
-    /// Fault injection raises it during a DRAM brownout; every deposit —
-    /// serial or planned — goes through [`MemoryDevice::effective_service`]
-    /// so the serial pipeline and the slice engine observe the same
-    /// degraded timing.
+    /// Fault injection raises it during a DRAM brownout; every deposit
+    /// goes through [`MemoryDevice::effective_service`], so every access
+    /// and page copy observes the degraded timing.
     service_multiplier_x100: u64,
 }
 
@@ -248,9 +247,8 @@ impl MemoryDevice {
 
     /// The queueing delay an access at time `now` would observe, computed
     /// against the device's *frozen* state (no mutation): the total backlog
-    /// at the last update minus the service performed since.  The parallel
-    /// slice engine uses this to predict latencies against a slice-start
-    /// snapshot while the real bookings are deferred to the commit phase.
+    /// at the last update minus the service performed since.  The host's
+    /// counter timeline samples it as its DRAM queue-depth gauge.
     #[must_use]
     pub fn projected_queueing(&self, now: u64) -> u64 {
         let elapsed = now.saturating_sub(self.last_update) as f64;

@@ -477,133 +477,6 @@ impl MemorySystem {
         }
     }
 
-    // ----- phased (simulate → commit) access planning -----------------------
-
-    /// Predicts the latency of one demand line access against the *frozen*
-    /// device state plus the caller's own pending occupancy (`pending`), and
-    /// deposits the access's occupancy into `pending`.  No shared state is
-    /// mutated; the caller logs a matching [`MemoryBooking::Access`] and
-    /// replays it at the slice barrier via [`MemorySystem::apply_booking`].
-    ///
-    /// The prediction sees the backlog other tenants had accumulated by the
-    /// start of the slice plus everything this caller booked since, but not
-    /// other workers' in-flight bookings — within-slice cross-VM queueing
-    /// lands on the next slice instead, which is what makes the result
-    /// independent of worker scheduling.
-    pub fn plan_access(
-        &self,
-        frame: SystemFrame,
-        from_socket: SocketId,
-        now: u64,
-        pending: &mut DramPending,
-    ) -> u64 {
-        self.plan_access_detail(frame, from_socket, now, pending)
-            .total
-    }
-
-    /// Like [`MemorySystem::plan_access`], but also reports the projected
-    /// queueing component on its own (the frozen-state analogue of
-    /// [`MemorySystem::access_detail`]).
-    pub fn plan_access_detail(
-        &self,
-        frame: SystemFrame,
-        from_socket: SocketId,
-        now: u64,
-        pending: &mut DramPending,
-    ) -> AccessCost {
-        let kind = self.kind_of(frame);
-        let home = self.socket_of(frame);
-        let device = self.device(home, kind);
-        let bucket = pending.device_mut(home, kind);
-        let mut queueing = device.projected_queueing(now) + bucket.projected(now);
-        // Deposit the *effective* service time so a DRAM brownout degrades
-        // the planned path exactly as it degrades the serial one.
-        bucket.deposit(device.effective_service() as f64);
-        let mut cycles = device.config().base_latency_cycles + queueing;
-        if home != from_socket {
-            cycles += self.config.numa.remote_dram_extra_cycles;
-            let link = &self.links[home.index()];
-            let link_bucket = pending.link_mut(home);
-            let link_queueing = link.projected_queueing(now) + link_bucket.projected(now);
-            cycles += link.config().base_latency_cycles + link_queueing;
-            queueing += link_queueing;
-            link_bucket.deposit(link.config().service_cycles_per_line as f64);
-        }
-        AccessCost {
-            total: cycles,
-            queueing,
-        }
-    }
-
-    /// Predicts the cost of copying one 4 KiB page (the per-line occupancy
-    /// costs are state-independent constants, so this matches
-    /// [`MemorySystem::page_copy_cycles`] exactly) and deposits the copy's
-    /// occupancy into `pending`.  The caller logs a matching
-    /// [`MemoryBooking::PageCopy`] for the commit replay.
-    pub fn plan_page_copy(
-        &self,
-        from: SystemFrame,
-        to: SystemFrame,
-        now: u64,
-        pending: &mut DramPending,
-    ) -> u64 {
-        let lines = PAGE_SIZE_4K / CACHE_LINE_BYTES;
-        let src_kind = self.kind_of(from);
-        let dst_kind = self.kind_of(to);
-        let src_socket = self.socket_of(from);
-        let dst_socket = self.socket_of(to);
-        let mut cycles = self.config.page_copy_overhead_cycles;
-        // Effective (brownout-adjusted) service, so the prediction keeps its
-        // exact-match promise against the serial `page_copy_cycles` path.
-        let src_service = self.device(src_socket, src_kind).effective_service();
-        let dst_service = self.device(dst_socket, dst_kind).effective_service();
-        // Drain the overlay to `now` (as the serial occupy() path drains the
-        // real buckets) before depositing the copy's occupancy.
-        let src_bucket = pending.device_mut(src_socket, src_kind);
-        src_bucket.projected(now);
-        src_bucket.deposit((lines * src_service) as f64);
-        let dst_bucket = pending.device_mut(dst_socket, dst_kind);
-        dst_bucket.projected(now);
-        dst_bucket.deposit((lines * dst_service) as f64);
-        cycles += (lines * src_service).max(lines * dst_service);
-        if src_socket != dst_socket {
-            let link_service = self.links[dst_socket.index()]
-                .config()
-                .service_cycles_per_line;
-            let link_bucket = pending.link_mut(dst_socket);
-            link_bucket.projected(now);
-            link_bucket.deposit((lines * link_service) as f64);
-            cycles += self.config.numa.link.base_latency_cycles + lines * link_service;
-        }
-        cycles
-    }
-
-    /// Replays one logged booking against the real devices (commit phase,
-    /// canonical order).  The returned latency of the underlying call is
-    /// discarded — the simulate phase already charged its prediction — but
-    /// the occupancy deposits and the per-stream attribution statistics
-    /// land exactly as a serial run's would.
-    pub fn apply_booking(&mut self, booking: &MemoryBooking) {
-        match *booking {
-            MemoryBooking::Access {
-                frame,
-                stream,
-                from_socket,
-                now,
-            } => {
-                let _ = self.access(frame, stream, from_socket, now);
-            }
-            MemoryBooking::PageCopy {
-                from,
-                to,
-                stream,
-                now,
-            } => {
-                let _ = self.page_copy_cycles(from, to, stream, now);
-            }
-        }
-    }
-
     /// Applies a transient DRAM brownout: every device (both kinds, all
     /// sockets) serves lines `multiplier_x100/100` times slower until the
     /// multiplier is set back to `100`.  Inter-socket links are *not*
@@ -721,105 +594,6 @@ impl MemorySystem {
             total.merge(&link.stream_stats(stream));
         }
         total
-    }
-}
-
-/// One deferred DRAM/link booking, logged during simulate and replayed at
-/// the slice barrier in canonical order via [`MemorySystem::apply_booking`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoryBooking {
-    /// A demand line access.
-    Access {
-        /// The accessed frame.
-        frame: SystemFrame,
-        /// The issuing stream (VM slot).
-        stream: usize,
-        /// Socket of the issuing CPU.
-        from_socket: SocketId,
-        /// Simulation time of the access (the issuing CPU's cycle counter).
-        now: u64,
-    },
-    /// A 4 KiB page copy between devices.
-    PageCopy {
-        /// Source frame.
-        from: SystemFrame,
-        /// Destination frame.
-        to: SystemFrame,
-        /// The issuing stream (VM slot).
-        stream: usize,
-        /// Simulation time of the copy.
-        now: u64,
-    },
-}
-
-/// One worker's private occupancy overlay: the backlog its *own* bookings
-/// have accumulated this slice, per `(socket, device)` and per link.  The
-/// overlay drains at the device's service rate like the real buckets do, so
-/// back-to-back accesses by one worker still observe their own queueing
-/// even though the shared devices are frozen until the barrier.
-#[derive(Debug, Clone)]
-pub struct DramPending {
-    /// Per socket: `[off-chip, die-stacked]` buckets.
-    devices: Vec<[PendingLoad; 2]>,
-    links: Vec<PendingLoad>,
-}
-
-impl DramPending {
-    /// An empty overlay for a host with `sockets` sockets.
-    #[must_use]
-    pub fn new(sockets: usize) -> Self {
-        Self {
-            devices: vec![[PendingLoad::default(), PendingLoad::default()]; sockets],
-            links: vec![PendingLoad::default(); sockets],
-        }
-    }
-
-    /// Clears every bucket (called at each slice start, when the shared
-    /// devices re-freeze with the previous slice's bookings applied).
-    pub fn clear(&mut self) {
-        for socket in &mut self.devices {
-            for bucket in socket.iter_mut() {
-                *bucket = PendingLoad::default();
-            }
-        }
-        for link in &mut self.links {
-            *link = PendingLoad::default();
-        }
-    }
-
-    fn device_mut(&mut self, socket: SocketId, kind: MemoryKind) -> &mut PendingLoad {
-        let idx = match kind {
-            MemoryKind::OffChip => 0,
-            MemoryKind::DieStacked => 1,
-        };
-        &mut self.devices[socket.index()][idx]
-    }
-
-    fn link_mut(&mut self, socket: SocketId) -> &mut PendingLoad {
-        &mut self.links[socket.index()]
-    }
-}
-
-/// A single draining backlog bucket of a [`DramPending`] overlay.
-#[derive(Debug, Clone, Copy, Default)]
-struct PendingLoad {
-    backlog: f64,
-    last_update: u64,
-}
-
-impl PendingLoad {
-    /// Drains the bucket to `now` and returns the remaining backlog.
-    fn projected(&mut self, now: u64) -> u64 {
-        if now > self.last_update {
-            let elapsed = (now - self.last_update) as f64;
-            self.backlog = (self.backlog - elapsed).max(0.0);
-            self.last_update = now;
-        }
-        self.backlog as u64
-    }
-
-    fn deposit(&mut self, cycles: f64) {
-        self.backlog += cycles;
     }
 }
 
@@ -984,63 +758,6 @@ mod tests {
             mem.link_stats().occupied_lines.get(),
             PAGE_SIZE_4K / CACHE_LINE_BYTES
         );
-    }
-
-    #[test]
-    fn plan_access_matches_serial_on_an_idle_system() {
-        // On an idle device the prediction and the serial path agree
-        // exactly; the replayed booking then reproduces the serial
-        // occupancy and statistics.
-        let mut serial = MemorySystem::new(MemorySystemConfig::paper_default());
-        let mut phased = MemorySystem::new(MemorySystemConfig::paper_default());
-        let frame = serial.allocate(MemoryKind::OffChip).unwrap();
-        let frame2 = phased.allocate(MemoryKind::OffChip).unwrap();
-        assert_eq!(frame, frame2);
-        let mut pending = DramPending::new(1);
-        for i in 0..200u64 {
-            let want = serial.access(frame, 0, S0, i);
-            let got = phased.plan_access(frame2, S0, i, &mut pending);
-            assert_eq!(want, got, "step {i}");
-            phased.apply_booking(&MemoryBooking::Access {
-                frame: frame2,
-                stream: 0,
-                from_socket: S0,
-                now: i,
-            });
-            // Re-freeze after each barrier, as the engine does per slice.
-            pending.clear();
-        }
-        assert_eq!(serial.device_stats(MemoryKind::OffChip).accesses.get(), 200);
-        assert_eq!(phased.device_stats(MemoryKind::OffChip).accesses.get(), 200);
-    }
-
-    #[test]
-    fn plan_page_copy_matches_the_serial_constant_cost() {
-        let mut mem = MemorySystem::new(two_socket_config());
-        let src = mem.allocate_on(MemoryKind::OffChip, S0).unwrap();
-        let dst = mem
-            .allocate_on(MemoryKind::DieStacked, SocketId::new(1))
-            .unwrap();
-        let mut pending = DramPending::new(2);
-        let planned = mem.plan_page_copy(src, dst, 0, &mut pending);
-        let serial = mem.page_copy_cycles(src, dst, 0, 0);
-        assert_eq!(planned, serial);
-    }
-
-    #[test]
-    fn pending_overlay_queues_own_bookings_and_drains() {
-        let mem = MemorySystem::new(MemorySystemConfig::paper_default());
-        let frame = SystemFrame::new(0); // off-chip
-        let mut pending = DramPending::new(1);
-        let first = mem.plan_access(frame, S0, 0, &mut pending);
-        let second = mem.plan_access(frame, S0, 0, &mut pending);
-        assert!(
-            second > first,
-            "back-to-back planned accesses must queue behind the caller's own bookings"
-        );
-        // After a long idle gap the overlay has drained back to base.
-        let relaxed = mem.plan_access(frame, S0, 1_000_000, &mut pending);
-        assert_eq!(relaxed, first);
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! * [`LatencyHistogram`] — fixed-size power-of-two-bucket histograms for
 //!   sim-time latency distributions (nested-walk latency, shootdown
 //!   completion latency, DRAM queueing delay).  Integer bucket counters
-//!   merge deterministically, so per-VM histograms can ride the slice
-//!   engine's commit barrier exactly like the energy tallies.
+//!   merge deterministically, so per-VM histograms sum into host and fleet
+//!   aggregates in any order.
 //! * [`TraceSink`] / [`TraceEvent`] — a ring-buffered recorder of spans
 //!   keyed by *simulated* cycles, exportable as Chrome trace-event JSON
 //!   ([`TraceSink::export_chrome_trace`]) for `chrome://tracing`/Perfetto.
-//! * [`PhaseProfiler`] / [`PhaseTotals`] — wall-clock totals of the slice
-//!   engine's phases (pool refill, simulate, bank replay, booking replay,
-//!   serial commit).  Wall-clock data never feeds back into the model; it
-//!   exists purely so the engine's own cost is measurable over time.
+//! * [`PhaseProfiler`] / [`PhaseTotals`] — wall-clock totals of a host's
+//!   slices, by [`EnginePhase`].  Wall-clock data never feeds back into the
+//!   model; it exists purely so the simulator's own cost is measurable.
 //! * [`CounterTimeline`] — a sim-time gauge sampler: named series sampled
 //!   at a fixed slice interval (directory occupancy, DRAM queue depth,
 //!   TLB hit rate, in-flight shootdown targets, migration dirty pages),
@@ -55,10 +54,8 @@ pub const BUCKETS: usize = 32;
 ///
 /// Recording is one array increment — no allocation, no floating point —
 /// so histograms can sit on the per-access hot path unconditionally.
-/// Merging adds bucket counters and is order-independent, which makes the
-/// per-VM histograms thread-count invariant under the parallel slice
-/// engine: every worker increments its own VM's counters, and any merge
-/// order produces the same totals.
+/// Merging adds bucket counters and is order-independent, so any merge
+/// order of per-VM or per-host histograms produces the same totals.
 ///
 /// ```
 /// use hatric_telemetry::LatencyHistogram;
@@ -110,8 +107,7 @@ impl LatencyHistogram {
     }
 
     /// Accumulates `other` into `self` (used when summing per-VM
-    /// histograms into a host aggregate, or per-unit histograms at the
-    /// commit barrier).
+    /// histograms into a host aggregate).
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
@@ -379,11 +375,9 @@ pub fn merge_chrome_traces<'a>(sinks: impl IntoIterator<Item = &'a TraceSink>) -
 /// A deterministic sim-time gauge sampler: a fixed set of named series,
 /// each sampled together at a fixed scheduler-slice interval.
 ///
-/// The host samples at the commit barrier (after a slice's effects have
-/// been committed), so every sample reflects the same canonical state any
-/// thread count produces — timelines are byte-identical across worker
-/// thread counts, and sampling only *reads* model state so enabling it
-/// never changes a single gated metric.
+/// The host samples between slices, keyed to simulated cycles, so
+/// timelines are byte-identical across repeat runs; sampling only *reads*
+/// model state, so enabling it never changes a single gated metric.
 ///
 /// ```
 /// use hatric_telemetry::CounterTimeline;
@@ -520,10 +514,9 @@ impl CounterTimeline {
 /// [`CausalLedger::merge_from_host`]); the index is absent everywhere
 /// else.
 ///
-/// Ordinals count *per VM*, not globally: a VM's shard executes on
-/// exactly one worker per slice, so its ordinal sequence is identical for
-/// any thread count — which keeps attribution as deterministic as the
-/// counters it explains.  Ids order by host index (absent first), then slot,
+/// Ordinals count *per VM*, not globally, so a VM's ordinal sequence does
+/// not depend on how its host interleaves the other VMs' remaps — which
+/// keeps attribution as deterministic as the counters it explains.  Ids order by host index (absent first), then slot,
 /// then ordinal.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RemapId {
@@ -614,9 +607,8 @@ impl CausalCost {
 /// iteration (and therefore `Debug` output and top-K selection
 /// tie-breaks) is deterministic.  Remaps are charged mostly in creation
 /// order: a charge to the newest id compares with the last entry only and
-/// pushes or updates it, and an older id (a remote target charging an
-/// earlier remap of the same slice) is found by binary search and inserted
-/// if absent.  [`CausalLedger::merge`] is a linear two-way merge.  `Debug`
+/// pushes or updates it, and an older id is found by binary search and
+/// inserted if absent.  [`CausalLedger::merge`] is a linear two-way merge.  `Debug`
 /// prints the costs as a map, `CausalLedger { costs: {id: cost, ..} }`.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct CausalLedger {
@@ -787,19 +779,20 @@ impl CausalLedger {
 // Engine phase profiler (wall clock)
 // ---------------------------------------------------------------------------
 
-/// The slice engine's instrumented phases, in execution order.
+/// The instrumented phases of a host slice.  A host times its access loop
+/// as [`EnginePhase::Simulate`]; the other four phases always read 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePhase {
-    /// Serial frame-pool refill at the start of a slice.
+    /// Always 0.  Kept for `perfbench`, which reports every phase.
     PoolRefill,
-    /// Parallel per-VM simulation of the slice's shards.
+    /// The slice's access loop: every placed vCPU's accesses, stepped
+    /// through the pipeline.
     Simulate,
-    /// Parallel per-bank replay of cache effects at the commit barrier.
+    /// Always 0.  Kept for `perfbench`, which reports every phase.
     BankReplay,
-    /// Replay of DRAM timing bookings at the commit barrier.
+    /// Always 0.  Kept for `perfbench`, which reports every phase.
     BookingReplay,
-    /// The serial seq-ordered pass (back-invalidations, observer writes,
-    /// remote coherence targets).
+    /// Always 0.  Kept for `perfbench`, which reports every phase.
     SerialCommit,
 }
 
@@ -884,7 +877,7 @@ impl PhaseTotals {
     }
 }
 
-/// Process-wide phase totals, accumulated across every engine instance.
+/// Process-wide phase totals, accumulated across every host.
 /// The bench/scenario writers read these to stamp phase totals into their
 /// JSON `meta` blocks without threading profiler state through every
 /// layer.  Wall-clock only — nothing in the model ever reads them.
@@ -908,7 +901,7 @@ pub fn global_phase_totals() -> PhaseTotals {
     totals
 }
 
-/// Wall-clock profiler one engine instance owns: every recorded duration
+/// Wall-clock profiler one host owns: every recorded duration
 /// lands both in the instance's local [`PhaseTotals`] and in the
 /// process-wide totals ([`global_phase_totals`]).
 #[derive(Debug, Default)]

@@ -92,7 +92,8 @@ pub enum ConfigError {
     },
     /// `slice_accesses` was zero, so no vCPU would ever make progress.
     ZeroSliceAccesses,
-    /// `threads` was zero — the slice engine needs at least one worker.
+    /// A fleet's `threads` was zero — its epoch loop needs at least one
+    /// worker.
     ZeroThreads,
     /// The per-VM die-stacked quotas oversubscribe the fast device.
     QuotaOvercommit {
@@ -157,7 +158,7 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroSliceAccesses => write!(f, "slice_accesses must be nonzero"),
             ConfigError::ZeroThreads => {
-                write!(f, "threads must be nonzero (1 = serial slice execution)")
+                write!(f, "threads must be nonzero (1 = serial epoch execution)")
             }
             ConfigError::QuotaOvercommit {
                 quota_sum,

@@ -76,16 +76,6 @@ impl RatioStat {
         self.misses += 1;
     }
 
-    /// Records `n` hits at once (batched commit of a worker's tally).
-    pub fn add_hits(&mut self, n: u64) {
-        self.hits += n;
-    }
-
-    /// Records `n` misses at once (batched commit of a worker's tally).
-    pub fn add_misses(&mut self, n: u64) {
-        self.misses += n;
-    }
-
     /// Records `hit` as a boolean outcome.
     pub fn record(&mut self, hit: bool) {
         if hit {

@@ -76,8 +76,6 @@ pub struct RandomHostSpec {
     pub with_balloon: bool,
     /// Inject an in-flight live migration of VM 0.
     pub with_migration: bool,
-    /// Slice-engine worker threads.
-    pub threads: usize,
     /// Enable the sim-time trace sink (must not move a model metric).
     pub tracing: bool,
     /// Enable counter-timeline sampling at interval 1 (likewise inert).
@@ -121,12 +119,11 @@ impl RandomHostSpec {
             .with_numa_policy(policy)
             .with_sched(sched)
             .with_slice_accesses(self.slice_accesses)
-            .with_threads(self.threads)
             .with_seed(self.seed);
         for (slot, &vcpus) in self.vm_vcpus.iter().enumerate() {
             let spec = if slot == 0 {
-                // Slot 0 pages hard so remap coherence (the cross-unit
-                // effect path) is actually exercised.
+                // Slot 0 pages hard so remap coherence (and its targets
+                // on other VMs' CPUs) is actually exercised.
                 VmSpec::aggressor(vcpus, quota_per_vm)
             } else {
                 VmSpec::victim(vcpus, quota_per_vm).with_home_socket(slot % self.sockets)
@@ -166,9 +163,11 @@ impl RandomHostSpec {
         host.run(SPEC_WARMUP, SPEC_MEASURED)
     }
 
-    /// Returns a copy running on `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Returns a copy with tracing and interval-1 timeline sampling both
+    /// switched `on` or both off.
+    pub fn with_telemetry(mut self, on: bool) -> Self {
+        self.tracing = on;
+        self.timeline = on;
         self
     }
 }

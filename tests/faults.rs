@@ -135,7 +135,6 @@ fn random_host(seed: u64, ordinal: usize) -> ConsolidatedHost {
         slice_accesses: 15 + (seed >> 32) % 10,
         with_balloon: false,
         with_migration: false,
-        threads: 1,
         tracing: false,
         timeline: false,
         seed: seed ^ (0x5eed * (ordinal as u64 + 1)),

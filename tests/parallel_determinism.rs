@@ -1,15 +1,16 @@
-//! The parallel slice engine's central contract: **bit-identical results
-//! for any thread count**.
+//! The simulator's determinism contracts.
 //!
-//! Every registered scenario runs at `Scale::Smoke` with `threads` ∈
-//! {1, 2, 4}; the resulting `ScenarioReport` JSON must be byte-identical
-//! once the machine-dependent wall-clock columns (`elapsed_ms`,
-//! `accesses_per_sec`) are stripped.  A property
-//! test then hammers the same invariant over randomized host
-//! configurations — vCPU/pCPU counts, sockets, mechanisms, schedulers,
-//! balloon events, in-flight migrations, tracing and counter-timeline
-//! sampling — reporting any failure as a labeled per-metric divergence
-//! diff rather than two full report blobs.
+//! Every registered scenario runs at `Scale::Smoke`: the fleet scenarios,
+//! which shard their hosts over `threads` workers, with `threads` ∈
+//! {1, 2, 4}, and every other scenario twice.  The resulting
+//! `ScenarioReport` JSON must be byte-identical once the machine-dependent
+//! wall-clock columns (`elapsed_ms`, `accesses_per_sec`) are stripped.  A
+//! property test then checks the telemetry on/off contract over randomized
+//! host configurations — vCPU/pCPU counts, sockets, mechanisms,
+//! schedulers, balloon events and in-flight migrations: tracing and
+//! interval-1 counter sampling must not move a model metric.  Failures
+//! are reported as a labeled per-metric divergence diff rather than two
+//! full report blobs.
 
 mod common;
 
@@ -38,8 +39,8 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
                 })
                 .collect()
         } else {
-            // Single-VM scenarios take no threads knob; their contract is
-            // plain run-to-run determinism.
+            // Host and single-VM scenarios run on one thread; their
+            // contract is plain run-to-run determinism.
             (0..2)
                 .map(|_| {
                     let report = scenario
@@ -65,37 +66,13 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn host_scale_rows_strip_to_identical_model_metrics_per_vcpu_point() {
-    let scenario = hatric_host::scenario::find("host_scale").expect("host_scale is registered");
-    let report = scenario.run(&Params::new(), Scale::Smoke).unwrap();
-    for row in &report.rows {
-        let vcpus = row.number("vcpus").expect("rows carry vcpus");
-        let base = report
-            .rows
-            .iter()
-            .find(|r| r.number("vcpus") == Some(vcpus))
-            .expect("first row of the vcpus group");
-        for metric in ["host_runtime_cycles", "accesses", "aggressor_remaps"] {
-            assert_eq!(
-                row.number(metric),
-                base.number(metric),
-                "{}: {metric} must not depend on the thread count",
-                row.label()
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any valid host produces byte-identical reports at 1, 2 and 4
-    /// worker threads — with tracing, interval-1 counter sampling and an
-    /// in-flight live migration in the draw space, since none of those
-    /// may move a model metric either.
+    /// Any valid host produces the same model metrics with tracing and
+    /// interval-1 counter sampling on as with both off.
     #[test]
-    fn random_hosts_are_thread_count_invariant(
+    fn random_hosts_are_telemetry_invariant(
         pcpus_per_socket in 1usize..4,
         sockets_pick in 0u8..2,
         vm_vcpus in proptest::collection::vec(1usize..4, 1..5),
@@ -105,8 +82,6 @@ proptest! {
         slice_accesses in 5u64..25,
         with_balloon in 0u8..2,
         with_migration in 0u8..2,
-        tracing in 0u8..2,
-        timeline in 0u8..2,
         seed in 0u64..1_000,
     ) {
         let spec = RandomHostSpec {
@@ -119,17 +94,14 @@ proptest! {
             slice_accesses,
             with_balloon: with_balloon == 1,
             with_migration: with_migration == 1,
-            threads: 1,
-            tracing: tracing == 1,
-            timeline: timeline == 1,
+            tracing: false,
+            timeline: false,
             seed,
         };
         prop_assert!(spec.config().validate().is_ok());
-        let serial = spec.run();
-        for threads in [2usize, 4] {
-            if let Some(diff) = divergence_summary(&serial, &spec.clone().with_threads(threads).run()) {
-                prop_assert!(false, "threads={threads} diverged from threads=1:\n{diff}");
-            }
+        let quiet = spec.run();
+        if let Some(diff) = divergence_summary(&quiet, &spec.with_telemetry(true).run()) {
+            prop_assert!(false, "telemetry on diverged from telemetry off:\n{diff}");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The observability subsystem's contracts:
 //!
 //! 1. **Zero perturbation** — model metrics are byte-identical with
-//!    tracing on vs off, at every worker thread count.  The trace sink
-//!    and histograms are keyed entirely to simulated cycles; turning them
-//!    on must never move a simulated number.
+//!    tracing on vs off.  The trace sink and histograms are keyed entirely
+//!    to simulated cycles; turning them on must never move a simulated
+//!    number.
 //! 2. **Chrome trace export round-trips** — the exported document is
 //!    well-formed JSON and every track's spans carry monotonically
 //!    non-decreasing timestamps (each track maps to a cycle counter that
@@ -11,10 +11,10 @@
 //! 3. **The expected spans exist** — a traced migration run records the
 //!    full lifecycle: scheduler slices, remap fan-outs, per-target
 //!    invalidation acks, pre-copy rounds and the stop-and-copy burst.
-//! 4. **Counter timelines sample without perturbing** — the commit-barrier
-//!    gauge sampler records the same timeline at every thread count and
-//!    never moves a model metric, and its Chrome counter / CSV exports are
-//!    well-formed.
+//! 4. **Counter timelines sample without perturbing** — the per-slice
+//!    gauge sampler records the same timeline on every run (and, for a
+//!    fleet, at every cluster thread count), never moves a model metric,
+//!    and its Chrome counter / CSV exports are well-formed.
 //! 5. **Causal attribution reconciles** — every per-remap ledger's totals
 //!    equal the interference and NUMA counters charged at the same sites,
 //!    exactly.
@@ -38,18 +38,17 @@ const MEASURED: u64 = 160;
 /// paging-heavy aggressor (remap + shootdown spans), victims (scheduler
 /// interference) and a live migration starting inside the measured
 /// window (pre-copy rounds + stop-and-copy).
-fn storm_config(threads: usize) -> HostConfig {
+fn storm_config() -> HostConfig {
     HostConfig::scaled(4, 512)
         .with_mechanism(CoherenceMechanism::Software)
         .with_sched(SchedPolicy::RoundRobin)
-        .with_threads(threads)
         .with_vm(VmSpec::aggressor(2, 192))
         .with_vm(VmSpec::victim(2, 128))
         .with_event(HostEvent::Migrate(MigrationParams::at(1, WARMUP + 20)))
 }
 
-fn run_report(threads: usize, tracing: bool) -> HostReport {
-    let mut host = ConsolidatedHost::new(storm_config(threads)).expect("storm config is valid");
+fn run_report(tracing: bool) -> HostReport {
+    let mut host = ConsolidatedHost::new(storm_config()).expect("storm config is valid");
     if tracing {
         host.enable_tracing(1 << 14);
     }
@@ -57,23 +56,15 @@ fn run_report(threads: usize, tracing: bool) -> HostReport {
 }
 
 #[test]
-fn model_metrics_are_identical_with_tracing_on_or_off_at_any_thread_count() {
-    let baseline = run_report(1, false);
-    for threads in [1usize, 2, 4] {
-        for tracing in [false, true] {
-            if let Some(diff) = common::divergence_summary(&baseline, &run_report(threads, tracing))
-            {
-                panic!(
-                    "threads={threads} tracing={tracing}: model metrics diverged from \
-                     threads=1 tracing=off:\n{diff}"
-                );
-            }
-        }
+fn model_metrics_are_identical_with_tracing_on_or_off() {
+    let baseline = run_report(false);
+    if let Some(diff) = common::divergence_summary(&baseline, &run_report(true)) {
+        panic!("tracing=on: model metrics diverged from tracing=off:\n{diff}");
     }
 }
 
 fn traced_host() -> ConsolidatedHost {
-    let mut host = ConsolidatedHost::new(storm_config(2)).expect("storm config is valid");
+    let mut host = ConsolidatedHost::new(storm_config()).expect("storm config is valid");
     host.enable_tracing(1 << 14);
     host.run(WARMUP, MEASURED);
     host
@@ -218,8 +209,8 @@ fn report_rows_carry_latency_percentiles() {
 // Counter timelines
 // ---------------------------------------------------------------------------
 
-fn run_report_with_sampling(threads: usize, interval: Option<u64>) -> HostReport {
-    let mut host = ConsolidatedHost::new(storm_config(threads)).expect("storm config is valid");
+fn run_report_with_sampling(interval: Option<u64>) -> HostReport {
+    let mut host = ConsolidatedHost::new(storm_config()).expect("storm config is valid");
     if let Some(interval) = interval {
         host.enable_timeline(interval);
     }
@@ -227,24 +218,19 @@ fn run_report_with_sampling(threads: usize, interval: Option<u64>) -> HostReport
 }
 
 #[test]
-fn model_metrics_are_identical_with_sampling_on_or_off_at_any_thread_count() {
-    let baseline = run_report_with_sampling(1, None);
-    for threads in [1usize, 2, 4] {
-        for interval in [None, Some(1), Some(8)] {
-            if let Some(diff) =
-                common::divergence_summary(&baseline, &run_report_with_sampling(threads, interval))
-            {
-                panic!(
-                    "threads={threads} sampling={interval:?}: model metrics diverged from \
-                     threads=1 sampling=off:\n{diff}"
-                );
-            }
+fn model_metrics_are_identical_with_sampling_on_or_off() {
+    let baseline = run_report_with_sampling(None);
+    for interval in [Some(1), Some(8)] {
+        if let Some(diff) =
+            common::divergence_summary(&baseline, &run_report_with_sampling(interval))
+        {
+            panic!("sampling={interval:?}: model metrics diverged from sampling=off:\n{diff}");
         }
     }
 }
 
-fn storm_timeline(threads: usize, interval: u64) -> ConsolidatedHost {
-    let mut host = ConsolidatedHost::new(storm_config(threads)).expect("storm config is valid");
+fn storm_timeline(interval: u64) -> ConsolidatedHost {
+    let mut host = ConsolidatedHost::new(storm_config()).expect("storm config is valid");
     host.enable_timeline(interval);
     host.run(WARMUP, MEASURED);
     host
@@ -252,24 +238,40 @@ fn storm_timeline(threads: usize, interval: u64) -> ConsolidatedHost {
 
 #[test]
 fn timelines_are_byte_identical_across_thread_counts() {
-    let reference = storm_timeline(1, 4)
-        .timeline()
-        .expect("sampling is enabled")
-        .export_csv();
+    let host_csv = || {
+        storm_timeline(4)
+            .timeline()
+            .expect("sampling is enabled")
+            .export_csv()
+    };
+    let reference = host_csv();
     assert_eq!(
         reference.lines().count() as u64,
         MEASURED / 4 + 1,
         "interval 4 samples exactly the measured slices (plus the CSV header)"
     );
-    for threads in [2usize, 4] {
-        let csv = storm_timeline(threads, 4)
-            .timeline()
-            .expect("sampling is enabled")
-            .export_csv();
+    assert_eq!(
+        host_csv(),
+        reference,
+        "a host's timeline must not vary run to run"
+    );
+
+    // A fleet shards its hosts over the cluster's worker threads; its
+    // timeline must not depend on how many there are.
+    let churn = find("cluster_churn").expect("cluster_churn is registered");
+    let fleet_csv = |threads: u64| {
+        churn
+            .timeline_run(&Params::new().with("threads", threads), Scale::Smoke)
+            .expect("the smoke fleet is valid")
+            .expect("a fleet samples a timeline")
+            .export_csv()
+    };
+    let reference = fleet_csv(1);
+    for threads in [2, 4] {
         assert_eq!(
-            csv, reference,
-            "threads={threads}: every gauge reads committed canonical state, so the \
-             timeline must not depend on the worker thread count"
+            fleet_csv(threads),
+            reference,
+            "threads={threads}: the fleet timeline diverged from threads=1"
         );
     }
 }
@@ -278,7 +280,7 @@ fn timelines_are_byte_identical_across_thread_counts() {
 fn timeline_exports_are_well_formed_and_capture_the_storm() {
     // Interval 1 so the short-lived dirty-page window (the pre-copy drains
     // in a handful of slices) cannot fall between samples.
-    let host = storm_timeline(2, 1);
+    let host = storm_timeline(1);
     let timeline = host.timeline().expect("sampling is enabled");
     // Samples survive the warmup/measured reset, so they cover exactly
     // the measured slices.
@@ -338,7 +340,7 @@ fn scenario_timeline_run_is_host_only_and_samples() {
         .expect("host scenarios sample timelines");
     assert!(!timeline.is_empty());
     assert_eq!(timeline.series(), ConsolidatedHost::TIMELINE_SERIES);
-    // The figure scenarios have no host commit barrier to sample at.
+    // The figure scenarios have no host slices to sample at.
     assert!(find("fig9")
         .expect("fig9 is registered")
         .timeline_run(&Params::new(), Scale::Smoke)
@@ -352,7 +354,7 @@ fn scenario_timeline_run_is_host_only_and_samples() {
 
 #[test]
 fn causal_attribution_reconciles_exactly_with_interference_counters() {
-    let mut host = ConsolidatedHost::new(storm_config(2)).expect("storm config is valid");
+    let mut host = ConsolidatedHost::new(storm_config()).expect("storm config is valid");
     let report = host.run(WARMUP, MEASURED);
     let mut victim_cycles = 0u64;
     let mut targets = 0u64;
