@@ -2,7 +2,7 @@
 //! of every CPU, and each LLC bank slice.
 
 use hatric_types::consts::CACHE_LINE_BYTES;
-use hatric_types::{CacheLineAddr, RatioStat};
+use hatric_types::CacheLineAddr;
 
 use crate::line::MesiState;
 
@@ -58,7 +58,6 @@ pub struct PrivateCache {
     /// Valid lines per set.
     lens: Vec<u32>,
     ways: usize,
-    stats: RatioStat,
 }
 
 impl PrivateCache {
@@ -80,7 +79,6 @@ impl PrivateCache {
             slots: vec![empty; sets * config.ways],
             lens: vec![0; sets],
             ways: config.ways,
-            stats: RatioStat::new(),
         }
     }
 
@@ -112,21 +110,17 @@ impl PrivateCache {
         (set, &mut self.slots[base..base + self.ways], len)
     }
 
-    /// Looks up a line, promoting it to MRU.  Records hit/miss statistics.
+    /// Looks up a line, promoting it to MRU.
     pub fn lookup(&mut self, line: CacheLineAddr) -> Option<MesiState> {
         let (_, ways, len) = self.set_mut(line);
-        let Some(pos) = ways[..len].iter().position(|w| w.line == line) else {
-            self.stats.miss();
-            return None;
-        };
+        let pos = ways[..len].iter().position(|w| w.line == line)?;
         let way = ways[pos];
         ways.copy_within(..pos, 1);
         ways[0] = way;
-        self.stats.hit();
         Some(way.state)
     }
 
-    /// Probes a line without recency or statistics effects.
+    /// Probes a line without recency effects.
     #[must_use]
     pub fn probe(&self, line: CacheLineAddr) -> Option<MesiState> {
         self.set(line)
@@ -153,15 +147,29 @@ impl PrivateCache {
         line: CacheLineAddr,
         state: MesiState,
     ) -> Option<(CacheLineAddr, MesiState)> {
-        let (set, ways, len) = self.set_mut(line);
-        let (shift, victim) = match ways[..len].iter().position(|w| w.line == line) {
-            Some(pos) => (pos, None),
-            None if len == ways.len() => (len - 1, Some(ways[len - 1])),
-            None => (len, None),
+        let (_, ways, len) = self.set_mut(line);
+        let Some(pos) = ways[..len].iter().position(|w| w.line == line) else {
+            return self.insert_absent(line, state);
         };
-        ways.copy_within(..shift, 1);
+        ways.copy_within(..pos, 1);
         ways[0] = Way { line, state };
-        if shift == len {
+        None
+    }
+
+    /// [`PrivateCache::fill`] of a line the caller knows is absent (it
+    /// just missed), without the tag search; returns the evicted victim
+    /// if the set was full.
+    pub fn insert_absent(
+        &mut self,
+        line: CacheLineAddr,
+        state: MesiState,
+    ) -> Option<(CacheLineAddr, MesiState)> {
+        debug_assert!(self.probe(line).is_none(), "{line} is already cached");
+        let (set, ways, len) = self.set_mut(line);
+        let victim = (len == ways.len()).then(|| ways[len - 1]);
+        ways.copy_within(..len.min(ways.len() - 1), 1);
+        ways[0] = Way { line, state };
+        if victim.is_none() {
             self.lens[set] += 1;
         }
         victim.map(|w| (w.line, w.state))
@@ -187,17 +195,6 @@ impl PrivateCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.lens.iter().all(|&n| n == 0)
-    }
-
-    /// Hit/miss statistics.
-    #[must_use]
-    pub fn stats(&self) -> RatioStat {
-        self.stats
-    }
-
-    /// Resets hit/miss statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = RatioStat::new();
     }
 }
 
@@ -226,8 +223,6 @@ mod tests {
         assert_eq!(cache.lookup(line(3)), Some(MesiState::Exclusive));
         assert_eq!(cache.invalidate(line(3)), Some(MesiState::Exclusive));
         assert_eq!(cache.lookup(line(3)), None);
-        assert_eq!(cache.stats().hits(), 1);
-        assert_eq!(cache.stats().misses(), 1);
     }
 
     #[test]
@@ -250,7 +245,6 @@ mod tests {
     struct Reference {
         sets: Vec<Vec<(CacheLineAddr, MesiState)>>,
         ways: usize,
-        stats: RatioStat,
     }
 
     impl Reference {
@@ -258,7 +252,6 @@ mod tests {
             Self {
                 sets: vec![Vec::new(); config.sets()],
                 ways: config.ways,
-                stats: RatioStat::new(),
             }
         }
 
@@ -274,7 +267,6 @@ mod tests {
                 let way = set.remove(pos);
                 set.insert(0, way);
             }
-            self.stats.record(pos.is_some());
             pos.map(|_| self.set(line)[0].1)
         }
 
@@ -341,6 +333,11 @@ mod tests {
                     0..=3 => prop_assert_eq!(flat.lookup(l), reference.lookup(l)),
                     4 => prop_assert_eq!(flat.probe(l), reference.probe(l)),
                     5 | 6 => prop_assert_eq!(flat.set_state(l, state), reference.set_state(l, state)),
+                    // A line the reference does not hold takes the
+                    // search-free insert (op 7 keeps `fill`'s miss path).
+                    8 | 9 if reference.probe(l).is_none() => {
+                        prop_assert_eq!(flat.insert_absent(l, state), reference.fill(l, state));
+                    }
                     7..=9 => prop_assert_eq!(flat.fill(l, state), reference.fill(l, state)),
                     _ => prop_assert_eq!(flat.invalidate(l), reference.invalidate(l)),
                 }
@@ -350,7 +347,6 @@ mod tests {
                 for (l, state) in contents {
                     prop_assert_eq!(flat.probe(l), Some(state));
                 }
-                prop_assert_eq!(flat.stats(), reference.stats);
             }
             // Same recency order: draining each set by fills of fresh lines
             // evicts the same victims in the same order.

@@ -1,16 +1,16 @@
 //! The full cache hierarchy: per-CPU private L1/L2 caches, a shared LLC and
 //! the coherence directory, glued together behind a read/write interface.
 //!
-//! The simulator runs the **serial** [`CacheHierarchy::read`] /
-//! [`CacheHierarchy::write`] path, which mutates private and shared levels
-//! in one call.  Each shared-level step is one [`SharedCacheOp`] replayed
-//! on the LLC/directory bank that owns its line.
+//! The simulator runs [`CacheHierarchy::read`] / [`CacheHierarchy::write`],
+//! which update the accessing CPU's private pair, the directory and LLC of
+//! the bank that owns the line, and the private copies the directory names
+//! (back-invalidations, owner downgrades, sharer invalidations) in one call.
 //!
 //! A **phased** path is kept beside it only for the `perfbench` benchmark's
 //! `engine_caches` calibration, its one caller: a CPU's [`PrivatePair`]
 //! *simulates* an access against a frozen [`SharedCache`]
-//! ([`CacheHierarchy::split_simulate`]) and logs its shared-level ops for a
-//! later [`CacheHierarchy::apply_op`].  No host runs it.
+//! ([`CacheHierarchy::split_simulate`]) and logs its shared-level steps as
+//! [`SharedCacheOp`]s.  No host runs it, and nothing replays its log.
 
 use hatric_types::{CacheLineAddr, Counter, CpuId, RatioStat};
 
@@ -146,8 +146,9 @@ pub struct PrivatePair {
     l2: PrivateCache,
 }
 
-/// One shared-level step of an access: the serial path replays it on its
-/// line's bank at once, the phased path logs it for a later replay.
+/// One shared-level step of a simulated access, as the phased path logs
+/// it.  Only [`PrivatePair::simulate_read`] and
+/// [`PrivatePair::simulate_write`] write this log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharedCacheOp {
     /// A read that missed the private levels and consulted LLC/directory.
@@ -156,10 +157,8 @@ pub enum SharedCacheOp {
         cpu: CpuId,
         /// The line read.
         line: CacheLineAddr,
-        /// Whether the simulate phase saw no directory entry and therefore
-        /// filled the reader Exclusive.  When the replay then finds an
-        /// entry (another unit allocated first), the optimistic fill is
-        /// reconciled to Shared.
+        /// Whether the frozen directory had no entry for the line, so the
+        /// simulate phase filled the reader Exclusive.
         predicted_allocate: bool,
     },
     /// A write that needed the directory (miss or upgrade).
@@ -168,15 +167,11 @@ pub enum SharedCacheOp {
         cpu: CpuId,
         /// The line written.
         line: CacheLineAddr,
-        /// Whether the write is a memory-level miss (the replay then fills
-        /// the LLC and counts a DRAM access).  The simulate phase passes
-        /// its prediction; `None` lets the replay decide from its own
-        /// probe — a miss when neither the LLC nor another sharer holds
-        /// the line — as the serial path does for a line its writer does
-        /// not hold privately.
-        fill_memory: Option<bool>,
+        /// Whether the simulate phase predicted a memory-level miss (one
+        /// that fills the LLC and counts a DRAM access).
+        fill_memory: bool,
     },
-    /// A line evicted from the worker's own private pair during simulate.
+    /// A line evicted from the CPU's own private pair during simulate.
     Victim {
         /// The CPU whose private pair evicted the line.
         cpu: CpuId,
@@ -185,60 +180,6 @@ pub enum SharedCacheOp {
         /// Whether the evicted copy was dirty (counts a writeback).
         dirty: bool,
     },
-    /// The hardware walker marked a line as holding page-table entries.
-    MarkPt {
-        /// The page-table line.
-        line: CacheLineAddr,
-        /// Guest or nested page table.
-        kind: PtKind,
-    },
-    /// Lazy sharer demotion after a spurious translation invalidation.
-    DemoteSharer {
-        /// The demoted CPU.
-        cpu: CpuId,
-        /// The line whose sharer list shrinks.
-        line: CacheLineAddr,
-    },
-}
-
-/// What the commit replay of one [`SharedCacheOp`] produced.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CommitOutcome {
-    /// The directory entry the op evicted for capacity, if any.
-    pub back_invalidated: Option<BackInvalidation>,
-    /// Invalidated sharers that held no private copy (spurious).
-    pub spurious_sharers: SharerSet,
-}
-
-/// What a *bank* replay of one op decided from bank state alone (directory
-/// note + LLC probe); private-level consequences are reported separately as
-/// [`PrivEffect`]s.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct BankOutcome {
-    /// A fresh directory entry was allocated (reads fill Exclusive).
-    pub allocated: bool,
-    /// The remote owner a read downgraded, if any.
-    pub downgraded_owner: Option<CpuId>,
-    /// Whether the LLC held the line at replay time.
-    pub llc_hit: bool,
-    /// Sharers a write invalidated (commit-time directory state).
-    pub invalidate_targets: SharerSet,
-    /// Page-table marking of the line, if any (writes).
-    pub pt_kind: Option<PtKind>,
-}
-
-impl SharedCacheOp {
-    /// The cache line this op targets (the bank-distribution key).
-    #[must_use]
-    pub fn line(&self) -> CacheLineAddr {
-        match *self {
-            SharedCacheOp::Read { line, .. }
-            | SharedCacheOp::Write { line, .. }
-            | SharedCacheOp::Victim { line, .. }
-            | SharedCacheOp::MarkPt { line, .. }
-            | SharedCacheOp::DemoteSharer { line, .. } => line,
-        }
-    }
 }
 
 /// Predicted outcome of a simulated read.
@@ -278,32 +219,55 @@ impl PrivatePair {
         self.l1.probe(line).is_some() || self.l2.probe(line).is_some()
     }
 
-    /// Fills `line` into the pair, logging evicted victims as
-    /// [`SharedCacheOp::Victim`] for the commit replay (the serial path
-    /// updates the directory inline instead).
+    /// Fills `line` into L1 and L2 in `state`.  `in_l1` and `in_l2` say
+    /// whether each level holds the line already; one that does not takes
+    /// the search-free insert.  Returns the line L2 evicted, if any, which
+    /// leaves L1 too.
+    fn fill(
+        &mut self,
+        line: CacheLineAddr,
+        state: MesiState,
+        in_l1: bool,
+        in_l2: bool,
+    ) -> Option<(CacheLineAddr, MesiState)> {
+        let l1_victim = if in_l1 {
+            self.l1.fill(line, state)
+        } else {
+            self.l1.insert_absent(line, state)
+        };
+        if let Some((victim, victim_state)) = l1_victim {
+            // L1 ⊆ L2, so the victim's refill only refreshes its L2 copy.
+            let l2_victim = self.l2.fill(victim, victim_state);
+            debug_assert!(l2_victim.is_none(), "an L1 victim's refill hits L2");
+        }
+        let l2_victim = if in_l2 {
+            self.l2.fill(line, state)
+        } else {
+            self.l2.insert_absent(line, state)
+        };
+        if let Some((victim, _)) = l2_victim {
+            // Maintain inclusion: a line falling out of L2 leaves L1 too.
+            self.l1.invalidate(victim);
+        }
+        l2_victim
+    }
+
+    /// [`PrivatePair::fill`], logging the L2 victim as a
+    /// [`SharedCacheOp::Victim`].
     fn fill_logged(
         &mut self,
         cpu: CpuId,
         line: CacheLineAddr,
         state: MesiState,
+        in_l1: bool,
+        in_l2: bool,
         ops: &mut Vec<SharedCacheOp>,
     ) {
-        if let Some((victim_line, victim_state)) = self.l1.fill(line, state) {
-            if let Some((l2_victim, l2_state)) = self.l2.fill(victim_line, victim_state) {
-                ops.push(SharedCacheOp::Victim {
-                    cpu,
-                    line: l2_victim,
-                    dirty: l2_state.is_dirty(),
-                });
-            }
-        }
-        if let Some((l2_victim, l2_state)) = self.l2.fill(line, state) {
-            // Maintain inclusion: a line falling out of L2 leaves L1 too.
-            self.l1.invalidate(l2_victim);
+        if let Some((victim, victim_state)) = self.fill(line, state, in_l1, in_l2) {
             ops.push(SharedCacheOp::Victim {
                 cpu,
-                line: l2_victim,
-                dirty: l2_state.is_dirty(),
+                line: victim,
+                dirty: victim_state.is_dirty(),
             });
         }
     }
@@ -331,7 +295,7 @@ impl PrivatePair {
         delta.l1_misses += 1;
         if let Some(state) = self.l2.lookup(line) {
             delta.l2_hits += 1;
-            self.fill_logged(cpu, line, state, ops);
+            self.fill_logged(cpu, line, state, false, true, ops);
             return SimAccess {
                 level: HitLevel::L2,
                 remote_downgrade: false,
@@ -356,7 +320,7 @@ impl PrivatePair {
         } else {
             MesiState::Shared
         };
-        self.fill_logged(cpu, line, fill_state, ops);
+        self.fill_logged(cpu, line, fill_state, false, false, ops);
         ops.push(SharedCacheOp::Read {
             cpu,
             line,
@@ -413,11 +377,12 @@ impl PrivatePair {
         } else {
             HitLevel::Memory
         };
-        self.fill_logged(cpu, line, MesiState::Modified, ops);
+        let in_l1 = l1_state.is_some();
+        self.fill_logged(cpu, line, MesiState::Modified, in_l1, had_locally, ops);
         ops.push(SharedCacheOp::Write {
             cpu,
             line,
-            fill_memory: Some(level == HitLevel::Memory),
+            fill_memory: level == HitLevel::Memory,
         });
         SimWrite {
             level,
@@ -443,10 +408,6 @@ pub(crate) struct CacheBank {
     /// only `1/count` of the bank's sets would ever be reachable (the
     /// index's low bits are constant within a bank).
     fold_shift: u32,
-    /// Bank-side statistics (LLC hits, DRAM accesses, invalidations sent,
-    /// pt-line writes, back-invalidations, victim writebacks).  Summed over
-    /// banks — integer counters, so the summation order is irrelevant.
-    stats: CacheStatsSnapshot,
 }
 
 impl CacheBank {
@@ -461,178 +422,24 @@ impl CacheBank {
     pub(crate) fn llc_probe(&self, line: CacheLineAddr) -> bool {
         self.llc.probe(self.llc_key(line)).is_some()
     }
-}
 
-/// Private-level consequence of a bank replay, resolved by the hierarchy
-/// right after it (bank replays never touch private pairs).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum PrivEffect {
-    /// `note_read` found a remote modified/exclusive owner: downgrade its
-    /// private copies to Shared (counting a writeback if it was Modified).
-    Downgrade {
-        /// The owning CPU.
-        owner: CpuId,
-        /// The downgraded line.
-        line: CacheLineAddr,
-    },
-    /// `note_write` listed this CPU as a sharer: invalidate its private
-    /// copies (counting a spurious invalidation if it held none).
-    Invalidate {
-        /// The target CPU.
-        target: CpuId,
-        /// The invalidated line.
-        line: CacheLineAddr,
-    },
-    /// A read replayed against an already-allocated directory entry after
-    /// its simulate phase predicted a fresh allocation: the reader's
-    /// privately-filled Exclusive (or silently-upgraded Modified) copy is
-    /// demoted to Shared so directory state and private MESI state agree
-    /// past the barrier.
-    Reconcile {
-        /// The CPU whose optimistic Exclusive fill is demoted.
-        cpu: CpuId,
-        /// The line read.
-        line: CacheLineAddr,
-    },
-    /// A directory entry was evicted for capacity: back-invalidate the
-    /// line in every sharer's private caches — and, for page-table lines,
-    /// their translation structures (handled by the access pipeline).
-    BackInvalidate {
-        /// The evicted line.
-        line: CacheLineAddr,
-        /// Its sharers at eviction time.
-        sharers: SharerSet,
-        /// Its page-table marking, if any.
-        pt: Option<PtKind>,
-    },
-}
-
-impl CacheBank {
-    /// Replays one op against this bank.  Reads and writes consult/update
-    /// the bank's directory slice and LLC sets and record bank-side
-    /// statistics; every private-level consequence (downgrades, sharer
-    /// invalidations, back-invalidations) is appended to `priv_out` tagged
-    /// with the op's global `seq`, to be resolved by the serial seq-ordered
-    /// pass.  Bank replays read no private state, so banks can be drained
-    /// concurrently.
-    pub(crate) fn apply_op(
-        &mut self,
-        op: &SharedCacheOp,
-        seq: u64,
-        eager_pt_directory_update: bool,
-        priv_out: &mut Vec<(u64, PrivEffect)>,
-    ) -> BankOutcome {
-        let mut out = BankOutcome::default();
-        match *op {
-            SharedCacheOp::Read {
-                cpu,
-                line,
-                predicted_allocate,
-            } => {
-                let (note, victim) = self.directory.note_read(line, cpu);
-                self.push_victim(victim, seq, priv_out);
-                if let Some(owner) = note.downgraded_owner {
-                    priv_out.push((seq, PrivEffect::Downgrade { owner, line }));
-                }
-                if predicted_allocate && !note.allocated {
-                    // The simulate phase filled the reader Exclusive because
-                    // the frozen directory had no entry; the replay found
-                    // one (another unit got there first), so the optimistic
-                    // copy must be demoted to Shared or a later silent
-                    // write would never invalidate the other sharers.
-                    priv_out.push((seq, PrivEffect::Reconcile { cpu, line }));
-                }
-                let key = self.llc_key(line);
-                let llc_hit = self.llc.lookup(key).is_some();
-                self.stats
-                    .llc
-                    .record(llc_hit || note.downgraded_owner.is_some());
-                if !llc_hit && note.downgraded_owner.is_none() {
-                    self.stats.memory_accesses.incr();
-                    self.llc.fill(key, MesiState::Shared);
-                }
-                out.allocated = note.allocated;
-                out.downgraded_owner = note.downgraded_owner;
-                out.llc_hit = llc_hit;
-            }
-            SharedCacheOp::Write {
-                cpu,
-                line,
-                fill_memory,
-            } => {
-                let (note, victim) = self.directory.note_write(line, cpu);
-                self.push_victim(victim, seq, priv_out);
-                for target in note.invalidate_targets.iter() {
-                    self.stats.invalidations_sent.incr();
-                    priv_out.push((seq, PrivEffect::Invalidate { target, line }));
-                }
-                if note.pt_kind.is_some() {
-                    self.stats.pt_line_writes.incr();
-                }
-                let key = self.llc_key(line);
-                let llc_hit = self.llc.lookup(key).is_some();
-                self.stats.llc.record(llc_hit);
-                if fill_memory.unwrap_or(!llc_hit && note.invalidate_targets.is_empty()) {
-                    self.stats.memory_accesses.incr();
-                    self.llc.fill(key, MesiState::Modified);
-                }
-                out.allocated = note.allocated;
-                out.llc_hit = llc_hit;
-                out.invalidate_targets = note.invalidate_targets;
-                out.pt_kind = note.pt_kind;
-            }
-            SharedCacheOp::Victim { cpu, line, dirty } => {
-                if dirty {
-                    self.stats.writebacks.incr();
-                }
-                // Lazy sharer updates for page-table lines (HATRIC, Fig. 6);
-                // eager for everything else or when the ablation flag is set.
-                self.directory
-                    .note_private_eviction(line, cpu, eager_pt_directory_update);
-            }
-            SharedCacheOp::MarkPt { line, kind } => {
-                let victim = self.directory.mark_pt(line, kind);
-                self.push_victim(victim, seq, priv_out);
-            }
-            SharedCacheOp::DemoteSharer { cpu, line } => {
-                self.directory.demote_after_spurious(line, cpu);
-            }
-        }
-        out
+    /// Looks `line` up in this bank's LLC slice, promoting it on a hit.
+    fn llc_lookup(&mut self, line: CacheLineAddr) -> bool {
+        let key = self.llc_key(line);
+        self.llc.lookup(key).is_some()
     }
 
-    fn push_victim(
-        &mut self,
-        victim: Option<(CacheLineAddr, DirectoryEntry)>,
-        seq: u64,
-        priv_out: &mut Vec<(u64, PrivEffect)>,
-    ) {
-        if let Some((line, entry)) = victim {
-            self.stats
-                .back_invalidations
-                .add(u64::from(entry.sharers.count()));
-            priv_out.push((
-                seq,
-                PrivEffect::BackInvalidate {
-                    line,
-                    sharers: entry.sharers,
-                    pt: entry.pt_kind(),
-                },
-            ));
-        }
+    /// Fills `line`, which the LLC slice just missed, from memory.
+    fn llc_fill_missed(&mut self, line: CacheLineAddr, state: MesiState) {
+        let key = self.llc_key(line);
+        self.llc.insert_absent(key, state);
     }
 }
 
-/// Everything the CPUs share: the banked LLC + coherence directory and the
-/// private-side aggregate statistics.
+/// Everything the CPUs share: the banked LLC + coherence directory.
 #[derive(Debug, Clone)]
 pub struct SharedCache {
     banks: Vec<CacheBank>,
-    eager_pt_directory_update: bool,
-    /// Statistics fed by the private side (L1/L2 ratios, spurious
-    /// invalidations, downgrade writebacks) — everything a bank replay
-    /// cannot decide on its own.
-    stats: CacheStatsSnapshot,
 }
 
 impl SharedCache {
@@ -656,6 +463,11 @@ impl SharedCache {
     fn bank(&self, line: CacheLineAddr) -> &CacheBank {
         &self.banks[self.bank_of(line)]
     }
+
+    fn bank_mut(&mut self, line: CacheLineAddr) -> &mut CacheBank {
+        let bank = self.bank_of(line);
+        &mut self.banks[bank]
+    }
 }
 
 /// The cache hierarchy.
@@ -664,9 +476,7 @@ pub struct CacheHierarchy {
     private: Vec<PrivatePair>,
     shared: SharedCache,
     config: CacheHierarchyConfig,
-    /// The private effects of the op being replayed serially, reused
-    /// across ops.
-    priv_scratch: Vec<(u64, PrivEffect)>,
+    stats: CacheStatsSnapshot,
 }
 
 impl CacheHierarchy {
@@ -704,18 +514,13 @@ impl CacheHierarchy {
                         (config.directory.max_entries / bank_count).max(1)
                     },
                 }),
-                stats: CacheStatsSnapshot::default(),
             })
             .collect();
         Self {
             private,
-            shared: SharedCache {
-                banks,
-                eager_pt_directory_update: config.eager_pt_directory_update,
-                stats: CacheStatsSnapshot::default(),
-            },
+            shared: SharedCache { banks },
             config,
-            priv_scratch: Vec::new(),
+            stats: CacheStatsSnapshot::default(),
         }
     }
 
@@ -771,32 +576,48 @@ impl CacheHierarchy {
         self.private[cpu.index()].holds(line)
     }
 
-    fn handle_private_victim(&mut self, cpu: CpuId, line: CacheLineAddr, state: MesiState) {
-        let op = SharedCacheOp::Victim {
-            cpu,
-            line,
-            dirty: state.is_dirty(),
+    /// Fills `line` into `cpu`'s private pair (see [`PrivatePair::fill`])
+    /// and tells the directory about the L2 victim, if any.
+    fn fill_private(
+        &mut self,
+        cpu: CpuId,
+        line: CacheLineAddr,
+        state: MesiState,
+        in_l1: bool,
+        in_l2: bool,
+    ) {
+        let pair = &mut self.private[cpu.index()];
+        let Some((victim, victim_state)) = pair.fill(line, state, in_l1, in_l2) else {
+            return;
         };
-        let eager = self.shared.eager_pt_directory_update;
-        let bank = self.shared.bank_of(line);
-        let mut unused = Vec::new();
-        self.shared.banks[bank].apply_op(&op, 0, eager, &mut unused);
-        debug_assert!(unused.is_empty(), "victims have no private consequences");
+        if victim_state.is_dirty() {
+            self.stats.writebacks.incr();
+        }
+        // Lazy sharer updates for page-table lines (HATRIC, Fig. 6); eager
+        // for everything else or when the ablation flag is set.
+        let eager = self.config.eager_pt_directory_update;
+        self.shared
+            .bank_mut(victim)
+            .directory
+            .note_private_eviction(victim, cpu, eager);
     }
 
-    fn fill_private(&mut self, cpu: CpuId, line: CacheLineAddr, state: MesiState) {
-        let pair = &mut self.private[cpu.index()];
-        if let Some((victim_line, victim_state)) = pair.l1.fill(line, state) {
-            if let Some((l2_victim, l2_state)) = pair.l2.fill(victim_line, victim_state) {
-                self.handle_private_victim(cpu, l2_victim, l2_state);
-            }
+    /// Back-invalidates the directory entry a directory op evicted for
+    /// capacity, if any, in every sharer's private caches, and reports it.
+    fn back_invalidate(
+        &mut self,
+        victim: Option<(CacheLineAddr, DirectoryEntry)>,
+    ) -> Option<BackInvalidation> {
+        let (line, entry) = victim?;
+        self.stats
+            .back_invalidations
+            .add(u64::from(entry.sharers.count()));
+        for cpu in entry.sharers.iter() {
+            let pair = &mut self.private[cpu.index()];
+            pair.l1.invalidate(line);
+            pair.l2.invalidate(line);
         }
-        let pair = &mut self.private[cpu.index()];
-        if let Some((l2_victim, l2_state)) = pair.l2.fill(line, state) {
-            // Maintain inclusion: a line falling out of L2 leaves L1 too.
-            pair.l1.invalidate(l2_victim);
-            self.handle_private_victim(cpu, l2_victim, l2_state);
-        }
+        Some((line, entry.sharers, entry.pt_kind()))
     }
 
     /// Performs a read by `cpu` of `line`.
@@ -806,48 +627,61 @@ impl CacheHierarchy {
     /// Panics if `cpu` is out of range for the configured CPU count.
     pub fn read(&mut self, cpu: CpuId, line: CacheLineAddr) -> AccessOutcome {
         assert!(cpu.index() < self.config.num_cpus, "unknown {cpu}");
-        if self.private[cpu.index()].l1.lookup(line).is_some() {
-            self.shared.stats.l1.hit();
+        let pair = &mut self.private[cpu.index()];
+        if pair.l1.lookup(line).is_some() {
+            self.stats.l1.hit();
             return AccessOutcome {
                 level: HitLevel::L1,
                 remote_downgrade: false,
                 back_invalidated: None,
             };
         }
-        self.shared.stats.l1.miss();
-        if let Some(state) = self.private[cpu.index()].l2.lookup(line) {
-            self.shared.stats.l2.hit();
-            self.fill_private(cpu, line, state);
+        self.stats.l1.miss();
+        if let Some(state) = pair.l2.lookup(line) {
+            self.stats.l2.hit();
+            self.fill_private(cpu, line, state, false, true);
             return AccessOutcome {
                 level: HitLevel::L2,
                 remote_downgrade: false,
                 back_invalidated: None,
             };
         }
-        self.shared.stats.l2.miss();
+        self.stats.l2.miss();
 
-        let (bank_outcome, commit) = self.apply_serial(&SharedCacheOp::Read {
-            cpu,
-            line,
-            // The serial path fills the private pair *after* the op, from
-            // the replay's own outcome — nothing optimistic to reconcile.
-            predicted_allocate: false,
-        });
-        let level = if bank_outcome.llc_hit || bank_outcome.downgraded_owner.is_some() {
+        let (note, victim) = self.shared.bank_mut(line).directory.note_read(line, cpu);
+        let back_invalidated = self.back_invalidate(victim);
+        let remote_downgrade = note.downgraded_owner.is_some();
+        if let Some(owner) = note.downgraded_owner {
+            // The remote owner's copies drop to Shared, writing back dirty data.
+            let pair = &mut self.private[owner.index()];
+            if pair.l1.probe(line) == Some(MesiState::Modified)
+                || pair.l2.probe(line) == Some(MesiState::Modified)
+            {
+                self.stats.writebacks.incr();
+            }
+            pair.l1.set_state(line, MesiState::Shared);
+            pair.l2.set_state(line, MesiState::Shared);
+        }
+        let bank = self.shared.bank_mut(line);
+        let llc_hit = bank.llc_lookup(line);
+        self.stats.llc.record(llc_hit || remote_downgrade);
+        let level = if llc_hit || remote_downgrade {
             HitLevel::Llc
         } else {
+            self.stats.memory_accesses.incr();
+            bank.llc_fill_missed(line, MesiState::Shared);
             HitLevel::Memory
         };
-        let fill_state = if bank_outcome.allocated {
+        let fill_state = if note.allocated {
             MesiState::Exclusive
         } else {
             MesiState::Shared
         };
-        self.fill_private(cpu, line, fill_state);
+        self.fill_private(cpu, line, fill_state, false, false);
         AccessOutcome {
             level,
-            remote_downgrade: bank_outcome.downgraded_owner.is_some(),
-            back_invalidated: commit.back_invalidated,
+            remote_downgrade,
+            back_invalidated,
         }
     }
 
@@ -859,11 +693,11 @@ impl CacheHierarchy {
     pub fn write(&mut self, cpu: CpuId, line: CacheLineAddr) -> WriteOutcome {
         assert!(cpu.index() < self.config.num_cpus, "unknown {cpu}");
         // Silent upgrade when we already own the line.
-        let l1_state = self.private[cpu.index()].l1.lookup(line);
+        let pair = &mut self.private[cpu.index()];
+        let l1_state = pair.l1.lookup(line);
         if let Some(state) = l1_state {
-            self.shared.stats.l1.hit();
+            self.stats.l1.hit();
             if state.can_write_silently() {
-                let pair = &mut self.private[cpu.index()];
                 pair.l1.set_state(line, MesiState::Modified);
                 pair.l2.set_state(line, MesiState::Modified);
                 return WriteOutcome {
@@ -878,127 +712,57 @@ impl CacheHierarchy {
                 };
             }
         } else {
-            self.shared.stats.l1.miss();
+            self.stats.l1.miss();
         }
 
-        // Upgrade or miss: one replay of the op on the directory bank, whose
-        // targets and LLC hit equal a peek at the pre-op state (an
-        // allocation never evicts the line it allocates, and directory ops
-        // never touch the LLC).  A line held privately is an L2-level
-        // upgrade and never fills from memory.
-        let had_locally = l1_state.is_some() || self.private[cpu.index()].l2.probe(line).is_some();
-        let (bank_outcome, commit) = self.apply_serial(&SharedCacheOp::Write {
-            cpu,
-            line,
-            fill_memory: had_locally.then_some(false),
-        });
+        // Upgrade or miss.  A line held privately is an L2-level upgrade
+        // and never fills from memory.
+        let had_locally = l1_state.is_some() || pair.l2.probe(line).is_some();
+        let (note, victim) = self.shared.bank_mut(line).directory.note_write(line, cpu);
+        let back_invalidated = self.back_invalidate(victim);
+        let targets = note.invalidate_targets;
+        let mut spurious_sharers = SharerSet::empty();
+        for target in targets.iter() {
+            self.stats.invalidations_sent.incr();
+            let pair = &mut self.private[target.index()];
+            let had_l1 = pair.l1.invalidate(line).is_some();
+            let had_l2 = pair.l2.invalidate(line).is_some();
+            if !had_l1 && !had_l2 {
+                self.stats.spurious_invalidations.incr();
+                spurious_sharers.add(target);
+            }
+        }
+        if note.pt_kind.is_some() {
+            self.stats.pt_line_writes.incr();
+        }
+        let bank = self.shared.bank_mut(line);
+        let llc_hit = bank.llc_lookup(line);
+        self.stats.llc.record(llc_hit);
         let level = if had_locally {
             HitLevel::L2
-        } else if bank_outcome.llc_hit || !bank_outcome.invalidate_targets.is_empty() {
+        } else if llc_hit || !targets.is_empty() {
             HitLevel::Llc
         } else {
+            self.stats.memory_accesses.incr();
+            bank.llc_fill_missed(line, MesiState::Modified);
             HitLevel::Memory
         };
-        self.fill_private(cpu, line, MesiState::Modified);
+        self.fill_private(
+            cpu,
+            line,
+            MesiState::Modified,
+            l1_state.is_some(),
+            had_locally,
+        );
         WriteOutcome {
             access: AccessOutcome {
                 level,
                 remote_downgrade: false,
-                back_invalidated: commit.back_invalidated,
+                back_invalidated,
             },
-            pt_kind: bank_outcome.pt_kind,
-            invalidated_sharers: bank_outcome.invalidate_targets,
-            spurious_sharers: commit.spurious_sharers,
-        }
-    }
-
-    /// Replays one logged shared-level op *serially*: the bank replay plus
-    /// the immediate resolution of its private-level consequences.  The
-    /// initiator's private fill already happened (during simulate, or by
-    /// the serial `read`/`write` caller); the replay performs the
-    /// directory/LLC work, invalidations and downgrades of *other* CPUs'
-    /// pairs, and the shared statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an op names a CPU out of range.
-    pub fn apply_op(&mut self, op: &SharedCacheOp) -> CommitOutcome {
-        let (_, commit) = self.apply_serial(op);
-        commit
-    }
-
-    fn apply_serial(&mut self, op: &SharedCacheOp) -> (BankOutcome, CommitOutcome) {
-        let eager = self.shared.eager_pt_directory_update;
-        let bank = self.shared.bank_of(op.line());
-        let mut privs = std::mem::take(&mut self.priv_scratch);
-        privs.clear();
-        let bank_outcome = self.shared.banks[bank].apply_op(op, 0, eager, &mut privs);
-        let mut commit = CommitOutcome::default();
-        for (_, effect) in &privs {
-            if let PrivEffect::BackInvalidate { line, sharers, pt } = effect {
-                debug_assert!(
-                    commit.back_invalidated.is_none(),
-                    "a directory op allocates, and so evicts, at most one entry"
-                );
-                commit.back_invalidated = Some((*line, *sharers, *pt));
-            }
-            if let Some(spurious) = self.resolve_priv(effect) {
-                commit.spurious_sharers.add(spurious);
-            }
-        }
-        self.priv_scratch = privs;
-        (bank_outcome, commit)
-    }
-
-    /// Resolves one private-level effect of a bank replay.  Returns the
-    /// target CPU when an invalidation turned out spurious.
-    fn resolve_priv(&mut self, effect: &PrivEffect) -> Option<CpuId> {
-        match *effect {
-            PrivEffect::Downgrade { owner, line } => {
-                let pair = &mut self.private[owner.index()];
-                if pair.l1.probe(line) == Some(MesiState::Modified)
-                    || pair.l2.probe(line) == Some(MesiState::Modified)
-                {
-                    self.shared.stats.writebacks.incr();
-                }
-                pair.l1.set_state(line, MesiState::Shared);
-                pair.l2.set_state(line, MesiState::Shared);
-                None
-            }
-            PrivEffect::Invalidate { target, line } => {
-                let pair = &mut self.private[target.index()];
-                let had_l1 = pair.l1.invalidate(line).is_some();
-                let had_l2 = pair.l2.invalidate(line).is_some();
-                if !had_l1 && !had_l2 {
-                    self.shared.stats.spurious_invalidations.incr();
-                    Some(target)
-                } else {
-                    None
-                }
-            }
-            PrivEffect::Reconcile { cpu, line } => {
-                let pair = &mut self.private[cpu.index()];
-                match pair.l2.probe(line).or(pair.l1.probe(line)) {
-                    Some(MesiState::Modified) => {
-                        // A silent within-slice upgrade rode the optimistic
-                        // Exclusive; the dirty data is written back as the
-                        // copy demotes.
-                        self.shared.stats.writebacks.incr();
-                    }
-                    Some(MesiState::Exclusive) => {}
-                    _ => return None,
-                }
-                pair.l1.set_state(line, MesiState::Shared);
-                pair.l2.set_state(line, MesiState::Shared);
-                None
-            }
-            PrivEffect::BackInvalidate { line, sharers, .. } => {
-                for cpu in sharers.iter() {
-                    self.private[cpu.index()].l1.invalidate(line);
-                    self.private[cpu.index()].l2.invalidate(line);
-                }
-                None
-            }
+            pt_kind: note.pt_kind,
+            invalidated_sharers: targets,
+            spurious_sharers,
         }
     }
 
@@ -1009,56 +773,29 @@ impl CacheHierarchy {
     /// private caches, and callers must back-invalidate translation
     /// structures for page-table lines.
     pub fn mark_pt_line(&mut self, line: CacheLineAddr, kind: PtKind) -> Option<BackInvalidation> {
-        let (_, commit) = self.apply_serial(&SharedCacheOp::MarkPt { line, kind });
-        commit.back_invalidated
+        let victim = self.shared.bank_mut(line).directory.mark_pt(line, kind);
+        self.back_invalidate(victim)
     }
 
     /// Lazily demotes `cpu` from `line`'s sharer list after the translation
     /// coherence layer found nothing to invalidate there.
     pub fn demote_sharer(&mut self, line: CacheLineAddr, cpu: CpuId) {
-        let bank = self.shared.bank_of(line);
-        self.shared.banks[bank]
+        self.shared
+            .bank_mut(line)
             .directory
             .demote_after_spurious(line, cpu);
     }
 
-    /// Aggregate statistics: the private-side counters plus every bank's,
-    /// summed in bank order (directory statistics are available separately
+    /// Aggregate statistics (directory statistics are available separately
     /// via [`CacheHierarchy::directory_stats`]).
     #[must_use]
     pub fn stats(&self) -> CacheStatsSnapshot {
-        let mut total = self.shared.stats;
-        for bank in &self.shared.banks {
-            total.l1.merge(bank.stats.l1);
-            total.l2.merge(bank.stats.l2);
-            total.llc.merge(bank.stats.llc);
-            total.memory_accesses.add(bank.stats.memory_accesses.get());
-            total
-                .invalidations_sent
-                .add(bank.stats.invalidations_sent.get());
-            total
-                .spurious_invalidations
-                .add(bank.stats.spurious_invalidations.get());
-            total
-                .back_invalidations
-                .add(bank.stats.back_invalidations.get());
-            total.writebacks.add(bank.stats.writebacks.get());
-            total.pt_line_writes.add(bank.stats.pt_line_writes.get());
-        }
-        total
+        self.stats
     }
 
     /// Resets the aggregate statistics.
     pub fn reset_stats(&mut self) {
-        self.shared.stats = CacheStatsSnapshot::default();
-        for bank in &mut self.shared.banks {
-            bank.stats = CacheStatsSnapshot::default();
-            bank.llc.reset_stats();
-        }
-        for pair in &mut self.private {
-            pair.l1.reset_stats();
-            pair.l2.reset_stats();
-        }
+        self.stats = CacheStatsSnapshot::default();
     }
 }
 
@@ -1254,7 +991,7 @@ mod tests {
         h.read(CpuId::new(9), line(0));
     }
 
-    // ----- phased simulate/commit path --------------------------------------
+    // ----- phased simulate path, replayed by the reference ------------------
 
     #[test]
     fn simulate_predicts_from_frozen_state_and_commit_replays() {
@@ -1281,7 +1018,7 @@ mod tests {
             1
         );
         for op in &ops {
-            h.apply_op(op);
+            replay(&mut h, (*op).into());
         }
         assert_eq!(delta.l1_hits, 1);
         assert_eq!(delta.l1_misses, 1);
@@ -1303,7 +1040,7 @@ mod tests {
             assert_eq!(w.level, HitLevel::Memory);
         }
         for op in &ops {
-            h.apply_op(op);
+            replay(&mut h, (*op).into());
         }
         assert_eq!(h.stats().memory_accesses.get(), 2);
         // The replayed fills are visible to later serial reads.
@@ -1324,27 +1061,349 @@ mod tests {
             assert_eq!(w.invalidated_sharers.count(), 3);
         }
         for op in &ops {
-            h.apply_op(op);
+            replay(&mut h, (*op).into());
         }
         // Commit delivered the invalidations: the remote copies are gone.
         assert!(!h.cpu_holds_line(CpuId::new(0), line(4)));
         assert_eq!(h.stats().invalidations_sent.get(), 3);
     }
 
-    // ----- single-probe serial write ----------------------------------------
+    // ----- the op-replay reference -----------------------------------------
+    //
+    // Before `read`, `write` and `mark_pt_line` called the directory and the
+    // LLC directly, each replayed its shared-level step as an op on the
+    // line's bank, collected the op's private-level consequences and then
+    // resolved them in order.  That replay is kept here as the reference
+    // the direct path must match, and it replays the phased path's logs.
 
-    /// The peek-then-apply serial write the single-probe
-    /// [`CacheHierarchy::write`] replaced: it decides the service level
-    /// from a peek at the directory and LLC, then replays the op with that
-    /// decision.
-    fn peek_then_apply_write(
+    /// An op of the replay: the phased path's log entries plus the
+    /// serial path's page-table marking.  `fill_memory: None` lets the
+    /// replay decide from its own LLC probe.
+    #[derive(Debug, Clone, Copy)]
+    enum RefOp {
+        Read {
+            cpu: CpuId,
+            line: CacheLineAddr,
+            predicted_allocate: bool,
+        },
+        Write {
+            cpu: CpuId,
+            line: CacheLineAddr,
+            fill_memory: Option<bool>,
+        },
+        Victim {
+            cpu: CpuId,
+            line: CacheLineAddr,
+            dirty: bool,
+        },
+        MarkPt {
+            line: CacheLineAddr,
+            kind: PtKind,
+        },
+    }
+
+    impl From<SharedCacheOp> for RefOp {
+        fn from(op: SharedCacheOp) -> Self {
+            match op {
+                SharedCacheOp::Read {
+                    cpu,
+                    line,
+                    predicted_allocate,
+                } => RefOp::Read {
+                    cpu,
+                    line,
+                    predicted_allocate,
+                },
+                SharedCacheOp::Write {
+                    cpu,
+                    line,
+                    fill_memory,
+                } => RefOp::Write {
+                    cpu,
+                    line,
+                    fill_memory: Some(fill_memory),
+                },
+                SharedCacheOp::Victim { cpu, line, dirty } => RefOp::Victim { cpu, line, dirty },
+            }
+        }
+    }
+
+    impl RefOp {
+        fn line(self) -> CacheLineAddr {
+            match self {
+                RefOp::Read { line, .. }
+                | RefOp::Write { line, .. }
+                | RefOp::Victim { line, .. }
+                | RefOp::MarkPt { line, .. } => line,
+            }
+        }
+    }
+
+    /// Private-level consequence of a bank replay.
+    #[derive(Debug, Clone, Copy)]
+    enum PrivEffect {
+        /// Downgrade a remote owner's copies to Shared.
+        Downgrade { owner: CpuId, line: CacheLineAddr },
+        /// Invalidate a listed sharer's copies.
+        Invalidate { target: CpuId, line: CacheLineAddr },
+        /// Demote an optimistic Exclusive fill of the phased path to Shared.
+        Reconcile { cpu: CpuId, line: CacheLineAddr },
+        /// Back-invalidate an evicted directory entry's sharers.
+        BackInvalidate {
+            line: CacheLineAddr,
+            sharers: SharerSet,
+        },
+    }
+
+    /// What a bank replay decided from bank state alone.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct BankOutcome {
+        allocated: bool,
+        downgraded_owner: Option<CpuId>,
+        llc_hit: bool,
+        invalidate_targets: SharerSet,
+        pt_kind: Option<PtKind>,
+    }
+
+    /// Replays one op against `bank`: directory note and LLC work, with
+    /// bank-side statistics recorded in `stats` and private consequences
+    /// appended to `privs`.
+    fn bank_apply(
+        bank: &mut CacheBank,
+        op: RefOp,
+        eager: bool,
+        stats: &mut CacheStatsSnapshot,
+        privs: &mut Vec<PrivEffect>,
+        back: &mut Option<BackInvalidation>,
+    ) -> BankOutcome {
+        let mut push_victim = |victim: Option<(CacheLineAddr, DirectoryEntry)>,
+                               stats: &mut CacheStatsSnapshot,
+                               privs: &mut Vec<PrivEffect>| {
+            if let Some((line, entry)) = victim {
+                stats
+                    .back_invalidations
+                    .add(u64::from(entry.sharers.count()));
+                assert!(back.is_none(), "a directory op evicts at most one entry");
+                *back = Some((line, entry.sharers, entry.pt_kind()));
+                privs.push(PrivEffect::BackInvalidate {
+                    line,
+                    sharers: entry.sharers,
+                });
+            }
+        };
+        let mut out = BankOutcome::default();
+        match op {
+            RefOp::Read {
+                cpu,
+                line,
+                predicted_allocate,
+            } => {
+                let (note, victim) = bank.directory.note_read(line, cpu);
+                push_victim(victim, stats, privs);
+                if let Some(owner) = note.downgraded_owner {
+                    privs.push(PrivEffect::Downgrade { owner, line });
+                }
+                if predicted_allocate && !note.allocated {
+                    privs.push(PrivEffect::Reconcile { cpu, line });
+                }
+                let key = bank.llc_key(line);
+                let llc_hit = bank.llc.lookup(key).is_some();
+                stats.llc.record(llc_hit || note.downgraded_owner.is_some());
+                if !llc_hit && note.downgraded_owner.is_none() {
+                    stats.memory_accesses.incr();
+                    bank.llc.fill(key, MesiState::Shared);
+                }
+                out.allocated = note.allocated;
+                out.downgraded_owner = note.downgraded_owner;
+                out.llc_hit = llc_hit;
+            }
+            RefOp::Write {
+                cpu,
+                line,
+                fill_memory,
+            } => {
+                let (note, victim) = bank.directory.note_write(line, cpu);
+                push_victim(victim, stats, privs);
+                for target in note.invalidate_targets.iter() {
+                    stats.invalidations_sent.incr();
+                    privs.push(PrivEffect::Invalidate { target, line });
+                }
+                if note.pt_kind.is_some() {
+                    stats.pt_line_writes.incr();
+                }
+                let key = bank.llc_key(line);
+                let llc_hit = bank.llc.lookup(key).is_some();
+                stats.llc.record(llc_hit);
+                if fill_memory.unwrap_or(!llc_hit && note.invalidate_targets.is_empty()) {
+                    stats.memory_accesses.incr();
+                    bank.llc.fill(key, MesiState::Modified);
+                }
+                out.allocated = note.allocated;
+                out.llc_hit = llc_hit;
+                out.invalidate_targets = note.invalidate_targets;
+                out.pt_kind = note.pt_kind;
+            }
+            RefOp::Victim { cpu, line, dirty } => {
+                if dirty {
+                    stats.writebacks.incr();
+                }
+                bank.directory.note_private_eviction(line, cpu, eager);
+            }
+            RefOp::MarkPt { line, kind } => {
+                let victim = bank.directory.mark_pt(line, kind);
+                push_victim(victim, stats, privs);
+            }
+        }
+        out
+    }
+
+    /// Resolves one private effect; returns the target of a spurious
+    /// invalidation.
+    fn resolve(h: &mut CacheHierarchy, effect: PrivEffect) -> Option<CpuId> {
+        match effect {
+            PrivEffect::Downgrade { owner, line } => {
+                let pair = &mut h.private[owner.index()];
+                if pair.l1.probe(line) == Some(MesiState::Modified)
+                    || pair.l2.probe(line) == Some(MesiState::Modified)
+                {
+                    h.stats.writebacks.incr();
+                }
+                pair.l1.set_state(line, MesiState::Shared);
+                pair.l2.set_state(line, MesiState::Shared);
+            }
+            PrivEffect::Invalidate { target, line } => {
+                let pair = &mut h.private[target.index()];
+                let had_l1 = pair.l1.invalidate(line).is_some();
+                let had_l2 = pair.l2.invalidate(line).is_some();
+                if !had_l1 && !had_l2 {
+                    h.stats.spurious_invalidations.incr();
+                    return Some(target);
+                }
+            }
+            PrivEffect::Reconcile { cpu, line } => {
+                let pair = &mut h.private[cpu.index()];
+                match pair.l2.probe(line).or(pair.l1.probe(line)) {
+                    Some(MesiState::Modified) => h.stats.writebacks.incr(),
+                    Some(MesiState::Exclusive) => {}
+                    _ => return None,
+                }
+                pair.l1.set_state(line, MesiState::Shared);
+                pair.l2.set_state(line, MesiState::Shared);
+            }
+            PrivEffect::BackInvalidate { line, sharers } => {
+                for cpu in sharers.iter() {
+                    h.private[cpu.index()].l1.invalidate(line);
+                    h.private[cpu.index()].l2.invalidate(line);
+                }
+            }
+        }
+        None
+    }
+
+    /// Replays `op` on its bank, then resolves its private effects in
+    /// order.  Returns the bank outcome, the back-invalidated entry and the
+    /// spurious sharers.
+    fn replay(
+        h: &mut CacheHierarchy,
+        op: RefOp,
+    ) -> (BankOutcome, Option<BackInvalidation>, SharerSet) {
+        let eager = h.config.eager_pt_directory_update;
+        let bank = h.shared.bank_of(op.line());
+        let (mut privs, mut back) = (Vec::new(), None);
+        let out = bank_apply(
+            &mut h.shared.banks[bank],
+            op,
+            eager,
+            &mut h.stats,
+            &mut privs,
+            &mut back,
+        );
+        let mut spurious = SharerSet::empty();
+        for effect in privs {
+            if let Some(cpu) = resolve(h, effect) {
+                spurious.add(cpu);
+            }
+        }
+        (out, back, spurious)
+    }
+
+    /// The replay's private fill: tag-searching fills throughout, and an
+    /// L2 victim of either fill is replayed as a victim op.
+    fn ref_fill_private(h: &mut CacheHierarchy, cpu: CpuId, line: CacheLineAddr, state: MesiState) {
+        let mut victims = Vec::new();
+        let pair = &mut h.private[cpu.index()];
+        if let Some((victim_line, victim_state)) = pair.l1.fill(line, state) {
+            victims.extend(pair.l2.fill(victim_line, victim_state));
+        }
+        if let Some((l2_victim, l2_state)) = pair.l2.fill(line, state) {
+            pair.l1.invalidate(l2_victim);
+            victims.push((l2_victim, l2_state));
+        }
+        for (line, state) in victims {
+            let dirty = state.is_dirty();
+            replay(h, RefOp::Victim { cpu, line, dirty });
+        }
+    }
+
+    fn ref_read(h: &mut CacheHierarchy, cpu: CpuId, line: CacheLineAddr) -> AccessOutcome {
+        if h.private[cpu.index()].l1.lookup(line).is_some() {
+            h.stats.l1.hit();
+            return AccessOutcome {
+                level: HitLevel::L1,
+                remote_downgrade: false,
+                back_invalidated: None,
+            };
+        }
+        h.stats.l1.miss();
+        if let Some(state) = h.private[cpu.index()].l2.lookup(line) {
+            h.stats.l2.hit();
+            ref_fill_private(h, cpu, line, state);
+            return AccessOutcome {
+                level: HitLevel::L2,
+                remote_downgrade: false,
+                back_invalidated: None,
+            };
+        }
+        h.stats.l2.miss();
+        let (out, back_invalidated, _) = replay(
+            h,
+            RefOp::Read {
+                cpu,
+                line,
+                predicted_allocate: false,
+            },
+        );
+        let level = if out.llc_hit || out.downgraded_owner.is_some() {
+            HitLevel::Llc
+        } else {
+            HitLevel::Memory
+        };
+        let fill_state = if out.allocated {
+            MesiState::Exclusive
+        } else {
+            MesiState::Shared
+        };
+        ref_fill_private(h, cpu, line, fill_state);
+        AccessOutcome {
+            level,
+            remote_downgrade: out.downgraded_owner.is_some(),
+            back_invalidated,
+        }
+    }
+
+    /// The replay's write.  With `peek`, the service level is decided from
+    /// a peek at the directory and LLC before the replay, which is then
+    /// told whether to fill from memory; without, the replay decides from
+    /// its own probe.
+    fn ref_write(
         h: &mut CacheHierarchy,
         cpu: CpuId,
         line: CacheLineAddr,
+        peek: bool,
     ) -> WriteOutcome {
         let l1_state = h.private[cpu.index()].l1.lookup(line);
         if let Some(state) = l1_state {
-            h.shared.stats.l1.hit();
+            h.stats.l1.hit();
             if state.can_write_silently() {
                 let pair = &mut h.private[cpu.index()];
                 pair.l1.set_state(line, MesiState::Modified);
@@ -1361,38 +1420,215 @@ mod tests {
                 };
             }
         } else {
-            h.shared.stats.l1.miss();
+            h.stats.l1.miss();
         }
         let had_locally = l1_state.is_some() || h.private[cpu.index()].l2.probe(line).is_some();
-        let bank = h.shared.bank(line);
-        let peek_targets = bank
-            .directory
-            .entry(line)
-            .map(|e| e.sharers.without(cpu))
-            .unwrap_or_else(SharerSet::empty);
-        let peek_llc_hit = bank.llc_probe(line);
+        let peeked = peek.then(|| {
+            let bank = h.shared.bank(line);
+            let targets = bank
+                .directory
+                .entry(line)
+                .map(|e| e.sharers.without(cpu))
+                .unwrap_or_else(SharerSet::empty);
+            bank.llc_probe(line) || !targets.is_empty()
+        });
+        let fill_memory = if had_locally {
+            Some(false)
+        } else {
+            peeked.map(|shared_hit| !shared_hit)
+        };
+        let (out, back_invalidated, spurious_sharers) = replay(
+            h,
+            RefOp::Write {
+                cpu,
+                line,
+                fill_memory,
+            },
+        );
         let level = if had_locally {
             HitLevel::L2
-        } else if peek_llc_hit || !peek_targets.is_empty() {
+        } else if peeked.unwrap_or(out.llc_hit || !out.invalidate_targets.is_empty()) {
             HitLevel::Llc
         } else {
             HitLevel::Memory
         };
-        let (bank_outcome, commit) = h.apply_serial(&SharedCacheOp::Write {
-            cpu,
-            line,
-            fill_memory: Some(level == HitLevel::Memory),
-        });
-        h.fill_private(cpu, line, MesiState::Modified);
+        ref_fill_private(h, cpu, line, MesiState::Modified);
         WriteOutcome {
             access: AccessOutcome {
                 level,
                 remote_downgrade: false,
-                back_invalidated: commit.back_invalidated,
+                back_invalidated,
             },
-            pt_kind: bank_outcome.pt_kind,
-            invalidated_sharers: bank_outcome.invalidate_targets,
-            spurious_sharers: commit.spurious_sharers,
+            pt_kind: out.pt_kind,
+            invalidated_sharers: out.invalidate_targets,
+            spurious_sharers,
+        }
+    }
+
+    fn ref_mark_pt_line(
+        h: &mut CacheHierarchy,
+        line: CacheLineAddr,
+        kind: PtKind,
+    ) -> Option<BackInvalidation> {
+        replay(h, RefOp::MarkPt { line, kind }).1
+    }
+
+    /// A hierarchy whose directory and LLC are far smaller than the line
+    /// population the seeded sequences below touch: 4 CPUs with 2-line L1s
+    /// and 8-line L2s, and 2 banks, each with an 8-entry directory and a
+    /// 4-line LLC.
+    fn tiny_config(eager_pt_directory_update: bool) -> CacheHierarchyConfig {
+        CacheHierarchyConfig {
+            num_cpus: 4,
+            l1: PrivateCacheConfig {
+                capacity_bytes: 128,
+                ways: 2,
+            },
+            l2: PrivateCacheConfig {
+                capacity_bytes: 512,
+                ways: 4,
+            },
+            llc_bytes: 512,
+            llc_ways: 4,
+            directory: DirectoryConfig { max_entries: 16 },
+            eager_pt_directory_update,
+        }
+    }
+
+    /// One step of a seeded sequence over `lines` lines and 4 CPUs.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Read(CpuId, CacheLineAddr),
+        Write(CpuId, CacheLineAddr),
+        MarkPt(CacheLineAddr, PtKind),
+        Demote(CacheLineAddr, CpuId),
+    }
+
+    fn random_step(rng: &mut hatric_types::SimRng, lines: u64) -> Step {
+        let cpu = CpuId::new(rng.below(4) as u32);
+        let l = line(rng.below(lines));
+        match rng.below(16) {
+            0..=6 => Step::Write(cpu, l),
+            7..=12 => Step::Read(cpu, l),
+            13 | 14 => Step::MarkPt(
+                l,
+                if rng.chance(0.5) {
+                    PtKind::Nested
+                } else {
+                    PtKind::Guest
+                },
+            ),
+            _ => Step::Demote(l, cpu),
+        }
+    }
+
+    /// Asserts that two hierarchies agree on statistics, private contents
+    /// and sharer lists for lines `0..lines`.
+    fn assert_same_state(a: &CacheHierarchy, b: &CacheHierarchy, lines: u64, step: usize) {
+        assert_eq!(a.stats(), b.stats(), "step {step}");
+        assert_eq!(a.directory_stats(), b.directory_stats(), "step {step}");
+        for n in 0..lines {
+            for c in 0..a.config.num_cpus {
+                let c = CpuId::new(c as u32);
+                assert_eq!(
+                    a.cpu_holds_line(c, line(n)),
+                    b.cpu_holds_line(c, line(n)),
+                    "step {step}: {c} holds line {n}"
+                );
+                assert_eq!(
+                    a.is_sharer(line(n), c),
+                    b.is_sharer(line(n), c),
+                    "step {step}: {c} shares line {n}"
+                );
+            }
+        }
+    }
+
+    /// Seeded read, write, page-table-marking and demotion sequences, under
+    /// both sharer-update policies: after every step the direct path
+    /// returns what the op-replay reference returns and leaves the same
+    /// statistics, private contents and sharer lists.  Together the
+    /// sequences reach back-invalidations, owner downgrades, spurious
+    /// invalidations (lazy policy only) and every write service level.
+    #[test]
+    fn direct_path_matches_the_op_replay_reference() {
+        let lines = 32;
+        let (mut levels, mut downgrades) = ([0u32; 4], 0);
+        let mut totals = CacheStatsSnapshot::default();
+        for seed in 0..8 {
+            let config = tiny_config(seed % 2 == 1);
+            let mut direct = CacheHierarchy::new(config);
+            let mut reference = CacheHierarchy::new(config);
+            assert_eq!(direct.shared.banks.len(), 2);
+            let mut rng = hatric_types::SimRng::new(seed);
+            for step in 0..3_000 {
+                match random_step(&mut rng, lines) {
+                    Step::Read(cpu, l) => {
+                        let got = direct.read(cpu, l);
+                        assert_eq!(got, ref_read(&mut reference, cpu, l), "step {step}");
+                        downgrades += u32::from(got.remote_downgrade);
+                    }
+                    Step::Write(cpu, l) => {
+                        let got = direct.write(cpu, l);
+                        assert_eq!(got, ref_write(&mut reference, cpu, l, false), "step {step}");
+                        levels[got.access.level as usize] += 1;
+                    }
+                    Step::MarkPt(l, kind) => assert_eq!(
+                        direct.mark_pt_line(l, kind),
+                        ref_mark_pt_line(&mut reference, l, kind),
+                        "step {step}"
+                    ),
+                    Step::Demote(l, cpu) => {
+                        direct.demote_sharer(l, cpu);
+                        reference.demote_sharer(l, cpu);
+                    }
+                }
+                assert_same_state(&direct, &reference, lines, step);
+            }
+            let stats = direct.stats();
+            totals
+                .back_invalidations
+                .add(stats.back_invalidations.get());
+            totals
+                .invalidations_sent
+                .add(stats.invalidations_sent.get());
+            totals
+                .spurious_invalidations
+                .add(stats.spurious_invalidations.get());
+        }
+        assert!(levels.iter().all(|&n| n > 0), "write levels {levels:?}");
+        assert!(downgrades > 0);
+        assert!(totals.back_invalidations.get() > 0);
+        assert!(totals.spurious_invalidations.get() > 0);
+        assert!(totals.invalidations_sent.get() > totals.spurious_invalidations.get());
+    }
+
+    /// Every line in a CPU's L1 is in its L2 too, after every step of the
+    /// seeded sequences.
+    #[test]
+    fn l1_stays_included_in_l2() {
+        let lines = 48;
+        for seed in 0..8 {
+            let mut h = CacheHierarchy::new(tiny_config(seed % 2 == 1));
+            let mut rng = hatric_types::SimRng::new(seed);
+            for step in 0..3_000 {
+                match random_step(&mut rng, lines) {
+                    Step::Read(cpu, l) => drop(h.read(cpu, l)),
+                    Step::Write(cpu, l) => drop(h.write(cpu, l)),
+                    Step::MarkPt(l, kind) => drop(h.mark_pt_line(l, kind)),
+                    Step::Demote(l, cpu) => h.demote_sharer(l, cpu),
+                }
+                for (cpu, pair) in h.private.iter().enumerate() {
+                    for n in 0..lines {
+                        if pair.l1.probe(line(n)).is_some() {
+                            assert!(
+                                pair.l2.probe(line(n)).is_some(),
+                                "step {step}: CPU {cpu} holds line {n} in L1 only"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1400,9 +1636,10 @@ mod tests {
     /// hierarchy whose one bank holds a directory of 8 entries and an LLC
     /// of 4 lines, far fewer than the 48 lines used, so writes meet
     /// evictions, back-invalidations, remote sharers and LLC misses of
-    /// privately held lines.  The single-probe write returns what the peek-then-apply
-    /// reference returns, and leaves the same statistics, private contents
-    /// and sharer lists.
+    /// privately held lines.  The single-probe write returns what the
+    /// peek-then-apply reference returns (the replayed write that decides
+    /// its service level from a peek at the directory and LLC first), and
+    /// leaves the same statistics, private contents and sharer lists.
     #[test]
     fn single_probe_write_matches_peek_then_apply() {
         let config = CacheHierarchyConfig {
@@ -1424,6 +1661,7 @@ mod tests {
         for seed in 0..8 {
             let mut single = CacheHierarchy::new(config);
             let mut reference = CacheHierarchy::new(config);
+            assert_eq!(single.shared.banks.len(), 1);
             let mut rng = hatric_types::SimRng::new(seed);
             let mut levels = [0u32; 4];
             for step in 0..4_000 {
@@ -1432,14 +1670,10 @@ mod tests {
                 match rng.below(8) {
                     0..=3 => {
                         let got = single.write(cpu, l);
-                        assert_eq!(
-                            got,
-                            peek_then_apply_write(&mut reference, cpu, l),
-                            "step {step}"
-                        );
+                        assert_eq!(got, ref_write(&mut reference, cpu, l, true), "step {step}");
                         levels[got.access.level as usize] += 1;
                     }
-                    4..=6 => assert_eq!(single.read(cpu, l), reference.read(cpu, l)),
+                    4..=6 => assert_eq!(single.read(cpu, l), ref_read(&mut reference, cpu, l)),
                     _ => {
                         let kind = if rng.chance(0.5) {
                             PtKind::Nested
@@ -1448,25 +1682,11 @@ mod tests {
                         };
                         assert_eq!(
                             single.mark_pt_line(l, kind),
-                            reference.mark_pt_line(l, kind)
+                            ref_mark_pt_line(&mut reference, l, kind)
                         );
                     }
                 }
-                assert_eq!(single.stats(), reference.stats());
-                assert_eq!(single.directory_stats(), reference.directory_stats());
-                for n in 0..lines {
-                    for c in 0..4 {
-                        let c = CpuId::new(c);
-                        assert_eq!(
-                            single.cpu_holds_line(c, line(n)),
-                            reference.cpu_holds_line(c, line(n))
-                        );
-                        assert_eq!(
-                            single.is_sharer(line(n), c),
-                            reference.is_sharer(line(n), c)
-                        );
-                    }
-                }
+                assert_same_state(&single, &reference, lines, step);
             }
             // Every write service level occurred.
             assert!(levels.iter().all(|&n| n > 0), "levels {levels:?}");

@@ -36,7 +36,7 @@ pub use cache::{PrivateCache, PrivateCacheConfig};
 pub use directory::{CoherenceDirectory, DirectoryConfig, DirectoryEntry, SharerSet};
 pub use hierarchy::{
     AccessOutcome, BackInvalidation, CacheHierarchy, CacheHierarchyConfig, CacheStatsDelta,
-    CacheStatsSnapshot, CommitOutcome, HitLevel, PrivatePair, SharedCache, SharedCacheOp,
-    SimAccess, SimWrite, WriteOutcome,
+    CacheStatsSnapshot, HitLevel, PrivatePair, SharedCache, SharedCacheOp, SimAccess, SimWrite,
+    WriteOutcome,
 };
 pub use line::{MesiState, PtKind};

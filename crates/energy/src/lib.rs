@@ -224,96 +224,6 @@ impl EnergyReport {
     }
 }
 
-/// Every energy event, in a fixed canonical order (used by
-/// [`EnergyTally`] to index its counters and to replay them
-/// deterministically).
-const ALL_EVENTS: [EnergyEvent; 17] = [
-    EnergyEvent::TlbLookup,
-    EnergyEvent::CotagMatch,
-    EnergyEvent::MmuCacheLookup,
-    EnergyEvent::NtlbLookup,
-    EnergyEvent::L1Access,
-    EnergyEvent::L2Access,
-    EnergyEvent::LlcAccess,
-    EnergyEvent::DirectoryAccess,
-    EnergyEvent::DramAccessFast,
-    EnergyEvent::DramAccessSlow,
-    EnergyEvent::CoherenceMessage,
-    EnergyEvent::Ipi,
-    EnergyEvent::VmExit,
-    EnergyEvent::PageWalkStep,
-    EnergyEvent::TranslationInvalidation,
-    EnergyEvent::UnitdCamSearch,
-    EnergyEvent::PageCopy,
-];
-
-const fn event_index(event: EnergyEvent) -> usize {
-    match event {
-        EnergyEvent::TlbLookup => 0,
-        EnergyEvent::CotagMatch => 1,
-        EnergyEvent::MmuCacheLookup => 2,
-        EnergyEvent::NtlbLookup => 3,
-        EnergyEvent::L1Access => 4,
-        EnergyEvent::L2Access => 5,
-        EnergyEvent::LlcAccess => 6,
-        EnergyEvent::DirectoryAccess => 7,
-        EnergyEvent::DramAccessFast => 8,
-        EnergyEvent::DramAccessSlow => 9,
-        EnergyEvent::CoherenceMessage => 10,
-        EnergyEvent::Ipi => 11,
-        EnergyEvent::VmExit => 12,
-        EnergyEvent::PageWalkStep => 13,
-        EnergyEvent::TranslationInvalidation => 14,
-        EnergyEvent::UnitdCamSearch => 15,
-        EnergyEvent::PageCopy => 16,
-    }
-}
-
-/// A side accumulator of event *counts* (no parameters, no floats) that
-/// replays into an [`EnergyModel`] in canonical event order, so the
-/// floating-point accumulation order of a replay is fixed.  No simulator
-/// path tallies today: every host records its events straight into its
-/// model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnergyTally {
-    counts: [u64; ALL_EVENTS.len()],
-}
-
-impl EnergyTally {
-    /// An empty tally.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            counts: [0; ALL_EVENTS.len()],
-        }
-    }
-
-    /// Records `count` occurrences of `event`.
-    pub fn record(&mut self, event: EnergyEvent, count: u64) {
-        self.counts[event_index(event)] += count;
-    }
-
-    /// Clears the tally for reuse.
-    pub fn clear(&mut self) {
-        self.counts = [0; ALL_EVENTS.len()];
-    }
-
-    /// Replays the tallied counts into `model` in canonical event order.
-    pub fn apply_to(&self, model: &mut EnergyModel) {
-        for (event, &count) in ALL_EVENTS.iter().zip(&self.counts) {
-            if count > 0 {
-                model.record(*event, count);
-            }
-        }
-    }
-}
-
-impl Default for EnergyTally {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Accumulates event counts and converts them to energy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
@@ -410,22 +320,6 @@ mod tests {
         let more_cpus = m.report(1_000_000, 32).static_nj;
         assert!((long / short - 2.0).abs() < 1e-9);
         assert!((more_cpus / short - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tally_replay_equals_direct_recording() {
-        let mut direct = EnergyModel::new(EnergyParams::haswell_like(2));
-        let mut tallied = EnergyModel::new(EnergyParams::haswell_like(2));
-        let mut tally = EnergyTally::new();
-        for (i, event) in ALL_EVENTS.iter().enumerate() {
-            direct.record(*event, i as u64 + 1);
-            tally.record(*event, i as u64 + 1);
-        }
-        tally.apply_to(&mut tallied);
-        assert_eq!(direct.dynamic_nj(), tallied.dynamic_nj());
-        tally.clear();
-        tally.apply_to(&mut tallied);
-        assert_eq!(direct.dynamic_nj(), tallied.dynamic_nj());
     }
 
     #[test]
