@@ -1,5 +1,5 @@
 //! A set-associative cache (tags + MESI state only): the private L1 and L2
-//! of every CPU, and each LLC bank slice.
+//! of every CPU, and the shared LLC.
 
 use hatric_types::consts::CACHE_LINE_BYTES;
 use hatric_types::CacheLineAddr;

@@ -10,16 +10,19 @@
 //! Like the sparse directories real processors build, it is
 //! set-associative: `min(16, max_entries)` ways per set and
 //! `ceil(max_entries / ways)` sets, selected by a Fibonacci hash of the
-//! line index.  Allocating into a full set evicts the set's least recently
-//! touched entry; evicting a directory entry requires back-invalidating
-//! the line in every sharer (and, with HATRIC, in their translation
-//! structures), which the hierarchy layer performs.
+//! line index.  Each set keeps its LRU order in one `u64` of 4-bit way
+//! indices, most recent first, so a touch moves one nibble to the front
+//! and a full set evicts the way in its last valid nibble.  Evicting a
+//! directory entry requires back-invalidating the line in every sharer
+//! (and, with HATRIC, in their translation structures), which the
+//! hierarchy layer performs.
 
 use hatric_types::{fib_hash, CacheLineAddr, Counter, CpuId};
 
 use crate::line::PtKind;
 
-/// Associativity of a directory with at least this many entries.
+/// Associativity of a directory with at least this many entries; a 4-bit
+/// way index fits it, so one `u64` holds a set's recency order.
 const MAX_WAYS: usize = 16;
 
 /// A set of CPUs, stored as a 64-bit mask.
@@ -94,8 +97,10 @@ impl SharerSet {
     }
 }
 
-/// One coherence-directory entry.  Its recency stamp lives apart, in the
-/// directory's `stamps` array, so that victim selection scans stamps only.
+/// One coherence-directory entry, as [`CoherenceDirectory::entry`] and
+/// capacity victims report it.  The directory stores it packed: the
+/// sharers in one array and the owner and page-table bits in a 16-bit
+/// `meta` word in another.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirectoryEntry {
     /// CPUs that may hold a copy of the line (in caches *or* translation
@@ -109,10 +114,17 @@ pub struct DirectoryEntry {
     pub gpt: bool,
 }
 
+/// `meta` bit: the line holds nested page-table entries.
+const META_NPT: u16 = 1 << 14;
+/// `meta` bit: the line holds guest page-table entries.
+const META_GPT: u16 = 1 << 15;
+/// `meta` bits holding the owner's index plus one (0: no owner).
+const META_OWNER: u16 = META_NPT - 1;
+
 impl DirectoryEntry {
     /// The page-table kind recorded for this line, if any.
     #[must_use]
-    pub fn pt_kind(&self) -> Option<PtKind> {
+    pub fn pt_kind(self) -> Option<PtKind> {
         if self.npt {
             Some(PtKind::Nested)
         } else if self.gpt {
@@ -120,6 +132,25 @@ impl DirectoryEntry {
         } else {
             None
         }
+    }
+
+    /// The entry stored as `sharers` and `meta`.
+    fn unpack(sharers: SharerSet, meta: u16) -> Self {
+        let owner = meta & META_OWNER;
+        Self {
+            sharers,
+            owner: (owner != 0).then(|| CpuId::new(u32::from(owner - 1))),
+            npt: meta & META_NPT != 0,
+            gpt: meta & META_GPT != 0,
+        }
+    }
+
+    /// The entry's `meta` word.  Owners come from sharer sets, so their
+    /// index is below 64.
+    fn meta(self) -> u16 {
+        let owner = self.owner.map_or(0, |cpu| cpu.index() as u16 + 1);
+        debug_assert!(owner <= META_OWNER, "owner index out of range");
+        owner | if self.npt { META_NPT } else { 0 } | if self.gpt { META_GPT } else { 0 }
     }
 }
 
@@ -169,27 +200,87 @@ pub struct DirectoryStats {
     pub lazy_demotions: Counter,
 }
 
+// A set's recency order: nibble `r` of the `u64` (bits `4r..4r + 4`) is
+// the way at rank `r`, rank 0 the most recently touched.  The first `len`
+// nibbles are a permutation of `0..len`; the rest are unused.
+
+/// Mask of the nibbles of ranks `0..rank`.
+const fn ranks_below(rank: usize) -> u64 {
+    if rank >= MAX_WAYS {
+        u64::MAX
+    } else {
+        (1 << (4 * rank)) - 1
+    }
+}
+
+/// The way at `rank`.
+const fn way_at(order: u64, rank: usize) -> usize {
+    ((order >> (4 * rank)) & 0xF) as usize
+}
+
+/// The rank of `way`, which must be among the valid nibbles.  A nibble of
+/// `order ^ way·0x1…1` is zero where `way` sits; the lowest flagged zero is
+/// exact (a borrow can only flag nibbles above a true zero), and `way`
+/// sits below the unused nibbles.
+const fn rank_of(order: u64, way: usize) -> usize {
+    const ONES: u64 = 0x1111_1111_1111_1111;
+    let x = order ^ (way as u64 * ONES);
+    let zeros = x.wrapping_sub(ONES) & !x & (ONES << 3);
+    zeros.trailing_zeros() as usize / 4
+}
+
+/// `order` with the way at `rank` moved to the front.
+const fn promote(order: u64, rank: usize) -> u64 {
+    (order & !ranks_below(rank + 1))
+        | ((order & ranks_below(rank)) << 4)
+        | (order >> (4 * rank)) & 0xF
+}
+
+/// `order` with `way` pushed in front of its valid nibbles.
+const fn push_front(order: u64, way: usize) -> u64 {
+    (order << 4) | way as u64
+}
+
+/// `order` without the nibble at `rank`; the ranks after it move up one.
+const fn remove_rank(order: u64, rank: usize) -> u64 {
+    (order & ranks_below(rank)) | ((order >> 4) & !ranks_below(rank))
+}
+
+/// `order` with the valid nibble naming way `from` renamed to `to`.
+const fn rename(order: u64, from: usize, to: usize) -> u64 {
+    let shift = 4 * rank_of(order, from);
+    (order & !(0xF << shift)) | ((to as u64) << shift)
+}
+
+/// Whether the first `len` nibbles of `order` are a permutation of `0..len`.
+fn is_permutation(order: u64, len: usize) -> bool {
+    let seen = (0..len).fold(0u32, |seen, rank| seen | 1 << way_at(order, rank));
+    seen == (1 << len) - 1
+}
+
 /// The directory proper: a flat `sets × ways` table.
 ///
-/// Set *s* owns slots `s·ways ..`, of which the first `lens[s]` are valid
-/// (in no particular order: victims are chosen by recency stamp).  Each
-/// slot's line, entry and stamp sit in three parallel arrays, so lookups
-/// scan only lines and victim selection only stamps.  The
-/// table starts at the odd part of its full set count and doubles when an
-/// allocation finds its set full.  Because the set index is a fastrange
-/// reduction, doubling splits set *s* into sets *2s* and *2s + 1*, so a
-/// bounded directory holds exactly what the full-size table would, and
-/// only evicts once it has reached its full size.  An unbounded directory
-/// never stops doubling.
+/// Set *s* owns slots `s·ways ..`, of which the first `lens[s]` are valid,
+/// in no particular order: `orders[s]` ranks them by recency.  Each slot's
+/// line, sharers and `meta` word (owner index plus one, NPT and GPT bits)
+/// sit in three parallel arrays, 18 bytes a slot, so lookups scan only
+/// lines.  The table starts at the odd part of its full set count and
+/// doubles when an allocation finds its set full.  Because the set index
+/// is a fastrange reduction, doubling splits set *s* into sets *2s* and
+/// *2s + 1*, so a bounded directory holds exactly what the full-size table
+/// would, and only evicts once it has reached its full size.  An unbounded
+/// directory never stops doubling.
 #[derive(Debug, Clone)]
 pub struct CoherenceDirectory {
     /// The line of each slot; set `s` occupies `lines[s * ways..][..lens[s]]`.
     lines: Vec<CacheLineAddr>,
-    /// The entry of each slot, parallel to `lines`.
-    entries: Vec<DirectoryEntry>,
-    /// The clock value of each slot's last touch, parallel to `lines`; a
-    /// full set evicts its smallest.
-    stamps: Vec<u64>,
+    /// The sharers of each slot, parallel to `lines`.
+    sharers: Vec<SharerSet>,
+    /// The owner and page-table bits of each slot, parallel to `lines`
+    /// (see [`DirectoryEntry::meta`]).
+    meta: Vec<u16>,
+    /// Per set, its valid ways ranked most recent first, a nibble each.
+    orders: Vec<u64>,
     /// Valid slots per set.
     lens: Vec<u32>,
     ways: usize,
@@ -197,7 +288,6 @@ pub struct CoherenceDirectory {
     max_sets: usize,
     /// Valid slots in all.
     occupied: usize,
-    clock: u64,
     stats: DirectoryStats,
 }
 
@@ -234,13 +324,13 @@ impl CoherenceDirectory {
         };
         Self {
             lines: vec![CacheLineAddr::default(); sets * ways],
-            entries: vec![DirectoryEntry::default(); sets * ways],
-            stamps: vec![0; sets * ways],
+            sharers: vec![SharerSet::empty(); sets * ways],
+            meta: vec![0; sets * ways],
+            orders: vec![0; sets],
             lens: vec![0; sets],
             ways,
             max_sets,
             occupied: 0,
-            clock: 0,
             stats: DirectoryStats::default(),
         }
     }
@@ -257,11 +347,12 @@ impl CoherenceDirectory {
         self.occupied == 0
     }
 
-    /// Read-only view of an entry.
+    /// The entry of `line`, if tracked.
     #[must_use]
-    pub fn entry(&self, line: CacheLineAddr) -> Option<&DirectoryEntry> {
-        self.slot(self.set_index(line), line)
-            .map(|slot| &self.entries[slot])
+    pub fn entry(&self, line: CacheLineAddr) -> Option<DirectoryEntry> {
+        let set = self.set_index(line);
+        self.way(set, line)
+            .map(|way| self.load(set * self.ways + way))
     }
 
     /// Accumulated statistics.
@@ -278,39 +369,54 @@ impl CoherenceDirectory {
         ((u128::from(hash) * self.lens.len() as u128) >> 64) as usize
     }
 
-    /// The slot holding `line` in `set`, if any.
-    fn slot(&self, set: usize, line: CacheLineAddr) -> Option<usize> {
+    /// The way holding `line` in `set`, if any.
+    fn way(&self, set: usize, line: CacheLineAddr) -> Option<usize> {
         let base = set * self.ways;
         self.lines[base..base + self.lens[set] as usize]
             .iter()
             .position(|&l| l == line)
-            .map(|way| base + way)
     }
 
-    /// Doubles the set count, moving every entry in slot order.
+    /// The entry in `slot`.
+    fn load(&self, slot: usize) -> DirectoryEntry {
+        DirectoryEntry::unpack(self.sharers[slot], self.meta[slot])
+    }
+
+    /// Stores `entry` in `slot`.
+    fn store(&mut self, slot: usize, entry: DirectoryEntry) {
+        self.sharers[slot] = entry.sharers;
+        self.meta[slot] = entry.meta();
+    }
+
+    /// Whether `set`'s order word ranks exactly its valid ways.
+    fn order_is_valid(&self, set: usize) -> bool {
+        is_permutation(self.orders[set], self.lens[set] as usize)
+    }
+
+    /// Doubles the set count, copying each old set into its two new sets
+    /// oldest first, so that each new set keeps the old relative order.
     fn grow(&mut self) {
         let sets = self.lens.len() * 2;
-        let lines = std::mem::replace(
-            &mut self.lines,
-            vec![CacheLineAddr::default(); sets * self.ways],
-        );
-        let entries = std::mem::replace(
-            &mut self.entries,
-            vec![DirectoryEntry::default(); sets * self.ways],
-        );
-        let stamps = std::mem::replace(&mut self.stamps, vec![0; sets * self.ways]);
+        let slots = sets * self.ways;
+        let lines = std::mem::replace(&mut self.lines, vec![CacheLineAddr::default(); slots]);
+        let sharers = std::mem::replace(&mut self.sharers, vec![SharerSet::empty(); slots]);
+        let meta = std::mem::replace(&mut self.meta, vec![0; slots]);
+        let orders = std::mem::replace(&mut self.orders, vec![0; sets]);
         let lens = std::mem::replace(&mut self.lens, vec![0; sets]);
-        for (set, &len) in lens.iter().enumerate() {
-            let base = set * self.ways;
-            for old in base..base + len as usize {
+        for (set, (&order, &len)) in orders.iter().zip(&lens).enumerate() {
+            for rank in (0..len as usize).rev() {
+                let old = set * self.ways + way_at(order, rank);
                 let set = self.set_index(lines[old]);
-                let slot = set * self.ways + self.lens[set] as usize;
+                let way = self.lens[set] as usize;
+                let slot = set * self.ways + way;
                 self.lines[slot] = lines[old];
-                self.entries[slot] = entries[old];
-                self.stamps[slot] = stamps[old];
+                self.sharers[slot] = sharers[old];
+                self.meta[slot] = meta[old];
+                self.orders[set] = push_front(self.orders[set], way);
                 self.lens[set] += 1;
             }
         }
+        debug_assert!((0..sets).all(|set| self.order_is_valid(set)));
     }
 
     /// Touches `line`'s entry, allocating it if absent: a full set grows
@@ -322,37 +428,35 @@ impl CoherenceDirectory {
         &mut self,
         line: CacheLineAddr,
     ) -> (usize, bool, Option<(CacheLineAddr, DirectoryEntry)>) {
-        self.clock += 1;
         let mut set = self.set_index(line);
-        if let Some(slot) = self.slot(set, line) {
-            self.stamps[slot] = self.clock;
-            return (slot, false, None);
+        if let Some(way) = self.way(set, line) {
+            let order = self.orders[set];
+            self.orders[set] = promote(order, rank_of(order, way));
+            debug_assert!(self.order_is_valid(set));
+            return (set * self.ways + way, false, None);
         }
         while self.lens[set] as usize == self.ways && self.lens.len() < self.max_sets {
             self.grow();
             set = self.set_index(line);
         }
         self.stats.allocations.incr();
-        let base = set * self.ways;
         let len = self.lens[set] as usize;
+        let order = self.orders[set];
         let (slot, victim) = if len < self.ways {
+            self.orders[set] = push_front(order, len);
             self.lens[set] += 1;
             self.occupied += 1;
-            (base + len, None)
+            (set * self.ways + len, None)
         } else {
-            let way = self.stamps[base..base + len]
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, stamp)| stamp)
-                .map(|(way, _)| way)
-                .expect("a full set has ways");
-            let slot = base + way;
+            self.orders[set] = promote(order, len - 1);
+            let slot = set * self.ways + way_at(order, len - 1);
             self.stats.evictions.incr();
-            (slot, Some((self.lines[slot], self.entries[slot])))
+            (slot, Some((self.lines[slot], self.load(slot))))
         };
+        debug_assert!(self.order_is_valid(set));
         self.lines[slot] = line;
-        self.entries[slot] = DirectoryEntry::default();
-        self.stamps[slot] = self.clock;
+        self.sharers[slot] = SharerSet::empty();
+        self.meta[slot] = 0;
         (slot, true, victim)
     }
 
@@ -364,7 +468,7 @@ impl CoherenceDirectory {
         cpu: CpuId,
     ) -> (ReadNote, Option<(CacheLineAddr, DirectoryEntry)>) {
         let (slot, allocated, victim) = self.touch_or_allocate(line);
-        let entry = &mut self.entries[slot];
+        let mut entry = self.load(slot);
         let downgraded_owner = match entry.owner {
             Some(owner) if owner != cpu => {
                 entry.owner = None;
@@ -378,6 +482,7 @@ impl CoherenceDirectory {
             // owner so a later remote read downgrades that copy (E -> S).
             entry.owner = Some(cpu);
         }
+        self.store(slot, entry);
         let note = ReadNote {
             downgraded_owner,
             allocated,
@@ -393,11 +498,12 @@ impl CoherenceDirectory {
         cpu: CpuId,
     ) -> (WriteNote, Option<(CacheLineAddr, DirectoryEntry)>) {
         let (slot, allocated, victim) = self.touch_or_allocate(line);
-        let entry = &mut self.entries[slot];
+        let mut entry = self.load(slot);
         let targets = entry.sharers.without(cpu);
         let pt_kind = entry.pt_kind();
         entry.sharers = SharerSet::only(cpu);
         entry.owner = Some(cpu);
+        self.store(slot, entry);
         if pt_kind.is_some() {
             self.stats.pt_writes.incr();
         }
@@ -419,11 +525,10 @@ impl CoherenceDirectory {
         kind: PtKind,
     ) -> Option<(CacheLineAddr, DirectoryEntry)> {
         let (slot, _, victim) = self.touch_or_allocate(line);
-        let entry = &mut self.entries[slot];
-        match kind {
-            PtKind::Nested => entry.npt = true,
-            PtKind::Guest => entry.gpt = true,
-        }
+        self.meta[slot] |= match kind {
+            PtKind::Nested => META_NPT,
+            PtKind::Guest => META_GPT,
+        };
         victim
     }
 
@@ -435,10 +540,11 @@ impl CoherenceDirectory {
     /// (`eager_pt`).  A plain line left without sharers is dropped.
     pub fn note_private_eviction(&mut self, line: CacheLineAddr, cpu: CpuId, eager_pt: bool) {
         let set = self.set_index(line);
-        let Some(slot) = self.slot(set, line) else {
+        let Some(way) = self.way(set, line) else {
             return;
         };
-        let entry = &mut self.entries[slot];
+        let slot = set * self.ways + way;
+        let mut entry = self.load(slot);
         let is_pt = entry.pt_kind().is_some();
         if is_pt && !eager_pt {
             return;
@@ -447,14 +553,24 @@ impl CoherenceDirectory {
         if entry.owner == Some(cpu) {
             entry.owner = None;
         }
+        self.store(slot, entry);
         if entry.sharers.is_empty() && !is_pt {
-            // The set's last valid slot fills the hole.
-            let last = set * self.ways + self.lens[set] as usize - 1;
-            self.lines[slot] = self.lines[last];
-            self.entries[slot] = self.entries[last];
-            self.stamps[slot] = self.stamps[last];
+            // The set's last valid slot fills the hole, and its nibble
+            // takes the hole's way.
+            let last = self.lens[set] as usize - 1;
+            let order = self.orders[set];
+            let mut order = remove_rank(order, rank_of(order, way));
+            if way != last {
+                let last_slot = set * self.ways + last;
+                self.lines[slot] = self.lines[last_slot];
+                self.sharers[slot] = self.sharers[last_slot];
+                self.meta[slot] = self.meta[last_slot];
+                order = rename(order, last, way);
+            }
+            self.orders[set] = order;
             self.lens[set] -= 1;
             self.occupied -= 1;
+            debug_assert!(self.order_is_valid(set));
         }
     }
 
@@ -462,8 +578,9 @@ impl CoherenceDirectory {
     /// spurious invalidation (the line was neither in its caches nor in its
     /// translation structures).
     pub fn demote_after_spurious(&mut self, line: CacheLineAddr, cpu: CpuId) {
-        if let Some(slot) = self.slot(self.set_index(line), line) {
-            self.entries[slot].sharers.remove(cpu);
+        let set = self.set_index(line);
+        if let Some(way) = self.way(set, line) {
+            self.sharers[set * self.ways + way].remove(cpu);
             self.stats.lazy_demotions.incr();
         }
     }
@@ -810,14 +927,107 @@ mod tests {
                 prop_assert_eq!(dir.len(), reference.sets.iter().map(Vec::len).sum::<usize>());
                 if i % 64 == 0 {
                     for &(l, entry, _) in reference.sets.iter().flatten() {
-                        prop_assert_eq!(dir.entry(l), Some(&entry));
+                        prop_assert_eq!(dir.entry(l), Some(entry));
                     }
                 }
             }
             for &(l, entry, _) in reference.sets.iter().flatten() {
-                prop_assert_eq!(dir.entry(l), Some(&entry));
+                prop_assert_eq!(dir.entry(l), Some(entry));
             }
             prop_assert_eq!(dir.stats().evictions.get() as usize, evictions);
+        }
+    }
+
+    /// Asserts that the first `model.len()` nibbles of `order` are `model`.
+    fn assert_order(order: u64, model: &[usize]) {
+        let ranked: Vec<usize> = (0..model.len()).map(|rank| way_at(order, rank)).collect();
+        assert_eq!(ranked, model, "order word {order:#018x}");
+        assert!(is_permutation(order, model.len()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The order-word helpers against a `Vec` of ways, most recent
+        /// first, at 1, 2, 4, 8 and 16 ways, starting from a word whose
+        /// unused nibbles hold garbage: touches, allocation into a free and
+        /// into a full set, removal with the last way renamed into the
+        /// hole, and `grow`'s split of a set into two, oldest first.
+        #[test]
+        fn order_word_matches_an_mru_list(
+            geometry in 0usize..5,
+            garbage in any::<u64>(),
+            ops in proptest::collection::vec((0u8..8, 0usize..16, any::<u64>()), 1..200),
+        ) {
+            let ways = [1, 2, 4, 8, 16][geometry];
+            let (mut order, mut model) = (garbage, Vec::<usize>::new());
+            for (op, pick, bits) in ops {
+                let len = model.len();
+                match op {
+                    // A touch promotes a valid way.
+                    0..=2 if len > 0 => {
+                        let way = model[pick % len];
+                        let rank = rank_of(order, way);
+                        prop_assert_eq!(Some(rank), model.iter().position(|&w| w == way));
+                        order = promote(order, rank);
+                        model.remove(rank);
+                        model.insert(0, way);
+                    }
+                    // Removal, the last way renamed into the hole.
+                    3 | 4 if len > 0 => {
+                        let (way, last) = (model[pick % len], len - 1);
+                        order = remove_rank(order, rank_of(order, way));
+                        model.retain(|&w| w != way);
+                        if way != last {
+                            order = rename(order, last, way);
+                            *model.iter_mut().find(|w| **w == last).unwrap() = way;
+                        }
+                    }
+                    // `grow`'s split: each way goes to the half its bit
+                    // picks, oldest first; `moved[new way]` is its old way.
+                    5 => {
+                        let half_of = |way: usize| (bits >> way & 1) as usize;
+                        let mut split = [(0u64, Vec::new()), (0u64, Vec::new())];
+                        for rank in (0..len).rev() {
+                            let way = way_at(order, rank);
+                            let (new_order, moved) = &mut split[half_of(way)];
+                            *new_order = push_front(*new_order, moved.len());
+                            moved.push(way);
+                        }
+                        for (half, (new_order, moved)) in split.iter().enumerate() {
+                            let kept: Vec<usize> =
+                                model.iter().copied().filter(|&w| half_of(w) == half).collect();
+                            let ranked: Vec<usize> =
+                                (0..moved.len()).map(|rank| moved[way_at(*new_order, rank)]).collect();
+                            prop_assert_eq!(ranked, kept);
+                            prop_assert!(is_permutation(*new_order, moved.len()));
+                        }
+                        // Carry on with one half, its ways renamed.
+                        let half = (bits >> 16 & 1) as usize;
+                        let (new_order, moved) = &split[half];
+                        model = model
+                            .iter()
+                            .filter(|&&w| half_of(w) == half)
+                            .map(|w| moved.iter().position(|m| m == w).unwrap())
+                            .collect();
+                        order = *new_order;
+                    }
+                    // Allocation: a free set pushes its next way in front,
+                    // a full one reuses its least recent way.
+                    _ if len < ways => {
+                        order = push_front(order, len);
+                        model.insert(0, len);
+                    }
+                    _ => {
+                        let victim = way_at(order, len - 1);
+                        prop_assert_eq!(Some(&victim), model.last());
+                        order = promote(order, len - 1);
+                        model.pop();
+                        model.insert(0, victim);
+                    }
+                }
+                assert_order(order, &model);
+            }
         }
     }
 

@@ -2,9 +2,10 @@
 //! the coherence directory, glued together behind a read/write interface.
 //!
 //! The simulator runs [`CacheHierarchy::read`] / [`CacheHierarchy::write`],
-//! which update the accessing CPU's private pair, the directory and LLC of
-//! the bank that owns the line, and the private copies the directory names
-//! (back-invalidations, owner downgrades, sharer invalidations) in one call.
+//! which update the accessing CPU's private pair, the directory slice of
+//! the bank that owns the line, the LLC, and the private copies the
+//! directory names (back-invalidations, owner downgrades, sharer
+//! invalidations) in one call.
 //!
 //! A **phased** path is kept beside it only for the `perfbench` benchmark's
 //! `engine_caches` calibration, its one caller: a CPU's [`PrivatePair`]
@@ -303,13 +304,12 @@ impl PrivatePair {
         }
         delta.l2_misses += 1;
 
-        let bank = shared.bank(line);
-        let entry = bank.directory.entry(line);
+        let entry = shared.bank(line).directory.entry(line);
         let would_allocate = entry.is_none();
         let remote_downgrade = entry
             .and_then(|e| e.owner)
             .is_some_and(|owner| owner != cpu);
-        let llc_hit = bank.llc_probe(line);
+        let llc_hit = shared.llc_probe(line);
         let level = if llc_hit || remote_downgrade {
             HitLevel::Llc
         } else {
@@ -362,13 +362,12 @@ impl PrivatePair {
             delta.l1_misses += 1;
         }
 
-        let bank = shared.bank(line);
-        let entry = bank.directory.entry(line);
+        let entry = shared.bank(line).directory.entry(line);
         let targets = entry
             .map(|e| e.sharers.without(cpu))
             .unwrap_or_else(SharerSet::empty);
         let pt_kind = entry.and_then(DirectoryEntry::pt_kind);
-        let llc_hit = bank.llc_probe(line);
+        let llc_hit = shared.llc_probe(line);
         let had_locally = l1_state.is_some() || self.l2.probe(line).is_some();
         let level = if had_locally {
             HitLevel::L2
@@ -392,53 +391,28 @@ impl PrivatePair {
     }
 }
 
-/// One bank of the shared level: a slice of the LLC's sets plus the
-/// directory entries of the lines mapping to them.
+/// One directory slice of the shared level: the directory entries of the
+/// lines whose index is congruent to the bank modulo the bank count.
 ///
-/// The bank count is a pure function of the LLC geometry; each bank holds
-/// the lines whose index is congruent to it modulo the count.
+/// The bank count is a pure function of the LLC geometry.  Each slice sizes
+/// and indexes its own sets, so the slices, not one directory of their
+/// total size, decide which entries a full set evicts.
 #[derive(Debug, Clone)]
 pub(crate) struct CacheBank {
-    llc: PrivateCache,
     directory: CoherenceDirectory,
-    /// log2 of the total bank count (the stride of this bank's line
-    /// population; bank counts are powers of two).  Lines routed to bank
-    /// *b* all have `index ≡ b (mod bank_count)`, so the bank's internal set
-    /// index uses the *folded* index `index / count` — without the fold,
-    /// only `1/count` of the bank's sets would ever be reachable (the
-    /// index's low bits are constant within a bank).
-    fold_shift: u32,
 }
 
-impl CacheBank {
-    /// The bank-internal key of `line`: the folded index
-    /// (`index / bank_count`), a bijection within the bank's line population.
-    fn llc_key(&self, line: CacheLineAddr) -> CacheLineAddr {
-        CacheLineAddr::new((line.index() >> self.fold_shift) * 64)
-    }
-
-    /// Whether this bank's LLC slice holds `line` (no recency effects).
-    #[must_use]
-    pub(crate) fn llc_probe(&self, line: CacheLineAddr) -> bool {
-        self.llc.probe(self.llc_key(line)).is_some()
-    }
-
-    /// Looks `line` up in this bank's LLC slice, promoting it on a hit.
-    fn llc_lookup(&mut self, line: CacheLineAddr) -> bool {
-        let key = self.llc_key(line);
-        self.llc.lookup(key).is_some()
-    }
-
-    /// Fills `line`, which the LLC slice just missed, from memory.
-    fn llc_fill_missed(&mut self, line: CacheLineAddr, state: MesiState) {
-        let key = self.llc_key(line);
-        self.llc.insert_absent(key, state);
-    }
-}
-
-/// Everything the CPUs share: the banked LLC + coherence directory.
+/// Everything the CPUs share: one LLC, indexed by the line itself, and the
+/// coherence directory in banked slices.
+///
+/// The LLC has exactly the sets of the banked LLC it replaced, whose bank
+/// *b* held the lines `≡ b (mod bank_count)` at in-bank set
+/// `(index / bank_count) mod bank_sets`; that set is unbanked set
+/// `index mod (bank_count · bank_sets)`, one to one, so the two hold the
+/// same lines.
 #[derive(Debug, Clone)]
 pub struct SharedCache {
+    llc: PrivateCache,
     banks: Vec<CacheBank>,
 }
 
@@ -468,6 +442,11 @@ impl SharedCache {
         let bank = self.bank_of(line);
         &mut self.banks[bank]
     }
+
+    /// Whether the LLC holds `line` (no recency effects).
+    fn llc_probe(&self, line: CacheLineAddr) -> bool {
+        self.llc.probe(line).is_some()
+    }
 }
 
 /// The cache hierarchy.
@@ -495,15 +474,24 @@ impl CacheHierarchy {
         let private = (0..config.num_cpus)
             .map(|_| PrivatePair::new(&config))
             .collect();
-        let llc_sets = ((config.llc_bytes / 64) as usize / config.llc_ways).max(1);
-        let bank_count = SharedCache::bank_count_for(llc_sets);
+        let llc = PrivateCacheConfig {
+            capacity_bytes: config.llc_bytes,
+            ways: config.llc_ways,
+        };
+        let bank_count = SharedCache::bank_count_for(llc.sets().max(1));
+        // The LLC maps one to one onto the banked slices the baselines were
+        // made with only if it has exactly their total set count.
+        let llc_slice = PrivateCacheConfig {
+            capacity_bytes: config.llc_bytes / bank_count as u64,
+            ..llc
+        };
+        assert_eq!(
+            llc.sets(),
+            bank_count * llc_slice.sets(),
+            "the LLC has the sets of {bank_count} banks"
+        );
         let banks = (0..bank_count)
             .map(|_| CacheBank {
-                llc: PrivateCache::new(PrivateCacheConfig {
-                    capacity_bytes: config.llc_bytes / bank_count as u64,
-                    ways: config.llc_ways,
-                }),
-                fold_shift: bank_count.trailing_zeros(),
                 directory: CoherenceDirectory::new(DirectoryConfig {
                     // A bounded directory splits its capacity across banks
                     // (at least one entry per bank — `0` means unbounded
@@ -518,7 +506,10 @@ impl CacheHierarchy {
             .collect();
         Self {
             private,
-            shared: SharedCache { banks },
+            shared: SharedCache {
+                llc: PrivateCache::new(llc),
+                banks,
+            },
             config,
             stats: CacheStatsSnapshot::default(),
         }
@@ -662,14 +653,13 @@ impl CacheHierarchy {
             pair.l1.set_state(line, MesiState::Shared);
             pair.l2.set_state(line, MesiState::Shared);
         }
-        let bank = self.shared.bank_mut(line);
-        let llc_hit = bank.llc_lookup(line);
+        let llc_hit = self.shared.llc.lookup(line).is_some();
         self.stats.llc.record(llc_hit || remote_downgrade);
         let level = if llc_hit || remote_downgrade {
             HitLevel::Llc
         } else {
             self.stats.memory_accesses.incr();
-            bank.llc_fill_missed(line, MesiState::Shared);
+            self.shared.llc.insert_absent(line, MesiState::Shared);
             HitLevel::Memory
         };
         let fill_state = if note.allocated {
@@ -735,8 +725,7 @@ impl CacheHierarchy {
         if note.pt_kind.is_some() {
             self.stats.pt_line_writes.incr();
         }
-        let bank = self.shared.bank_mut(line);
-        let llc_hit = bank.llc_lookup(line);
+        let llc_hit = self.shared.llc.lookup(line).is_some();
         self.stats.llc.record(llc_hit);
         let level = if had_locally {
             HitLevel::L2
@@ -744,7 +733,7 @@ impl CacheHierarchy {
             HitLevel::Llc
         } else {
             self.stats.memory_accesses.incr();
-            bank.llc_fill_missed(line, MesiState::Modified);
+            self.shared.llc.insert_absent(line, MesiState::Modified);
             HitLevel::Memory
         };
         self.fill_private(
@@ -992,16 +981,20 @@ mod tests {
     }
 
     // ----- phased simulate path, replayed by the reference ------------------
+    //
+    // These warm and replay through the reference, whose LLC is its own
+    // banked slices, so the frozen LLC they simulate against stays empty
+    // and their predictions come from the directory.
 
     #[test]
     fn simulate_predicts_from_frozen_state_and_commit_replays() {
-        let mut h = small_hierarchy(2);
+        let mut r = Reference::new(small_hierarchy(2).config);
         // Warm the shared state serially: CPU 1 owns line 5.
-        h.read(CpuId::new(1), line(5));
+        ref_read(&mut r, CpuId::new(1), line(5));
         let mut ops = Vec::new();
         let mut delta = CacheStatsDelta::default();
         {
-            let (shared, pairs) = h.split_simulate();
+            let (shared, pairs) = r.h.split_simulate();
             let sim = pairs[0].simulate_read(shared, CpuId::new(0), line(5), &mut ops, &mut delta);
             // Frozen directory lists CPU 1 as owner: predicted LLC-level.
             assert_eq!(sim.level, HitLevel::Llc);
@@ -1018,54 +1011,58 @@ mod tests {
             1
         );
         for op in &ops {
-            replay(&mut h, (*op).into());
+            replay(&mut r, (*op).into());
         }
         assert_eq!(delta.l1_hits, 1);
         assert_eq!(delta.l1_misses, 1);
         // After commit, the directory lists both CPUs as sharers.
-        assert!(h.is_sharer(line(5), CpuId::new(0)));
-        assert!(h.is_sharer(line(5), CpuId::new(1)));
+        assert!(r.h.is_sharer(line(5), CpuId::new(0)));
+        assert!(r.h.is_sharer(line(5), CpuId::new(1)));
     }
 
     #[test]
     fn simulated_memory_miss_fills_the_llc_at_commit() {
-        let mut h = small_hierarchy(2);
+        let mut r = Reference::new(small_hierarchy(2).config);
         let mut ops = Vec::new();
         let mut delta = CacheStatsDelta::default();
         {
-            let (shared, pairs) = h.split_simulate();
+            let (shared, pairs) = r.h.split_simulate();
             let sim = pairs[0].simulate_read(shared, CpuId::new(0), line(9), &mut ops, &mut delta);
             assert_eq!(sim.level, HitLevel::Memory);
             let w = pairs[1].simulate_write(shared, CpuId::new(1), line(10), &mut ops, &mut delta);
             assert_eq!(w.level, HitLevel::Memory);
         }
         for op in &ops {
-            replay(&mut h, (*op).into());
+            replay(&mut r, (*op).into());
         }
-        assert_eq!(h.stats().memory_accesses.get(), 2);
+        assert_eq!(r.h.stats().memory_accesses.get(), 2);
         // The replayed fills are visible to later serial reads.
-        assert_ne!(h.read(CpuId::new(1), line(9)).level, HitLevel::Memory);
+        assert!(r.llc.probe(line(9)) && r.llc.probe(line(10)));
+        assert_ne!(
+            ref_read(&mut r, CpuId::new(1), line(9)).level,
+            HitLevel::Memory
+        );
     }
 
     #[test]
     fn simulated_write_predicts_frozen_sharers() {
-        let mut h = small_hierarchy(4);
+        let mut r = Reference::new(small_hierarchy(4).config);
         for cpu in 0..3 {
-            h.read(CpuId::new(cpu), line(4));
+            ref_read(&mut r, CpuId::new(cpu), line(4));
         }
         let mut ops = Vec::new();
         let mut delta = CacheStatsDelta::default();
         {
-            let (shared, pairs) = h.split_simulate();
+            let (shared, pairs) = r.h.split_simulate();
             let w = pairs[3].simulate_write(shared, CpuId::new(3), line(4), &mut ops, &mut delta);
             assert_eq!(w.invalidated_sharers.count(), 3);
         }
         for op in &ops {
-            replay(&mut h, (*op).into());
+            replay(&mut r, (*op).into());
         }
         // Commit delivered the invalidations: the remote copies are gone.
-        assert!(!h.cpu_holds_line(CpuId::new(0), line(4)));
-        assert_eq!(h.stats().invalidations_sent.get(), 3);
+        assert!(!r.h.cpu_holds_line(CpuId::new(0), line(4)));
+        assert_eq!(r.h.stats().invalidations_sent.get(), 3);
     }
 
     // ----- the op-replay reference -----------------------------------------
@@ -1075,6 +1072,66 @@ mod tests {
     // line's bank, collected the op's private-level consequences and then
     // resolved them in order.  That replay is kept here as the reference
     // the direct path must match, and it replays the phased path's logs.
+    // It also keeps the banked LLC the unbanked one replaced: one slice per
+    // directory bank, indexed by the folded line index.
+
+    /// The banked LLC: slice *b* holds the lines `≡ b (mod bank_count)` and
+    /// indexes them by `index / bank_count`, a bijection within the slice's
+    /// line population.
+    struct BankedLlc {
+        slices: Vec<PrivateCache>,
+        fold_shift: u32,
+    }
+
+    impl BankedLlc {
+        fn new(config: &CacheHierarchyConfig, bank_count: usize) -> Self {
+            let slice = PrivateCacheConfig {
+                capacity_bytes: config.llc_bytes / bank_count as u64,
+                ways: config.llc_ways,
+            };
+            Self {
+                slices: (0..bank_count).map(|_| PrivateCache::new(slice)).collect(),
+                fold_shift: bank_count.trailing_zeros(),
+            }
+        }
+
+        /// `line`'s slice and its folded key there.
+        fn slot(&self, line: CacheLineAddr) -> (usize, CacheLineAddr) {
+            let bank = line.index() as usize & (self.slices.len() - 1);
+            let key = CacheLineAddr::new((line.index() >> self.fold_shift) * 64);
+            (bank, key)
+        }
+
+        fn probe(&self, line: CacheLineAddr) -> bool {
+            let (bank, key) = self.slot(line);
+            self.slices[bank].probe(key).is_some()
+        }
+
+        fn lookup(&mut self, line: CacheLineAddr) -> bool {
+            let (bank, key) = self.slot(line);
+            self.slices[bank].lookup(key).is_some()
+        }
+
+        fn fill(&mut self, line: CacheLineAddr, state: MesiState) {
+            let (bank, key) = self.slot(line);
+            self.slices[bank].fill(key, state);
+        }
+    }
+
+    /// The reference: a hierarchy whose private pairs and directory slices
+    /// the replay drives, and the banked LLC in place of its own.
+    struct Reference {
+        h: CacheHierarchy,
+        llc: BankedLlc,
+    }
+
+    impl Reference {
+        fn new(config: CacheHierarchyConfig) -> Self {
+            let h = CacheHierarchy::new(config);
+            let llc = BankedLlc::new(&config, h.shared.banks.len());
+            Self { h, llc }
+        }
+    }
 
     /// An op of the replay: the phased path's log entries plus the
     /// serial path's page-table marking.  `fill_memory: None` lets the
@@ -1165,11 +1222,12 @@ mod tests {
         pt_kind: Option<PtKind>,
     }
 
-    /// Replays one op against `bank`: directory note and LLC work, with
-    /// bank-side statistics recorded in `stats` and private consequences
-    /// appended to `privs`.
+    /// Replays one op against its bank's directory slice and the banked
+    /// LLC, with bank-side statistics recorded in `stats` and private
+    /// consequences appended to `privs`.
     fn bank_apply(
-        bank: &mut CacheBank,
+        directory: &mut CoherenceDirectory,
+        llc: &mut BankedLlc,
         op: RefOp,
         eager: bool,
         stats: &mut CacheStatsSnapshot,
@@ -1198,7 +1256,7 @@ mod tests {
                 line,
                 predicted_allocate,
             } => {
-                let (note, victim) = bank.directory.note_read(line, cpu);
+                let (note, victim) = directory.note_read(line, cpu);
                 push_victim(victim, stats, privs);
                 if let Some(owner) = note.downgraded_owner {
                     privs.push(PrivEffect::Downgrade { owner, line });
@@ -1206,12 +1264,11 @@ mod tests {
                 if predicted_allocate && !note.allocated {
                     privs.push(PrivEffect::Reconcile { cpu, line });
                 }
-                let key = bank.llc_key(line);
-                let llc_hit = bank.llc.lookup(key).is_some();
+                let llc_hit = llc.lookup(line);
                 stats.llc.record(llc_hit || note.downgraded_owner.is_some());
                 if !llc_hit && note.downgraded_owner.is_none() {
                     stats.memory_accesses.incr();
-                    bank.llc.fill(key, MesiState::Shared);
+                    llc.fill(line, MesiState::Shared);
                 }
                 out.allocated = note.allocated;
                 out.downgraded_owner = note.downgraded_owner;
@@ -1222,7 +1279,7 @@ mod tests {
                 line,
                 fill_memory,
             } => {
-                let (note, victim) = bank.directory.note_write(line, cpu);
+                let (note, victim) = directory.note_write(line, cpu);
                 push_victim(victim, stats, privs);
                 for target in note.invalidate_targets.iter() {
                     stats.invalidations_sent.incr();
@@ -1231,12 +1288,11 @@ mod tests {
                 if note.pt_kind.is_some() {
                     stats.pt_line_writes.incr();
                 }
-                let key = bank.llc_key(line);
-                let llc_hit = bank.llc.lookup(key).is_some();
+                let llc_hit = llc.lookup(line);
                 stats.llc.record(llc_hit);
                 if fill_memory.unwrap_or(!llc_hit && note.invalidate_targets.is_empty()) {
                     stats.memory_accesses.incr();
-                    bank.llc.fill(key, MesiState::Modified);
+                    llc.fill(line, MesiState::Modified);
                 }
                 out.allocated = note.allocated;
                 out.llc_hit = llc_hit;
@@ -1247,10 +1303,10 @@ mod tests {
                 if dirty {
                     stats.writebacks.incr();
                 }
-                bank.directory.note_private_eviction(line, cpu, eager);
+                directory.note_private_eviction(line, cpu, eager);
             }
             RefOp::MarkPt { line, kind } => {
-                let victim = bank.directory.mark_pt(line, kind);
+                let victim = directory.mark_pt(line, kind);
                 push_victim(victim, stats, privs);
             }
         }
@@ -1303,15 +1359,14 @@ mod tests {
     /// Replays `op` on its bank, then resolves its private effects in
     /// order.  Returns the bank outcome, the back-invalidated entry and the
     /// spurious sharers.
-    fn replay(
-        h: &mut CacheHierarchy,
-        op: RefOp,
-    ) -> (BankOutcome, Option<BackInvalidation>, SharerSet) {
+    fn replay(r: &mut Reference, op: RefOp) -> (BankOutcome, Option<BackInvalidation>, SharerSet) {
+        let h = &mut r.h;
         let eager = h.config.eager_pt_directory_update;
         let bank = h.shared.bank_of(op.line());
         let (mut privs, mut back) = (Vec::new(), None);
         let out = bank_apply(
-            &mut h.shared.banks[bank],
+            &mut h.shared.banks[bank].directory,
+            &mut r.llc,
             op,
             eager,
             &mut h.stats,
@@ -1329,9 +1384,9 @@ mod tests {
 
     /// The replay's private fill: tag-searching fills throughout, and an
     /// L2 victim of either fill is replayed as a victim op.
-    fn ref_fill_private(h: &mut CacheHierarchy, cpu: CpuId, line: CacheLineAddr, state: MesiState) {
+    fn ref_fill_private(r: &mut Reference, cpu: CpuId, line: CacheLineAddr, state: MesiState) {
         let mut victims = Vec::new();
-        let pair = &mut h.private[cpu.index()];
+        let pair = &mut r.h.private[cpu.index()];
         if let Some((victim_line, victim_state)) = pair.l1.fill(line, state) {
             victims.extend(pair.l2.fill(victim_line, victim_state));
         }
@@ -1341,11 +1396,12 @@ mod tests {
         }
         for (line, state) in victims {
             let dirty = state.is_dirty();
-            replay(h, RefOp::Victim { cpu, line, dirty });
+            replay(r, RefOp::Victim { cpu, line, dirty });
         }
     }
 
-    fn ref_read(h: &mut CacheHierarchy, cpu: CpuId, line: CacheLineAddr) -> AccessOutcome {
+    fn ref_read(r: &mut Reference, cpu: CpuId, line: CacheLineAddr) -> AccessOutcome {
+        let h = &mut r.h;
         if h.private[cpu.index()].l1.lookup(line).is_some() {
             h.stats.l1.hit();
             return AccessOutcome {
@@ -1357,7 +1413,7 @@ mod tests {
         h.stats.l1.miss();
         if let Some(state) = h.private[cpu.index()].l2.lookup(line) {
             h.stats.l2.hit();
-            ref_fill_private(h, cpu, line, state);
+            ref_fill_private(r, cpu, line, state);
             return AccessOutcome {
                 level: HitLevel::L2,
                 remote_downgrade: false,
@@ -1366,7 +1422,7 @@ mod tests {
         }
         h.stats.l2.miss();
         let (out, back_invalidated, _) = replay(
-            h,
+            r,
             RefOp::Read {
                 cpu,
                 line,
@@ -1383,7 +1439,7 @@ mod tests {
         } else {
             MesiState::Shared
         };
-        ref_fill_private(h, cpu, line, fill_state);
+        ref_fill_private(r, cpu, line, fill_state);
         AccessOutcome {
             level,
             remote_downgrade: out.downgraded_owner.is_some(),
@@ -1395,12 +1451,8 @@ mod tests {
     /// a peek at the directory and LLC before the replay, which is then
     /// told whether to fill from memory; without, the replay decides from
     /// its own probe.
-    fn ref_write(
-        h: &mut CacheHierarchy,
-        cpu: CpuId,
-        line: CacheLineAddr,
-        peek: bool,
-    ) -> WriteOutcome {
+    fn ref_write(r: &mut Reference, cpu: CpuId, line: CacheLineAddr, peek: bool) -> WriteOutcome {
+        let h = &mut r.h;
         let l1_state = h.private[cpu.index()].l1.lookup(line);
         if let Some(state) = l1_state {
             h.stats.l1.hit();
@@ -1424,13 +1476,14 @@ mod tests {
         }
         let had_locally = l1_state.is_some() || h.private[cpu.index()].l2.probe(line).is_some();
         let peeked = peek.then(|| {
-            let bank = h.shared.bank(line);
-            let targets = bank
+            let targets = h
+                .shared
+                .bank(line)
                 .directory
                 .entry(line)
                 .map(|e| e.sharers.without(cpu))
                 .unwrap_or_else(SharerSet::empty);
-            bank.llc_probe(line) || !targets.is_empty()
+            r.llc.probe(line) || !targets.is_empty()
         });
         let fill_memory = if had_locally {
             Some(false)
@@ -1438,7 +1491,7 @@ mod tests {
             peeked.map(|shared_hit| !shared_hit)
         };
         let (out, back_invalidated, spurious_sharers) = replay(
-            h,
+            r,
             RefOp::Write {
                 cpu,
                 line,
@@ -1452,7 +1505,7 @@ mod tests {
         } else {
             HitLevel::Memory
         };
-        ref_fill_private(h, cpu, line, MesiState::Modified);
+        ref_fill_private(r, cpu, line, MesiState::Modified);
         WriteOutcome {
             access: AccessOutcome {
                 level,
@@ -1466,11 +1519,11 @@ mod tests {
     }
 
     fn ref_mark_pt_line(
-        h: &mut CacheHierarchy,
+        r: &mut Reference,
         line: CacheLineAddr,
         kind: PtKind,
     ) -> Option<BackInvalidation> {
-        replay(h, RefOp::MarkPt { line, kind }).1
+        replay(r, RefOp::MarkPt { line, kind }).1
     }
 
     /// A hierarchy whose directory and LLC are far smaller than the line
@@ -1492,6 +1545,19 @@ mod tests {
             llc_ways: 4,
             directory: DirectoryConfig { max_entries: 16 },
             eager_pt_directory_update,
+        }
+    }
+
+    /// A hierarchy whose 48 LLC sets split into 16 banks of 3, so the
+    /// banked slices index by `%`, not by a mask: 4 CPUs with the tiny
+    /// private caches, a 2-way LLC of 96 lines and a 4-entry directory
+    /// slice per bank.
+    fn banked_by_three_config(eager_pt_directory_update: bool) -> CacheHierarchyConfig {
+        CacheHierarchyConfig {
+            llc_bytes: 48 * 2 * 64,
+            llc_ways: 2,
+            directory: DirectoryConfig { max_entries: 64 },
+            ..tiny_config(eager_pt_directory_update)
         }
     }
 
@@ -1522,12 +1588,19 @@ mod tests {
         }
     }
 
-    /// Asserts that two hierarchies agree on statistics, private contents
-    /// and sharer lists for lines `0..lines`.
-    fn assert_same_state(a: &CacheHierarchy, b: &CacheHierarchy, lines: u64, step: usize) {
+    /// Asserts that a hierarchy and the reference agree on statistics,
+    /// private contents, sharer lists and LLC contents for lines
+    /// `0..lines`.
+    fn assert_same_state(a: &CacheHierarchy, r: &Reference, lines: u64, step: usize) {
+        let b = &r.h;
         assert_eq!(a.stats(), b.stats(), "step {step}");
         assert_eq!(a.directory_stats(), b.directory_stats(), "step {step}");
         for n in 0..lines {
+            assert_eq!(
+                a.shared.llc_probe(line(n)),
+                r.llc.probe(line(n)),
+                "step {step}: the LLC holds line {n}"
+            );
             for c in 0..a.config.num_cpus {
                 let c = CpuId::new(c as u32);
                 assert_eq!(
@@ -1545,21 +1618,28 @@ mod tests {
     }
 
     /// Seeded read, write, page-table-marking and demotion sequences, under
-    /// both sharer-update policies: after every step the direct path
-    /// returns what the op-replay reference returns and leaves the same
-    /// statistics, private contents and sharer lists.  Together the
-    /// sequences reach back-invalidations, owner downgrades, spurious
-    /// invalidations (lazy policy only) and every write service level.
+    /// both sharer-update policies, on 2 banks of 2 LLC sets and on 16
+    /// banks of 3: after every step the direct path with its unbanked LLC
+    /// returns what the op-replay reference with its banked LLC returns,
+    /// and leaves the same statistics, private contents, sharer lists and
+    /// LLC contents.  Together the sequences reach back-invalidations,
+    /// owner downgrades, spurious invalidations (lazy policy only) and
+    /// every write service level.
     #[test]
     fn direct_path_matches_the_op_replay_reference() {
-        let lines = 32;
         let (mut levels, mut downgrades) = ([0u32; 4], 0);
         let mut totals = CacheStatsSnapshot::default();
-        for seed in 0..8 {
-            let config = tiny_config(seed % 2 == 1);
+        for seed in 0..12 {
+            let eager = seed % 2 == 1;
+            let (config, banks, lines) = if seed < 8 {
+                (tiny_config(eager), 2, 32)
+            } else {
+                (banked_by_three_config(eager), 16, 160)
+            };
             let mut direct = CacheHierarchy::new(config);
-            let mut reference = CacheHierarchy::new(config);
-            assert_eq!(direct.shared.banks.len(), 2);
+            let mut reference = Reference::new(config);
+            assert_eq!(direct.shared.banks.len(), banks);
+            assert_eq!(reference.llc.slices.len(), banks);
             let mut rng = hatric_types::SimRng::new(seed);
             for step in 0..3_000 {
                 match random_step(&mut rng, lines) {
@@ -1580,7 +1660,7 @@ mod tests {
                     ),
                     Step::Demote(l, cpu) => {
                         direct.demote_sharer(l, cpu);
-                        reference.demote_sharer(l, cpu);
+                        reference.h.demote_sharer(l, cpu);
                     }
                 }
                 assert_same_state(&direct, &reference, lines, step);
@@ -1660,7 +1740,7 @@ mod tests {
         let lines = 48;
         for seed in 0..8 {
             let mut single = CacheHierarchy::new(config);
-            let mut reference = CacheHierarchy::new(config);
+            let mut reference = Reference::new(config);
             assert_eq!(single.shared.banks.len(), 1);
             let mut rng = hatric_types::SimRng::new(seed);
             let mut levels = [0u32; 4];
