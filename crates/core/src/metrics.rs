@@ -357,16 +357,6 @@ pub struct HostReport {
 }
 
 impl HostReport {
-    /// Runtime of VM `vm`: the largest cycle count over its vCPUs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vm` is out of range.
-    #[must_use]
-    pub fn vm_runtime_cycles(&self, vm: usize) -> u64 {
-        self.per_vm[vm].runtime_cycles()
-    }
-
     /// Runtime of VM `vm` normalised to the same VM in a baseline run
     /// (slowdown factor > 1.0 means this run was slower).
     ///

@@ -147,11 +147,6 @@ impl Platform {
         self.trace = Some(sink);
     }
 
-    /// Removes the trace sink, returning it (tracing stops).
-    pub fn take_trace_sink(&mut self) -> Option<TraceSink> {
-        self.trace.take()
-    }
-
     /// The installed trace sink, if any.
     #[must_use]
     pub fn trace_sink(&self) -> Option<&TraceSink> {
@@ -184,12 +179,6 @@ impl Platform {
     /// Removes the write observer (dirty-page tracking stops).
     pub fn clear_write_observer(&mut self) {
         self.write_observer = None;
-    }
-
-    /// Whether a write observer is currently installed.
-    #[must_use]
-    pub fn has_write_observer(&self) -> bool {
-        self.write_observer.is_some()
     }
 
     // ----- occupancy and inspection ----------------------------------------

@@ -1,10 +1,11 @@
-//! The `scenarios` CLI: list, run and diff every registered experiment
-//! through the unified scenario API.
+//! The `scenarios` CLI: list, run, check and diff every registered
+//! experiment through the unified scenario API.
 //!
 //! ```text
 //! scenarios --list [--md]
 //! scenarios run <name> [--scale smoke|bench|full] [--json PATH] [--trace PATH]
 //!                      [--timeline PATH] [--set key=value]...
+//! scenarios check [<name>] [--scale bench|full]
 //! scenarios diff <run-a.json> <run-b.json> [--scenario NAME] [--tolerance FRAC]
 //! ```
 //!
@@ -16,13 +17,17 @@
 //! traced configuration and writes its deterministic sim-time spans as a
 //! Chrome trace-event file (open in `chrome://tracing` or Perfetto);
 //! `--timeline` does the same with the per-slice counter sampler and
-//! writes Chrome counter events plus a CSV sibling.  `diff` is the run
+//! writes Chrome counter events plus a CSV sibling.  `check` is the
+//! reproduction checker: it reruns one or every scenario with default
+//! parameters and exits nonzero if a gated metric differs from its
+//! committed baseline (at `bench`) or a declared claim fails.  `diff` is the run
 //! observatory: it aligns two report files by (label, mechanism), prints
 //! per-metric deltas, and exits nonzero when a gated metric drifted beyond
 //! the tolerance or a row disappeared.
 
 use std::process::ExitCode;
 
+use hatric_host::check::check;
 use hatric_host::diff::{diff_json, DiffOptions};
 use hatric_host::scenario::{
     append_meta_record, bench_meta_json, find, registry, Params, Scale, Scenario,
@@ -32,6 +37,7 @@ const USAGE: &str = "usage:
   scenarios --list [--md]
   scenarios run <name> [--scale smoke|bench|full] [--json PATH] [--trace PATH]
                        [--timeline PATH] [--set key=value]...
+  scenarios check [<name>] [--scale bench|full]
   scenarios diff <run-a.json> <run-b.json> [--scenario NAME] [--tolerance FRAC]
 
 Scenarios are registered in hatric_host::scenario::registry(); `--list`
@@ -40,7 +46,10 @@ BENCH_*.json baseline scale).  `--trace` writes a Chrome trace-event JSON
 of one traced configuration; `--timeline` writes the per-slice
 counter timeline as Chrome counter events plus a CSV sibling (host
 scenarios only).  `--set` overrides a scenario parameter (see its key set
-via the defaults printed on a bad key).  `diff` compares two report files
+via the defaults printed on a bad key).  `check` reruns one scenario, or
+all, with default parameters: at bench every gated metric must equal the
+committed BENCH_*.json exactly, and at bench and full every declared claim
+must hold (exit 1 otherwise).  `diff` compares two report files
 row by row; with `--scenario` the scenario's gated metrics decide the
 exit code (default tolerance 0.10).";
 
@@ -69,15 +78,19 @@ struct RunArgs {
     overrides: Params,
 }
 
-fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
-    let name = args.first().ok_or("run: missing scenario name")?;
-    let scenario = find(name).ok_or_else(|| {
+fn find_scenario(name: &str) -> Result<&'static dyn Scenario, String> {
+    find(name).ok_or_else(|| {
         let names: Vec<&str> = registry().iter().map(|s| s.name()).collect();
         format!(
             "unknown scenario `{name}` (registered: {})",
             names.join(", ")
         )
-    })?;
+    })
+}
+
+fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
+    let name = args.first().ok_or("run: missing scenario name")?;
+    let scenario = find_scenario(name)?;
     let mut scale = Scale::Bench;
     let mut json = None;
     let mut trace = None;
@@ -167,7 +180,7 @@ fn run(args: &[String]) -> Result<(), String> {
     })?;
     println!("{}", report.format_table());
     // Wall-clock summary of scenarios that record throughput (the timing
-    // columns are machine-dependent and never gated by bench_check).
+    // columns are machine-dependent and never gated).
     let timed: Vec<(f64, f64)> = report
         .rows
         .iter()
@@ -231,6 +244,66 @@ fn run(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// `scenarios check [<name>] [--scale bench|full]`: `Ok(true)` when every
+/// checked scenario reproduced its baseline and claims, `Err` on a usage
+/// error (or default parameters that do not run).
+fn check_scenarios(args: &[String]) -> Result<bool, String> {
+    let mut scale = Scale::Bench;
+    let mut only = None;
+    let mut rest = args;
+    while let Some(token) = rest.first() {
+        if token == "--scale" {
+            let value = rest.get(1).ok_or("--scale: missing value")?;
+            scale = match Scale::parse(value) {
+                Some(scale @ (Scale::Bench | Scale::Full)) => scale,
+                _ => {
+                    return Err(format!(
+                        "--scale: check runs at bench or full, not `{value}`"
+                    ))
+                }
+            };
+            rest = &rest[2..];
+        } else if token.starts_with("--") || only.is_some() {
+            return Err(format!("unexpected argument `{token}`\n{USAGE}"));
+        } else {
+            only = Some(find_scenario(token)?);
+            rest = &rest[1..];
+        }
+    }
+    let scenarios = only.map_or_else(|| registry().to_vec(), |scenario| vec![scenario]);
+    let (mut passed, mut compared, mut drifted, mut claims, mut held) = (true, 0, 0, 0, 0);
+    for scenario in scenarios {
+        eprintln!(
+            "checking `{}` at scale {} ...",
+            scenario.name(),
+            scale.label()
+        );
+        let report = scenario
+            .run(&Params::new(), scale)
+            .map_err(|err| format!("{}: default parameters do not run: {err}", scenario.name()))?;
+        let outcome = check(scenario, &report, scale);
+        print!("{}", outcome.format_text());
+        passed &= outcome.passed();
+        if let Some(Ok(diff)) = &outcome.baseline {
+            compared += diff.deltas.len();
+            drifted += diff.regressions();
+        }
+        claims += outcome.verdicts.len();
+        held += outcome.verdicts.iter().filter(|v| v.passed()).count();
+    }
+    println!(
+        "check: {compared} gated metric(s) compared with their committed baselines, \
+         {drifted} drifted; {held} of {claims} claim(s) hold"
+    );
+    if drifted > 0 {
+        eprintln!(
+            "check: if a gated change is intended, regenerate the baseline with \
+             `scenarios run <name> --scale bench --json BENCH_<stem>.json` and commit it"
+        );
+    }
+    Ok(passed)
 }
 
 /// `scenarios diff <run-a.json> <run-b.json>`: exit 0 when aligned and
@@ -298,6 +371,14 @@ fn main() -> ExitCode {
         }
         Some("run") => match run(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
+            Err(err) => {
+                eprintln!("scenarios: {err}");
+                ExitCode::from(2)
+            }
+        },
+        Some("check") => match check_scenarios(&args[1..]) {
+            Ok(true) => ExitCode::SUCCESS,
+            Ok(false) => ExitCode::FAILURE,
             Err(err) => {
                 eprintln!("scenarios: {err}");
                 ExitCode::from(2)

@@ -93,84 +93,6 @@ impl VmSpec {
     pub fn expects_paging(&self) -> bool {
         self.footprint_pages() > self.fast_quota_pages
     }
-
-    /// A fluent builder for a VM with `vcpus` vCPUs and a
-    /// `fast_quota_pages` die-stacked quota.  Defaults match
-    /// [`VmSpec::victim`]; see [`VmSpecBuilder`].
-    #[must_use]
-    pub fn builder(vcpus: usize, fast_quota_pages: u64) -> VmSpecBuilder {
-        VmSpecBuilder {
-            spec: VmSpec::victim(vcpus, fast_quota_pages),
-        }
-    }
-}
-
-/// Fluent construction of a [`VmSpec`] with validation at the end, so
-/// examples and callers stop hand-assembling structs.
-///
-/// Defaults are victim-like (a [`WorkloadKind::SmallFootprint`] workload
-/// scaled to the quota, best paging knobs, home socket 0); setting a
-/// big-memory workload such as [`WorkloadKind::DataCaching`] turns the VM
-/// into an aggressor whose footprint exceeds its quota.
-///
-/// ```
-/// use hatric_host::{VmSpec, WorkloadKind};
-///
-/// let aggressor = VmSpec::builder(2, 128)
-///     .workload(WorkloadKind::DataCaching)
-///     .build()
-///     .unwrap();
-/// assert!(aggressor.expects_paging());
-/// assert!(VmSpec::builder(0, 128).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct VmSpecBuilder {
-    spec: VmSpec,
-}
-
-impl VmSpecBuilder {
-    /// Sets the workload this VM runs.
-    #[must_use]
-    pub fn workload(mut self, workload: WorkloadKind) -> Self {
-        self.spec.workload = workload;
-        self
-    }
-
-    /// Sets the scale handed to the workload generator (defaults to the
-    /// die-stacked quota).
-    #[must_use]
-    pub fn workload_scale_pages(mut self, pages: u64) -> Self {
-        self.spec.workload_scale_pages = pages;
-        self
-    }
-
-    /// Sets the per-VM paging-policy knobs.
-    #[must_use]
-    pub fn paging(mut self, paging: PagingKnobs) -> Self {
-        self.spec.paging = paging;
-        self
-    }
-
-    /// Homes the VM on the given socket.
-    #[must_use]
-    pub fn home_socket(mut self, socket: usize) -> Self {
-        self.spec.home_socket = socket;
-        self
-    }
-
-    /// Validates and returns the spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ZeroVcpus`] for a VM with no vCPUs.  (The
-    /// host-level invariants — quota fit, home-socket range — need the host
-    /// and are checked by [`HostConfig::validate`].)
-    pub fn build(self) -> Result<VmSpec, ConfigError> {
-        if self.spec.vcpus == 0 {
-            return Err(ConfigError::ZeroVcpus { slot: None });
-        }
-        Ok(self.spec)
-    }
 }
 
 /// The complete configuration of a consolidated host.
@@ -433,112 +355,6 @@ impl HostConfig {
         }
         Ok(())
     }
-
-    /// A fluent, validating builder for a host with `num_pcpus` CPUs and
-    /// `fast_pages` pages of die-stacked DRAM; see [`HostConfigBuilder`].
-    #[must_use]
-    pub fn builder(num_pcpus: usize, fast_pages: u64) -> HostConfigBuilder {
-        HostConfigBuilder {
-            config: HostConfig::scaled(num_pcpus, fast_pages),
-        }
-    }
-}
-
-/// Fluent construction of a [`HostConfig`] that runs
-/// [`HostConfig::validate`] at the end — a typed [`ConfigError`] instead of
-/// a panic deep inside the simulator.
-///
-/// ```
-/// use hatric_host::{CoherenceMechanism, HostConfig, VmSpec};
-///
-/// let config = HostConfig::builder(4, 256)
-///     .mechanism(CoherenceMechanism::Hatric)
-///     .vm(VmSpec::aggressor(2, 128))
-///     .vm(VmSpec::victim(2, 128))
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.total_vcpus(), 4);
-/// // Oversubscribed quotas are a typed error, not a panic:
-/// assert!(HostConfig::builder(4, 64).vm(VmSpec::victim(1, 128)).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct HostConfigBuilder {
-    config: HostConfig,
-}
-
-impl HostConfigBuilder {
-    /// Sets the translation-coherence mechanism.
-    #[must_use]
-    pub fn mechanism(mut self, mechanism: CoherenceMechanism) -> Self {
-        self.config.mechanism = mechanism;
-        self
-    }
-
-    /// Sets the vCPU→pCPU scheduling policy.
-    #[must_use]
-    pub fn sched(mut self, sched: SchedPolicy) -> Self {
-        self.config.sched = sched;
-        self
-    }
-
-    /// Sets the memory operating mode.
-    #[must_use]
-    pub fn memory_mode(mut self, mode: MemoryMode) -> Self {
-        self.config.memory_mode = mode;
-        self
-    }
-
-    /// Sets the socket topology.
-    #[must_use]
-    pub fn numa(mut self, numa: NumaConfig) -> Self {
-        self.config.numa = numa;
-        self
-    }
-
-    /// Sets the NUMA memory-placement policy.
-    #[must_use]
-    pub fn numa_policy(mut self, policy: NumaPolicy) -> Self {
-        self.config.numa_policy = policy;
-        self
-    }
-
-    /// Sets the accesses per scheduled vCPU per slice.
-    #[must_use]
-    pub fn slice_accesses(mut self, accesses: u64) -> Self {
-        self.config.slice_accesses = accesses;
-        self
-    }
-
-    /// Sets the master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Adds a VM.
-    #[must_use]
-    pub fn vm(mut self, spec: VmSpec) -> Self {
-        self.config.vms.push(spec);
-        self
-    }
-
-    /// Schedules a hypervisor operation (live migration or balloon).
-    #[must_use]
-    pub fn event(mut self, event: HostEvent) -> Self {
-        self.config.events.push(event);
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] naming the broken invariant.
-    pub fn build(self) -> core::result::Result<HostConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
 }
 
 #[cfg(test)]
@@ -600,10 +416,6 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::ZeroVcpus { slot: Some(1) })
         );
-        assert_eq!(
-            VmSpec::builder(0, 64).build(),
-            Err(ConfigError::ZeroVcpus { slot: None })
-        );
     }
 
     #[test]
@@ -647,26 +459,5 @@ mod tests {
                 fast_pages: 256,
             })
         );
-    }
-
-    #[test]
-    fn builders_compose_and_validate() {
-        let config = HostConfig::builder(4, 256)
-            .mechanism(CoherenceMechanism::Hatric)
-            .sched(SchedPolicy::RoundRobin)
-            .slice_accesses(25)
-            .seed(7)
-            .vm(VmSpec::builder(2, 128)
-                .workload(WorkloadKind::DataCaching)
-                .build()
-                .unwrap())
-            .vm(VmSpec::builder(2, 128).home_socket(0).build().unwrap())
-            .build()
-            .unwrap();
-        assert_eq!(config.total_vcpus(), 4);
-        assert_eq!(config.mechanism, CoherenceMechanism::Hatric);
-        assert_eq!(config.seed, 7);
-        assert!(config.vms[0].expects_paging());
-        assert!(!config.vms[1].expects_paging());
     }
 }

@@ -7,7 +7,7 @@
 //! aligned rows share, and fails when a **gated** metric drifts beyond the
 //! tolerance or a row of run A has no counterpart in run B (fail-closed,
 //! like the CI gate: a silently vanished row would disable part of the
-//! comparison).  The `bench_check` CI gate delegates its per-scenario
+//! comparison).  `scenarios check` delegates its per-scenario
 //! baseline comparison to this same engine, so "what the gate enforces"
 //! and "what the observatory reports" cannot drift apart.
 

@@ -5,7 +5,7 @@
 //! executed at several vCPU counts, and each run records both its **model
 //! metrics** and its **wall-clock throughput** in accesses per second.
 //!
-//! `bench_check` gates the model metrics against the committed
+//! `scenarios check` gates the model metrics against the committed
 //! `BENCH_scale.json`; the timing columns are machine-dependent and never
 //! gated.
 

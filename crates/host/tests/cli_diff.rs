@@ -1,9 +1,11 @@
-//! The `scenarios diff` exit-code contract, exercised as real CLI
-//! invocations of the built binary:
+//! The `scenarios diff` and `scenarios check` exit-code contracts,
+//! exercised as real CLI invocations of the built binary:
 //!
-//! * exit **0** — the runs align and no gated metric drifted;
+//! * exit **0** — the runs align and no gated metric drifted; `check`:
+//!   the scenario reproduced its baseline and its claims;
 //! * exit **1** — a gated metric drifted beyond the tolerance (or a row
-//!   vanished), the observatory's fail-closed verdict;
+//!   vanished), the observatory's fail-closed verdict (`check`'s exit-1
+//!   paths are tested on mutated reports in `hatric_host::check`);
 //! * exit **2** — usage, IO or parse errors (missing files, bad flags).
 
 use std::path::PathBuf;
@@ -135,4 +137,44 @@ fn usage_and_io_errors_exit_two() {
         .output()
         .expect("the scenarios binary runs");
     assert_eq!(exit_code(&out), 2);
+}
+
+fn scenarios_check(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_scenarios"))
+        .arg("check")
+        .args(args)
+        .output()
+        .expect("the scenarios binary runs")
+}
+
+#[test]
+fn check_of_a_reproduced_scenario_exits_zero() {
+    let out = scenarios_check(&["xen"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(exit_code(&out), 0, "stdout: {stdout}");
+    assert!(
+        stdout.contains("xen/canneal/Hatric runtime_vs_sw"),
+        "stdout: {stdout}"
+    );
+    assert!(
+        stdout.contains(
+            "check: 4 gated metric(s) compared with their committed baselines, 0 drifted"
+        ),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
+fn check_usage_errors_exit_two() {
+    for args in [
+        &["no_such_scenario"][..],
+        &["xen", "--scale", "smoke"],
+        &["--scale"],
+        &["xen", "multivm"],
+        &["xen", "--set", "seed=1"],
+    ] {
+        let out = scenarios_check(args);
+        assert_eq!(exit_code(&out), 2, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
 }

@@ -112,15 +112,6 @@ impl MemorySystemConfig {
         cfg
     }
 
-    /// A configuration with effectively infinite die-stacked DRAM (the
-    /// `inf-hbm` upper bound of Fig. 2).
-    #[must_use]
-    pub fn infinite_hbm() -> Self {
-        let mut cfg = Self::paper_default();
-        cfg.die_stacked.capacity_bytes = 1 << 44;
-        cfg
-    }
-
     /// Returns a copy with the given socket topology.
     #[must_use]
     pub fn with_numa(mut self, numa: NumaConfig) -> Self {

@@ -80,12 +80,6 @@ impl BalloonDriver {
         &self.params
     }
 
-    /// Capacity pages moved so far.
-    #[must_use]
-    pub fn moved_pages(&self) -> u64 {
-        self.moved
-    }
-
     /// Whether the full transfer has completed.
     #[must_use]
     pub fn is_complete(&self) -> bool {

@@ -456,12 +456,6 @@ impl MigrationEngine {
         self.stalled = stalled;
     }
 
-    /// Whether a `StuckPreCopy` fault currently holds the engine.
-    #[must_use]
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
-    }
-
     /// Tears the migration down before hand-off: clears every queue (the
     /// unsent outbox is discarded — the destination rolls back its own
     /// copy separately), drains the dirty tracker, and parks the engine

@@ -140,12 +140,6 @@ impl MigrationReceiver {
         self.post_copy = true;
     }
 
-    /// Whether the receiver is in post-copy mode.
-    #[must_use]
-    pub fn is_post_copy(&self) -> bool {
-        self.post_copy
-    }
-
     /// Declares that the source has finished sending (its engine
     /// completed): once the inbox and the outstanding set drain, the
     /// receiver is complete.

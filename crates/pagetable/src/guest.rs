@@ -3,7 +3,6 @@
 use hatric_types::consts::RADIX_LEVELS;
 use hatric_types::{GuestFrame, GuestPhysAddr, GuestVirtPage};
 
-use crate::pte::Pte;
 use crate::radix::{MapOutcome, RadixTable};
 
 /// A guest OS page table mapping guest-virtual pages to guest-physical
@@ -54,12 +53,6 @@ impl GuestPageTable {
         self.table
             .translate(gvp.number())
             .map(|pte| GuestFrame::new(pte.frame))
-    }
-
-    /// Raw leaf entry (flags included) for `gvp`.
-    #[must_use]
-    pub fn leaf_entry(&self, gvp: GuestVirtPage) -> Option<Pte> {
-        self.table.translate(gvp.number())
     }
 
     /// Guest-physical address of the leaf entry for `gvp`.

@@ -3,7 +3,6 @@
 use hatric_types::consts::RADIX_LEVELS;
 use hatric_types::{GuestFrame, SystemFrame, SystemPhysAddr};
 
-use crate::pte::Pte;
 use crate::radix::{MapOutcome, RadixTable};
 
 /// A hypervisor-maintained nested page table mapping guest-physical frames to
@@ -60,12 +59,6 @@ impl NestedPageTable {
             .map(|pte| SystemFrame::new(pte.frame))
     }
 
-    /// Raw leaf entry (flags included) for `gpp`.
-    #[must_use]
-    pub fn leaf_entry(&self, gpp: GuestFrame) -> Option<Pte> {
-        self.table.translate(gpp.number())
-    }
-
     /// System-physical address of the leaf (nL1) entry for `gpp`.
     #[must_use]
     pub fn leaf_entry_addr(&self, gpp: GuestFrame) -> Option<SystemPhysAddr> {
@@ -100,12 +93,6 @@ impl NestedPageTable {
     #[cfg(test)]
     pub(crate) fn radix(&self) -> &RadixTable {
         &self.table
-    }
-
-    /// Number of mapped guest-physical frames.
-    #[must_use]
-    pub fn mapped_frames(&self) -> u64 {
-        self.table.mapped_pages()
     }
 
     /// Every mapped guest-physical frame, ascending — the complete memory

@@ -42,12 +42,6 @@ impl PageSize {
         }
     }
 
-    /// Number of address bits covered by the page offset.
-    #[must_use]
-    pub fn offset_bits(self) -> u32 {
-        self.bytes().trailing_zeros()
-    }
-
     /// Number of base (4 KiB) pages spanned by a page of this size.
     #[must_use]
     pub fn base_pages(self) -> u64 {

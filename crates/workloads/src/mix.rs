@@ -50,7 +50,6 @@ impl SpecMix {
 pub struct MixWorkload {
     mix: SpecMix,
     streams: Vec<ThreadStream>,
-    footprints: Vec<u64>,
 }
 
 impl MixWorkload {
@@ -60,22 +59,16 @@ impl MixWorkload {
     #[must_use]
     pub fn build(mix: SpecMix, fast_capacity_pages: u64, seed: u64) -> Self {
         let mut streams = Vec::with_capacity(mix.apps.len());
-        let mut footprints = Vec::with_capacity(mix.apps.len());
         let mut base = 0x100u64;
         for (i, app) in mix.apps.iter().enumerate() {
             let params = app.stream_params(fast_capacity_pages, base);
-            footprints.push(params.private_pages);
             base += params.private_pages + 64;
             streams.push(ThreadStream::new(
                 params,
                 seed.wrapping_add(i as u64 * 7919),
             ));
         }
-        Self {
-            mix,
-            streams,
-            footprints,
-        }
+        Self { mix, streams }
     }
 
     /// The mix definition.
@@ -88,26 +81,6 @@ impl MixWorkload {
     #[must_use]
     pub fn apps(&self) -> usize {
         self.streams.len()
-    }
-
-    /// Footprint of application `app` in pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `app` is out of range.
-    #[must_use]
-    pub fn footprint_of(&self, app: usize) -> u64 {
-        self.footprints[app]
-    }
-
-    /// Memory intensity (compute cycles per access) of application `app`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `app` is out of range.
-    #[must_use]
-    pub fn compute_cycles_of(&self, app: usize) -> u32 {
-        self.mix.apps[app].compute_cycles()
     }
 
     /// Generates the next access of application `app`.

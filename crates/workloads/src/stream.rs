@@ -53,17 +53,6 @@ pub struct StreamParams {
     pub sweep_pages: u64,
 }
 
-impl StreamParams {
-    /// A window covering the whole region with no drift (pure Zipf over the
-    /// footprint).
-    #[must_use]
-    pub fn without_window(mut self) -> Self {
-        self.window_pages = 0;
-        self.drift_interval_draws = 0;
-        self
-    }
-}
-
 /// A generator of one thread's access stream.
 #[derive(Debug, Clone)]
 pub struct ThreadStream {

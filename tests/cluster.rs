@@ -8,7 +8,7 @@
 //!    of parallelism must never leak into results.  The scenario layer
 //!    gets the same treatment through the registry (reusing the
 //!    `tests/common` timing-stripping helpers), which also covers the
-//!    report-JSON path `bench_check` gates.
+//!    report-JSON path `scenarios check` gates.
 //! 2. **Fuzzed churn determinism** — a property test hammers the same
 //!    invariant over randomized churn streams, migration counts,
 //!    placement policies and fleet shapes.
@@ -65,7 +65,7 @@ fn cluster_report_is_byte_identical_across_threads_and_engines() {
 }
 
 /// The same invariant one layer up: the registered scenario's report JSON
-/// (the artifact `bench_check` gates) must be byte-identical across the
+/// (the artifact `scenarios check` gates) must be byte-identical across the
 /// worker-thread counts once wall-clock columns are stripped.
 #[test]
 fn cluster_churn_scenario_report_is_thread_invariant() {

@@ -1,6 +1,6 @@
 //! Smoke tests for the paper's figures: every figure scenario runs at a
 //! tiny sizing through the scenario registry and its rows have the
-//! qualitative shape the paper reports.  (`bench_check` gates the
+//! qualitative shape the paper reports.  (`scenarios check` gates the
 //! bench-scale numbers against the committed `BENCH_<fig>.json`, and
 //! `scenario_registry.rs` smoke-runs every registered scenario.)
 

@@ -3,7 +3,7 @@
 //! both its parameters and its report round-trip through the JSON codec
 //! byte-stably.  (The figures' shape assertions live in
 //! `experiments_smoke.rs`; the bench-scale sweeps are gated by
-//! `bench_check` against the committed baselines.)
+//! `scenarios check` against the committed baselines.)
 
 mod common;
 
@@ -45,7 +45,7 @@ fn every_scenario_smokes_with_rows_and_byte_stable_round_trips() {
 
         // Report JSON round-trip.  Ratio metrics are recorded at six
         // decimals, so the contract is byte-stability of the JSON (what
-        // `bench_check` and the committed baselines rely on) plus shape
+        // `scenarios check` and the committed baselines rely on) plus shape
         // equality — not bit-equality of the in-memory f64s.
         let json = report.to_json();
         let back = ScenarioReport::from_json(scenario.name(), &json)
