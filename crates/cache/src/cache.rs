@@ -1,10 +1,15 @@
 //! A set-associative cache (tags + MESI state only): the private L1 and L2
-//! of every CPU, and the shared LLC.
+//! of every CPU, and the shared LLC.  Ways stay where they were filled;
+//! each set ranks them by recency in one order word (the `order` module,
+//! shared with the coherence directory).
 
 use hatric_types::consts::CACHE_LINE_BYTES;
 use hatric_types::CacheLineAddr;
 
 use crate::line::MesiState;
+use crate::order::{
+    is_permutation, promote, push_front, rank_of, remove_rank, rename, way_at, MAX_WAYS,
+};
 
 /// Geometry of a private cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,22 +46,32 @@ impl PrivateCacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    line: CacheLineAddr,
-    state: MesiState,
+/// A set's recency order (see the `order` module) and its valid count.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetHead {
+    /// The set's valid ways ranked most recent first, a nibble each.
+    order: u64,
+    /// Valid ways; they are the set's first `len` slots.
+    len: u32,
 }
 
 /// A private, set-associative, LRU cache tracking line tags and MESI state.
 ///
-/// The ways live in one flat `sets × ways` array: set *s* owns slots
-/// `s·ways ..`, of which the first `len[s]` are valid and kept MRU-first.
+/// The ways live in one flat `sets × ways` table: set *s* owns slots
+/// `s·ways ..`, of which the first `len` are valid, in no particular
+/// order.  Lines and states sit in two parallel arrays, so a lookup scans
+/// only lines (an 8-way set's tags are one host cache line), and the set's
+/// `SetHead` ranks its ways by recency in a nibble order word.  A hit
+/// moves one nibble, a fill writes one slot, and an invalidation moves the
+/// set's last valid slot into the hole: no access shifts ways.
 #[derive(Debug, Clone)]
 pub struct PrivateCache {
-    /// `sets × ways` slots; set `s` occupies `slots[s * ways..][..lens[s]]`.
-    slots: Vec<Way>,
-    /// Valid lines per set.
-    lens: Vec<u32>,
+    /// The line of each slot; set `s` occupies `lines[s * ways..][..len]`.
+    lines: Vec<CacheLineAddr>,
+    /// The MESI state of each slot, parallel to `lines`.
+    states: Vec<MesiState>,
+    /// Per set, its recency order and valid count.
+    heads: Vec<SetHead>,
     ways: usize,
 }
 
@@ -65,19 +80,19 @@ impl PrivateCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry yields zero sets.
+    /// Panics if the geometry yields zero sets or has more than 16 ways.
     #[must_use]
     pub fn new(config: PrivateCacheConfig) -> Self {
         let sets = config.sets();
         assert!(sets > 0, "cache must have at least one set");
-        assert!(u32::try_from(config.ways).is_ok(), "too many ways");
-        let empty = Way {
-            line: CacheLineAddr::default(),
-            state: MesiState::Invalid,
-        };
+        assert!(
+            config.ways <= MAX_WAYS,
+            "a cache set has at most {MAX_WAYS} ways"
+        );
         Self {
-            slots: vec![empty; sets * config.ways],
-            lens: vec![0; sets],
+            lines: vec![CacheLineAddr::default(); sets * config.ways],
+            states: vec![MesiState::Invalid; sets * config.ways],
+            heads: vec![SetHead::default(); sets],
             ways: config.ways,
         }
     }
@@ -85,7 +100,7 @@ impl PrivateCache {
     /// The set of `line`: a mask when the set count is a power of two,
     /// `%` otherwise (the same index either way).
     fn set_index(&self, line: CacheLineAddr) -> usize {
-        let sets = self.lens.len();
+        let sets = self.heads.len();
         let index = line.index() as usize;
         if sets.is_power_of_two() {
             index & (sets - 1)
@@ -94,50 +109,49 @@ impl PrivateCache {
         }
     }
 
-    /// The valid ways of `line`'s set.
-    fn set(&self, line: CacheLineAddr) -> &[Way] {
+    /// The set of `line` and the slot holding it, if any.
+    fn find(&self, line: CacheLineAddr) -> (usize, Option<usize>) {
         let set = self.set_index(line);
         let base = set * self.ways;
-        &self.slots[base..base + self.lens[set] as usize]
+        let len = self.heads[set].len as usize;
+        let way = self.lines[base..base + len].iter().position(|&l| l == line);
+        (set, way.map(|way| base + way))
     }
 
-    /// The set index of `line`, that set's whole (valid and free) slot
-    /// range, and its valid count.
-    fn set_mut(&mut self, line: CacheLineAddr) -> (usize, &mut [Way], usize) {
-        let set = self.set_index(line);
-        let base = set * self.ways;
-        let len = self.lens[set] as usize;
-        (set, &mut self.slots[base..base + self.ways], len)
+    /// Whether `set`'s order word ranks exactly its valid ways.
+    fn order_is_valid(&self, set: usize) -> bool {
+        let head = self.heads[set];
+        is_permutation(head.order, head.len as usize)
+    }
+
+    /// Promotes the valid `slot` of `set` to most recent.
+    fn touch(&mut self, set: usize, slot: usize) {
+        let head = &mut self.heads[set];
+        head.order = promote(head.order, rank_of(head.order, slot - set * self.ways));
+        debug_assert!(self.order_is_valid(set));
     }
 
     /// Looks up a line, promoting it to MRU.
     pub fn lookup(&mut self, line: CacheLineAddr) -> Option<MesiState> {
-        let (_, ways, len) = self.set_mut(line);
-        let pos = ways[..len].iter().position(|w| w.line == line)?;
-        let way = ways[pos];
-        ways.copy_within(..pos, 1);
-        ways[0] = way;
-        Some(way.state)
+        let (set, slot) = self.find(line);
+        let slot = slot?;
+        self.touch(set, slot);
+        Some(self.states[slot])
     }
 
     /// Probes a line without recency effects.
     #[must_use]
     pub fn probe(&self, line: CacheLineAddr) -> Option<MesiState> {
-        self.set(line)
-            .iter()
-            .find(|w| w.line == line)
-            .map(|w| w.state)
+        self.find(line).1.map(|slot| self.states[slot])
     }
 
     /// Changes the MESI state of a present line; returns `false` if absent.
     pub fn set_state(&mut self, line: CacheLineAddr, state: MesiState) -> bool {
-        let (_, ways, len) = self.set_mut(line);
-        if let Some(way) = ways[..len].iter_mut().find(|w| w.line == line) {
-            way.state = state;
-            true
-        } else {
-            false
-        }
+        let Some(slot) = self.find(line).1 else {
+            return false;
+        };
+        self.states[slot] = state;
+        true
     }
 
     /// Inserts a line in the given state; returns the evicted victim
@@ -147,12 +161,12 @@ impl PrivateCache {
         line: CacheLineAddr,
         state: MesiState,
     ) -> Option<(CacheLineAddr, MesiState)> {
-        let (_, ways, len) = self.set_mut(line);
-        let Some(pos) = ways[..len].iter().position(|w| w.line == line) else {
-            return self.insert_absent(line, state);
+        let (set, slot) = self.find(line);
+        let Some(slot) = slot else {
+            return self.insert_into(set, line, state);
         };
-        ways.copy_within(..pos, 1);
-        ways[0] = Way { line, state };
+        self.touch(set, slot);
+        self.states[slot] = state;
         None
     }
 
@@ -165,36 +179,67 @@ impl PrivateCache {
         state: MesiState,
     ) -> Option<(CacheLineAddr, MesiState)> {
         debug_assert!(self.probe(line).is_none(), "{line} is already cached");
-        let (set, ways, len) = self.set_mut(line);
-        let victim = (len == ways.len()).then(|| ways[len - 1]);
-        ways.copy_within(..len.min(ways.len() - 1), 1);
-        ways[0] = Way { line, state };
-        if victim.is_none() {
-            self.lens[set] += 1;
-        }
-        victim.map(|w| (w.line, w.state))
+        self.insert_into(self.set_index(line), line, state)
+    }
+
+    /// Puts the absent `line` in front of `set`: into its next free way,
+    /// or, in a full set, over its least recent way, which it returns.
+    fn insert_into(
+        &mut self,
+        set: usize,
+        line: CacheLineAddr,
+        state: MesiState,
+    ) -> Option<(CacheLineAddr, MesiState)> {
+        let head = &mut self.heads[set];
+        let len = head.len as usize;
+        let base = set * self.ways;
+        let (slot, victim) = if len < self.ways {
+            head.order = push_front(head.order, len);
+            head.len += 1;
+            (base + len, None)
+        } else {
+            let slot = base + way_at(head.order, len - 1);
+            head.order = promote(head.order, len - 1);
+            (slot, Some((self.lines[slot], self.states[slot])))
+        };
+        debug_assert!(self.order_is_valid(set));
+        self.lines[slot] = line;
+        self.states[slot] = state;
+        victim
     }
 
     /// Removes a line (coherence invalidation); returns its state if present.
     pub fn invalidate(&mut self, line: CacheLineAddr) -> Option<MesiState> {
-        let (set, ways, len) = self.set_mut(line);
-        let pos = ways[..len].iter().position(|w| w.line == line)?;
-        let state = ways[pos].state;
-        ways.copy_within(pos + 1..len, pos);
-        self.lens[set] -= 1;
+        let (set, slot) = self.find(line);
+        let slot = slot?;
+        let state = self.states[slot];
+        // The set's last valid slot fills the hole, and its nibble takes
+        // the hole's way.
+        let base = set * self.ways;
+        let head = &mut self.heads[set];
+        let (way, last) = (slot - base, head.len as usize - 1);
+        let mut order = remove_rank(head.order, rank_of(head.order, way));
+        if way != last {
+            self.lines[slot] = self.lines[base + last];
+            self.states[slot] = self.states[base + last];
+            order = rename(order, last, way);
+        }
+        head.order = order;
+        head.len -= 1;
+        debug_assert!(self.order_is_valid(set));
         Some(state)
     }
 
     /// Number of valid lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lens.iter().map(|&n| n as usize).sum()
+        self.heads.iter().map(|head| head.len as usize).sum()
     }
 
     /// Returns `true` if the cache holds no lines.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lens.iter().all(|&n| n == 0)
+        self.heads.iter().all(|head| head.len == 0)
     }
 }
 
@@ -240,8 +285,9 @@ mod tests {
         assert_eq!(victim, Some((line(2), MesiState::Shared)));
     }
 
-    /// The pre-flat layout — one heap `Vec` per set, LRU by `remove` +
-    /// `insert(0)` — kept as the reference the flat arrays must match.
+    /// The original layout — one heap `Vec` per set, kept MRU-first by
+    /// `remove` + `insert(0)` — kept as the reference the in-place ways and
+    /// their order words must match.
     struct Reference {
         sets: Vec<Vec<(CacheLineAddr, MesiState)>>,
         ways: usize,
@@ -313,14 +359,25 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Random operation sequences on small geometries (including 3 and
-        /// 6 sets, which select by `%` rather than a mask) return the same
-        /// values, victims, lengths and statistics as the reference.
+        /// 6 sets, which select by `%` rather than a mask, and full 16-way
+        /// sets) return the same values, victims, lengths and contents as
+        /// the reference.
         #[test]
         fn matches_the_vec_of_vecs_reference(
-            geometry in 0usize..5,
-            ops in proptest::collection::vec((0u8..12, 0u64..48, 0u8..3), 0..400),
+            geometry in 0usize..7,
+            ops in proptest::collection::vec((0u8..12, 0u64..128, 0u8..3), 0..400),
         ) {
-            let (sets, ways) = [(3, 2), (4, 2), (6, 4), (1, 8), (8, 1)][geometry];
+            // `(sets, ways, distinct lines)`; the 16-way geometries are the
+            // LLC's, whose full sets use every nibble of the order word.
+            let (sets, ways, span) = [
+                (3, 2, 48),
+                (4, 2, 48),
+                (6, 4, 48),
+                (1, 8, 48),
+                (8, 1, 48),
+                (1, 16, 48),
+                (4, 16, 128),
+            ][geometry];
             let config = PrivateCacheConfig {
                 capacity_bytes: (sets * ways) as u64 * CACHE_LINE_BYTES,
                 ways,
@@ -328,7 +385,7 @@ mod tests {
             let mut flat = PrivateCache::new(config);
             let mut reference = Reference::new(config);
             for (op, n, s) in ops {
-                let (l, state) = (line(n), [MesiState::Modified, MesiState::Exclusive, MesiState::Shared][s as usize]);
+                let (l, state) = (line(n % span), [MesiState::Modified, MesiState::Exclusive, MesiState::Shared][s as usize]);
                 match op {
                     0..=3 => prop_assert_eq!(flat.lookup(l), reference.lookup(l)),
                     4 => prop_assert_eq!(flat.probe(l), reference.probe(l)),

@@ -11,8 +11,9 @@
 //! set-associative: `min(16, max_entries)` ways per set and
 //! `ceil(max_entries / ways)` sets, selected by a Fibonacci hash of the
 //! line index.  Each set keeps its LRU order in one `u64` of 4-bit way
-//! indices, most recent first, so a touch moves one nibble to the front
-//! and a full set evicts the way in its last valid nibble.  Evicting a
+//! indices, most recent first (the `order` module, shared with the
+//! private caches), so a touch moves one nibble to the front and a full
+//! set evicts the way in its last valid nibble.  Evicting a
 //! directory entry requires back-invalidating the line in every sharer
 //! (and, with HATRIC, in their translation structures), which the
 //! hierarchy layer performs.
@@ -20,10 +21,9 @@
 use hatric_types::{fib_hash, CacheLineAddr, Counter, CpuId};
 
 use crate::line::PtKind;
-
-/// Associativity of a directory with at least this many entries; a 4-bit
-/// way index fits it, so one `u64` holds a set's recency order.
-const MAX_WAYS: usize = 16;
+use crate::order::{
+    is_permutation, promote, push_front, rank_of, remove_rank, rename, way_at, MAX_WAYS,
+};
 
 /// A set of CPUs, stored as a 64-bit mask.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -198,64 +198,6 @@ pub struct DirectoryStats {
     pub pt_writes: Counter,
     /// Sharer demotions performed lazily after spurious invalidations.
     pub lazy_demotions: Counter,
-}
-
-// A set's recency order: nibble `r` of the `u64` (bits `4r..4r + 4`) is
-// the way at rank `r`, rank 0 the most recently touched.  The first `len`
-// nibbles are a permutation of `0..len`; the rest are unused.
-
-/// Mask of the nibbles of ranks `0..rank`.
-const fn ranks_below(rank: usize) -> u64 {
-    if rank >= MAX_WAYS {
-        u64::MAX
-    } else {
-        (1 << (4 * rank)) - 1
-    }
-}
-
-/// The way at `rank`.
-const fn way_at(order: u64, rank: usize) -> usize {
-    ((order >> (4 * rank)) & 0xF) as usize
-}
-
-/// The rank of `way`, which must be among the valid nibbles.  A nibble of
-/// `order ^ way·0x1…1` is zero where `way` sits; the lowest flagged zero is
-/// exact (a borrow can only flag nibbles above a true zero), and `way`
-/// sits below the unused nibbles.
-const fn rank_of(order: u64, way: usize) -> usize {
-    const ONES: u64 = 0x1111_1111_1111_1111;
-    let x = order ^ (way as u64 * ONES);
-    let zeros = x.wrapping_sub(ONES) & !x & (ONES << 3);
-    zeros.trailing_zeros() as usize / 4
-}
-
-/// `order` with the way at `rank` moved to the front.
-const fn promote(order: u64, rank: usize) -> u64 {
-    (order & !ranks_below(rank + 1))
-        | ((order & ranks_below(rank)) << 4)
-        | (order >> (4 * rank)) & 0xF
-}
-
-/// `order` with `way` pushed in front of its valid nibbles.
-const fn push_front(order: u64, way: usize) -> u64 {
-    (order << 4) | way as u64
-}
-
-/// `order` without the nibble at `rank`; the ranks after it move up one.
-const fn remove_rank(order: u64, rank: usize) -> u64 {
-    (order & ranks_below(rank)) | ((order >> 4) & !ranks_below(rank))
-}
-
-/// `order` with the valid nibble naming way `from` renamed to `to`.
-const fn rename(order: u64, from: usize, to: usize) -> u64 {
-    let shift = 4 * rank_of(order, from);
-    (order & !(0xF << shift)) | ((to as u64) << shift)
-}
-
-/// Whether the first `len` nibbles of `order` are a permutation of `0..len`.
-fn is_permutation(order: u64, len: usize) -> bool {
-    let seen = (0..len).fold(0u32, |seen, rank| seen | 1 << way_at(order, rank));
-    seen == (1 << len) - 1
 }
 
 /// The directory proper: a flat `sets × ways` table.
@@ -935,99 +877,6 @@ mod tests {
                 prop_assert_eq!(dir.entry(l), Some(entry));
             }
             prop_assert_eq!(dir.stats().evictions.get() as usize, evictions);
-        }
-    }
-
-    /// Asserts that the first `model.len()` nibbles of `order` are `model`.
-    fn assert_order(order: u64, model: &[usize]) {
-        let ranked: Vec<usize> = (0..model.len()).map(|rank| way_at(order, rank)).collect();
-        assert_eq!(ranked, model, "order word {order:#018x}");
-        assert!(is_permutation(order, model.len()));
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The order-word helpers against a `Vec` of ways, most recent
-        /// first, at 1, 2, 4, 8 and 16 ways, starting from a word whose
-        /// unused nibbles hold garbage: touches, allocation into a free and
-        /// into a full set, removal with the last way renamed into the
-        /// hole, and `grow`'s split of a set into two, oldest first.
-        #[test]
-        fn order_word_matches_an_mru_list(
-            geometry in 0usize..5,
-            garbage in any::<u64>(),
-            ops in proptest::collection::vec((0u8..8, 0usize..16, any::<u64>()), 1..200),
-        ) {
-            let ways = [1, 2, 4, 8, 16][geometry];
-            let (mut order, mut model) = (garbage, Vec::<usize>::new());
-            for (op, pick, bits) in ops {
-                let len = model.len();
-                match op {
-                    // A touch promotes a valid way.
-                    0..=2 if len > 0 => {
-                        let way = model[pick % len];
-                        let rank = rank_of(order, way);
-                        prop_assert_eq!(Some(rank), model.iter().position(|&w| w == way));
-                        order = promote(order, rank);
-                        model.remove(rank);
-                        model.insert(0, way);
-                    }
-                    // Removal, the last way renamed into the hole.
-                    3 | 4 if len > 0 => {
-                        let (way, last) = (model[pick % len], len - 1);
-                        order = remove_rank(order, rank_of(order, way));
-                        model.retain(|&w| w != way);
-                        if way != last {
-                            order = rename(order, last, way);
-                            *model.iter_mut().find(|w| **w == last).unwrap() = way;
-                        }
-                    }
-                    // `grow`'s split: each way goes to the half its bit
-                    // picks, oldest first; `moved[new way]` is its old way.
-                    5 => {
-                        let half_of = |way: usize| (bits >> way & 1) as usize;
-                        let mut split = [(0u64, Vec::new()), (0u64, Vec::new())];
-                        for rank in (0..len).rev() {
-                            let way = way_at(order, rank);
-                            let (new_order, moved) = &mut split[half_of(way)];
-                            *new_order = push_front(*new_order, moved.len());
-                            moved.push(way);
-                        }
-                        for (half, (new_order, moved)) in split.iter().enumerate() {
-                            let kept: Vec<usize> =
-                                model.iter().copied().filter(|&w| half_of(w) == half).collect();
-                            let ranked: Vec<usize> =
-                                (0..moved.len()).map(|rank| moved[way_at(*new_order, rank)]).collect();
-                            prop_assert_eq!(ranked, kept);
-                            prop_assert!(is_permutation(*new_order, moved.len()));
-                        }
-                        // Carry on with one half, its ways renamed.
-                        let half = (bits >> 16 & 1) as usize;
-                        let (new_order, moved) = &split[half];
-                        model = model
-                            .iter()
-                            .filter(|&&w| half_of(w) == half)
-                            .map(|w| moved.iter().position(|m| m == w).unwrap())
-                            .collect();
-                        order = *new_order;
-                    }
-                    // Allocation: a free set pushes its next way in front,
-                    // a full one reuses its least recent way.
-                    _ if len < ways => {
-                        order = push_front(order, len);
-                        model.insert(0, len);
-                    }
-                    _ => {
-                        let victim = way_at(order, len - 1);
-                        prop_assert_eq!(Some(&victim), model.last());
-                        order = promote(order, len - 1);
-                        model.pop();
-                        model.insert(0, victim);
-                    }
-                }
-                assert_order(order, &model);
-            }
         }
     }
 

@@ -31,6 +31,7 @@ pub mod cache;
 pub mod directory;
 pub mod hierarchy;
 pub mod line;
+mod order;
 
 pub use cache::{PrivateCache, PrivateCacheConfig};
 pub use directory::{CoherenceDirectory, DirectoryConfig, DirectoryEntry, SharerSet};

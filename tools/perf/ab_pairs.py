@@ -3,9 +3,12 @@
 
 Runs `perfbench/run.py --trace 0` in two checkouts over alternating pairs
 (the parent first on even pairs) and prints, for each end-to-end metric of
-the change's BENCHMARK.json, each side's median and quartiles and the
-change's wins out of the pairs.  Exits 1 if any run reports failed ops, or,
-with --same-digest, if the runs' `report_digest`s differ."""
+the change's BENCHMARK.json, each side's median and quartiles, the
+change's wins out of the pairs and a verdict: `gain` if the change wins in
+at least 90% of the pairs and its median beats the parent's by more than
+the parent's interquartile range, `loss` if the same holds the other way
+round, `flat` otherwise.  Exits 1 if any run reports failed ops, or, with
+--same-digest, if the runs' `report_digest`s differ."""
 import json, os, statistics, subprocess, sys
 
 args = [a for a in sys.argv[1:] if a != "--same-digest"]
@@ -48,14 +51,28 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def verdict(p, c, better, iqr):
+    """`gain`, `loss` or `flat` by the rule in the module docstring."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
+    losses = sum(sign * (y - x) < 0 for x, y in zip(p, c))
+    gap = sign * (statistics.median(c) - statistics.median(p))
+    if wins >= 0.9 * len(p) and gap > iqr:
+        return wins, "gain"
+    if losses >= 0.9 * len(p) and -gap > iqr:
+        return wins, "loss"
+    return wins, "flat"
+
+
 print(f"{workload} seed {seed}, {pairs} pairs of {seconds} s")
 for name, better in metrics:
     p, c = values["parent"][name], values["change"][name]
-    wins = sum((y > x) if better == "higher" else (y < x) for x, y in zip(p, c))
     (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
+    wins, call = verdict(p, c, better, p3 - p1)
     gap = (cm - pm) / pm * 100 if pm else 0.0
     print(f"  {name:20} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
-          f"[{c1:.6g}, {c3:.6g}]  {gap:+.1f}%  wins {wins}/{len(p)}  parent IQR {p3 - p1:.4g}")
+          f"[{c1:.6g}, {c3:.6g}]  {gap:+.1f}%  wins {wins}/{len(p)}  "
+          f"parent IQR {p3 - p1:.4g}  {call}")
 if failed:
     sys.exit(f"FAIL: {failed} failed ops")
 if same_digest and len(digests) != 1:
