@@ -1,15 +1,13 @@
 //! A set-associative cache (tags + MESI state only): the private L1 and L2
 //! of every CPU, and the shared LLC.  Ways stay where they were filled;
-//! each set ranks them by recency in one order word (the `order` module,
+//! each set ranks them by recency in one order word (the `ways` module,
 //! shared with the coherence directory).
 
 use hatric_types::consts::CACHE_LINE_BYTES;
 use hatric_types::CacheLineAddr;
 
 use crate::line::MesiState;
-use crate::order::{
-    is_permutation, promote, push_front, rank_of, remove_rank, rename, way_at, MAX_WAYS,
-};
+use crate::ways::Ways;
 
 /// Geometry of a private cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,33 +44,13 @@ impl PrivateCacheConfig {
     }
 }
 
-/// A set's recency order (see the `order` module) and its valid count.
-#[derive(Debug, Clone, Copy, Default)]
-struct SetHead {
-    /// The set's valid ways ranked most recent first, a nibble each.
-    order: u64,
-    /// Valid ways; they are the set's first `len` slots.
-    len: u32,
-}
-
-/// A private, set-associative, LRU cache tracking line tags and MESI state.
-///
-/// The ways live in one flat `sets × ways` table: set *s* owns slots
-/// `s·ways ..`, of which the first `len` are valid, in no particular
-/// order.  Lines and states sit in two parallel arrays, so a lookup scans
-/// only lines (an 8-way set's tags are one host cache line), and the set's
-/// `SetHead` ranks its ways by recency in a nibble order word.  A hit
-/// moves one nibble, a fill writes one slot, and an invalidation moves the
-/// set's last valid slot into the hole: no access shifts ways.
+/// A private, set-associative, LRU cache tracking line tags and MESI
+/// state: a [`Ways`] table whose empty value is [`MesiState::Invalid`].
+/// A hit moves one nibble, a fill writes one slot, and an invalidation
+/// moves the set's last valid slot into the hole: no access shifts ways.
 #[derive(Debug, Clone)]
-pub struct PrivateCache {
-    /// The line of each slot; set `s` occupies `lines[s * ways..][..len]`.
-    lines: Vec<CacheLineAddr>,
-    /// The MESI state of each slot, parallel to `lines`.
-    states: Vec<MesiState>,
-    /// Per set, its recency order and valid count.
-    heads: Vec<SetHead>,
-    ways: usize,
+pub(crate) struct PrivateCache {
+    ways: Ways<MesiState>,
 }
 
 impl PrivateCache {
@@ -85,22 +63,15 @@ impl PrivateCache {
     pub fn new(config: PrivateCacheConfig) -> Self {
         let sets = config.sets();
         assert!(sets > 0, "cache must have at least one set");
-        assert!(
-            config.ways <= MAX_WAYS,
-            "a cache set has at most {MAX_WAYS} ways"
-        );
         Self {
-            lines: vec![CacheLineAddr::default(); sets * config.ways],
-            states: vec![MesiState::Invalid; sets * config.ways],
-            heads: vec![SetHead::default(); sets],
-            ways: config.ways,
+            ways: Ways::new(sets, config.ways),
         }
     }
 
     /// The set of `line`: a mask when the set count is a power of two,
     /// `%` otherwise (the same index either way).
     fn set_index(&self, line: CacheLineAddr) -> usize {
-        let sets = self.heads.len();
+        let sets = self.ways.sets();
         let index = line.index() as usize;
         if sets.is_power_of_two() {
             index & (sets - 1)
@@ -112,37 +83,21 @@ impl PrivateCache {
     /// The set of `line` and the slot holding it, if any.
     fn find(&self, line: CacheLineAddr) -> (usize, Option<usize>) {
         let set = self.set_index(line);
-        let base = set * self.ways;
-        let len = self.heads[set].len as usize;
-        let way = self.lines[base..base + len].iter().position(|&l| l == line);
-        (set, way.map(|way| base + way))
-    }
-
-    /// Whether `set`'s order word ranks exactly its valid ways.
-    fn order_is_valid(&self, set: usize) -> bool {
-        let head = self.heads[set];
-        is_permutation(head.order, head.len as usize)
-    }
-
-    /// Promotes the valid `slot` of `set` to most recent.
-    fn touch(&mut self, set: usize, slot: usize) {
-        let head = &mut self.heads[set];
-        head.order = promote(head.order, rank_of(head.order, slot - set * self.ways));
-        debug_assert!(self.order_is_valid(set));
+        (set, self.ways.find(set, line))
     }
 
     /// Looks up a line, promoting it to MRU.
     pub fn lookup(&mut self, line: CacheLineAddr) -> Option<MesiState> {
         let (set, slot) = self.find(line);
         let slot = slot?;
-        self.touch(set, slot);
-        Some(self.states[slot])
+        self.ways.touch(set, slot);
+        Some(self.ways.value(slot))
     }
 
     /// Probes a line without recency effects.
     #[must_use]
     pub fn probe(&self, line: CacheLineAddr) -> Option<MesiState> {
-        self.find(line).1.map(|slot| self.states[slot])
+        self.find(line).1.map(|slot| self.ways.value(slot))
     }
 
     /// Changes the MESI state of a present line; returns `false` if absent.
@@ -150,7 +105,7 @@ impl PrivateCache {
         let Some(slot) = self.find(line).1 else {
             return false;
         };
-        self.states[slot] = state;
+        *self.ways.value_mut(slot) = state;
         true
     }
 
@@ -163,10 +118,10 @@ impl PrivateCache {
     ) -> Option<(CacheLineAddr, MesiState)> {
         let (set, slot) = self.find(line);
         let Some(slot) = slot else {
-            return self.insert_into(set, line, state);
+            return self.ways.insert(set, line, state).1;
         };
-        self.touch(set, slot);
-        self.states[slot] = state;
+        self.ways.touch(set, slot);
+        *self.ways.value_mut(slot) = state;
         None
     }
 
@@ -179,67 +134,13 @@ impl PrivateCache {
         state: MesiState,
     ) -> Option<(CacheLineAddr, MesiState)> {
         debug_assert!(self.probe(line).is_none(), "{line} is already cached");
-        self.insert_into(self.set_index(line), line, state)
-    }
-
-    /// Puts the absent `line` in front of `set`: into its next free way,
-    /// or, in a full set, over its least recent way, which it returns.
-    fn insert_into(
-        &mut self,
-        set: usize,
-        line: CacheLineAddr,
-        state: MesiState,
-    ) -> Option<(CacheLineAddr, MesiState)> {
-        let head = &mut self.heads[set];
-        let len = head.len as usize;
-        let base = set * self.ways;
-        let (slot, victim) = if len < self.ways {
-            head.order = push_front(head.order, len);
-            head.len += 1;
-            (base + len, None)
-        } else {
-            let slot = base + way_at(head.order, len - 1);
-            head.order = promote(head.order, len - 1);
-            (slot, Some((self.lines[slot], self.states[slot])))
-        };
-        debug_assert!(self.order_is_valid(set));
-        self.lines[slot] = line;
-        self.states[slot] = state;
-        victim
+        self.ways.insert(self.set_index(line), line, state).1
     }
 
     /// Removes a line (coherence invalidation); returns its state if present.
     pub fn invalidate(&mut self, line: CacheLineAddr) -> Option<MesiState> {
         let (set, slot) = self.find(line);
-        let slot = slot?;
-        let state = self.states[slot];
-        // The set's last valid slot fills the hole, and its nibble takes
-        // the hole's way.
-        let base = set * self.ways;
-        let head = &mut self.heads[set];
-        let (way, last) = (slot - base, head.len as usize - 1);
-        let mut order = remove_rank(head.order, rank_of(head.order, way));
-        if way != last {
-            self.lines[slot] = self.lines[base + last];
-            self.states[slot] = self.states[base + last];
-            order = rename(order, last, way);
-        }
-        head.order = order;
-        head.len -= 1;
-        debug_assert!(self.order_is_valid(set));
-        Some(state)
-    }
-
-    /// Number of valid lines.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heads.iter().map(|head| head.len as usize).sum()
-    }
-
-    /// Returns `true` if the cache holds no lines.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heads.iter().all(|head| head.len == 0)
+        Some(self.ways.remove(set, slot?))
     }
 }
 
@@ -258,7 +159,7 @@ mod tests {
         let cfg = PrivateCacheConfig::l1_default();
         assert_eq!(cfg.sets(), 64);
         let cache = PrivateCache::new(cfg);
-        assert!(cache.is_empty());
+        assert_eq!(cache.ways.len(), 0);
     }
 
     #[test]
@@ -400,7 +301,7 @@ mod tests {
                 }
                 let contents: Vec<(CacheLineAddr, MesiState)> =
                     reference.sets.iter().flatten().copied().collect();
-                prop_assert_eq!(flat.len(), contents.len());
+                prop_assert_eq!(flat.ways.len(), contents.len());
                 for (l, state) in contents {
                     prop_assert_eq!(flat.probe(l), Some(state));
                 }

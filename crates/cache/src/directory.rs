@@ -8,12 +8,14 @@
 //! translation structures), exactly as Sec. 4.2 describes.
 //!
 //! Like the sparse directories real processors build, it is
-//! set-associative: `min(16, max_entries)` ways per set and
-//! `ceil(max_entries / ways)` sets, selected by a Fibonacci hash of the
-//! line index.  Each set keeps its LRU order in one `u64` of 4-bit way
-//! indices, most recent first (the `order` module, shared with the
-//! private caches), so a touch moves one nibble to the front and a full
-//! set evicts the way in its last valid nibble.  Evicting a
+//! set-associative, and like the banked directories of many-core parts it
+//! is split into slices picked by the low bits of the line index.  It is
+//! one [`Ways`] table (the way store shared with the private caches):
+//! slice *b* owns a run of `bank_sets` sets, and a line's set within its
+//! slice is a fastrange reduction of a Fibonacci hash of its index, whose
+//! high bits take in the bits the slice's constant low bits leave unused.
+//! Each slice has `min(16, share)` ways per set and `ceil(share / ways)`
+//! sets, where `share` is its part of the capacity.  Evicting a
 //! directory entry requires back-invalidating the line in every sharer
 //! (and, with HATRIC, in their translation structures), which the
 //! hierarchy layer performs.
@@ -21,9 +23,7 @@
 use hatric_types::{fib_hash, CacheLineAddr, Counter, CpuId};
 
 use crate::line::PtKind;
-use crate::order::{
-    is_permutation, promote, push_front, rank_of, remove_rank, rename, way_at, MAX_WAYS,
-};
+use crate::ways::{Ways, MAX_WAYS};
 
 /// A set of CPUs, stored as a 64-bit mask.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,11 +98,10 @@ impl SharerSet {
 }
 
 /// One coherence-directory entry, as [`CoherenceDirectory::entry`] and
-/// capacity victims report it.  The directory stores it packed: the
-/// sharers in one array and the owner and page-table bits in a 16-bit
-/// `meta` word in another.
+/// capacity victims report it.  The directory stores it packed in a
+/// [`Slot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirectoryEntry {
+pub(crate) struct DirectoryEntry {
     /// CPUs that may hold a copy of the line (in caches *or* translation
     /// structures — the directory is pseudo-specific).
     pub sharers: SharerSet,
@@ -112,6 +111,15 @@ pub struct DirectoryEntry {
     pub npt: bool,
     /// The line holds guest page-table entries.
     pub gpt: bool,
+}
+
+/// A directory entry as the table stores it: the sharers, and a `meta`
+/// word holding the owner's index plus one (0: no owner) and the nPT and
+/// gPT bits.  It pads to 16 bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    sharers: SharerSet,
+    meta: u16,
 }
 
 /// `meta` bit: the line holds nested page-table entries.
@@ -134,56 +142,45 @@ impl DirectoryEntry {
         }
     }
 
-    /// The entry stored as `sharers` and `meta`.
-    fn unpack(sharers: SharerSet, meta: u16) -> Self {
-        let owner = meta & META_OWNER;
+    /// The entry stored in `slot`.
+    fn unpack(slot: Slot) -> Self {
+        let owner = slot.meta & META_OWNER;
         Self {
-            sharers,
+            sharers: slot.sharers,
             owner: (owner != 0).then(|| CpuId::new(u32::from(owner - 1))),
-            npt: meta & META_NPT != 0,
-            gpt: meta & META_GPT != 0,
+            npt: slot.meta & META_NPT != 0,
+            gpt: slot.meta & META_GPT != 0,
         }
     }
 
-    /// The entry's `meta` word.  Owners come from sharer sets, so their
-    /// index is below 64.
-    fn meta(self) -> u16 {
+    /// The entry packed into a slot.  Owners come from sharer sets, so
+    /// their index is below 64.
+    fn pack(self) -> Slot {
         let owner = self.owner.map_or(0, |cpu| cpu.index() as u16 + 1);
         debug_assert!(owner <= META_OWNER, "owner index out of range");
-        owner | if self.npt { META_NPT } else { 0 } | if self.gpt { META_GPT } else { 0 }
+        let meta =
+            owner | if self.npt { META_NPT } else { 0 } | if self.gpt { META_GPT } else { 0 };
+        Slot {
+            sharers: self.sharers,
+            meta,
+        }
     }
 }
 
 /// Directory sizing and behaviour knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectoryConfig {
-    /// Maximum number of tracked lines, rounded up to whole sets of
-    /// `min(16, max_entries)` ways; `0` means unbounded (the Fig. 12
-    /// "No-back-inv" idealisation).
+    /// Maximum number of tracked lines, split evenly across the
+    /// directory's slices and rounded up to whole sets of `min(16, share)`
+    /// ways; `0` means unbounded (the Fig. 12 "No-back-inv" idealisation).
     pub max_entries: usize,
 }
 
 impl DirectoryConfig {
-    /// A dual-grain-directory-sized default: enough entries to cover the
-    /// 20 MiB LLC plus slack, as in the multi-grain directories HATRIC
-    /// builds on.
-    #[must_use]
-    pub fn llc_sized() -> Self {
-        Self {
-            max_entries: (20 * 1024 * 1024 / 64) * 2,
-        }
-    }
-
     /// An unbounded directory (never back-invalidates).
     #[must_use]
     pub fn unbounded() -> Self {
         Self { max_entries: 0 }
-    }
-}
-
-impl Default for DirectoryConfig {
-    fn default() -> Self {
-        Self::llc_sized()
     }
 }
 
@@ -200,42 +197,31 @@ pub struct DirectoryStats {
     pub lazy_demotions: Counter,
 }
 
-/// The directory proper: a flat `sets × ways` table.
+/// The directory proper: one [`Ways`] table of `banks × bank_sets` sets.
 ///
-/// Set *s* owns slots `s·ways ..`, of which the first `lens[s]` are valid,
-/// in no particular order: `orders[s]` ranks them by recency.  Each slot's
-/// line, sharers and `meta` word (owner index plus one, NPT and GPT bits)
-/// sit in three parallel arrays, 18 bytes a slot, so lookups scan only
-/// lines.  The table starts at the odd part of its full set count and
-/// doubles when an allocation finds its set full.  Because the set index
-/// is a fastrange reduction, doubling splits set *s* into sets *2s* and
-/// *2s + 1*, so a bounded directory holds exactly what the full-size table
-/// would, and only evicts once it has reached its full size.  An unbounded
-/// directory never stops doubling.
+/// The table starts at the odd part of a slice's full set count and all
+/// slices double together when an allocation finds its set full.
+/// Because the set index within a slice is a fastrange reduction,
+/// doubling splits set *s* of each slice into its sets *2s* and *2s + 1*,
+/// and [`Ways::resize`] keeps each set's recency order, so a bounded
+/// directory holds exactly what the full-size table would, and only
+/// evicts once it has reached its full size.  An unbounded directory
+/// never stops doubling.
 #[derive(Debug, Clone)]
-pub struct CoherenceDirectory {
-    /// The line of each slot; set `s` occupies `lines[s * ways..][..lens[s]]`.
-    lines: Vec<CacheLineAddr>,
-    /// The sharers of each slot, parallel to `lines`.
-    sharers: Vec<SharerSet>,
-    /// The owner and page-table bits of each slot, parallel to `lines`
-    /// (see [`DirectoryEntry::meta`]).
-    meta: Vec<u16>,
-    /// Per set, its valid ways ranked most recent first, a nibble each.
-    orders: Vec<u64>,
-    /// Valid slots per set.
-    lens: Vec<u32>,
-    ways: usize,
-    /// Set count of the full-size table (`usize::MAX` when unbounded).
-    max_sets: usize,
-    /// Valid slots in all.
-    occupied: usize,
+pub(crate) struct CoherenceDirectory {
+    ways: Ways<Slot>,
+    /// The slice count minus one: a line's slice is its index's low bits.
+    bank_mask: usize,
+    /// Sets per slice now.
+    bank_sets: usize,
+    /// Sets per slice at full size (`usize::MAX` when unbounded).
+    max_bank_sets: usize,
     stats: DirectoryStats,
 }
 
 /// Result of informing the directory about a read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadNote {
+pub(crate) struct ReadNote {
     /// A remote CPU held the line modified and must be downgraded.
     pub downgraded_owner: Option<CpuId>,
     /// Whether this read allocated a fresh directory entry.
@@ -244,7 +230,7 @@ pub struct ReadNote {
 
 /// Result of informing the directory about a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteNote {
+pub(crate) struct WriteNote {
     /// CPUs other than the writer that must receive invalidations.
     pub invalidate_targets: SharerSet,
     /// Page-table kind of the line, if marked.
@@ -253,26 +239,37 @@ pub struct WriteNote {
     pub allocated: bool,
 }
 
+/// The set of `line` in a directory of `bank_mask + 1` slices of
+/// `bank_sets` sets each.
+fn set_of(line: CacheLineAddr, bank_mask: usize, bank_sets: usize) -> usize {
+    let bank = line.index() as usize & bank_mask;
+    let hash = fib_hash(line.index());
+    bank * bank_sets + ((u128::from(hash) * bank_sets as u128) >> 64) as usize
+}
+
 impl CoherenceDirectory {
-    /// Creates an empty directory.
+    /// Creates an empty directory of `banks` slices, each with an equal
+    /// share of a bounded capacity (at least one entry).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` is not a power of two.
     #[must_use]
-    pub fn new(config: DirectoryConfig) -> Self {
-        let (ways, max_sets, sets) = if config.max_entries == 0 {
+    pub fn new(config: DirectoryConfig, banks: usize) -> Self {
+        assert!(banks.is_power_of_two(), "{banks} banks");
+        let (ways, max_bank_sets, bank_sets) = if config.max_entries == 0 {
             (MAX_WAYS, usize::MAX, 1)
         } else {
-            let ways = config.max_entries.min(MAX_WAYS);
-            let max_sets = config.max_entries.div_ceil(ways);
+            let share = (config.max_entries / banks).max(1);
+            let ways = share.min(MAX_WAYS);
+            let max_sets = share.div_ceil(ways);
             (ways, max_sets, max_sets >> max_sets.trailing_zeros())
         };
         Self {
-            lines: vec![CacheLineAddr::default(); sets * ways],
-            sharers: vec![SharerSet::empty(); sets * ways],
-            meta: vec![0; sets * ways],
-            orders: vec![0; sets],
-            lens: vec![0; sets],
-            ways,
-            max_sets,
-            occupied: 0,
+            ways: Ways::new(banks * bank_sets, ways),
+            bank_mask: banks - 1,
+            bank_sets,
+            max_bank_sets,
             stats: DirectoryStats::default(),
         }
     }
@@ -280,21 +277,14 @@ impl CoherenceDirectory {
     /// Number of tracked lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.occupied
-    }
-
-    /// Whether the directory tracks no lines.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.occupied == 0
+        self.ways.len()
     }
 
     /// The entry of `line`, if tracked.
     #[must_use]
     pub fn entry(&self, line: CacheLineAddr) -> Option<DirectoryEntry> {
-        let set = self.set_index(line);
-        self.way(set, line)
-            .map(|way| self.load(set * self.ways + way))
+        let slot = self.ways.find(self.set_index(line), line)?;
+        Some(self.load(slot))
     }
 
     /// Accumulated statistics.
@@ -303,66 +293,23 @@ impl CoherenceDirectory {
         self.stats
     }
 
-    /// The set of `line`: fastrange over a Fibonacci hash of its index,
-    /// whose high bits take in the bits a bank's constant low index bits
-    /// would leave unused.
+    /// The set of `line`.
     fn set_index(&self, line: CacheLineAddr) -> usize {
-        let hash = fib_hash(line.index());
-        ((u128::from(hash) * self.lens.len() as u128) >> 64) as usize
-    }
-
-    /// The way holding `line` in `set`, if any.
-    fn way(&self, set: usize, line: CacheLineAddr) -> Option<usize> {
-        let base = set * self.ways;
-        self.lines[base..base + self.lens[set] as usize]
-            .iter()
-            .position(|&l| l == line)
+        set_of(line, self.bank_mask, self.bank_sets)
     }
 
     /// The entry in `slot`.
     fn load(&self, slot: usize) -> DirectoryEntry {
-        DirectoryEntry::unpack(self.sharers[slot], self.meta[slot])
+        DirectoryEntry::unpack(self.ways.value(slot))
     }
 
     /// Stores `entry` in `slot`.
     fn store(&mut self, slot: usize, entry: DirectoryEntry) {
-        self.sharers[slot] = entry.sharers;
-        self.meta[slot] = entry.meta();
+        *self.ways.value_mut(slot) = entry.pack();
     }
 
-    /// Whether `set`'s order word ranks exactly its valid ways.
-    fn order_is_valid(&self, set: usize) -> bool {
-        is_permutation(self.orders[set], self.lens[set] as usize)
-    }
-
-    /// Doubles the set count, copying each old set into its two new sets
-    /// oldest first, so that each new set keeps the old relative order.
-    fn grow(&mut self) {
-        let sets = self.lens.len() * 2;
-        let slots = sets * self.ways;
-        let lines = std::mem::replace(&mut self.lines, vec![CacheLineAddr::default(); slots]);
-        let sharers = std::mem::replace(&mut self.sharers, vec![SharerSet::empty(); slots]);
-        let meta = std::mem::replace(&mut self.meta, vec![0; slots]);
-        let orders = std::mem::replace(&mut self.orders, vec![0; sets]);
-        let lens = std::mem::replace(&mut self.lens, vec![0; sets]);
-        for (set, (&order, &len)) in orders.iter().zip(&lens).enumerate() {
-            for rank in (0..len as usize).rev() {
-                let old = set * self.ways + way_at(order, rank);
-                let set = self.set_index(lines[old]);
-                let way = self.lens[set] as usize;
-                let slot = set * self.ways + way;
-                self.lines[slot] = lines[old];
-                self.sharers[slot] = sharers[old];
-                self.meta[slot] = meta[old];
-                self.orders[set] = push_front(self.orders[set], way);
-                self.lens[set] += 1;
-            }
-        }
-        debug_assert!((0..sets).all(|set| self.order_is_valid(set)));
-    }
-
-    /// Touches `line`'s entry, allocating it if absent: a full set grows
-    /// the table if it is below full size, or else gives up its least
+    /// Touches `line`'s entry, allocating it if absent: a full set doubles
+    /// every slice if they are below full size, or else gives up its least
     /// recently touched entry.  Returns the entry's slot, whether it was
     /// allocated, and the evicted victim, which the hierarchy must
     /// back-invalidate.
@@ -371,34 +318,24 @@ impl CoherenceDirectory {
         line: CacheLineAddr,
     ) -> (usize, bool, Option<(CacheLineAddr, DirectoryEntry)>) {
         let mut set = self.set_index(line);
-        if let Some(way) = self.way(set, line) {
-            let order = self.orders[set];
-            self.orders[set] = promote(order, rank_of(order, way));
-            debug_assert!(self.order_is_valid(set));
-            return (set * self.ways + way, false, None);
+        if let Some(slot) = self.ways.find(set, line) {
+            self.ways.touch(set, slot);
+            return (slot, false, None);
         }
-        while self.lens[set] as usize == self.ways && self.lens.len() < self.max_sets {
-            self.grow();
+        while self.ways.is_full(set) && self.bank_sets < self.max_bank_sets {
+            let (bank_mask, bank_sets) = (self.bank_mask, self.bank_sets * 2);
+            self.ways.resize((bank_mask + 1) * bank_sets, |line| {
+                set_of(line, bank_mask, bank_sets)
+            });
+            self.bank_sets = bank_sets;
             set = self.set_index(line);
         }
         self.stats.allocations.incr();
-        let len = self.lens[set] as usize;
-        let order = self.orders[set];
-        let (slot, victim) = if len < self.ways {
-            self.orders[set] = push_front(order, len);
-            self.lens[set] += 1;
-            self.occupied += 1;
-            (set * self.ways + len, None)
-        } else {
-            self.orders[set] = promote(order, len - 1);
-            let slot = set * self.ways + way_at(order, len - 1);
+        let (slot, victim) = self.ways.insert(set, line, Slot::default());
+        let victim = victim.map(|(line, slot)| {
             self.stats.evictions.incr();
-            (slot, Some((self.lines[slot], self.load(slot))))
-        };
-        debug_assert!(self.order_is_valid(set));
-        self.lines[slot] = line;
-        self.sharers[slot] = SharerSet::empty();
-        self.meta[slot] = 0;
+            (line, DirectoryEntry::unpack(slot))
+        });
         (slot, true, victim)
     }
 
@@ -467,7 +404,7 @@ impl CoherenceDirectory {
         kind: PtKind,
     ) -> Option<(CacheLineAddr, DirectoryEntry)> {
         let (slot, _, victim) = self.touch_or_allocate(line);
-        self.meta[slot] |= match kind {
+        self.ways.value_mut(slot).meta |= match kind {
             PtKind::Nested => META_NPT,
             PtKind::Guest => META_GPT,
         };
@@ -482,10 +419,9 @@ impl CoherenceDirectory {
     /// (`eager_pt`).  A plain line left without sharers is dropped.
     pub fn note_private_eviction(&mut self, line: CacheLineAddr, cpu: CpuId, eager_pt: bool) {
         let set = self.set_index(line);
-        let Some(way) = self.way(set, line) else {
+        let Some(slot) = self.ways.find(set, line) else {
             return;
         };
-        let slot = set * self.ways + way;
         let mut entry = self.load(slot);
         let is_pt = entry.pt_kind().is_some();
         if is_pt && !eager_pt {
@@ -497,22 +433,7 @@ impl CoherenceDirectory {
         }
         self.store(slot, entry);
         if entry.sharers.is_empty() && !is_pt {
-            // The set's last valid slot fills the hole, and its nibble
-            // takes the hole's way.
-            let last = self.lens[set] as usize - 1;
-            let order = self.orders[set];
-            let mut order = remove_rank(order, rank_of(order, way));
-            if way != last {
-                let last_slot = set * self.ways + last;
-                self.lines[slot] = self.lines[last_slot];
-                self.sharers[slot] = self.sharers[last_slot];
-                self.meta[slot] = self.meta[last_slot];
-                order = rename(order, last, way);
-            }
-            self.orders[set] = order;
-            self.lens[set] -= 1;
-            self.occupied -= 1;
-            debug_assert!(self.order_is_valid(set));
+            self.ways.remove(set, slot);
         }
     }
 
@@ -520,9 +441,8 @@ impl CoherenceDirectory {
     /// spurious invalidation (the line was neither in its caches nor in its
     /// translation structures).
     pub fn demote_after_spurious(&mut self, line: CacheLineAddr, cpu: CpuId) {
-        let set = self.set_index(line);
-        if let Some(way) = self.way(set, line) {
-            self.sharers[set * self.ways + way].remove(cpu);
+        if let Some(slot) = self.ways.find(self.set_index(line), line) {
+            self.ways.value_mut(slot).sharers.remove(cpu);
             self.stats.lazy_demotions.incr();
         }
     }
@@ -562,7 +482,7 @@ mod tests {
 
     #[test]
     fn read_then_write_invalidates_other_sharers() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded());
+        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
         dir.note_read(line(1), CpuId::new(0));
         dir.note_read(line(1), CpuId::new(3));
         let (note, _) = dir.note_write(line(1), CpuId::new(1));
@@ -575,7 +495,7 @@ mod tests {
 
     #[test]
     fn pt_marking_survives_and_reports_on_write() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded());
+        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
         dir.note_read(line(2), CpuId::new(0));
         dir.mark_pt(line(2), PtKind::Nested);
         let (note, _) = dir.note_write(line(2), CpuId::new(1));
@@ -585,7 +505,7 @@ mod tests {
 
     #[test]
     fn owner_downgrade_on_remote_read() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded());
+        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
         dir.note_write(line(4), CpuId::new(2));
         let (note, _) = dir.note_read(line(4), CpuId::new(5));
         assert_eq!(note.downgraded_owner, Some(CpuId::new(2)));
@@ -596,7 +516,7 @@ mod tests {
 
     #[test]
     fn capacity_eviction_reports_victim() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 4 });
+        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 4 }, 1);
         let mut victims = 0;
         for i in 0..16 {
             let (_, victim) = dir.note_read(line(i), CpuId::new(0));
@@ -612,7 +532,7 @@ mod tests {
     #[test]
     fn full_set_evicts_its_least_recently_touched_entry() {
         // Four entries form one 4-way set.
-        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 4 });
+        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 4 }, 1);
         for i in 0..4 {
             dir.note_read(line(i), CpuId::new(0));
         }
@@ -629,7 +549,7 @@ mod tests {
     /// every gated baseline) fails here first and names the cause.
     #[test]
     fn eviction_victims_are_pinned() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 48 });
+        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 48 }, 1);
         let mut victims = Vec::new();
         for i in 0..160u64 {
             let (_, victim) =
@@ -647,7 +567,7 @@ mod tests {
 
     #[test]
     fn marking_a_line_into_a_full_set_evicts() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 2 });
+        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 2 }, 1);
         dir.note_read(line(1), CpuId::new(0));
         dir.note_read(line(1), CpuId::new(3));
         dir.mark_pt(line(1), PtKind::Nested);
@@ -673,7 +593,7 @@ mod tests {
     #[test]
     fn len_never_exceeds_capacity() {
         for max_entries in [1, 4, 16, 20, 64] {
-            let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries });
+            let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries }, 1);
             let capacity = max_entries.div_ceil(max_entries.min(16)) * max_entries.min(16);
             for i in 0..400u64 {
                 let l = line(i * 7919 % 1009);
@@ -694,7 +614,7 @@ mod tests {
 
     #[test]
     fn unbounded_directory_never_evicts() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded());
+        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
         for i in 0..5_000u64 {
             assert_eq!(dir.note_read(line(i * 16 + 3), CpuId::new(0)).1, None);
             assert_eq!(dir.mark_pt(line(i * 16 + 7), PtKind::Guest), None);
@@ -704,11 +624,12 @@ mod tests {
         assert!(dir.is_sharer(line(4_999 * 16 + 3), CpuId::new(0)));
     }
 
-    /// A fixed-geometry reference: one `Vec` of `(line, entry, stamp)` per
-    /// set at the full set count (a single unlimited set when unbounded),
+    /// A fixed-geometry reference: per slice (chosen by the low bits of
+    /// the line index), one `Vec` of `(line, entry, stamp)` per set at the
+    /// slice's full set count (a single unlimited set when unbounded),
     /// victims found by scanning for the oldest stamp.
     struct Reference {
-        sets: Vec<Vec<(CacheLineAddr, DirectoryEntry, u64)>>,
+        slices: Vec<Vec<Vec<(CacheLineAddr, DirectoryEntry, u64)>>>,
         ways: usize,
         clock: u64,
     }
@@ -716,26 +637,35 @@ mod tests {
     type Victim = Option<(CacheLineAddr, DirectoryEntry)>;
 
     impl Reference {
-        fn new(max_entries: usize) -> Self {
+        fn new(max_entries: usize, banks: usize) -> Self {
             let (sets, ways) = match max_entries {
                 0 => (1, usize::MAX),
-                n => (n.div_ceil(n.min(16)), n.min(16)),
+                n => {
+                    let share = (n / banks).max(1);
+                    (share.div_ceil(share.min(16)), share.min(16))
+                }
             };
             Self {
-                sets: vec![Vec::new(); sets],
+                slices: vec![vec![Vec::new(); sets]; banks],
                 ways,
                 clock: 0,
             }
         }
 
-        fn set(&self, line: CacheLineAddr) -> usize {
+        fn set(&mut self, line: CacheLineAddr) -> &mut Vec<(CacheLineAddr, DirectoryEntry, u64)> {
+            let banks = self.slices.len();
+            let slice = &mut self.slices[line.index() as usize % banks];
             let hash = u128::from(line.index().wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            ((hash * self.sets.len() as u128) >> 64) as usize
+            let set = ((hash * slice.len() as u128) >> 64) as usize;
+            &mut slice[set]
+        }
+
+        fn entries(&self) -> impl Iterator<Item = &(CacheLineAddr, DirectoryEntry, u64)> {
+            self.slices.iter().flatten().flatten()
         }
 
         fn get(&mut self, line: CacheLineAddr) -> Option<&mut DirectoryEntry> {
-            let set = self.set(line);
-            self.sets[set]
+            self.set(line)
                 .iter_mut()
                 .find(|(l, _, _)| *l == line)
                 .map(|(_, e, _)| e)
@@ -743,8 +673,8 @@ mod tests {
 
         fn touch(&mut self, line: CacheLineAddr) -> (&mut DirectoryEntry, bool, Victim) {
             self.clock += 1;
-            let (clock, ways, set) = (self.clock, self.ways, self.set(line));
-            let set = &mut self.sets[set];
+            let (clock, ways) = (self.clock, self.ways);
+            let set = self.set(line);
             if let Some(pos) = set.iter().position(|(l, _, _)| *l == line) {
                 set[pos].2 = clock;
                 return (&mut set[pos].1, false, None);
@@ -809,8 +739,7 @@ mod tests {
                 entry.owner = None;
             }
             if entry.sharers.is_empty() && !is_pt {
-                let set = self.set(line);
-                self.sets[set].retain(|(l, _, _)| *l != line);
+                self.set(line).retain(|(l, _, _)| *l != line);
             }
         }
 
@@ -824,22 +753,34 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random operation sequences over a bank-like line population
-        /// (constant low index bits) return the same notes and victims as
-        /// the fixed-geometry reference and hold the same entries, at
-        /// capacities that fill one set, split evenly into sets, leave the
-        /// last set short (20), span many sets (1024), or never evict.
+        /// Random operation sequences return the same notes and victims as
+        /// the fixed-geometry reference and hold the same entries.  One
+        /// slice sees a bank-like line population (constant low index
+        /// bits) at capacities that fill one set, split evenly into sets,
+        /// leave the last set short (20), span many sets (1024), or never
+        /// evict; 16 slices of 4 entries, 4 of 5 and 2 unbounded ones see
+        /// every index.
         #[test]
         fn matches_the_vec_of_vecs_reference(
-            capacity in 0usize..5,
+            geometry in 0usize..8,
             ops in proptest::collection::vec((0u8..12, 0u64..4096, 0u32..6), 200..3000),
         ) {
-            let (max_entries, lines) = [(4, 12), (8, 24), (20, 60), (1024, 1200), (0, 600)][capacity];
-            let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries });
-            let mut reference = Reference::new(max_entries);
+            let (max_entries, banks, lines) = [
+                (4, 1, 12),
+                (8, 1, 24),
+                (20, 1, 60),
+                (1024, 1, 1200),
+                (0, 1, 600),
+                (64, 16, 192),
+                (20, 4, 60),
+                (0, 2, 600),
+            ][geometry];
+            let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries }, banks);
+            let mut reference = Reference::new(max_entries, banks);
             let mut evictions = 0;
             for (i, &(op, n, c)) in ops.iter().enumerate() {
-                let (l, cpu) = (line((n % lines) * 16 + 5), CpuId::new(c));
+                let index = if banks == 1 { (n % lines) * 16 + 5 } else { n % lines };
+                let (l, cpu) = (line(index), CpuId::new(c));
                 match op {
                     0..=3 => {
                         let (note, victim) = dir.note_read(l, cpu);
@@ -866,14 +807,14 @@ mod tests {
                         reference.demote_after_spurious(l, cpu);
                     }
                 }
-                prop_assert_eq!(dir.len(), reference.sets.iter().map(Vec::len).sum::<usize>());
+                prop_assert_eq!(dir.len(), reference.entries().count());
                 if i % 64 == 0 {
-                    for &(l, entry, _) in reference.sets.iter().flatten() {
+                    for &(l, entry, _) in reference.entries() {
                         prop_assert_eq!(dir.entry(l), Some(entry));
                     }
                 }
             }
-            for &(l, entry, _) in reference.sets.iter().flatten() {
+            for &(l, entry, _) in reference.entries() {
                 prop_assert_eq!(dir.entry(l), Some(entry));
             }
             prop_assert_eq!(dir.stats().evictions.get() as usize, evictions);
@@ -882,7 +823,7 @@ mod tests {
 
     #[test]
     fn lazy_demotion_removes_sharer() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded());
+        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
         dir.note_read(line(7), CpuId::new(0));
         dir.mark_pt(line(7), PtKind::Nested);
         dir.demote_after_spurious(line(7), CpuId::new(0));
@@ -892,7 +833,7 @@ mod tests {
 
     #[test]
     fn remove_sharer_drops_untracked_plain_lines() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded());
+        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
         dir.note_read(line(9), CpuId::new(0));
         dir.note_private_eviction(line(9), CpuId::new(0), false);
         assert!(dir.entry(line(9)).is_none());

@@ -2,10 +2,12 @@
 //! the coherence directory, glued together behind a read/write interface.
 //!
 //! The simulator runs [`CacheHierarchy::read`] / [`CacheHierarchy::write`],
-//! which update the accessing CPU's private pair, the directory slice of
-//! the bank that owns the line, the LLC, and the private copies the
-//! directory names (back-invalidations, owner downgrades, sharer
-//! invalidations) in one call.
+//! which update the accessing CPU's private pair, the directory, the LLC,
+//! and the private copies the directory names (back-invalidations, owner
+//! downgrades, sharer invalidations) in one call.  The directory is banked
+//! into as many slices as the LLC geometry allows (see
+//! `SharedCache::bank_count_for`); only the directory itself knows how it
+//! picks a line's slice.
 //!
 //! A **phased** path is kept beside it only for the `perfbench` benchmark's
 //! `engine_caches` calibration, its one caller: a CPU's [`PrivatePair`]
@@ -16,7 +18,9 @@
 use hatric_types::{CacheLineAddr, Counter, CpuId, RatioStat};
 
 use crate::cache::{PrivateCache, PrivateCacheConfig};
-use crate::directory::{CoherenceDirectory, DirectoryConfig, DirectoryEntry, SharerSet};
+use crate::directory::{
+    CoherenceDirectory, DirectoryConfig, DirectoryEntry, DirectoryStats, SharerSet,
+};
 use crate::line::{MesiState, PtKind};
 
 /// Which level of the hierarchy satisfied an access.
@@ -51,22 +55,6 @@ pub struct CacheHierarchyConfig {
     /// evicted from private caches (the Fig. 12 "EGR-dir-update" ablation);
     /// the default (false) is HATRIC's lazy policy.
     pub eager_pt_directory_update: bool,
-}
-
-impl CacheHierarchyConfig {
-    /// The paper's configuration: 32 KiB L1, 256 KiB L2 per CPU, 20 MiB LLC.
-    #[must_use]
-    pub fn haswell_like(num_cpus: usize) -> Self {
-        Self {
-            num_cpus,
-            l1: PrivateCacheConfig::l1_default(),
-            l2: PrivateCacheConfig::l2_default(),
-            llc_bytes: 20 * 1024 * 1024,
-            llc_ways: 16,
-            directory: DirectoryConfig::llc_sized(),
-            eager_pt_directory_update: false,
-        }
-    }
 }
 
 /// A directory entry evicted for capacity: the line, its sharers at
@@ -304,7 +292,7 @@ impl PrivatePair {
         }
         delta.l2_misses += 1;
 
-        let entry = shared.bank(line).directory.entry(line);
+        let entry = shared.directory.entry(line);
         let would_allocate = entry.is_none();
         let remote_downgrade = entry
             .and_then(|e| e.owner)
@@ -362,7 +350,7 @@ impl PrivatePair {
             delta.l1_misses += 1;
         }
 
-        let entry = shared.bank(line).directory.entry(line);
+        let entry = shared.directory.entry(line);
         let targets = entry
             .map(|e| e.sharers.without(cpu))
             .unwrap_or_else(SharerSet::empty);
@@ -391,19 +379,8 @@ impl PrivatePair {
     }
 }
 
-/// One directory slice of the shared level: the directory entries of the
-/// lines whose index is congruent to the bank modulo the bank count.
-///
-/// The bank count is a pure function of the LLC geometry.  Each slice sizes
-/// and indexes its own sets, so the slices, not one directory of their
-/// total size, decide which entries a full set evicts.
-#[derive(Debug, Clone)]
-pub(crate) struct CacheBank {
-    directory: CoherenceDirectory,
-}
-
 /// Everything the CPUs share: one LLC, indexed by the line itself, and the
-/// coherence directory in banked slices.
+/// banked coherence directory.
 ///
 /// The LLC has exactly the sets of the banked LLC it replaced, whose bank
 /// *b* held the lines `≡ b (mod bank_count)` at in-bank set
@@ -413,34 +390,21 @@ pub(crate) struct CacheBank {
 #[derive(Debug, Clone)]
 pub struct SharedCache {
     llc: PrivateCache,
-    banks: Vec<CacheBank>,
+    directory: CoherenceDirectory,
 }
 
 impl SharedCache {
-    /// The largest power-of-two bank count ≤ 16 that divides the set count
-    /// (falling back towards 1 for tiny test geometries).  Because it
-    /// divides the set count, a line's bank is its set index mod the bank
-    /// count, i.e. its line index's low bits.
+    /// The directory's slice count, and the bank count of the banked LLC
+    /// the unbanked one replaced: the largest power of two ≤ 16 that
+    /// divides the LLC's set count (falling back towards 1 for tiny test
+    /// geometries).  Because it divides the set count, a line's bank is
+    /// its LLC set index mod the bank count, i.e. its line index's low bits.
     fn bank_count_for(sets: usize) -> usize {
         let mut banks = 16usize;
         while banks > 1 && (!sets.is_multiple_of(banks) || sets / banks == 0) {
             banks /= 2;
         }
         banks
-    }
-
-    /// Which bank `line` belongs to.
-    fn bank_of(&self, line: CacheLineAddr) -> usize {
-        line.index() as usize & (self.banks.len() - 1)
-    }
-
-    fn bank(&self, line: CacheLineAddr) -> &CacheBank {
-        &self.banks[self.bank_of(line)]
-    }
-
-    fn bank_mut(&mut self, line: CacheLineAddr) -> &mut CacheBank {
-        let bank = self.bank_of(line);
-        &mut self.banks[bank]
     }
 
     /// Whether the LLC holds `line` (no recency effects).
@@ -490,25 +454,11 @@ impl CacheHierarchy {
             bank_count * llc_slice.sets(),
             "the LLC has the sets of {bank_count} banks"
         );
-        let banks = (0..bank_count)
-            .map(|_| CacheBank {
-                directory: CoherenceDirectory::new(DirectoryConfig {
-                    // A bounded directory splits its capacity across banks
-                    // (at least one entry per bank — `0` means unbounded
-                    // and must stay 0).
-                    max_entries: if config.directory.max_entries == 0 {
-                        0
-                    } else {
-                        (config.directory.max_entries / bank_count).max(1)
-                    },
-                }),
-            })
-            .collect();
         Self {
             private,
             shared: SharedCache {
                 llc: PrivateCache::new(llc),
-                banks,
+                directory: CoherenceDirectory::new(config.directory, bank_count),
             },
             config,
             stats: CacheStatsSnapshot::default(),
@@ -524,33 +474,21 @@ impl CacheHierarchy {
     /// Whether the directory lists `cpu` as a sharer of `line`.
     #[must_use]
     pub fn is_sharer(&self, line: CacheLineAddr, cpu: CpuId) -> bool {
-        self.shared.bank(line).directory.is_sharer(line, cpu)
+        self.shared.directory.is_sharer(line, cpu)
     }
 
-    /// Aggregate directory statistics, summed over banks.
+    /// Aggregate directory statistics.
     #[must_use]
-    pub fn directory_stats(&self) -> crate::directory::DirectoryStats {
-        let mut total = crate::directory::DirectoryStats::default();
-        for bank in &self.shared.banks {
-            let s = bank.directory.stats();
-            total.allocations.add(s.allocations.get());
-            total.evictions.add(s.evictions.get());
-            total.pt_writes.add(s.pt_writes.get());
-            total.lazy_demotions.add(s.lazy_demotions.get());
-        }
-        total
+    pub fn directory_stats(&self) -> DirectoryStats {
+        self.shared.directory.stats()
     }
 
-    /// Number of lines currently tracked by the coherence directory,
-    /// summed over banks — the occupancy gauge the counter timelines
-    /// sample.  Read-only: sampling it never perturbs the model.
+    /// Number of lines currently tracked by the coherence directory — the
+    /// occupancy gauge the counter timelines sample.  Read-only: sampling
+    /// it never perturbs the model.
     #[must_use]
     pub fn directory_len(&self) -> usize {
-        self.shared
-            .banks
-            .iter()
-            .map(|bank| bank.directory.len())
-            .sum()
+        self.shared.directory.len()
     }
 
     /// Splits the hierarchy for the phased path: the shared level is
@@ -588,7 +526,6 @@ impl CacheHierarchy {
         // for everything else or when the ablation flag is set.
         let eager = self.config.eager_pt_directory_update;
         self.shared
-            .bank_mut(victim)
             .directory
             .note_private_eviction(victim, cpu, eager);
     }
@@ -639,7 +576,7 @@ impl CacheHierarchy {
         }
         self.stats.l2.miss();
 
-        let (note, victim) = self.shared.bank_mut(line).directory.note_read(line, cpu);
+        let (note, victim) = self.shared.directory.note_read(line, cpu);
         let back_invalidated = self.back_invalidate(victim);
         let remote_downgrade = note.downgraded_owner.is_some();
         if let Some(owner) = note.downgraded_owner {
@@ -708,7 +645,7 @@ impl CacheHierarchy {
         // Upgrade or miss.  A line held privately is an L2-level upgrade
         // and never fills from memory.
         let had_locally = l1_state.is_some() || pair.l2.probe(line).is_some();
-        let (note, victim) = self.shared.bank_mut(line).directory.note_write(line, cpu);
+        let (note, victim) = self.shared.directory.note_write(line, cpu);
         let back_invalidated = self.back_invalidate(victim);
         let targets = note.invalidate_targets;
         let mut spurious_sharers = SharerSet::empty();
@@ -762,17 +699,14 @@ impl CacheHierarchy {
     /// private caches, and callers must back-invalidate translation
     /// structures for page-table lines.
     pub fn mark_pt_line(&mut self, line: CacheLineAddr, kind: PtKind) -> Option<BackInvalidation> {
-        let victim = self.shared.bank_mut(line).directory.mark_pt(line, kind);
+        let victim = self.shared.directory.mark_pt(line, kind);
         self.back_invalidate(victim)
     }
 
     /// Lazily demotes `cpu` from `line`'s sharer list after the translation
     /// coherence layer found nothing to invalidate there.
     pub fn demote_sharer(&mut self, line: CacheLineAddr, cpu: CpuId) {
-        self.shared
-            .bank_mut(line)
-            .directory
-            .demote_after_spurious(line, cpu);
+        self.shared.directory.demote_after_spurious(line, cpu);
     }
 
     /// Aggregate statistics (directory statistics are available separately
@@ -943,13 +877,13 @@ mod tests {
 
     #[test]
     fn marking_a_pt_line_back_invalidates_the_victim() {
-        // One directory entry per bank: marking a second line of a bank
+        // One directory entry per slice: marking a second line of a slice
         // evicts the first.
         let mut h = CacheHierarchy::new(CacheHierarchyConfig {
             directory: DirectoryConfig { max_entries: 16 },
             ..small_hierarchy(2).config
         });
-        assert_eq!(h.shared.banks.len(), 16);
+        assert_eq!(bank_count(&h.config), 16);
         h.read(CpuId::new(0), line(3));
         h.read(CpuId::new(1), line(3));
         assert!(h.mark_pt_line(line(3), PtKind::Nested).is_none());
@@ -985,6 +919,15 @@ mod tests {
     // These warm and replay through the reference, whose LLC is its own
     // banked slices, so the frozen LLC they simulate against stays empty
     // and their predictions come from the directory.
+
+    /// The directory's slice count, and the banked LLC's, for `config`.
+    fn bank_count(config: &CacheHierarchyConfig) -> usize {
+        let llc = PrivateCacheConfig {
+            capacity_bytes: config.llc_bytes,
+            ways: config.llc_ways,
+        };
+        SharedCache::bank_count_for(llc.sets())
+    }
 
     #[test]
     fn simulate_predicts_from_frozen_state_and_commit_replays() {
@@ -1069,7 +1012,7 @@ mod tests {
     //
     // Before `read`, `write` and `mark_pt_line` called the directory and the
     // LLC directly, each replayed its shared-level step as an op on the
-    // line's bank, collected the op's private-level consequences and then
+    // directory, collected the op's private-level consequences and then
     // resolved them in order.  That replay is kept here as the reference
     // the direct path must match, and it replays the phased path's logs.
     // It also keeps the banked LLC the unbanked one replaced: one slice per
@@ -1118,8 +1061,8 @@ mod tests {
         }
     }
 
-    /// The reference: a hierarchy whose private pairs and directory slices
-    /// the replay drives, and the banked LLC in place of its own.
+    /// The reference: a hierarchy whose private pairs and directory the
+    /// replay drives, and the banked LLC in place of its own.
     struct Reference {
         h: CacheHierarchy,
         llc: BankedLlc,
@@ -1127,9 +1070,10 @@ mod tests {
 
     impl Reference {
         fn new(config: CacheHierarchyConfig) -> Self {
-            let h = CacheHierarchy::new(config);
-            let llc = BankedLlc::new(&config, h.shared.banks.len());
-            Self { h, llc }
+            Self {
+                h: CacheHierarchy::new(config),
+                llc: BankedLlc::new(&config, bank_count(&config)),
+            }
         }
     }
 
@@ -1185,17 +1129,6 @@ mod tests {
         }
     }
 
-    impl RefOp {
-        fn line(self) -> CacheLineAddr {
-            match self {
-                RefOp::Read { line, .. }
-                | RefOp::Write { line, .. }
-                | RefOp::Victim { line, .. }
-                | RefOp::MarkPt { line, .. } => line,
-            }
-        }
-    }
-
     /// Private-level consequence of a bank replay.
     #[derive(Debug, Clone, Copy)]
     enum PrivEffect {
@@ -1222,8 +1155,8 @@ mod tests {
         pt_kind: Option<PtKind>,
     }
 
-    /// Replays one op against its bank's directory slice and the banked
-    /// LLC, with bank-side statistics recorded in `stats` and private
+    /// Replays one op against the directory and the banked LLC, with
+    /// shared-level statistics recorded in `stats` and private
     /// consequences appended to `privs`.
     fn bank_apply(
         directory: &mut CoherenceDirectory,
@@ -1356,16 +1289,15 @@ mod tests {
         None
     }
 
-    /// Replays `op` on its bank, then resolves its private effects in
-    /// order.  Returns the bank outcome, the back-invalidated entry and the
-    /// spurious sharers.
+    /// Replays `op` on the shared level, then resolves its private effects
+    /// in order.  Returns the bank outcome, the back-invalidated entry and
+    /// the spurious sharers.
     fn replay(r: &mut Reference, op: RefOp) -> (BankOutcome, Option<BackInvalidation>, SharerSet) {
         let h = &mut r.h;
         let eager = h.config.eager_pt_directory_update;
-        let bank = h.shared.bank_of(op.line());
         let (mut privs, mut back) = (Vec::new(), None);
         let out = bank_apply(
-            &mut h.shared.banks[bank].directory,
+            &mut h.shared.directory,
             &mut r.llc,
             op,
             eager,
@@ -1478,7 +1410,6 @@ mod tests {
         let peeked = peek.then(|| {
             let targets = h
                 .shared
-                .bank(line)
                 .directory
                 .entry(line)
                 .map(|e| e.sharers.without(cpu))
@@ -1638,7 +1569,7 @@ mod tests {
             };
             let mut direct = CacheHierarchy::new(config);
             let mut reference = Reference::new(config);
-            assert_eq!(direct.shared.banks.len(), banks);
+            assert_eq!(bank_count(&config), banks);
             assert_eq!(reference.llc.slices.len(), banks);
             let mut rng = hatric_types::SimRng::new(seed);
             for step in 0..3_000 {
@@ -1741,7 +1672,7 @@ mod tests {
         for seed in 0..8 {
             let mut single = CacheHierarchy::new(config);
             let mut reference = Reference::new(config);
-            assert_eq!(single.shared.banks.len(), 1);
+            assert_eq!(bank_count(&config), 1);
             let mut rng = hatric_types::SimRng::new(seed);
             let mut levels = [0u32; 4];
             for step in 0..4_000 {

@@ -27,14 +27,14 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod cache;
-pub mod directory;
+mod cache;
+mod directory;
 pub mod hierarchy;
 pub mod line;
-mod order;
+mod ways;
 
-pub use cache::{PrivateCache, PrivateCacheConfig};
-pub use directory::{CoherenceDirectory, DirectoryConfig, DirectoryEntry, SharerSet};
+pub use cache::PrivateCacheConfig;
+pub use directory::{DirectoryConfig, DirectoryStats, SharerSet};
 pub use hierarchy::{
     AccessOutcome, BackInvalidation, CacheHierarchy, CacheHierarchyConfig, CacheStatsDelta,
     CacheStatsSnapshot, HitLevel, PrivatePair, SharedCache, SharedCacheOp, SimAccess, SimWrite,

@@ -1,7 +1,7 @@
 //! Cache-line coherence states and page-table line classification.
 
 /// MESI coherence states for lines in private caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MesiState {
     /// Modified: this CPU holds the only, dirty copy.
     Modified,
@@ -9,7 +9,8 @@ pub enum MesiState {
     Exclusive,
     /// Shared: one of possibly many clean copies.
     Shared,
-    /// Invalid (not present).  Stored only transiently.
+    /// Invalid (not present): the state of an empty way.
+    #[default]
     Invalid,
 }
 

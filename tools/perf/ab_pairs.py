@@ -8,7 +8,11 @@ change's wins out of the pairs and a verdict: `gain` if the change wins in
 at least 90% of the pairs and its median beats the parent's by more than
 the parent's interquartile range, `loss` if the same holds the other way
 round, `flat` otherwise.  Exits 1 if any run reports failed ops, or, with
---same-digest, if the runs' `report_digest`s differ."""
+--same-digest, if the runs' `report_digest`s differ.
+
+The two checkouts must sit at absolute paths of equal length: the build
+embeds source paths, and their length alone moves perfbench's speed by a
+few percent, so the script refuses unequal ones."""
 import json, os, statistics, subprocess, sys
 
 args = [a for a in sys.argv[1:] if a != "--same-digest"]
@@ -18,6 +22,10 @@ if len(args) not in (5, 6):
 parent, change, workload, pairs, seconds = args[:5]
 seed = args[5] if len(args) == 6 else "1001"
 sides = {"parent": parent, "change": change}
+lengths = {side: len(os.path.abspath(path)) for side, path in sides.items()}
+if lengths["parent"] != lengths["change"]:
+    sys.exit(f"the checkouts' absolute paths differ in length ({lengths['parent']} and "
+             f"{lengths['change']} characters); put them at paths of equal length")
 with open(os.path.join(change, "BENCHMARK.json")) as f:
     metrics = [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
 
