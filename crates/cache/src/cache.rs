@@ -1,7 +1,9 @@
 //! A set-associative cache (tags + MESI state only): the private L1 and L2
 //! of every CPU, and the shared LLC.  Ways stay where they were filled;
-//! each set ranks them by recency in one order word (the `ways` module,
-//! shared with the coherence directory).
+//! each set is one block of `W` lanes matched without a branch per lane
+//! and ranked by recency in one order word (the `ways` module, shared with
+//! the coherence directory).  The L1s and L2s have 8 lanes, so a set's
+//! tags are one host cache line, and the LLC has 16.
 
 use hatric_types::consts::CACHE_LINE_BYTES;
 use hatric_types::CacheLineAddr;
@@ -9,12 +11,16 @@ use hatric_types::CacheLineAddr;
 use crate::line::MesiState;
 use crate::ways::Ways;
 
+/// The lanes of a private L1 or L2 set, and so the most ways they may
+/// have: eight tags fill one host cache line.
+pub(crate) const PRIVATE_LANES: usize = 8;
+
 /// Geometry of a private cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrivateCacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
-    /// Associativity.
+    /// Associativity: at most 8 for an L1 or L2, 16 for the LLC.
     pub ways: usize,
 }
 
@@ -45,20 +51,23 @@ impl PrivateCacheConfig {
 }
 
 /// A private, set-associative, LRU cache tracking line tags and MESI
-/// state: a [`Ways`] table whose empty value is [`MesiState::Invalid`].
-/// A hit moves one nibble, a fill writes one slot, and an invalidation
-/// moves the set's last valid slot into the hole: no access shifts ways.
+/// state: a [`Ways`] table of `W` lanes a set whose empty value is
+/// [`MesiState::Invalid`].  A hit moves one nibble, a fill writes one
+/// slot, and an invalidation moves the set's last valid slot into the
+/// hole: no access shifts ways.  The L1s and L2s are `PrivateCache<8>`
+/// ([`PRIVATE_LANES`]), the LLC `PrivateCache<16>`.
 #[derive(Debug, Clone)]
-pub(crate) struct PrivateCache {
-    ways: Ways<MesiState>,
+pub(crate) struct PrivateCache<const W: usize> {
+    ways: Ways<MesiState, W>,
 }
 
-impl PrivateCache {
+impl<const W: usize> PrivateCache<W> {
     /// Creates an empty cache with the given geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry yields zero sets or has more than 16 ways.
+    /// Panics if the geometry yields zero sets, or has no ways or more
+    /// than `W`: 8 for an L1 or L2, 16 for the LLC.
     #[must_use]
     pub fn new(config: PrivateCacheConfig) -> Self {
         let sets = config.sets();
@@ -147,6 +156,7 @@ impl PrivateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ways::MAX_WAYS;
 
     use proptest::prelude::*;
 
@@ -158,13 +168,13 @@ mod tests {
     fn geometry() {
         let cfg = PrivateCacheConfig::l1_default();
         assert_eq!(cfg.sets(), 64);
-        let cache = PrivateCache::new(cfg);
+        let cache = PrivateCache::<PRIVATE_LANES>::new(cfg);
         assert_eq!(cache.ways.len(), 0);
     }
 
     #[test]
     fn fill_lookup_invalidate() {
-        let mut cache = PrivateCache::new(PrivateCacheConfig::l1_default());
+        let mut cache = PrivateCache::<PRIVATE_LANES>::new(PrivateCacheConfig::l1_default());
         cache.fill(line(3), MesiState::Exclusive);
         assert_eq!(cache.lookup(line(3)), Some(MesiState::Exclusive));
         assert_eq!(cache.invalidate(line(3)), Some(MesiState::Exclusive));
@@ -174,7 +184,7 @@ mod tests {
     #[test]
     fn eviction_returns_lru_victim() {
         // Tiny cache: 2 sets of 2 ways (256 bytes).
-        let mut cache = PrivateCache::new(PrivateCacheConfig {
+        let mut cache = PrivateCache::<PRIVATE_LANES>::new(PrivateCacheConfig {
             capacity_bytes: 256,
             ways: 2,
         });
@@ -256,13 +266,62 @@ mod tests {
         }
     }
 
+    /// Runs `ops` on a `W`-lane cache of `sets × ways` and on the
+    /// reference over `span` distinct lines, asserting that they return
+    /// the same values, victims, lengths and contents, and then the same
+    /// recency order: draining each set by fills of fresh lines evicts the
+    /// same victims in the same order.
+    fn check_against_reference<const W: usize>(
+        (sets, ways, span): (usize, usize, u64),
+        ops: &[(u8, u64, u8)],
+    ) {
+        let config = PrivateCacheConfig {
+            capacity_bytes: (sets * ways) as u64 * CACHE_LINE_BYTES,
+            ways,
+        };
+        let mut flat = PrivateCache::<W>::new(config);
+        let mut reference = Reference::new(config);
+        for &(op, n, s) in ops {
+            let (l, state) = (
+                line(n % span),
+                [MesiState::Modified, MesiState::Exclusive, MesiState::Shared][s as usize],
+            );
+            match op {
+                0..=3 => assert_eq!(flat.lookup(l), reference.lookup(l)),
+                4 => assert_eq!(flat.probe(l), reference.probe(l)),
+                5 | 6 => assert_eq!(flat.set_state(l, state), reference.set_state(l, state)),
+                // A line the reference does not hold takes the search-free
+                // insert (op 7 keeps `fill`'s miss path).
+                8 | 9 if reference.probe(l).is_none() => {
+                    assert_eq!(flat.insert_absent(l, state), reference.fill(l, state));
+                }
+                7..=9 => assert_eq!(flat.fill(l, state), reference.fill(l, state)),
+                _ => assert_eq!(flat.invalidate(l), reference.invalidate(l)),
+            }
+            let contents: Vec<(CacheLineAddr, MesiState)> =
+                reference.sets.iter().flatten().copied().collect();
+            assert_eq!(flat.ways.len(), contents.len());
+            for (l, state) in contents {
+                assert_eq!(flat.probe(l), Some(state));
+            }
+        }
+        for n in 1_000..1_000 + (sets * ways) as u64 {
+            let l = line(n);
+            assert_eq!(
+                flat.fill(l, MesiState::Shared),
+                reference.fill(l, MesiState::Shared)
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Random operation sequences on small geometries (including 3 and
         /// 6 sets, which select by `%` rather than a mask, and full 16-way
-        /// sets) return the same values, victims, lengths and contents as
-        /// the reference.
+        /// sets) match the reference at 16 lanes, the LLC's, and those of
+        /// up to 8 ways at 8 lanes too, the L1's and L2's: so sets with
+        /// fewer ways than lanes run at both widths.
         #[test]
         fn matches_the_vec_of_vecs_reference(
             geometry in 0usize..7,
@@ -270,7 +329,7 @@ mod tests {
         ) {
             // `(sets, ways, distinct lines)`; the 16-way geometries are the
             // LLC's, whose full sets use every nibble of the order word.
-            let (sets, ways, span) = [
+            let geometry = [
                 (3, 2, 48),
                 (4, 2, 48),
                 (6, 4, 48),
@@ -279,44 +338,16 @@ mod tests {
                 (1, 16, 48),
                 (4, 16, 128),
             ][geometry];
-            let config = PrivateCacheConfig {
-                capacity_bytes: (sets * ways) as u64 * CACHE_LINE_BYTES,
-                ways,
-            };
-            let mut flat = PrivateCache::new(config);
-            let mut reference = Reference::new(config);
-            for (op, n, s) in ops {
-                let (l, state) = (line(n % span), [MesiState::Modified, MesiState::Exclusive, MesiState::Shared][s as usize]);
-                match op {
-                    0..=3 => prop_assert_eq!(flat.lookup(l), reference.lookup(l)),
-                    4 => prop_assert_eq!(flat.probe(l), reference.probe(l)),
-                    5 | 6 => prop_assert_eq!(flat.set_state(l, state), reference.set_state(l, state)),
-                    // A line the reference does not hold takes the
-                    // search-free insert (op 7 keeps `fill`'s miss path).
-                    8 | 9 if reference.probe(l).is_none() => {
-                        prop_assert_eq!(flat.insert_absent(l, state), reference.fill(l, state));
-                    }
-                    7..=9 => prop_assert_eq!(flat.fill(l, state), reference.fill(l, state)),
-                    _ => prop_assert_eq!(flat.invalidate(l), reference.invalidate(l)),
-                }
-                let contents: Vec<(CacheLineAddr, MesiState)> =
-                    reference.sets.iter().flatten().copied().collect();
-                prop_assert_eq!(flat.ways.len(), contents.len());
-                for (l, state) in contents {
-                    prop_assert_eq!(flat.probe(l), Some(state));
-                }
-            }
-            // Same recency order: draining each set by fills of fresh lines
-            // evicts the same victims in the same order.
-            for n in 1_000..1_000 + (sets * ways) as u64 {
-                prop_assert_eq!(flat.fill(line(n), MesiState::Shared), reference.fill(line(n), MesiState::Shared));
+            check_against_reference::<MAX_WAYS>(geometry, &ops);
+            if geometry.1 <= PRIVATE_LANES {
+                check_against_reference::<PRIVATE_LANES>(geometry, &ops);
             }
         }
     }
 
     #[test]
     fn set_state_upgrades() {
-        let mut cache = PrivateCache::new(PrivateCacheConfig::l1_default());
+        let mut cache = PrivateCache::<PRIVATE_LANES>::new(PrivateCacheConfig::l1_default());
         cache.fill(line(9), MesiState::Shared);
         assert!(cache.set_state(line(9), MesiState::Modified));
         assert_eq!(cache.probe(line(9)), Some(MesiState::Modified));

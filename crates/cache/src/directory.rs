@@ -15,10 +15,11 @@
 //! slice is a fastrange reduction of a Fibonacci hash of its index, whose
 //! high bits take in the bits the slice's constant low bits leave unused.
 //! Each slice has `min(16, share)` ways per set and `ceil(share / ways)`
-//! sets, where `share` is its part of the capacity.  Evicting a
-//! directory entry requires back-invalidating the line in every sharer
-//! (and, with HATRIC, in their translation structures), which the
-//! hierarchy layer performs.
+//! sets, where `share` is its part of the capacity; every set is one
+//! 448-byte block of 16 lanes (28 bytes a lane), whatever its ways.
+//! Evicting a directory entry requires back-invalidating the line in
+//! every sharer (and, with HATRIC, in their translation structures),
+//! which the hierarchy layer performs.
 
 use hatric_types::{fib_hash, CacheLineAddr, Counter, CpuId};
 
@@ -117,7 +118,7 @@ pub(crate) struct DirectoryEntry {
 /// word holding the owner's index plus one (0: no owner) and the nPT and
 /// gPT bits.  It pads to 16 bytes.
 #[derive(Debug, Clone, Copy, Default)]
-struct Slot {
+pub(crate) struct Slot {
     sharers: SharerSet,
     meta: u16,
 }
@@ -197,7 +198,9 @@ pub struct DirectoryStats {
     pub lazy_demotions: Counter,
 }
 
-/// The directory proper: one [`Ways`] table of `banks × bank_sets` sets.
+/// The directory proper: one [`Ways`] table of `banks × bank_sets` sets
+/// of `W` lanes, at most `W` ways each; the hierarchy's directory has
+/// [`MAX_WAYS`] (16), and the tests also run one of 8.
 ///
 /// The table starts at the odd part of a slice's full set count and all
 /// slices double together when an allocation finds its set full.
@@ -208,8 +211,8 @@ pub struct DirectoryStats {
 /// evicts once it has reached its full size.  An unbounded directory
 /// never stops doubling.
 #[derive(Debug, Clone)]
-pub(crate) struct CoherenceDirectory {
-    ways: Ways<Slot>,
+pub(crate) struct CoherenceDirectory<const W: usize = MAX_WAYS> {
+    ways: Ways<Slot, W>,
     /// The slice count minus one: a line's slice is its index's low bits.
     bank_mask: usize,
     /// Sets per slice now.
@@ -247,21 +250,24 @@ fn set_of(line: CacheLineAddr, bank_mask: usize, bank_sets: usize) -> usize {
     bank * bank_sets + ((u128::from(hash) * bank_sets as u128) >> 64) as usize
 }
 
-impl CoherenceDirectory {
+impl<const W: usize> CoherenceDirectory<W> {
     /// Creates an empty directory of `banks` slices, each with an equal
-    /// share of a bounded capacity (at least one entry).
+    /// share of a bounded capacity (at least one entry) in sets of
+    /// `min(W, share)` ways, `W` (16 in the hierarchy) when unbounded.
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is not a power of two.
+    /// Panics if `banks` is not a power of two.  The ways stay within the
+    /// directory's limit of 16 (its `W` lanes) by construction: a set
+    /// takes `min(W, share)`.
     #[must_use]
     pub fn new(config: DirectoryConfig, banks: usize) -> Self {
         assert!(banks.is_power_of_two(), "{banks} banks");
         let (ways, max_bank_sets, bank_sets) = if config.max_entries == 0 {
-            (MAX_WAYS, usize::MAX, 1)
+            (W, usize::MAX, 1)
         } else {
             let share = (config.max_entries / banks).max(1);
-            let ways = share.min(MAX_WAYS);
+            let ways = share.min(W);
             let max_sets = share.div_ceil(ways);
             (ways, max_sets, max_sets >> max_sets.trailing_zeros())
         };
@@ -460,6 +466,9 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// The hierarchy's directory, of 16 lanes a set.
+    type Directory = CoherenceDirectory;
+
     fn line(n: u64) -> CacheLineAddr {
         CacheLineAddr::new(n * 64)
     }
@@ -482,7 +491,7 @@ mod tests {
 
     #[test]
     fn read_then_write_invalidates_other_sharers() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
+        let mut dir = Directory::new(DirectoryConfig::unbounded(), 1);
         dir.note_read(line(1), CpuId::new(0));
         dir.note_read(line(1), CpuId::new(3));
         let (note, _) = dir.note_write(line(1), CpuId::new(1));
@@ -495,7 +504,7 @@ mod tests {
 
     #[test]
     fn pt_marking_survives_and_reports_on_write() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
+        let mut dir = Directory::new(DirectoryConfig::unbounded(), 1);
         dir.note_read(line(2), CpuId::new(0));
         dir.mark_pt(line(2), PtKind::Nested);
         let (note, _) = dir.note_write(line(2), CpuId::new(1));
@@ -505,7 +514,7 @@ mod tests {
 
     #[test]
     fn owner_downgrade_on_remote_read() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
+        let mut dir = Directory::new(DirectoryConfig::unbounded(), 1);
         dir.note_write(line(4), CpuId::new(2));
         let (note, _) = dir.note_read(line(4), CpuId::new(5));
         assert_eq!(note.downgraded_owner, Some(CpuId::new(2)));
@@ -516,7 +525,7 @@ mod tests {
 
     #[test]
     fn capacity_eviction_reports_victim() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 4 }, 1);
+        let mut dir = Directory::new(DirectoryConfig { max_entries: 4 }, 1);
         let mut victims = 0;
         for i in 0..16 {
             let (_, victim) = dir.note_read(line(i), CpuId::new(0));
@@ -532,7 +541,7 @@ mod tests {
     #[test]
     fn full_set_evicts_its_least_recently_touched_entry() {
         // Four entries form one 4-way set.
-        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 4 }, 1);
+        let mut dir = Directory::new(DirectoryConfig { max_entries: 4 }, 1);
         for i in 0..4 {
             dir.note_read(line(i), CpuId::new(0));
         }
@@ -549,7 +558,7 @@ mod tests {
     /// every gated baseline) fails here first and names the cause.
     #[test]
     fn eviction_victims_are_pinned() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 48 }, 1);
+        let mut dir = Directory::new(DirectoryConfig { max_entries: 48 }, 1);
         let mut victims = Vec::new();
         for i in 0..160u64 {
             let (_, victim) =
@@ -567,7 +576,7 @@ mod tests {
 
     #[test]
     fn marking_a_line_into_a_full_set_evicts() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries: 2 }, 1);
+        let mut dir = Directory::new(DirectoryConfig { max_entries: 2 }, 1);
         dir.note_read(line(1), CpuId::new(0));
         dir.note_read(line(1), CpuId::new(3));
         dir.mark_pt(line(1), PtKind::Nested);
@@ -593,7 +602,7 @@ mod tests {
     #[test]
     fn len_never_exceeds_capacity() {
         for max_entries in [1, 4, 16, 20, 64] {
-            let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries }, 1);
+            let mut dir = Directory::new(DirectoryConfig { max_entries }, 1);
             let capacity = max_entries.div_ceil(max_entries.min(16)) * max_entries.min(16);
             for i in 0..400u64 {
                 let l = line(i * 7919 % 1009);
@@ -614,7 +623,7 @@ mod tests {
 
     #[test]
     fn unbounded_directory_never_evicts() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
+        let mut dir = Directory::new(DirectoryConfig::unbounded(), 1);
         for i in 0..5_000u64 {
             assert_eq!(dir.note_read(line(i * 16 + 3), CpuId::new(0)).1, None);
             assert_eq!(dir.mark_pt(line(i * 16 + 7), PtKind::Guest), None);
@@ -626,8 +635,9 @@ mod tests {
 
     /// A fixed-geometry reference: per slice (chosen by the low bits of
     /// the line index), one `Vec` of `(line, entry, stamp)` per set at the
-    /// slice's full set count (a single unlimited set when unbounded),
-    /// victims found by scanning for the oldest stamp.
+    /// slice's full set count of sets of at most `lanes` ways (a single
+    /// unlimited set when unbounded), victims found by scanning for the
+    /// oldest stamp.
     struct Reference {
         slices: Vec<Vec<Vec<(CacheLineAddr, DirectoryEntry, u64)>>>,
         ways: usize,
@@ -637,12 +647,12 @@ mod tests {
     type Victim = Option<(CacheLineAddr, DirectoryEntry)>;
 
     impl Reference {
-        fn new(max_entries: usize, banks: usize) -> Self {
+        fn new(max_entries: usize, banks: usize, lanes: usize) -> Self {
             let (sets, ways) = match max_entries {
                 0 => (1, usize::MAX),
                 n => {
                     let share = (n / banks).max(1);
-                    (share.div_ceil(share.min(16)), share.min(16))
+                    (share.div_ceil(share.min(lanes)), share.min(lanes))
                 }
             };
             Self {
@@ -750,22 +760,84 @@ mod tests {
         }
     }
 
+    /// Runs `ops` on a directory of `W` lanes a set and on the reference
+    /// at capacity `max_entries` over `banks` slices and `lines` distinct
+    /// lines, asserting the same notes, victims and entries.
+    fn check_against_reference<const W: usize>(
+        (max_entries, banks, lines): (usize, usize, u64),
+        ops: &[(u8, u64, u32)],
+    ) {
+        let mut dir = CoherenceDirectory::<W>::new(DirectoryConfig { max_entries }, banks);
+        let mut reference = Reference::new(max_entries, banks, W);
+        let mut evictions = 0;
+        for (i, &(op, n, c)) in ops.iter().enumerate() {
+            let index = if banks == 1 {
+                (n % lines) * 16 + 5
+            } else {
+                n % lines
+            };
+            let (l, cpu) = (line(index), CpuId::new(c));
+            match op {
+                0..=3 => {
+                    let (note, victim) = dir.note_read(l, cpu);
+                    evictions += usize::from(victim.is_some());
+                    assert_eq!((note, victim), reference.note_read(l, cpu));
+                }
+                4..=6 => {
+                    let (note, victim) = dir.note_write(l, cpu);
+                    evictions += usize::from(victim.is_some());
+                    assert_eq!((note, victim), reference.note_write(l, cpu));
+                }
+                7 | 8 => {
+                    let kind = if c % 2 == 0 {
+                        PtKind::Nested
+                    } else {
+                        PtKind::Guest
+                    };
+                    let victim = dir.mark_pt(l, kind);
+                    evictions += usize::from(victim.is_some());
+                    assert_eq!(victim, reference.mark_pt(l, kind));
+                }
+                9 | 10 => {
+                    dir.note_private_eviction(l, cpu, op == 10);
+                    reference.note_private_eviction(l, cpu, op == 10);
+                }
+                _ => {
+                    dir.demote_after_spurious(l, cpu);
+                    reference.demote_after_spurious(l, cpu);
+                }
+            }
+            assert_eq!(dir.len(), reference.entries().count());
+            if i % 64 == 0 {
+                for &(l, entry, _) in reference.entries() {
+                    assert_eq!(dir.entry(l), Some(entry));
+                }
+            }
+        }
+        for &(l, entry, _) in reference.entries() {
+            assert_eq!(dir.entry(l), Some(entry));
+        }
+        assert_eq!(dir.stats().evictions.get() as usize, evictions);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random operation sequences return the same notes and victims as
-        /// the fixed-geometry reference and hold the same entries.  One
-        /// slice sees a bank-like line population (constant low index
-        /// bits) at capacities that fill one set, split evenly into sets,
-        /// leave the last set short (20), span many sets (1024), or never
-        /// evict; 16 slices of 4 entries, 4 of 5 and 2 unbounded ones see
-        /// every index.
+        /// the fixed-geometry reference and hold the same entries, at 16
+        /// lanes a set (the hierarchy's) and at 8, so sets of fewer ways
+        /// than lanes and full-width sets both run.  One slice sees a
+        /// bank-like line population (constant low index bits) at
+        /// capacities that fill one set, split evenly into sets, leave the
+        /// last set short (20), span many sets (1024), or never evict; 16
+        /// slices of 4 entries, 4 of 5 and 2 unbounded ones see every
+        /// index.
         #[test]
         fn matches_the_vec_of_vecs_reference(
             geometry in 0usize..8,
             ops in proptest::collection::vec((0u8..12, 0u64..4096, 0u32..6), 200..3000),
         ) {
-            let (max_entries, banks, lines) = [
+            let geometry = [
                 (4, 1, 12),
                 (8, 1, 24),
                 (20, 1, 60),
@@ -775,55 +847,14 @@ mod tests {
                 (20, 4, 60),
                 (0, 2, 600),
             ][geometry];
-            let mut dir = CoherenceDirectory::new(DirectoryConfig { max_entries }, banks);
-            let mut reference = Reference::new(max_entries, banks);
-            let mut evictions = 0;
-            for (i, &(op, n, c)) in ops.iter().enumerate() {
-                let index = if banks == 1 { (n % lines) * 16 + 5 } else { n % lines };
-                let (l, cpu) = (line(index), CpuId::new(c));
-                match op {
-                    0..=3 => {
-                        let (note, victim) = dir.note_read(l, cpu);
-                        evictions += usize::from(victim.is_some());
-                        prop_assert_eq!((note, victim), reference.note_read(l, cpu));
-                    }
-                    4..=6 => {
-                        let (note, victim) = dir.note_write(l, cpu);
-                        evictions += usize::from(victim.is_some());
-                        prop_assert_eq!((note, victim), reference.note_write(l, cpu));
-                    }
-                    7 | 8 => {
-                        let kind = if c % 2 == 0 { PtKind::Nested } else { PtKind::Guest };
-                        let victim = dir.mark_pt(l, kind);
-                        evictions += usize::from(victim.is_some());
-                        prop_assert_eq!(victim, reference.mark_pt(l, kind));
-                    }
-                    9 | 10 => {
-                        dir.note_private_eviction(l, cpu, op == 10);
-                        reference.note_private_eviction(l, cpu, op == 10);
-                    }
-                    _ => {
-                        dir.demote_after_spurious(l, cpu);
-                        reference.demote_after_spurious(l, cpu);
-                    }
-                }
-                prop_assert_eq!(dir.len(), reference.entries().count());
-                if i % 64 == 0 {
-                    for &(l, entry, _) in reference.entries() {
-                        prop_assert_eq!(dir.entry(l), Some(entry));
-                    }
-                }
-            }
-            for &(l, entry, _) in reference.entries() {
-                prop_assert_eq!(dir.entry(l), Some(entry));
-            }
-            prop_assert_eq!(dir.stats().evictions.get() as usize, evictions);
+            check_against_reference::<MAX_WAYS>(geometry, &ops);
+            check_against_reference::<8>(geometry, &ops);
         }
     }
 
     #[test]
     fn lazy_demotion_removes_sharer() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
+        let mut dir = Directory::new(DirectoryConfig::unbounded(), 1);
         dir.note_read(line(7), CpuId::new(0));
         dir.mark_pt(line(7), PtKind::Nested);
         dir.demote_after_spurious(line(7), CpuId::new(0));
@@ -833,7 +864,7 @@ mod tests {
 
     #[test]
     fn remove_sharer_drops_untracked_plain_lines() {
-        let mut dir = CoherenceDirectory::new(DirectoryConfig::unbounded(), 1);
+        let mut dir = Directory::new(DirectoryConfig::unbounded(), 1);
         dir.note_read(line(9), CpuId::new(0));
         dir.note_private_eviction(line(9), CpuId::new(0), false);
         assert!(dir.entry(line(9)).is_none());

@@ -17,11 +17,12 @@
 
 use hatric_types::{CacheLineAddr, Counter, CpuId, RatioStat};
 
-use crate::cache::{PrivateCache, PrivateCacheConfig};
+use crate::cache::{PrivateCache, PrivateCacheConfig, PRIVATE_LANES};
 use crate::directory::{
     CoherenceDirectory, DirectoryConfig, DirectoryEntry, DirectoryStats, SharerSet,
 };
 use crate::line::{MesiState, PtKind};
+use crate::ways::MAX_WAYS;
 
 /// Which level of the hierarchy satisfied an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +42,13 @@ pub enum HitLevel {
 pub struct CacheHierarchyConfig {
     /// Number of CPUs (private cache pairs).
     pub num_cpus: usize,
-    /// L1 geometry.
+    /// L1 geometry, of at most 8 ways.
     pub l1: PrivateCacheConfig,
-    /// L2 geometry.
+    /// L2 geometry, of at most 8 ways.
     pub l2: PrivateCacheConfig,
     /// Shared LLC capacity in bytes.
     pub llc_bytes: u64,
-    /// Shared LLC associativity.
+    /// Shared LLC associativity, at most 16.
     pub llc_ways: usize,
     /// Coherence directory sizing.
     pub directory: DirectoryConfig,
@@ -131,8 +132,8 @@ pub struct CacheStatsDelta {
 /// One CPU's private L1/L2 pair.
 #[derive(Debug, Clone)]
 pub struct PrivatePair {
-    l1: PrivateCache,
-    l2: PrivateCache,
+    l1: PrivateCache<PRIVATE_LANES>,
+    l2: PrivateCache<PRIVATE_LANES>,
 }
 
 /// One shared-level step of a simulated access, as the phased path logs
@@ -389,7 +390,7 @@ impl PrivatePair {
 /// same lines.
 #[derive(Debug, Clone)]
 pub struct SharedCache {
-    llc: PrivateCache,
+    llc: PrivateCache<MAX_WAYS>,
     directory: CoherenceDirectory,
 }
 
@@ -427,7 +428,10 @@ impl CacheHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if `num_cpus` is zero or greater than 64.
+    /// Panics if `num_cpus` is zero or greater than 64, if a cache level
+    /// has no sets or no ways, if the L1 or L2 has more than 8 ways or the
+    /// LLC more than 16 (the lanes of their sets), or if the LLC's set
+    /// count is not a whole number of directory banks' worth.
     #[must_use]
     pub fn new(config: CacheHierarchyConfig) -> Self {
         assert!(config.num_cpus > 0, "need at least one CPU");
@@ -748,6 +752,18 @@ mod tests {
         })
     }
 
+    /// An L1's sets have 8 lanes, so a 16-way L1 is refused by its limit.
+    #[test]
+    #[should_panic(expected = "1 to 8 ways, not 16")]
+    fn a_sixteen_way_l1_is_refused() {
+        let mut config = *small_hierarchy(1).config();
+        config.l1 = PrivateCacheConfig {
+            capacity_bytes: 32 * 1024,
+            ways: 16,
+        };
+        let _ = CacheHierarchy::new(config);
+    }
+
     #[test]
     fn first_read_misses_to_memory_then_hits_l1() {
         let mut h = small_hierarchy(2);
@@ -1022,7 +1038,7 @@ mod tests {
     /// indexes them by `index / bank_count`, a bijection within the slice's
     /// line population.
     struct BankedLlc {
-        slices: Vec<PrivateCache>,
+        slices: Vec<PrivateCache<MAX_WAYS>>,
         fold_shift: u32,
     }
 

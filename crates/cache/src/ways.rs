@@ -1,19 +1,29 @@
 //! The in-place way store of the private caches, the LLC and the
 //! coherence directory.
 //!
-//! A [`Ways`] is a flat `sets × ways` table: set *s* owns slots `s·ways ..`,
-//! of which the first `len` are valid, in no particular order.  Lines sit
-//! in one array and values (a MESI state, or a directory entry) in a
-//! parallel one, so a lookup scans only lines (an 8-way set's tags are one
-//! host cache line).  Each set's `SetHead` ranks its valid ways in an
-//! order word: nibble `r` of the `u64` (bits `4r..4r + 4`) is the way at
-//! rank `r`, rank 0 the most recently touched.  The first `len` nibbles
-//! are a permutation of `0..len`; the rest are unused and may hold
-//! anything.  A touch moves one nibble to the front, an insertion into a
-//! free way pushes one in front, a full set evicts the way in its last
-//! valid nibble, and a removal that moves the set's last slot into the
-//! hole drops one nibble and renames another.  Each is a few shifts and
-//! masks, so no way is ever copied to keep recency.
+//! A [`Ways<V, W>`] is a `Vec` of sets, each one block that starts on a
+//! 64-byte host cache line: the lines of its `W` lanes, then their values
+//! (a MESI state, or a directory entry), then its order word and its
+//! valid count.  Slot `s·W + lane` is lane `lane` of set *s*; `W` is a
+//! power of two, so a slot splits into its set and lane by a shift and a
+//! mask.  Of a set's lanes the first `len` are valid, in no particular
+//! order, and a table of `ways < W` never fills the rest.  A lookup
+//! compares the line with all `W` lanes at once: it ORs one bit per lane
+//! into a mask, keeps the bits of the valid lanes (a removal leaves a
+//! stale copy of the moved line in lane `len`) and takes the lowest one.
+//! No lane is a branch (the compiler unrolls the compare), so a lookup
+//! does not mispredict on which lane hits, and an 8-lane set's lines are
+//! the block's first host cache line.
+//!
+//! The order word ranks the valid lanes: nibble `r` of the `u64` (bits
+//! `4r..4r + 4`) is the lane at rank `r`, rank 0 the most recently
+//! touched.  The first `len` nibbles are a permutation of `0..len`; the
+//! rest are unused and may hold anything.  A touch moves one nibble to the
+//! front, an insertion into a free lane pushes one in front, a full set
+//! evicts the lane in its last valid nibble, and a removal that moves the
+//! set's last lane into the hole drops one nibble and renames another.
+//! Each is a few shifts and masks, so no way is ever copied to keep
+//! recency.
 
 use hatric_types::CacheLineAddr;
 
@@ -75,46 +85,80 @@ fn is_permutation(order: u64, len: usize) -> bool {
     seen == (1 << len) - 1
 }
 
-/// A set's recency order and its valid count.
-#[derive(Debug, Clone, Copy, Default)]
-struct SetHead {
-    /// The set's valid ways ranked most recent first, a nibble each.
+/// One set: the lines and values of its `W` lanes, its recency order and
+/// its valid count, in one block that starts on a host cache line.
+#[repr(C, align(64))]
+#[derive(Debug, Clone, Copy)]
+struct Set<V, const W: usize> {
+    /// The line in each lane; lanes `len..` hold stale or default lines.
+    lines: [CacheLineAddr; W],
+    /// The value in each lane.
+    values: [V; W],
+    /// The valid lanes ranked most recent first, a nibble each.
     order: u64,
-    /// Valid ways; they are the set's first `len` slots.
+    /// Valid lanes; they are the set's first `len`.
     len: u32,
 }
 
-/// A set-associative table of lines and their values, each set ranked by
-/// recency (see the module docs).  Slots are indices into the whole
-/// table; a slot of set *s* is `s·ways + way`.
+impl<V: Copy + Default, const W: usize> Set<V, W> {
+    /// A set with no valid lane.
+    fn empty() -> Self {
+        Self {
+            lines: [CacheLineAddr::default(); W],
+            values: [V::default(); W],
+            order: 0,
+            len: 0,
+        }
+    }
+
+    /// The lowest valid lane holding `line`, if any: one bit per lane ORed
+    /// into a mask, without a branch per lane, then the valid lanes' bits.
+    fn lane_of(&self, line: CacheLineAddr) -> Option<usize> {
+        let mut hits = 0u32;
+        for lane in 0..W {
+            hits |= u32::from(self.lines[lane] == line) << lane;
+        }
+        let hits = hits & ((1 << self.len) - 1);
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+}
+
+/// A set-associative table of lines and their values, `W` lanes a set of
+/// which `ways` are used, each set ranked by recency (see the module
+/// docs).  Slots are indices into the whole table; a slot of set *s* is
+/// `s·W + lane`.
 #[derive(Debug, Clone)]
-pub(crate) struct Ways<V> {
-    /// The line of each slot; set `s` occupies `lines[s * ways..][..len]`.
-    lines: Vec<CacheLineAddr>,
-    /// The value of each slot, parallel to `lines`.
-    values: Vec<V>,
-    /// Per set, its recency order and valid count.
-    heads: Vec<SetHead>,
+pub(crate) struct Ways<V, const W: usize> {
+    sets: Vec<Set<V, W>>,
+    /// Ways a set may fill, at most `W`.
     ways: usize,
     /// Valid slots in all.
     len: usize,
 }
 
-impl<V: Copy + Default> Ways<V> {
+impl<V: Copy + Default, const W: usize> Ways<V, W> {
+    /// `log2(W)`, the shift from a slot to its set.  Evaluating it fails
+    /// the build for a `W` that is not a power of two up to [`MAX_WAYS`].
+    const LANE_BITS: u32 = {
+        assert!(
+            W.is_power_of_two() && W <= MAX_WAYS,
+            "W is a power of two up to 16"
+        );
+        W.trailing_zeros()
+    };
+
     /// An empty table of `sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is 0 or more than [`MAX_WAYS`].
+    /// Panics if `ways` is 0 or more than `W`.
     pub(crate) fn new(sets: usize, ways: usize) -> Self {
         assert!(
-            (1..=MAX_WAYS).contains(&ways),
-            "a set has 1 to {MAX_WAYS} ways"
+            (1..=W).contains(&ways),
+            "a set of this table has 1 to {W} ways, not {ways}"
         );
         Self {
-            lines: vec![CacheLineAddr::default(); sets * ways],
-            values: vec![V::default(); sets * ways],
-            heads: vec![SetHead::default(); sets],
+            sets: vec![Set::empty(); sets],
             ways,
             len: 0,
         }
@@ -122,7 +166,7 @@ impl<V: Copy + Default> Ways<V> {
 
     /// Number of sets.
     pub(crate) fn sets(&self) -> usize {
-        self.heads.len()
+        self.sets.len()
     }
 
     /// Number of valid slots.
@@ -132,37 +176,35 @@ impl<V: Copy + Default> Ways<V> {
 
     /// The slot of `set` holding `line`, if any.
     pub(crate) fn find(&self, set: usize, line: CacheLineAddr) -> Option<usize> {
-        let base = set * self.ways;
-        let len = self.heads[set].len as usize;
-        let way = self.lines[base..base + len].iter().position(|&l| l == line);
-        way.map(|way| base + way)
+        let lane = self.sets[set].lane_of(line)?;
+        Some(set << Self::LANE_BITS | lane)
     }
 
     /// The value in `slot`.
     pub(crate) fn value(&self, slot: usize) -> V {
-        self.values[slot]
+        self.sets[slot >> Self::LANE_BITS].values[slot & (W - 1)]
     }
 
     /// The value in `slot`, to change in place.
     pub(crate) fn value_mut(&mut self, slot: usize) -> &mut V {
-        &mut self.values[slot]
+        &mut self.sets[slot >> Self::LANE_BITS].values[slot & (W - 1)]
     }
 
     /// Whether every way of `set` is valid.
     pub(crate) fn is_full(&self, set: usize) -> bool {
-        self.heads[set].len as usize == self.ways
+        self.sets[set].len as usize == self.ways
     }
 
-    /// Whether `set`'s order word ranks exactly its valid ways.
+    /// Whether `set`'s order word ranks exactly its valid lanes.
     fn order_is_valid(&self, set: usize) -> bool {
-        let head = self.heads[set];
-        is_permutation(head.order, head.len as usize)
+        let s = &self.sets[set];
+        is_permutation(s.order, s.len as usize)
     }
 
     /// Promotes the valid `slot` of `set` to most recent.
     pub(crate) fn touch(&mut self, set: usize, slot: usize) {
-        let head = &mut self.heads[set];
-        head.order = promote(head.order, rank_of(head.order, slot - set * self.ways));
+        let s = &mut self.sets[set];
+        s.order = promote(s.order, rank_of(s.order, slot & (W - 1)));
         debug_assert!(self.order_is_valid(set));
     }
 
@@ -175,40 +217,39 @@ impl<V: Copy + Default> Ways<V> {
         line: CacheLineAddr,
         value: V,
     ) -> (usize, Option<(CacheLineAddr, V)>) {
-        let head = &mut self.heads[set];
-        let len = head.len as usize;
-        let base = set * self.ways;
-        let (slot, victim) = if len < self.ways {
-            head.order = push_front(head.order, len);
-            head.len += 1;
+        let s = &mut self.sets[set];
+        let len = s.len as usize;
+        let (lane, victim) = if len < self.ways {
+            s.order = push_front(s.order, len);
+            s.len += 1;
             self.len += 1;
-            (base + len, None)
+            (len, None)
         } else {
-            let slot = base + way_at(head.order, len - 1);
-            head.order = promote(head.order, len - 1);
-            (slot, Some((self.lines[slot], self.values[slot])))
+            let lane = way_at(s.order, len - 1);
+            s.order = promote(s.order, len - 1);
+            (lane, Some((s.lines[lane], s.values[lane])))
         };
+        s.lines[lane] = line;
+        s.values[lane] = value;
         debug_assert!(self.order_is_valid(set));
-        self.lines[slot] = line;
-        self.values[slot] = value;
-        (slot, victim)
+        (set << Self::LANE_BITS | lane, victim)
     }
 
     /// Removes the valid `slot` of `set` and returns its value.  The set's
-    /// last valid slot fills the hole, and its nibble takes the hole's way.
+    /// last valid lane fills the hole, and its nibble takes the hole's
+    /// lane; its old lane keeps a stale copy, past the valid ones.
     pub(crate) fn remove(&mut self, set: usize, slot: usize) -> V {
-        let value = self.values[slot];
-        let base = set * self.ways;
-        let head = &mut self.heads[set];
-        let (way, last) = (slot - base, head.len as usize - 1);
-        let mut order = remove_rank(head.order, rank_of(head.order, way));
-        if way != last {
-            self.lines[slot] = self.lines[base + last];
-            self.values[slot] = self.values[base + last];
-            order = rename(order, last, way);
+        let s = &mut self.sets[set];
+        let (lane, last) = (slot & (W - 1), s.len as usize - 1);
+        let value = s.values[lane];
+        let mut order = remove_rank(s.order, rank_of(s.order, lane));
+        if lane != last {
+            s.lines[lane] = s.lines[last];
+            s.values[lane] = s.values[last];
+            order = rename(order, last, lane);
         }
-        head.order = order;
-        head.len -= 1;
+        s.order = order;
+        s.len -= 1;
         self.len -= 1;
         debug_assert!(self.order_is_valid(set));
         value
@@ -220,11 +261,11 @@ impl<V: Copy + Default> Ways<V> {
     /// have room for them.
     pub(crate) fn resize(&mut self, sets: usize, set_of: impl Fn(CacheLineAddr) -> usize) {
         let old = std::mem::replace(self, Self::new(sets, self.ways));
-        for (set, head) in old.heads.iter().enumerate() {
-            for rank in (0..head.len as usize).rev() {
-                let slot = set * old.ways + way_at(head.order, rank);
-                let line = old.lines[slot];
-                let (_, victim) = self.insert(set_of(line), line, old.values[slot]);
+        for s in &old.sets {
+            for rank in (0..s.len as usize).rev() {
+                let lane = way_at(s.order, rank);
+                let line = s.lines[lane];
+                let (_, victim) = self.insert(set_of(line), line, s.values[lane]);
                 debug_assert!(victim.is_none(), "a resized set overflows");
             }
         }
@@ -236,6 +277,38 @@ mod tests {
     use super::*;
 
     use proptest::prelude::*;
+
+    /// Each set starts on a host cache line and pads to whole ones: an
+    /// 8-lane set of MESI states (64 bytes of lines, 8 of states, 12 of
+    /// order and count) takes two, a 16-lane one (128 + 16 + 12) three,
+    /// and a directory set (128 + 256 + 12) seven.
+    #[test]
+    fn sets_are_aligned_host_cache_lines() {
+        use crate::directory::Slot;
+        use crate::line::MesiState;
+        use std::mem::{align_of, size_of};
+
+        assert_eq!(align_of::<Set<MesiState, 8>>(), 64);
+        assert_eq!(size_of::<Set<MesiState, 8>>(), 128);
+        assert_eq!(size_of::<Set<MesiState, 16>>(), 192);
+        assert_eq!(size_of::<Set<Slot, MAX_WAYS>>(), 448);
+    }
+
+    /// A removal moves the set's last lane into the hole and leaves a
+    /// stale copy behind; `find` must not see it once that line is gone.
+    #[test]
+    fn find_skips_the_stale_lane_a_removal_leaves() {
+        let line = |n: u64| CacheLineAddr::new(n * 64);
+        let mut ways = Ways::<u8, 8>::new(1, 8);
+        ways.insert(0, line(1), 1);
+        let (b, _) = ways.insert(0, line(2), 2);
+        assert_eq!(b, 1);
+        ways.remove(0, ways.find(0, line(1)).unwrap());
+        assert_eq!(ways.find(0, line(2)), Some(0));
+        ways.remove(0, 0);
+        assert_eq!(ways.find(0, line(2)), None);
+        assert_eq!(ways.len(), 0);
+    }
 
     /// Asserts that the first `model.len()` nibbles of `order` are `model`.
     fn assert_order(order: u64, model: &[usize]) {

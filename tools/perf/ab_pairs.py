@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""usage: tools/perf/ab_pairs.py [--same-digest] <parent-dir> <change-dir> <workload> <pairs> <seconds> [seed]
+"""usage: tools/perf/ab_pairs.py [--same-digest] [--control <dir>] <parent-dir> <change-dir> <workload> <pairs> <seconds> [seed]
 
 Runs `perfbench/run.py --trace 0` in two checkouts over alternating pairs
 (the parent first on even pairs) and prints, for each end-to-end metric of
@@ -10,22 +10,39 @@ the parent's interquartile range, `loss` if the same holds the other way
 round, `flat` otherwise.  Exits 1 if any run reports failed ops, or, with
 --same-digest, if the runs' `report_digest`s differ.
 
-The two checkouts must sit at absolute paths of equal length: the build
+With --control, <dir> is a second copy of the parent.  It runs in every
+pair between the other two (parent, control, change on even pairs, change,
+control, parent on odd ones), and each metric also prints the control's
+median, its gap to the parent and its wins.  Two copies of one commit can
+differ by a few percent through code layout alone, so `gain` then also
+requires the change's gap to exceed the control's absolute gap.
+
+The checkouts must sit at absolute paths of equal length: the build
 embeds source paths, and their length alone moves perfbench's speed by a
 few percent, so the script refuses unequal ones."""
 import json, os, statistics, subprocess, sys
 
-args = [a for a in sys.argv[1:] if a != "--same-digest"]
-same_digest = len(args) < len(sys.argv) - 1
+args, same_digest, control = [], False, None
+argv = iter(sys.argv[1:])
+for a in argv:
+    if a == "--same-digest":
+        same_digest = True
+    elif a == "--control":
+        control = next(argv, None) or sys.exit(__doc__)
+    else:
+        args.append(a)
 if len(args) not in (5, 6):
     sys.exit(__doc__)
 parent, change, workload, pairs, seconds = args[:5]
 seed = args[5] if len(args) == 6 else "1001"
 sides = {"parent": parent, "change": change}
+if control:
+    sides["control"] = control
 lengths = {side: len(os.path.abspath(path)) for side, path in sides.items()}
-if lengths["parent"] != lengths["change"]:
-    sys.exit(f"the checkouts' absolute paths differ in length ({lengths['parent']} and "
-             f"{lengths['change']} characters); put them at paths of equal length")
+if len(set(lengths.values())) != 1:
+    sys.exit("the checkouts' absolute paths differ in length ("
+             + ", ".join(f"{side} {n}" for side, n in lengths.items())
+             + " characters); put them at paths of equal length")
 with open(os.path.join(change, "BENCHMARK.json")) as f:
     metrics = [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
 
@@ -41,8 +58,8 @@ def run(side):
 values = {side: {name: [] for name, _ in metrics} for side in sides}
 digests, failed = set(), 0
 for i in range(int(pairs)):
-    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-    for side in order:
+    order = ["parent", "control", "change"] if i % 2 == 0 else ["change", "control", "parent"]
+    for side in (s for s in order if s in sides):
         record, measured = run(side)
         failed += record["ops_failed"]
         digests.add(record["report_digest"])
@@ -59,13 +76,20 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def verdict(p, c, better, iqr):
-    """`gain`, `loss` or `flat` by the rule in the module docstring."""
+def wins_of(p, c, better):
+    """Pairs in which `c` beats `p`."""
     sign = 1 if better == "higher" else -1
-    wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
+    return sum(sign * (y - x) > 0 for x, y in zip(p, c))
+
+
+def verdict(p, c, better, iqr, noise):
+    """`gain`, `loss` or `flat` by the rule in the module docstring;
+    `noise` is the control's absolute median gap (0 without one)."""
+    sign = 1 if better == "higher" else -1
+    wins = wins_of(p, c, better)
     losses = sum(sign * (y - x) < 0 for x, y in zip(p, c))
     gap = sign * (statistics.median(c) - statistics.median(p))
-    if wins >= 0.9 * len(p) and gap > iqr:
+    if wins >= 0.9 * len(p) and gap > iqr and gap > noise:
         return wins, "gain"
     if losses >= 0.9 * len(p) and -gap > iqr:
         return wins, "loss"
@@ -76,11 +100,17 @@ print(f"{workload} seed {seed}, {pairs} pairs of {seconds} s")
 for name, better in metrics:
     p, c = values["parent"][name], values["change"][name]
     (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
-    wins, call = verdict(p, c, better, p3 - p1)
+    km = statistics.median(values["control"][name]) if control else pm
+    wins, call = verdict(p, c, better, p3 - p1, abs(km - pm))
     gap = (cm - pm) / pm * 100 if pm else 0.0
-    print(f"  {name:20} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
-          f"[{c1:.6g}, {c3:.6g}]  {gap:+.1f}%  wins {wins}/{len(p)}  "
-          f"parent IQR {p3 - p1:.4g}  {call}")
+    line = (f"  {name:20} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
+            f"[{c1:.6g}, {c3:.6g}]  {gap:+.1f}%  wins {wins}/{len(p)}  "
+            f"parent IQR {p3 - p1:.4g}")
+    if control:
+        k = values["control"][name]
+        kgap = (km - pm) / pm * 100 if pm else 0.0
+        line += f"  control {km:.6g} {kgap:+.1f}% wins {wins_of(p, k, better)}/{len(p)}"
+    print(f"{line}  {call}")
 if failed:
     sys.exit(f"FAIL: {failed} failed ops")
 if same_digest and len(digests) != 1:
